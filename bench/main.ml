@@ -77,8 +77,11 @@ let micro_tests () =
   in
   let npc_kernel () = Qcp.Np_reduction.optimal_cost petersen in
   (* The workspace's incremental embeddability oracle end to end: split the
-     Table 3 workload into alignable subcircuits. *)
-  let split_kernel () = Qcp.Workspace.split ~adjacency:bonds phaseest in
+     Table 3 workload into alignable subcircuits with the paper's greedy
+     split (window 1). *)
+  let split_kernel () =
+    Qcp.Workspace.split_windowed ~window:1 ~adjacency:bonds phaseest
+  in
   (* The scoring engine itself: one full placement of the Table 3 workload
      with memoization on (default) vs off, isolating the cache's effect. *)
   let score_kernel ~cache () =

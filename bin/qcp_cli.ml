@@ -101,29 +101,22 @@ let threshold_arg =
           "Fast-interaction Threshold in 1/10000 s units; defaults to the \
            smallest value connecting the environment.")
 
+let window_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some w when w >= 1 -> Ok w
+    | Some _ | None -> Error (`Msg "the window must be an integer of at least 1")
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let options_term =
   let make threshold no_lookahead fine_tune no_override router no_cap
       sequential limit commute balance no_cache no_bounded window coarsen
-      root_cap spill vcycle jobs parallel parallel_enum portfolio deadline
-      strategies learn env =
+      root_cap spill vcycle jobs portfolio deadline strategies learn env =
     let threshold =
       match threshold with
       | Some th -> th
       | None -> Environment.min_threshold_connected env
-    in
-    (* --jobs wins; the deprecated --parallel/--parallel-enum aliases fall
-       back to the larger of the two; with neither, QCP_JOBS (the
-       Options.default initializer) decides. *)
-    if parallel > 0 then ignore (Qcp.Options.warn_deprecated "--parallel" : bool);
-    if parallel_enum > 0 then
-      ignore (Qcp.Options.warn_deprecated "--parallel-enum" : bool);
-    let jobs =
-      match jobs with
-      | Some j -> j
-      | None -> (
-        match max parallel parallel_enum with
-        | 0 -> Qcp_util.Task_pool.env_jobs ()
-        | j -> j)
     in
     {
       (Qcp.Options.default ~threshold) with
@@ -149,7 +142,7 @@ let options_term =
         | Some "" -> Qcp.Options.Spill_drop
         | Some path -> Qcp.Options.Spill_file path);
       vcycle;
-      jobs;
+      jobs = Option.value jobs ~default:(Qcp_util.Task_pool.env_jobs ());
       portfolio = portfolio || deadline <> None || strategies <> None || learn;
       deadline;
       portfolio_strategies =
@@ -203,12 +196,15 @@ let options_term =
                cutoffs and lookahead lower-bound skips).  Placements are \
                identical either way; this only exists for benchmarking.")
     $ Arg.(
-        value & opt (some int) None
+        value & opt window_conv 1
         & info [ "window" ] ~docv:"GATES"
             ~doc:
-              "Form subcircuits by streaming gates out of the dependency \
-               DAG with this deferral window instead of levelizing the \
-               whole circuit (scale mode for very deep circuits).")
+              "Deferral window of subcircuit formation: a gate that would \
+               break alignability is deferred instead of closing the \
+               subcircuit, until $(docv) gates are deferred.  The default 1 \
+               is the paper's greedy maximal-prefix split; larger windows \
+               pack subcircuits fuller (scale mode for very deep \
+               circuits).")
     $ Arg.(
         value & flag
         & info [ "coarsen" ]
@@ -230,11 +226,12 @@ let options_term =
         & info [ "spill" ] ~docv:"FILE"
             ~doc:
               "Stream per-stage placements out of the hot loop instead of \
-               materializing the stage list (requires $(b,--window)): peak \
-               heap becomes independent of gate count.  With no $(docv) \
-               the stages are summarized and dropped; with one, each stage \
-               is appended to $(docv) as one JSON line.  Placements are \
-               identical to the same windowed run without spilling.")
+               materializing the stage list: peak heap becomes independent \
+               of gate count.  With no $(docv) the stages are summarized \
+               and dropped; with one, each stage is appended to $(docv) as \
+               one JSON line.  Placements are identical to the same run \
+               without spilling ($(b,--balance) and $(b,--vcycle) are \
+               skipped).")
     $ Arg.(
         value & opt int 0
         & info [ "vcycle" ] ~docv:"PASSES"
@@ -251,14 +248,6 @@ let options_term =
                enumeration, subtree routing) on this many domains of the \
                shared pool (0 or 1 = sequential).  Placements are identical \
                at any value.  Defaults to $(b,QCP_JOBS), else 0.")
-    $ Arg.(
-        value & opt int 0
-        & info [ "parallel" ] ~docv:"DOMAINS"
-            ~doc:"Deprecated alias for $(b,--jobs).")
-    $ Arg.(
-        value & opt int 0
-        & info [ "parallel-enum" ] ~docv:"DOMAINS"
-            ~doc:"Deprecated alias for $(b,--jobs).")
     $ Arg.(
         value & flag
         & info [ "portfolio" ]

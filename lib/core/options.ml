@@ -15,7 +15,7 @@ type t = {
   balance_boundaries : bool;
   score_cache : bool;
   bounded_search : bool;
-  window : int option;
+  window : int;
   coarsen : bool;
   root_cap : int option;
   spill : spill;
@@ -43,7 +43,7 @@ let default ~threshold =
     balance_boundaries = false;
     score_cache = true;
     bounded_search = true;
-    window = None;
+    window = 1;
     coarsen = false;
     root_cap = None;
     spill = No_spill;
@@ -86,8 +86,7 @@ let canonical t =
   flag "balance" t.balance_boundaries;
   flag "score_cache" t.score_cache;
   flag "bounded" t.bounded_search;
-  field "window"
-    (match t.window with None -> "none" | Some w -> string_of_int w);
+  field "window" (string_of_int t.window);
   flag "coarsen" t.coarsen;
   field "root_cap"
     (match t.root_cap with None -> "none" | Some c -> string_of_int c);
@@ -109,24 +108,6 @@ let canonical t =
   flag "learn" t.portfolio_learn;
   Buffer.contents b
 
-let deprecation_message ~alias =
-  Printf.sprintf
-    "warning: %s is deprecated and will be removed; use --jobs (or QCP_JOBS) \
-     instead"
-    alias
-
-(* One warning per alias per process, however many times options are
-   constructed (threshold sweeps re-evaluate the CLI options function). *)
-let warned : (string, unit) Hashtbl.t = Hashtbl.create 4
-
-let warn_deprecated ?(ppf = Format.err_formatter) alias =
-  if Hashtbl.mem warned alias then false
-  else begin
-    Hashtbl.add warned alias ();
-    Format.fprintf ppf "%s@." (deprecation_message ~alias);
-    true
-  end
-
 let fast ~threshold =
   {
     threshold;
@@ -141,7 +122,7 @@ let fast ~threshold =
     balance_boundaries = false;
     score_cache = true;
     bounded_search = true;
-    window = None;
+    window = 1;
     coarsen = false;
     root_cap = None;
     spill = No_spill;
@@ -156,7 +137,7 @@ let fast ~threshold =
 let scale ~threshold =
   {
     (fast ~threshold) with
-    window = Some 64;
+    window = 64;
     coarsen = true;
     root_cap = Some 32;
   }

@@ -44,7 +44,8 @@ type t = {
           runtime — the paper's other "further research" direction
           ("finding a good balance between the depth of a useful computation
           and the depth of the following swapping stage; right now, our
-          method is greedy").  Off by default. *)
+          method is greedy").  Runs only on the greedy split ([window =
+          1]) of a run that does not spill.  Off by default. *)
   score_cache : bool;
       (** Memoize routed SWAP networks, the router's bisection structure and
           per-subcircuit interaction graphs / monomorphism enumerations
@@ -64,17 +65,19 @@ type t = {
           and ties still resolve to the earliest candidate.  On by
           default (CLI [--no-bounded-search] disables, for benchmarking
           and debugging). *)
-  window : int option;
-      (** [Some w]: form subcircuits by streaming gates out of the
-          dependency DAG with a bounded deferral window of [w] gates
-          ({!Workspace.split_windowed}) instead of levelizing the whole
-          circuit up front — O(window) workspace growth per subcircuit, so
-          memory stays flat on million-gate circuits.  Stage boundaries may
-          differ from the classic splitter's (the stream can slide
-          independent gates past a refused pair), but placements remain
-          semantically equivalent: emission order is a valid linearization
-          of the dependency DAG.  [None] (default): classic whole-circuit
-          splitting, bit-identical to previous releases. *)
+  window : int;
+      (** Deferral window of subcircuit formation
+          ({!Workspace.fold_windowed}): gates stream out of the dependency
+          DAG, and a gate whose interaction pair would break alignability
+          is deferred instead of closing the subcircuit, until [window]
+          gates are deferred.  [1] (default) is the paper's greedy
+          maximal-prefix split.  Larger windows let independent gates
+          slide past a refused pair and pack subcircuits fuller; stage
+          boundaries then differ, but placements stay semantically
+          equivalent (emission order is a valid linearization of the
+          dependency DAG).  Workspace growth is O(window) per subcircuit
+          either way, so memory stays flat on million-gate circuits.  The
+          CLI and the serve protocol reject values below 1. *)
   coarsen : bool;
       (** Hierarchical coarsen-place-refine on large environments: build a
           heavy-edge-matching hierarchy of the fast-interaction graph
@@ -94,16 +97,16 @@ type t = {
   spill : spill;
       (** [Spill_drop] / [Spill_file _]: stream per-stage placements out of
           the hot loop through a {!Placer.Spill} sink instead of
-          accumulating the stage list in the program — peak heap for a
-          windowed place becomes O(window + environment) beyond the input
-          circuit, independent of gate count.  Requires [window]; ignored
-          (with classic accumulation) when [window = None].  The resulting
-          program carries a summary (makespan, stage and SWAP counts,
-          boundary placements) instead of materialized stages, so
-          stage-replaying accessors ({!Placer.stage_circuits},
-          {!Placer.placements}) return empty.  Placed stages and the
-          reported makespan are bit-identical to a non-spilled windowed
-          run.  [No_spill] (default). *)
+          accumulating the stage list in the program — peak heap becomes
+          O(window + environment) beyond the input circuit, independent of
+          gate count.  The resulting program carries a summary (makespan,
+          stage and SWAP counts, boundary placements) instead of
+          materialized stages, so stage-replaying accessors
+          ({!Placer.placements}, {!Placer.to_physical_circuit}) return
+          empty, and [balance_boundaries] and [vcycle] are skipped.  Placed
+          stages and the reported makespan are bit-identical to the same
+          run without spilling when neither of those is set.  [No_spill]
+          (default). *)
   vcycle : int;
       (** Number of LONGPATH-style V-cycle refinement passes run after
           placement: each pass sweeps adjacent stage pairs, probing
@@ -122,11 +125,9 @@ type t = {
           sequentially.  Placements are bit-identical at any [jobs] value:
           sweeps keep the earliest-tie argmin, enumeration merges partition
           results in candidate order, and subtree routes are pure value
-          combinations.  Replaces the former [parallel_scoring] and
-          [parallel_enumeration] fields (CLI [--parallel]/[--parallel-enum]
-          remain as deprecated aliases for [--jobs]).  [default] and [fast]
-          initialize this from the [QCP_JOBS] environment variable
-          ({!Qcp_util.Task_pool.env_jobs}), 0 when unset. *)
+          combinations.  [default] and [fast] initialize this from the
+          [QCP_JOBS] environment variable ({!Qcp_util.Task_pool.env_jobs}),
+          0 when unset. *)
   portfolio : bool;
       (** Race the enabled {!Portfolio} strategies against a shared
           incumbent instead of running the single classic pipeline; the
@@ -169,7 +170,7 @@ val fast : threshold:float -> t
 
 val scale : threshold:float -> t
 (** [fast] plus the scale-wall machinery for 1000-qubit environments:
-    [window = Some 64], [coarsen = true], [root_cap = Some 32]. *)
+    [window = 64], [coarsen = true], [root_cap = Some 32]. *)
 
 val canonical : t -> string
 (** Deterministic text rendering of every field in declaration order
@@ -179,14 +180,3 @@ val canonical : t -> string
     request keys rely on.  [jobs] is excluded on purpose: placements are
     bit-identical at any jobs value, so results may be shared across
     requests that differ only in their parallelism budget. *)
-
-val deprecation_message : alias:string -> string
-(** The exact warning text emitted for a deprecated CLI alias (e.g.
-    ["--parallel"]), exposed so tests can pin it. *)
-
-val warn_deprecated : ?ppf:Format.formatter -> string -> bool
-(** [warn_deprecated alias] prints {!deprecation_message} to [ppf]
-    (default [Format.err_formatter]) the {e first} time it is called for
-    [alias] in this process and returns whether it printed.  Subsequent
-    calls for the same alias are silent — threshold sweeps and repeated
-    option construction must not repeat the warning. *)

@@ -134,7 +134,7 @@ type ctx = {
   c_m : int; (* environment size *)
   c_n : int; (* circuit qubits *)
   c_metrics : Telemetry.t;
-  c_oracle : int ref; (* threaded into {!Workspace.split} *)
+  c_oracle : int ref; (* threaded into {!Workspace.fold_windowed} *)
   c_enumerations : Telemetry.counter;
   c_scored : Telemetry.counter;
   c_pruned : Telemetry.counter;
@@ -173,14 +173,14 @@ type ctx = {
       (* Stage sweeps and pipeline aborts cut short by [c_shared] (as
          opposed to this run's own incumbent). *)
   c_stream_mode : bool;
-      (* Set by the spilled streaming driver: route entries bypass the
-         cross-run shared registry and go through this run's private
-         table, which {!run_streaming} trims after every stage.  On a
-         large register each cached entry carries a full-register SWAP
-         circuit, so letting a multi-thousand-stage run feed the
-         process-lifetime registry would grow the heap with gate count —
-         exactly what spill mode promises not to do.  Pure memoization
-         either way: placements are unaffected. *)
+      (* Set for spill runs: route entries bypass the cross-run shared
+         registry and go through this run's private table, which
+         {!run_stages} trims after every stage.  On a large register each
+         cached entry carries a full-register SWAP circuit, so letting a
+         multi-thousand-stage run feed the process-lifetime registry would
+         grow the heap with gate count — exactly what spill mode promises
+         not to do.  Pure memoization either way: placements are
+         unaffected. *)
 }
 
 (* The "per-run" registry is cached per domain and zeroed at the start of
@@ -229,13 +229,16 @@ let timed ctx f =
   ctx.c_scoring_time := !(ctx.c_scoring_time) +. (Unix.gettimeofday () -. t0);
   result
 
-(* Run one pipeline phase: a trace span when recording, wall time into
-   its accumulator when metrics or tracing are armed.  Only sequential
-   orchestration code runs phases, so the plain ref is safe; with
+(* The phase clocks only tick while metrics or tracing are armed: with
    telemetry fully off the cost is two atomic loads and a branch — the
    clock reads would otherwise dominate micro placements. *)
+let phases_armed () = Telemetry.enabled () || Qcp_obs.Trace.enabled ()
+
+(* Run one pipeline phase: a trace span when recording, wall time into
+   its accumulator when {!phases_armed}.  Only sequential orchestration
+   code runs phases, so the plain ref is safe. *)
 let in_phase cell ~name f =
-  if Telemetry.enabled () || Qcp_obs.Trace.enabled () then begin
+  if phases_armed () then begin
     let t0 = Unix.gettimeofday () in
     let result = Qcp_obs.Trace.with_span ~cat:"placer" name f in
     cell := !cell +. (Unix.gettimeofday () -. t0);
@@ -518,13 +521,6 @@ let candidate_bound ctx ~scratch ~phys_start ~prev ~subcircuit placement =
   assert completed;
   Timing.stage_makespan scratch
 
-(* Monotone-min incumbent shared across scoring domains (and, in portfolio
-   runs, across whole strategies) — see {!Incumbent} for the flipped-bits
-   encoding. *)
-let incumbent_make = Incumbent.make
-let incumbent_get = Incumbent.get
-let incumbent_submit = Incumbent.submit
-
 (* One timing scratch per domain: pool helpers are persistent, so each
    lazily allocates a scratch on first sweep and reuses it for every
    subsequent placement.  A domain runs one sweep slot at a time and each
@@ -543,12 +539,16 @@ let sweep_scores ctx total eval =
     for i = 0 to total - 1 do
       out.(i) <- eval ctx.c_scratch i
     done
-  else
+  else begin
+    (* Slots read the distance table; forcing a lazy value from two
+       domains at once raises [CamlinternalLazy.Undefined]. *)
+    ignore (Lazy.force ctx.c_dist : int array array);
     Qcp_util.Task_pool.parallel_for
       (Qcp_util.Task_pool.get ())
       ~jobs
       ~body:(fun ~worker:_ i -> out.(i) <- eval (Domain.DLS.get domain_scratch) i)
-      total;
+      total
+  end;
   out
 
 (* Score every candidate.  Under [Options.bounded_search] the evaluations
@@ -566,11 +566,11 @@ let candidate_scores ?(cutoff = infinity) ctx score arr =
     sweep_scores ctx total (fun scratch i ->
         score scratch ~cutoff:infinity arr.(i))
   else begin
-    let incumbent = incumbent_make cutoff in
+    let incumbent = Incumbent.make cutoff in
     sweep_scores ctx total (fun scratch i ->
-        let s = score scratch ~cutoff:(incumbent_get incumbent) arr.(i) in
+        let s = score scratch ~cutoff:(Incumbent.get incumbent) arr.(i) in
         if s = infinity then Telemetry.incr ctx.c_pruned
-        else incumbent_submit incumbent s;
+        else Incumbent.submit incumbent s;
         s)
   end
 
@@ -824,10 +824,10 @@ let pick_greedy ?(cutoff = infinity) ctx ~phys_start ~prev ~subcircuit
         order;
       let scores = Array.make total infinity in
       let clocks = Array.make total [||] in
-      let incumbent = incumbent_make cutoff in
+      let incumbent = Incumbent.make cutoff in
       let eval scratch k =
         let i = order.(k) in
-        let limit = incumbent_get incumbent in
+        let limit = Incumbent.get incumbent in
         let s =
           if bounds.(i) > limit then begin
             Telemetry.incr ctx.c_bound_skips;
@@ -839,7 +839,7 @@ let pick_greedy ?(cutoff = infinity) ctx ~phys_start ~prev ~subcircuit
         in
         if s = infinity then Telemetry.incr ctx.c_pruned
         else begin
-          incumbent_submit incumbent s;
+          Incumbent.submit incumbent s;
           (* A completed sweep leaves the exact finish clocks loaded
              (bit-identical to the unbounded replay); keep the winner's so
              the pipeline need not re-time it. *)
@@ -948,10 +948,10 @@ let pick_lookahead ?(cutoff = infinity) ctx ~phys_start ~prev ~subcircuit
           | c -> c)
         order;
       let scores = Array.make total infinity in
-      let incumbent = incumbent_make cutoff in
+      let incumbent = Incumbent.make cutoff in
       let eval scratch k =
         let i = order.(k) in
-        let limit = incumbent_get incumbent in
+        let limit = Incumbent.get incumbent in
         let s =
           if bounds.(i) > limit then begin
             Telemetry.incr ctx.c_bound_skips;
@@ -963,7 +963,7 @@ let pick_lookahead ?(cutoff = infinity) ctx ~phys_start ~prev ~subcircuit
               ~next_mappings
         in
         if s = infinity then Telemetry.incr ctx.c_pruned
-        else incumbent_submit incumbent s;
+        else Incumbent.submit incumbent s;
         scores.(i) <- s;
         s
       in
@@ -982,8 +982,7 @@ let msg_peer_pruned = "a portfolio peer's incumbent refutes this pipeline"
 
 exception Pipeline_failure of string
 
-(* One pipeline stage, shared verbatim between the materialized driver
-   ({!run_pipeline}) and the streaming spill driver ({!run_streaming}):
+(* One pipeline stage, called only from the stage loop {!run_stages}:
    enumerate candidates, pick (greedy, or depth-2 lookahead when a
    successor stage is in hand), fine-tune under the lookahead judge,
    route/re-time, and apply the cutoff / deadline / peer-incumbent abort
@@ -1039,7 +1038,7 @@ let place_one ?(cutoff = infinity) ctx ~phys_start ~prev ~hint ~subcircuit
     match ctx.c_shared with
     | None -> pick cutoff
     | Some shared -> (
-      let eff = Float.min cutoff (incumbent_get shared) in
+      let eff = Float.min cutoff (Incumbent.get shared) in
       if eff >= cutoff then pick cutoff
       else begin
         (* The peer value tightens this stage's sweep. *)
@@ -1105,7 +1104,7 @@ let place_one ?(cutoff = infinity) ctx ~phys_start ~prev ~hint ~subcircuit
        comparison: a tying pipeline must complete so the portfolio's
        seeded reduce stays schedule-independent. *)
     (match ctx.c_shared with
-    | Some shared when makespan > incumbent_get shared ->
+    | Some shared when makespan > Incumbent.get shared ->
       Telemetry.incr ctx.c_peer_pruned;
       raise (Pipeline_failure msg_peer_pruned)
     | Some _ | None -> ());
@@ -1114,55 +1113,23 @@ let place_one ?(cutoff = infinity) ctx ~phys_start ~prev ~hint ~subcircuit
     in
     (network, tuned, finish)
 
-(* The main stage loop: place each subcircuit in order, connecting
-   consecutive placements with SWAP networks.  Returns the stage list and
-   the final makespan. *)
-let run_pipeline ?cutoff ?hints ctx subcircuits =
-  let subs = Array.of_list subcircuits in
-  let count = Array.length subs in
-  let stages = ref [] in
-  let phys_start = ref (Array.make ctx.c_m 0.0) in
-  let prev = ref None in
-  try
-    for i = 0 to count - 1 do
-      let hint =
-        match hints with
-        | Some h when i < Array.length h -> h.(i)
-        | Some _ | None -> None
-      in
-      let next_subcircuit = if i + 1 < count then Some subs.(i + 1) else None in
-      let network, tuned, finish =
-        place_one ?cutoff ctx ~phys_start:!phys_start ~prev:!prev ~hint
-          ~subcircuit:subs.(i) ~next_subcircuit
-      in
-      (match network with
-      | Some net -> stages := Permute net :: !stages
-      | None -> ());
-      stages := Compute { placement = tuned; circuit = subs.(i) } :: !stages;
-      phys_start := finish;
-      prev := Some tuned
-    done;
-    Ok (List.rev !stages, Array.fold_left Float.max 0.0 !phys_start)
-  with Pipeline_failure msg -> Error msg
+(* The stage loop, the one place {!place_one} is called from.  [feed]
+   hands each (subcircuit, witness hint) to its argument in stage order
+   and returns the split's verdict; each stage leaves through [sink] the
+   moment it is placed, so the only per-stage state live here is a
+   one-stage lag buffer — depth-2 lookahead needs the successor
+   subcircuit, so stage [i] is placed when stage [i+1] arrives, and the
+   final stage is placed lookahead-free.  Materialized runs feed their
+   split list and rebuild [stages] through {!collect}; spill runs feed
+   {!Workspace.fold_windowed} directly ({!stream_feed}).  Stage formation
+   is deterministic and independent of placement, so both hand
+   {!place_one} the same triples and place bit-identical stages.
 
-(* Streaming spill driver: stages flow straight out of
-   {!Workspace.fold_windowed} into {!place_one} and leave through the
-   [sink] the moment they are placed, so the only per-stage state ever
-   live is a one-stage lag buffer — depth-2 lookahead needs the successor
-   subcircuit, so stage [i] is placed when stage [i+1] closes (the final
-   stage is placed lookahead-free, exactly like the materialized driver's
-   last iteration).  Stage formation is deterministic and independent of
-   placement, so the (subcircuit, hint, successor) triples handed to
-   {!place_one} are identical to the materialized windowed run's, and the
-   emitted placements are bit-identical to it.
-
-   Peak heap is O(window + environment) beyond the input circuit and
-   whatever the sink itself retains: the split's deferral window, the lag
-   buffer, one candidate set, and the score cache (bounded by distinct
-   interaction patterns and placements).  One honest caveat: because
-   splitting and placing interleave, the ["split"] phase gauge reads 0 in
-   this mode — split time is indistinguishable from pipeline time. *)
-let run_streaming ctx ~window ~sink circuit =
+   In spill mode peak heap is O(window + environment) beyond the input
+   circuit and whatever the sink retains: the split's deferral window,
+   the lag buffer, one candidate set, and the score cache (trimmed after
+   every stage, see [c_stream_mode]). *)
+let run_stages ?cutoff ctx ~sink feed =
   let phys_start = ref (Array.make ctx.c_m 0.0) in
   let prev = ref None in
   let index = ref 0 in
@@ -1171,15 +1138,14 @@ let run_streaming ctx ~window ~sink circuit =
   let swap_depth = ref 0 in
   let swap_count = ref 0 in
   let first = ref None in
-  let last = ref None in
   let pending = ref None in
   let flush ~next_subcircuit =
     match !pending with
     | None -> ()
     | Some (subcircuit, hint) ->
       let network, tuned, finish =
-        place_one ctx ~phys_start:!phys_start ~prev:!prev ~hint ~subcircuit
-          ~next_subcircuit
+        place_one ?cutoff ctx ~phys_start:!phys_start ~prev:!prev ~hint
+          ~subcircuit ~next_subcircuit
       in
       (match network with
       | Some net ->
@@ -1196,28 +1162,22 @@ let run_streaming ctx ~window ~sink circuit =
       incr index;
       incr computes;
       if !first = None then first := Some (Array.copy tuned);
-      last := Some tuned;
       phys_start := finish;
       prev := Some tuned;
       pending := None;
       (* Connecting permutations are rarely shared across stages, so the
          per-run route table would otherwise be the one structure growing
          with gate count; trimming costs only recomputation. *)
-      Score_cache.trim ctx.c_cache
+      if ctx.c_stream_mode then Score_cache.trim ctx.c_cache
   in
   let outcome =
     Fun.protect ~finally:sink.Spill.close @@ fun () ->
     try
       Result.map
         (fun () -> flush ~next_subcircuit:None)
-        (Workspace.fold_windowed ~oracle_calls:ctx.c_oracle ~window
-           ~adjacency:ctx.c_adjacency ~init:()
-           ~stage:(fun () (subcircuit, witness) ->
-             observe_scale ctx "placer.scale.window_fill"
-               (float_of_int (Circuit.gate_count subcircuit));
+        (feed (fun ((subcircuit, _) as stage) ->
              flush ~next_subcircuit:(Some subcircuit);
-             pending := Some (subcircuit, witness))
-           circuit)
+             pending := Some stage))
     with Pipeline_failure msg -> Error msg
   in
   Result.map
@@ -1229,18 +1189,65 @@ let run_streaming ctx ~window ~sink circuit =
         sm_swap_count = !swap_count;
         sm_makespan = Array.fold_left Float.max 0.0 !phys_start;
         sm_first = !first;
-        sm_last = !last;
+        sm_last = !prev;
       })
     outcome
+
+(* A stage feed over an already split list. *)
+let feed_list stages stage =
+  List.iter stage stages;
+  Ok ()
+
+(* The sink of a materialized run: rebuilds the stage list. *)
+let collect () =
+  let stages = ref [] in
+  let sink =
+    Spill.callback (function
+      | Spill.Stage { placement; circuit; _ } ->
+        stages := Compute { placement; circuit } :: !stages
+      | Spill.Network { network; _ } -> stages := Permute network :: !stages)
+  in
+  (sink, fun () -> List.rev !stages)
+
+(* The windowed splitter with the window-fill histogram recorded per
+   stage. *)
+let fold_stages ctx ~init ~stage circuit =
+  Workspace.fold_windowed ~oracle_calls:ctx.c_oracle
+    ~window:ctx.c_options.Options.window ~adjacency:ctx.c_adjacency ~init
+    ~stage:(fun acc ((subcircuit, _) as s) ->
+      observe_scale ctx "placer.scale.window_fill"
+        (float_of_int (Circuit.gate_count subcircuit));
+      stage acc s)
+    circuit
+
+(* The stage feed of a spill run: the splitter drives the loop directly.
+   Splitting and placing interleave, so the split phase is charged the
+   fold's wall time minus the time spent inside [stage]. *)
+let stream_feed ctx circuit stage =
+  let clock = if phases_armed () then Unix.gettimeofday else fun () -> 0.0 in
+  let inside = ref 0.0 in
+  let t0 = clock () in
+  let result =
+    fold_stages ctx ~init:()
+      ~stage:(fun () s ->
+        let t = clock () in
+        stage s;
+        inside := !inside +. (clock () -. t))
+      circuit
+  in
+  let split = ctx.c_phases.ph_split in
+  split := !split +. (clock () -. t0 -. !inside);
+  result
 
 (* Boundary refinement (paper "further research"): the greedy split makes
    each computation stage maximal; donating a few trailing gates to the next
    stage can shrink the following swap stage.  Trial donations are evaluated
-   with a cheap greedy pipeline -- run with the incumbent makespan as
-   cutoff, so a losing donation aborts as soon as any stage provably
-   exceeds it -- and kept when they strictly improve the makespan.  The
-   subcircuit sequence is kept as an array so a donation is O(stages), not
-   the O(stages^2) of repeated [List.nth_opt]/[List.mapi] bookkeeping. *)
+   with a cheap greedy pass of the stage loop into {!Spill.null} -- run
+   with the incumbent makespan as cutoff, so a losing donation aborts as
+   soon as any stage provably exceeds it -- and kept when they strictly
+   improve the makespan.  The subcircuit sequence is kept as an array so a
+   donation is O(stages), not the O(stages^2) of repeated
+   [List.nth_opt]/[List.mapi] bookkeeping. *)
 let balance_boundaries ctx subcircuits =
   let cheap_ctx =
     {
@@ -1263,8 +1270,9 @@ let balance_boundaries ctx subcircuits =
     }
   in
   let evaluate ?cutoff subs =
-    match run_pipeline ?cutoff cheap_ctx (Array.to_list subs) with
-    | Ok (_, makespan) -> makespan
+    let stages = List.map (fun sub -> (sub, None)) (Array.to_list subs) in
+    match run_stages ?cutoff cheap_ctx ~sink:Spill.null (feed_list stages) with
+    | Ok summary -> summary.sm_makespan
     | Error _ -> Float.infinity
   in
   let donate subs boundary =
@@ -1503,7 +1511,7 @@ let finalize_metrics ctx =
   (* The phase clocks only tick while telemetry is armed (see [in_phase]);
      with it off the gauges would all read 0, so skip registering them —
      [phase_seconds] treats absent gauges as an empty breakdown. *)
-  if Telemetry.enabled () || Qcp_obs.Trace.enabled () then begin
+  if phases_armed () then begin
     let phase name cell = Telemetry.set (Telemetry.gauge t name) !cell in
     let p = ctx.c_phases in
     phase "placer.phase.split.seconds" p.ph_split;
@@ -1608,96 +1616,60 @@ let place ?(deadline = infinity) ?shared ?spill options env circuit =
                else None);
         }
       in
-      (* Spill mode: stream stages out of the windowed splitter straight
-         through the sink; nothing below this branch runs.  Armed only
-         when a window is set — a classic whole-circuit split has already
-         materialized everything, so spilling it would save nothing. *)
-      let want_spill =
-        Option.is_some spill || options.Options.spill <> Options.No_spill
+      let placed stages spilled =
+        let stats, snapshot = finalize_metrics ctx in
+        Placed
+          { env; source = circuit; options; adjacency; stages; spilled; stats;
+            metrics = snapshot }
       in
-      match options.Options.window with
-      | Some window when want_spill -> (
-        let sink =
-          match spill with
-          | Some sink -> sink
-          | None -> (
-            match options.Options.spill with
-            | Options.Spill_file path -> Spill.file path
-            | Options.Spill_drop | Options.No_spill -> Spill.null)
-        in
-        match run_streaming { ctx with c_stream_mode = true } ~window ~sink circuit with
-        | Error msg -> Unplaceable msg
-        | Ok summary ->
-          let stats, snapshot = finalize_metrics ctx in
-          Placed
-            {
-              env;
-              source = circuit;
-              options;
-              adjacency;
-              stages = [];
-              spilled = Some summary;
-              stats;
-              metrics = snapshot;
-            })
-      | None | Some _ -> (
-      let split_result =
-        match options.Options.window with
-        | None ->
-          Result.map
-            (fun subs -> (subs, None))
-            (in_phase ctx.c_phases.ph_split ~name:"placer/split" (fun () ->
-                 Workspace.split ~oracle_calls:ctx.c_oracle ~adjacency circuit))
-        | Some window ->
-          Result.map
-            (fun stages ->
-              List.iter
-                (fun (sub, _) ->
-                  observe_scale ctx "placer.scale.window_fill"
-                    (float_of_int (Circuit.gate_count sub)))
-                stages;
-              ( List.map fst stages,
-                Some (Array.of_list (List.map snd stages)) ))
-            (in_phase ctx.c_phases.ph_split ~name:"placer/window-split"
-               (fun () ->
-                 Workspace.split_windowed ~oracle_calls:ctx.c_oracle ~window
-                   ~adjacency circuit))
+      let sink =
+        match (spill, options.Options.spill) with
+        | Some sink, _ -> Some sink
+        | None, Options.Spill_file path -> Some (Spill.file path)
+        | None, Options.Spill_drop -> Some Spill.null
+        | None, Options.No_spill -> None
       in
-      match split_result with
-      | Error msg -> Unplaceable msg
-      | Ok (subcircuits, hints) -> (
-        let subcircuits =
-          (* Boundary refinement assumes list-order splitting; the windowed
-             stream has its own boundary policy and per-stage hints that a
-             donation would invalidate. *)
-          if
-            options.Options.balance_boundaries
-            && Option.is_none hints
-            && List.length subcircuits > 1
-          then
-            in_phase ctx.c_phases.ph_balance ~name:"placer/balance" (fun () ->
-                balance_boundaries ctx subcircuits)
-          else subcircuits
-        in
-        match run_pipeline ?hints ctx subcircuits with
+      match sink with
+      | Some sink -> (
+        (* Spill mode: stages stream out of the splitter straight through
+           the sink and the program keeps only the summary. *)
+        let ctx = { ctx with c_stream_mode = true } in
+        match run_stages ctx ~sink (stream_feed ctx circuit) with
         | Error msg -> Unplaceable msg
-        | Ok (stage_list, _) ->
-          let stage_list =
-            if options.Options.vcycle > 0 then vcycle_refine ctx stage_list
-            else stage_list
+        | Ok summary -> placed [] (Some summary))
+      | None -> (
+        match
+          in_phase ctx.c_phases.ph_split ~name:"placer/split" (fun () ->
+              fold_stages ctx ~init:[] ~stage:(fun acc s -> s :: acc) circuit)
+        with
+        | Error msg -> Unplaceable msg
+        | Ok reversed -> (
+          let stages = List.rev reversed in
+          let stages =
+            (* Boundary refinement moves gates between the greedy split's
+               stages, so it runs only on that split, and it drops the
+               witness hints a donation would invalidate. *)
+            if
+              options.Options.balance_boundaries
+              && options.Options.window = 1
+              && List.length stages > 1
+            then
+              in_phase ctx.c_phases.ph_balance ~name:"placer/balance" (fun () ->
+                  List.map
+                    (fun sub -> (sub, None))
+                    (balance_boundaries ctx (List.map fst stages)))
+            else stages
           in
-          let stats, snapshot = finalize_metrics ctx in
-          Placed
-            {
-              env;
-              source = circuit;
-              options;
-              adjacency;
-              stages = stage_list;
-              spilled = None;
-              stats;
-              metrics = snapshot;
-            })))
+          let sink, collected = collect () in
+          match run_stages ctx ~sink (feed_list stages) with
+          | Error msg -> Unplaceable msg
+          | Ok _ ->
+            let stage_list = collected () in
+            let stage_list =
+              if options.Options.vcycle > 0 then vcycle_refine ctx stage_list
+              else stage_list
+            in
+            placed stage_list None)))
 
 (* Jobs run as pool tasks, so their internal parallel layers (scoring
    sweeps, enumeration, subtree routing) serialize via the pool's nested-use

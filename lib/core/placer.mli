@@ -16,11 +16,11 @@ type stage =
       (** SWAP levels over physical vertices. *)
 
 (** Streaming destination for per-stage placements (spill mode): with
-    {!Options.t.spill} (or the [?spill] argument of {!place}) set on a
-    windowed run, each placed stage leaves the pipeline through a sink the
-    moment it is ready instead of accumulating in the program — peak heap
-    becomes O(window + environment) beyond the input circuit, independent
-    of gate count. *)
+    {!Options.t.spill} (or the [?spill] argument of {!place}) set, each
+    placed stage leaves the pipeline through a sink the moment it is ready
+    instead of accumulating in the program — peak heap becomes
+    O(window + environment) beyond the input circuit, independent of gate
+    count. *)
 module Spill : sig
   type event =
     | Stage of {
@@ -141,17 +141,20 @@ val place :
   Qcp_env.Environment.t ->
   Qcp_circuit.Circuit.t ->
   outcome
-(** [place options env circuit] runs the full pipeline.
+(** [place options env circuit] runs the full pipeline: split the circuit
+    into subcircuits ({!Workspace.fold_windowed} at [options.window]),
+    then place them in order through one stage loop with a one-stage lag
+    (depth-2 lookahead reads the successor).  A materialized run splits
+    first (the ["split"] phase), optionally balances the boundaries, and
+    collects the placed stages into [stages].
 
-    [spill] (or [options.spill <> No_spill]) arms spill mode on a windowed
-    run ([options.window = Some _]; without a window the knob is ignored —
-    a classic split has already materialized everything): stages stream
-    out of {!Workspace.fold_windowed} straight through {!place} into the
-    sink with a one-stage lag (depth-2 lookahead reads the successor), and
-    the returned program carries a {!summary} instead of stages.  Placed
-    stages and the reported makespan are bit-identical to the same
-    windowed run without spilling.  An explicit [?spill] sink takes
-    precedence over the options knob.
+    [spill] (or [options.spill <> No_spill]) arms spill mode at any
+    window: the splitter feeds the stage loop directly, each stage leaves
+    through the sink as it is placed, and the returned program carries a
+    {!summary} instead of stages.  Placed stages and the reported
+    makespan are bit-identical to the same run without spilling (spill
+    runs skip [balance_boundaries] and [vcycle]).  An explicit [?spill]
+    sink takes precedence over the options knob.
 
     [deadline] (absolute {!Qcp_util.Clock} instant, default [infinity]) is
     an anytime cutoff checked between stages: once it passes, the run
@@ -248,7 +251,10 @@ val phase_seconds : program -> (string * float) list
 (** Wall seconds per pipeline phase, from the snapshot's phase gauges:
     [("split", s); ("enumerate", s); ...] in snapshot (alphabetical)
     order.  Trial pipelines run by boundary balancing count toward
-    ["balance"] only.  The phase clocks only run while
+    ["balance"] only.  Under spill, where splitting and placing
+    interleave, ["split"] is the splitter's own share: the fold's wall
+    time minus the time spent placing its stages.  The phase clocks only
+    run while
     {!Qcp_obs.Metrics.enabled} or {!Qcp_obs.Trace.enabled} — with
     telemetry off every gauge reads 0. *)
 

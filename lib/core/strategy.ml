@@ -75,7 +75,8 @@ let boundary =
 (* The scale-wall pipeline as a racing entrant: windowed stage formation,
    coarsen-place-refine and sparse candidate roots, plus one V-cycle
    refinement pass over the result.  Caller-set knobs win — a run already
-   configured for windowing or V-cycles keeps its own values — so solo
+   configured for windowing (any window above the default 1) or V-cycles
+   keeps its own values — so solo
    races through [Placer.place] degenerate predictably.  Spilling stays
    off: a racing strategy's program must replay for the reduce. *)
 let scale =
@@ -84,7 +85,7 @@ let scale =
         o with
         Options.lookahead = false;
         balance_boundaries = false;
-        window = (match o.Options.window with None -> Some 64 | w -> w);
+        window = (if o.Options.window = 1 then 64 else o.Options.window);
         coarsen = true;
         root_cap = (match o.Options.root_cap with None -> Some 32 | c -> c);
         spill = Options.No_spill;

@@ -80,7 +80,8 @@ val scale : t
     coarsen-place-refine, sparse candidate roots, one V-cycle refinement
     pass) — pays stage-formation overhead small instances don't need but
     wins on large environments, where the full-graph strategies stall.
-    Caller-set [window]/[root_cap]/[vcycle] values are kept; spilling is
+    Caller-set values are kept ([window] above the default 1, [root_cap],
+    [vcycle]); the default window becomes 64.  Spilling is
     forced off so the resulting program replays for the reduce. *)
 
 val all : t list

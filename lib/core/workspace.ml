@@ -6,8 +6,7 @@ module Dag = Qcp_circuit.Dag
 
 let pattern = Circuit.interaction_graph
 
-(* Alignability oracle shared by the classic and windowed splitters: the
-   workspace's interaction pattern grows one pair at a time, and every
+(* Alignability oracle of the splitter: the workspace's interaction pattern grows one pair at a time, and every
    query asks whether the pattern extended with one more pair still embeds
    into the fast-interaction graph.  The state bundles the incremental
    monomorphism engine with three accelerations that never change an
@@ -22,8 +21,6 @@ type oracle = {
   o_reset : unit -> unit; (* start a new subcircuit *)
   o_witness : unit -> int array option;
       (* copy of the current witness embedding, [-1] for unmapped qubits *)
-  o_embeds_singleton : int * int -> bool;
-      (* counted: does the pair embed on its own? *)
 }
 
 let make_oracle ?oracle_calls ?budget ~adjacency ~qubits () =
@@ -132,76 +129,24 @@ let make_oracle ?oracle_calls ?budget ~adjacency ~qubits () =
   let witness_copy () =
     match !witness with None -> None | Some (m, _) -> Some (Array.copy m)
   in
-  let embeds_singleton (a, b) =
-    count ();
-    Monomorph.exists ~pattern:(Graph.of_edges qubits [ (a, b) ]) ~target:adjacency
-  in
   {
     o_extends = extends;
     o_admit = admit;
     o_reset = reset;
     o_witness = witness_copy;
-    o_embeds_singleton = embeds_singleton;
   }
 
-(* One pass over the gate list; the monomorphism oracle is consulted only
-   when a gate introduces a *new* interaction pair, so the number of oracle
-   calls is bounded by the number of distinct pairs, not by the gate count. *)
-let split ?oracle_calls ~adjacency circuit =
-  let qubits = Circuit.qubits circuit in
-  let o = make_oracle ?oracle_calls ~adjacency ~qubits () in
-  let subcircuits = ref [] in
-  let gates = ref [] in
-  let pair_set = Hashtbl.create 64 in
-  let close () =
-    if !gates <> [] then begin
-      subcircuits := Circuit.make ~qubits (List.rev !gates) :: !subcircuits;
-      gates := [];
-      o.o_reset ();
-      Hashtbl.reset pair_set
-    end
-  in
-  let error = ref None in
-  let consume gate =
-    if !error = None then
-      match Gate.qubits gate with
-      | [ _ ] -> gates := gate :: !gates
-      | [ a; b ] ->
-        let pair = (Int.min a b, Int.max a b) in
-        if Hashtbl.mem pair_set pair then gates := gate :: !gates
-        else if o.o_extends pair then begin
-          o.o_admit pair;
-          Hashtbl.replace pair_set pair ();
-          gates := gate :: !gates
-        end
-        else if not (o.o_embeds_singleton pair) then
-          error :=
-            Some
-              (Printf.sprintf
-                 "interaction %s cannot be aligned with any fast interaction"
-                 (Gate.name gate))
-        else begin
-          close ();
-          o.o_admit pair;
-          Hashtbl.replace pair_set pair ();
-          gates := [ gate ]
-        end
-      | _ -> assert false
-  in
-  List.iter consume (Circuit.gates circuit);
-  match !error with
-  | Some msg -> Error msg
-  | None ->
-    close ();
-    Ok (List.rev !subcircuits)
-
-(* Windowed subcircuit formation: instead of reading the gate list in its
-   written order, stream gates out of the dependency DAG smallest-ready-
-   index first, deferring gates whose interaction pair the oracle refuses
-   instead of closing the stage immediately.  Independent gates slide past
-   a refused pair, packing stages fuller; once [window] gates are deferred
-   the stage closes and the deferred gates re-enter the ready queue against
-   the fresh pattern.  The emitted order is a valid DAG linearization — and
+(* Subcircuit formation: stream gates out of the dependency DAG
+   smallest-ready-index first, deferring gates whose interaction pair the
+   oracle refuses instead of closing the stage immediately.  Independent
+   gates slide past a refused pair, packing stages fuller; once [window]
+   gates are deferred the stage closes and the deferred gates re-enter the
+   ready queue against the fresh pattern.  With [window = 1] the first
+   refused gate closes the stage, so nothing slides past it: that is the
+   paper's greedy maximal-prefix split over the written gate order.  The
+   oracle is consulted only when a gate introduces a *new* interaction
+   pair, so the number of oracle calls is bounded by the number of
+   distinct pairs per stage, not by the gate count.  The emitted order is a valid DAG linearization — and
    under the default commutation predicate (only disjoint-qubit gates
    commute) every per-qubit gate subsequence is exactly the source
    circuit's, so the concatenated stages are unitarily identical to the
@@ -211,8 +156,7 @@ let split ?oracle_calls ~adjacency circuit =
    A pair refused against the current pattern stays refused for the rest of
    the stage (the pattern only grows), so deferred gates are not retried
    until a close resets the pattern.  A pair refused by an *empty* pattern
-   is unembeddable on its own, which is the classic splitter's fatal case:
-   the one-pair search either finds a witness among the first edges it
+   is unembeddable on its own, the one fatal case: the one-pair search either finds a witness among the first edges it
    touches or exhausts a tiny space, so [budget] cannot turn an embeddable
    singleton into an error.
 
@@ -222,7 +166,7 @@ let split ?oracle_calls ~adjacency circuit =
    immediately, so a spilling consumer never holds more than the stage in
    flight.  The stream's pop order equals the offline heap's (gates are
    pulled only while nothing pulled is ready), so stage boundaries are
-   identical to the materialized splitter's. *)
+   identical to {!split_windowed}'s. *)
 let fold_windowed ?oracle_calls ?(budget = 10_000) ~window ~adjacency ~init
     ~stage circuit =
   let qubits = Circuit.qubits circuit in

@@ -1,23 +1,12 @@
-(** Greedy maximal-prefix subcircuit formation (paper Section 5.1).
+(** Subcircuit formation (paper Section 5.1).
 
-    Gates are read in order into a workspace for as long as the workspace's
+    Gates are read into a workspace for as long as the workspace's
     two-qubit interaction pattern stays alignable with the fast interactions
     of the physical environment (a subgraph-monomorphism existence test per
-    *new* interaction pair).  The first gate that breaks alignability closes
-    the current subcircuit and opens the next one. *)
-
-val split :
-  ?oracle_calls:int ref ->
-  adjacency:Qcp_graph.Graph.t ->
-  Qcp_circuit.Circuit.t ->
-  (Qcp_circuit.Circuit.t list, string) result
-(** Partition the circuit's gate sequence into consecutive subcircuits, each
-    individually alignable.  [Error _] if some single interaction cannot be
-    aligned at all (then the instance is unplaceable at this threshold).
-    Every returned circuit keeps the full qubit register.  [oracle_calls],
-    when given, is incremented once per monomorphism existence query — the
-    paper bounds this by twice the number of two-qubit gates, and this
-    implementation consults the oracle only for *new* interaction pairs. *)
+    *new* interaction pair).  With a deferral window of 1 the first gate
+    that breaks alignability closes the current subcircuit and opens the
+    next one — the paper's greedy maximal-prefix split; wider windows let
+    independent gates slide past a refused one first. *)
 
 val fold_windowed :
   ?oracle_calls:int ref ->
@@ -58,13 +47,17 @@ val split_windowed :
     of that stage.  The placer seeds candidate generation with it.
 
     The concatenated stage gate lists are a valid linearization of the
-    dependency DAG — unitarily identical to the input circuit, though stage
-    boundaries (and hence placements) may differ from {!split}'s.  With
-    [window = 1] the stage boundaries coincide exactly with {!split}'s.
-    [budget] (default 10000) caps search nodes per oracle query; an
-    exhausted query defers the gate, it never mis-reports an error.
-    [Error _] exactly when some single interaction cannot be aligned at
-    all. *)
+    dependency DAG — unitarily identical to the input circuit.  With
+    [window = 1] they are the gate list itself, cut into consecutive,
+    individually alignable, maximal subcircuits.  Every returned circuit
+    keeps the full qubit register.  [oracle_calls], when given, is
+    incremented once per monomorphism existence query — the paper bounds
+    this by twice the number of two-qubit gates, and the oracle is only
+    consulted for {e new} interaction pairs.  [budget] (default 10000) caps
+    search nodes per oracle query; an exhausted query defers the gate, it
+    never mis-reports an error.  [Error _] exactly when some single
+    interaction cannot be aligned at all (then the instance is unplaceable
+    at this threshold). *)
 
 val pattern : Qcp_circuit.Circuit.t -> Qcp_graph.Graph.t
 (** The interaction graph used for alignment (alias of

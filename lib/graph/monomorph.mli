@@ -54,7 +54,7 @@ val check : pattern:Graph.t -> target:Graph.t -> int array -> bool
 
 (** Incremental existence oracle for patterns grown one edge at a time.
 
-    {!Qcp.Workspace.split} asks, per candidate interaction pair, whether the
+    {!Qcp.Workspace.fold_windowed} asks, per new interaction pair, whether the
     current pattern plus that pair still embeds into the target.  This API
     keeps the pattern as mutable adjacency bitsets over the qubit indices so
     a query runs directly on that structure instead of rebuilding a

@@ -210,9 +210,10 @@ let options_of_json env json =
       ~default:base.Options.bounded_search
   in
   let* window =
-    opt_member "window" json
-      (fun v -> Option.map Option.some (Json.to_int v))
-      ~default:base.Options.window
+    opt_member "window" json Json.to_int ~default:base.Options.window
+  in
+  let* () =
+    if window < 1 then Error "option \"window\" must be at least 1" else Ok ()
   in
   let* coarsen =
     opt_member "coarsen" json Json.to_bool ~default:base.Options.coarsen

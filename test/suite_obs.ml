@@ -1,8 +1,7 @@
 (* The telemetry layer's contract: spans merge deterministically across
    pool domains, restarting invalidates the previous epoch, histogram
    bucket math is exact, the Chrome-trace exporter round-trips through a
-   minimal reader, deprecated aliases warn exactly once with pinned text,
-   and — the load-bearing invariant — placements are bit-identical with
+   minimal reader, and — the load-bearing invariant — placements are bit-identical with
    telemetry on and off. *)
 
 module Trace = Qcp_obs.Trace
@@ -285,26 +284,6 @@ let test_bit_identity_10_seeds () =
           (List.exists (fun e -> e.Trace.name = "placer/place") traced)
       done)
 
-(* ------------------------------------------------------------------ *)
-(* Deprecated alias warnings                                            *)
-(* ------------------------------------------------------------------ *)
-
-let test_deprecation_warning () =
-  Alcotest.(check string) "pinned message text"
-    "warning: --parallel is deprecated and will be removed; use --jobs (or \
-     QCP_JOBS) instead"
-    (Qcp.Options.deprecation_message ~alias:"--parallel");
-  let buf = Buffer.create 128 in
-  let ppf = Format.formatter_of_buffer buf in
-  let first = Qcp.Options.warn_deprecated ~ppf "--obs-test-alias" in
-  let second = Qcp.Options.warn_deprecated ~ppf "--obs-test-alias" in
-  Format.pp_print_flush ppf ();
-  Alcotest.(check bool) "first call warns" true first;
-  Alcotest.(check bool) "second call is silent" false second;
-  Alcotest.(check string) "exactly one warning line"
-    (Qcp.Options.deprecation_message ~alias:"--obs-test-alias" ^ "\n")
-    (Buffer.contents buf)
-
 let suite =
   [
     Alcotest.test_case "nested span order" `Quick test_nested_span_order;
@@ -318,5 +297,4 @@ let suite =
       test_trace_json_round_trip;
     Alcotest.test_case "bit identity over 10 seeds" `Slow
       test_bit_identity_10_seeds;
-    Alcotest.test_case "deprecation warning" `Quick test_deprecation_warning;
   ]

@@ -57,11 +57,11 @@ let test_random_equivalence () =
     let classic = Options.default ~threshold in
     let variants =
       [
-        ("windowed", { classic with Options.window = Some 3 });
+        ("windowed", { classic with Options.window = 3 });
         ( "windowed+hier",
           {
             classic with
-            Options.window = Some 4;
+            Options.window = 4;
             coarsen = true;
             root_cap = Some 8;
           } );
@@ -105,7 +105,7 @@ let test_classic_bit_identity () =
   let explicit =
     {
       defaults with
-      Options.window = None;
+      Options.window = 1;
       coarsen = false;
       root_cap = None;
       spill = Options.No_spill;
@@ -119,32 +119,6 @@ let test_classic_bit_identity () =
   Alcotest.(check bool)
     "identical runtime" true
     (Float.equal (Placer.runtime p1) (Placer.runtime p2))
-
-(* ------------------------------------------------------------------ *)
-(* Window = 1 coincides with the classic greedy maximal-prefix split.   *)
-(* ------------------------------------------------------------------ *)
-
-let test_window1_matches_classic_split () =
-  let env = Molecules.trans_crotonic_acid in
-  let adjacency = Environment.adjacency env ~threshold:100.0 in
-  List.iter
-    (fun circuit ->
-      let classic =
-        match Workspace.split ~adjacency circuit with
-        | Ok subs -> subs
-        | Error msg -> Alcotest.failf "classic split failed: %s" msg
-      in
-      let windowed =
-        match Workspace.split_windowed ~window:1 ~adjacency circuit with
-        | Ok stages -> List.map fst stages
-        | Error msg -> Alcotest.failf "windowed split failed: %s" msg
-      in
-      Alcotest.(check int)
-        "same stage count" (List.length classic) (List.length windowed);
-      List.iter2
-        (fun a b -> Alcotest.(check bool) "same stage" true (Circuit.equal a b))
-        classic windowed)
-    [ Catalog.phase_estimation 4; Catalog.qft 5; Catalog.qec5_encode ]
 
 (* ------------------------------------------------------------------ *)
 (* Witness stapling: every stage's witness is a valid embedding of the
@@ -344,7 +318,7 @@ let test_coarsen_grid () =
 
 (* ------------------------------------------------------------------ *)
 (* Spill mode: streamed stages are bit-identical to the materialized
-   windowed run, the summary agrees with the accessors, and the whole
+   run, the summary agrees with the accessors, and the whole
    reconstruction still implements the source circuit.                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -362,10 +336,9 @@ let collect_spill () =
   in
   (sink, stages)
 
-let test_spill_matches_windowed () =
+let check_spill_matches options =
   let env = Molecules.trans_crotonic_acid in
   let circuit = Catalog.phase_estimation 4 in
-  let options = { (Options.fast ~threshold:100.0) with Options.window = Some 8 } in
   let reference = place_exn options env circuit in
   let sink, spilled_stages = collect_spill () in
   let spilled =
@@ -425,15 +398,38 @@ let test_spill_matches_windowed () =
     place_exn { options with Options.spill = Options.Spill_drop } env circuit
   in
   Alcotest.(check bool) "drop-mode runtime matches" true
-    (Float.equal (Placer.runtime reference) (Placer.runtime dropped));
-  (* Without a window the knob is ignored: stages stay materialized. *)
-  let no_window =
-    place_exn
-      { (Options.fast ~threshold:100.0) with Options.spill = Options.Spill_drop }
-      env circuit
+    (Float.equal (Placer.runtime reference) (Placer.runtime dropped))
+
+let test_spill_matches_windowed () =
+  check_spill_matches { (Options.fast ~threshold:100.0) with Options.window = 8 }
+
+(* The paper's greedy split (window 1) with lookahead and fine tuning. *)
+let test_spill_matches_default () =
+  check_spill_matches (Options.default ~threshold:100.0)
+
+(* Splitting and placing interleave under spill; the split phase gauge
+   still gets the splitter's own share of the wall time. *)
+let test_spill_split_phase () =
+  let env = Environment.grid 5 5 in
+  let circuit =
+    Random_circuit.hidden_stages_custom (Rng.create 11) ~n:10 ~stages:3
+      ~gates_per_stage:200
   in
-  Alcotest.(check bool) "spill without window keeps stages" true
-    (Placer.placements no_window <> [])
+  let options =
+    { (Options.fast ~threshold:50.0) with Options.spill = Options.Spill_drop }
+  in
+  let armed = Qcp_obs.Metrics.enabled () in
+  Qcp_obs.Metrics.set_enabled true;
+  let p =
+    Fun.protect
+      ~finally:(fun () -> Qcp_obs.Metrics.set_enabled armed)
+      (fun () -> place_exn options env circuit)
+  in
+  Alcotest.(check bool) "stages were spilled" true (Placer.spilled p <> None);
+  match List.assoc_opt "split" (Placer.phase_seconds p) with
+  | Some seconds ->
+    Alcotest.(check bool) "split phase above zero" true (seconds > 0.0)
+  | None -> Alcotest.fail "no split phase gauge"
 
 let test_spill_jobs_identity () =
   let env = Environment.grid 5 5 in
@@ -472,7 +468,7 @@ let test_spill_file () =
   let options =
     {
       (Options.fast ~threshold:100.0) with
-      Options.window = Some 8;
+      Options.window = 8;
       spill = Options.Spill_file path;
     }
   in
@@ -545,8 +541,6 @@ let suite =
     Alcotest.test_case "random instances equivalent" `Slow
       test_random_equivalence;
     Alcotest.test_case "classic bit-identity" `Quick test_classic_bit_identity;
-    Alcotest.test_case "window=1 matches classic split" `Quick
-      test_window1_matches_classic_split;
     Alcotest.test_case "windowed witnesses valid" `Quick
       test_windowed_witnesses_valid;
     Alcotest.test_case "grid scale structure" `Quick test_grid_scale_structure;
@@ -555,6 +549,9 @@ let suite =
     Alcotest.test_case "coarsen grid" `Quick test_coarsen_grid;
     Alcotest.test_case "spill matches windowed" `Quick
       test_spill_matches_windowed;
+    Alcotest.test_case "spill at default window matches" `Quick
+      test_spill_matches_default;
+    Alcotest.test_case "spill split phase timed" `Quick test_spill_split_phase;
     Alcotest.test_case "spill jobs identity" `Quick test_spill_jobs_identity;
     Alcotest.test_case "spill file sink" `Quick test_spill_file;
     Alcotest.test_case "vcycle improves or matches" `Slow

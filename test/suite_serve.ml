@@ -365,6 +365,31 @@ let test_request_validation () =
   expect_error "{\"op\":\"dance\"}" "unknown op";
   expect_error "not json" "bad JSON"
 
+(* A window below 1 is an error, not a silent clamp: a clamped request
+   would get a key of its own for the window-1 result. *)
+let test_window_validation () =
+  let eng = engine ~jobs:0 () in
+  let line window =
+    Printf.sprintf
+      "{\"op\":\"place\",\"env\":\"chain:6\",\"circuit\":\"qft6\",\"options\":{%s}}"
+      (match window with
+      | None -> ""
+      | Some w -> Printf.sprintf "\"window\":%d" w)
+  in
+  List.iter
+    (fun w ->
+      match (Engine.parse_line eng (line (Some w))).Protocol.request with
+      | Error msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "window %d rejected by name" w)
+          true
+          (Helpers.contains ~needle:"window" msg)
+      | Ok _ -> Alcotest.failf "window %d: should be rejected" w)
+    [ 0; -3 ];
+  Alcotest.(check string) "window 1 is the default key"
+    (place_of_line (line None)).Protocol.key
+    (place_of_line (line (Some 1))).Protocol.key
+
 (* ------------------------------------------------------------------ *)
 (* Socket daemon smoke                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -433,6 +458,7 @@ let suite =
     Alcotest.test_case "deadline expiry yields timeout" `Quick
       test_timeout_response;
     Alcotest.test_case "request validation" `Quick test_request_validation;
+    Alcotest.test_case "window below 1 rejected" `Quick test_window_validation;
     Alcotest.test_case "socket daemon round trip" `Quick test_socket_roundtrip;
     Alcotest.test_case "admission control overload" `Quick test_socket_overload;
   ]

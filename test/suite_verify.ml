@@ -161,7 +161,7 @@ let test_stream_matches_spilled_summary () =
       let options =
         {
           (Options.default ~threshold:100.0) with
-          Options.window = Some 4;
+          Options.window = 4;
           spill = Options.Spill_file path;
         }
       in

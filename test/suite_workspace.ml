@@ -9,8 +9,12 @@ module Gen = Qcp_graph.Generators
 let gate_count_sum subs =
   List.fold_left (fun acc c -> acc + Circuit.gate_count c) 0 subs
 
+(* The paper's greedy split is the windowed splitter at window 1. *)
+let split ~adjacency circuit =
+  Result.map (List.map fst) (Workspace.split_windowed ~window:1 ~adjacency circuit)
+
 let split_exn ~adjacency circuit =
-  match Workspace.split ~adjacency circuit with
+  match split ~adjacency circuit with
   | Ok subs -> subs
   | Error msg -> Alcotest.failf "unexpected split failure: %s" msg
 
@@ -72,7 +76,7 @@ let test_maximality () =
 let test_unalignable_reports_error () =
   (* An edgeless adjacency cannot host any interaction. *)
   let adjacency = Qcp_graph.Graph.of_edges 3 [] in
-  match Workspace.split ~adjacency Catalog.qec3_encode with
+  match split ~adjacency Catalog.qec3_encode with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected an error"
 
@@ -100,7 +104,7 @@ let qcheck_split_preserves_gates =
     (fun (seed, n) ->
       let rng = Qcp_util.Rng.create seed in
       let circuit, _ = Qcp_circuit.Random_circuit.hidden_stages rng ~n in
-      match Workspace.split ~adjacency:(Gen.path_graph n) circuit with
+      match split ~adjacency:(Gen.path_graph n) circuit with
       | Error _ -> false
       | Ok subs ->
         List.concat_map Circuit.gates subs = Circuit.gates circuit)
@@ -113,7 +117,7 @@ let qcheck_hidden_stage_count =
     (fun (seed, n) ->
       let rng = Qcp_util.Rng.create seed in
       let circuit, stages = Qcp_circuit.Random_circuit.hidden_stages rng ~n in
-      match Workspace.split ~adjacency:(Gen.path_graph n) circuit with
+      match split ~adjacency:(Gen.path_graph n) circuit with
       | Error _ -> false
       | Ok subs ->
         (* Greedy splitting may occasionally merge or split a stage, but the
