@@ -9,18 +9,17 @@ let pattern = Circuit.interaction_graph
 (* Alignability oracle of the splitter: the workspace's interaction pattern grows one pair at a time, and every
    query asks whether the pattern extended with one more pair still embeds
    into the fast-interaction graph.  The state bundles the incremental
-   monomorphism engine with three accelerations that never change an
+   monomorphism engine with four accelerations that never change an
    answer: a witness shortcut (one concrete embedding, extended in
    O(degree) when it covers the new pair), degree exclusion against the
-   target's maximum degree, and an exact union-find decision procedure on
-   path targets. *)
+   target's maximum degree, an exact union-find decision procedure on
+   path targets, and odd-cycle refutation by the same (parity) union-find
+   on bipartite targets.  Fields are documented in the interface. *)
 type oracle = {
   o_extends : int * int -> bool;
-      (* Counted oracle query: does the pattern plus this pair embed? *)
-  o_admit : int * int -> unit; (* commit a pair the oracle admitted *)
-  o_reset : unit -> unit; (* start a new subcircuit *)
+  o_admit : int * int -> unit;
+  o_reset : unit -> unit;
   o_witness : unit -> int array option;
-      (* copy of the current witness embedding, [-1] for unmapped qubits *)
 }
 
 let make_oracle ?oracle_calls ?budget ~adjacency ~qubits () =
@@ -85,20 +84,42 @@ let make_oracle ?oracle_calls ?budget ~adjacency ~qubits () =
     && max_deg <= 2
     && Qcp_graph.Paths.is_connected adjacency
   in
+  (* Odd-cycle refutation: a monomorphism maps an odd cycle onto an odd
+     cycle, so on a bipartite target a pair closing an odd cycle in the
+     pattern is refused without a search -- a search that could only have
+     answered "no".  The union-find is a parity union-find for this:
+     [par.(q)] is q's side relative to [uf.(q)] (0 = same, 1 = opposite;
+     always 0 at a root), so after [find q] it is q's side relative to
+     its root. *)
+  let bipartite = Qcp_graph.Paths.is_bipartite adjacency in
   let uf = Array.init qubits (fun q -> q) in
-  let rec find q = if uf.(q) = q then q else begin
-      let root = find uf.(q) in
+  let par = Array.make qubits 0 in
+  let rec find q =
+    let p = uf.(q) in
+    if p = q then q
+    else begin
+      let root = find p in
+      par.(q) <- par.(q) lxor par.(p);
       uf.(q) <- root;
       root
     end
+  in
+  let closes_odd_cycle (a, b) =
+    let ra = find a in
+    let rb = find b in
+    ra = rb && par.(a) = par.(b)
   in
   let used = ref 0 in
   let admit ((a, b) as pair) =
     if pdeg a = 0 then incr used;
     if pdeg b = 0 then incr used;
     Monomorph.Incremental.add inc pair;
-    let ra = find a and rb = find b in
-    if ra <> rb then uf.(ra) <- rb
+    let ra = find a in
+    let rb = find b in
+    if ra <> rb then begin
+      uf.(ra) <- rb;
+      par.(ra) <- par.(a) lxor par.(b) lxor 1
+    end
   in
   let extends ((a, b) as pair) =
     count ();
@@ -112,6 +133,8 @@ let make_oracle ?oracle_calls ?budget ~adjacency ~qubits () =
             + (if pdeg b = 0 then 1 else 0)
             <= Graph.n adjacency
        else
+         (not (bipartite && closes_odd_cycle pair))
+         &&
          match Monomorph.Incremental.embeds_with ?budget inc pair with
          | Some m ->
            let taken = Array.make (Graph.n adjacency) false in
@@ -124,6 +147,7 @@ let make_oracle ?oracle_calls ?budget ~adjacency ~qubits () =
     witness := None;
     Monomorph.Incremental.reset inc;
     Array.iteri (fun q _ -> uf.(q) <- q) uf;
+    Array.fill par 0 qubits 0;
     used := 0
   in
   let witness_copy () =

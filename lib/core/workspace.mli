@@ -8,6 +8,38 @@
     next one — the paper's greedy maximal-prefix split; wider windows let
     independent gates slide past a refused one first. *)
 
+type oracle = {
+  o_extends : int * int -> bool;
+      (** Counted query: does the pattern plus this pair still embed? *)
+  o_admit : int * int -> unit;  (** Commit a pair the oracle admitted. *)
+  o_reset : unit -> unit;  (** Start a new subcircuit (empty pattern). *)
+  o_witness : unit -> int array option;
+      (** Copy of the current witness embedding, [-1] for unmapped qubits. *)
+}
+(** The alignability oracle behind {!fold_windowed}: the incremental
+    existence search ({!Qcp_graph.Monomorph.Incremental}) behind
+    accelerations that never change an answer, only its cost.  In order: a
+    witness shortcut (a pair the current witness embedding covers, or can
+    absorb in O(degree), is admitted), degree exclusion (a qubit already at
+    the target's maximum degree refuses), an exact union-find decision on
+    path targets, and on bipartite targets odd-cycle refutation — a pair
+    whose endpoints the pattern already joins by an even-length path would
+    close an odd cycle, which no bipartite graph contains, so it is refused
+    without a search.  Every refutation is sound: it only skips searches
+    that would have answered [None].  A refusal otherwise comes from the
+    search, which errs toward refusal when [budget] runs out. *)
+
+val make_oracle :
+  ?oracle_calls:int ref ->
+  ?budget:int ->
+  adjacency:Qcp_graph.Graph.t ->
+  qubits:int ->
+  unit ->
+  oracle
+(** A fresh oracle over [qubits] pattern vertices.  [oracle_calls] is
+    incremented per [o_extends] query; [budget] caps search nodes per query
+    (default unbounded). *)
+
 val fold_windowed :
   ?oracle_calls:int ref ->
   ?budget:int ->

@@ -424,29 +424,40 @@ module Incremental = struct
     nt : int;
     deg_t : int array;
     max_deg_t : int;
+    stride : int; (* max(1, max_deg_t): row width of [back] *)
     pmask : int array array; (* pattern adjacency bitsets, over qubits *)
     pdeg : int array;
     (* per-query scratch, allocated once *)
     mapping : int array;
-    used : int array;
-    cand : int array array;
+    used : bool array; (* over target vertices *)
     order : int array;
+    pos : int array; (* pos.(q) = index of q in [order], for ordered q *)
+    back : int array;
+        (* back.(step * stride + i): the earlier-ordered pattern neighbors of
+           order.(step), ascending; a feasible query has pdeg <= max_deg_t,
+           so every row fits *)
+    nback : int array; (* row lengths of [back] *)
     seen : bool array;
   }
 
   let create ~qubits ~target =
+    let max_deg_t = Graph.max_degree target in
+    let stride = max 1 max_deg_t in
     {
       qubits;
       target;
       nt = Graph.n target;
       deg_t = Array.init (Graph.n target) (Graph.degree target);
-      max_deg_t = Graph.max_degree target;
+      max_deg_t;
+      stride;
       pmask = Array.init qubits (fun _ -> Graph.mask_make qubits);
       pdeg = Array.make qubits 0;
       mapping = Array.make qubits (-1);
-      used = Graph.mask_make (Graph.n target);
-      cand = Array.init (max 1 qubits) (fun _ -> Graph.mask_make (Graph.n target));
+      used = Array.make (Graph.n target) false;
       order = Array.make (max 1 qubits) 0;
+      pos = Array.make qubits 0;
+      back = Array.make (max 1 (qubits * stride)) 0;
+      nback = Array.make (max 1 qubits) 0;
       seen = Array.make qubits false;
     }
 
@@ -487,32 +498,56 @@ module Incremental = struct
     done;
     let seeds = Array.of_list !seeds in
     Array.sort cmp seeds;
-    let queue = Queue.create () in
+    let visit q =
+      inc.seen.(q) <- true;
+      inc.pos.(q) <- !len;
+      inc.order.(!len) <- q;
+      incr len
+    in
+    let head = ref 0 in
     Array.iter
       (fun seed ->
         if not inc.seen.(seed) then begin
-          inc.seen.(seed) <- true;
-          Queue.add seed queue;
-          while not (Queue.is_empty queue) do
-            let u = Queue.pop queue in
-            inc.order.(!len) <- u;
-            incr len;
+          visit seed;
+          while !head < !len do
+            let u = inc.order.(!head) in
+            incr head;
             Graph.iter_mask
-              (fun v ->
-                if not inc.seen.(v) then begin
-                  inc.seen.(v) <- true;
-                  Queue.add v queue
-                end)
+              (fun v -> if not inc.seen.(v) then visit v)
               inc.pmask.(u)
           done
         end)
       seeds;
     !len
 
+  (* Fill the [back] rows: every pattern neighbor of an ordered qubit is in
+     its component, hence ordered too, so [pos] decides "earlier". *)
+  let build_back inc order_len =
+    for step = 0 to order_len - 1 do
+      let base = step * inc.stride in
+      let k = ref 0 in
+      Graph.iter_mask
+        (fun u ->
+          if inc.pos.(u) < step then begin
+            inc.back.(base + !k) <- u;
+            incr k
+          end)
+        inc.pmask.(inc.order.(step));
+      inc.nback.(step) <- !k
+    done
+
   exception Found
 
   exception Exhausted
 
+  (* The DFS tree is the mask-intersection search's, node for node: at a
+     step with earlier-ordered neighbors the candidates are the target
+     neighbors of the first one's image (a sorted row, so ascending) that
+     are adjacent to every other earlier neighbor's image, unused and of
+     sufficient degree -- exactly the set the intersection of their
+     neighbor masks minus the used set yields, in the same order.  A step
+     without one (a component seed) scans every target vertex.  Nodes are
+     counted per tried candidate, and the budget cuts at the same node. *)
   let search ?budget inc =
     let budget = match budget with None -> max_int | Some b -> b in
     let order_len = build_order inc in
@@ -524,8 +559,9 @@ module Incremental = struct
     done;
     if not !feasible then None
     else begin
+      build_back inc order_len;
       Array.fill inc.mapping 0 inc.qubits (-1);
-      Array.fill inc.used 0 (Array.length inc.used) 0;
+      Array.fill inc.used 0 inc.nt false;
       let witness = ref None in
       let nodes = ref 0 in
       let rec extend step =
@@ -535,40 +571,43 @@ module Incremental = struct
         end
         else begin
           let v = inc.order.(step) in
-          let try_candidate c =
-            incr nodes;
-            if !nodes > budget then raise Exhausted;
-            inc.mapping.(v) <- c;
-            Graph.mask_set inc.used c;
-            extend (step + 1);
-            Graph.mask_clear inc.used c;
-            inc.mapping.(v) <- -1
-          in
-          let deg_ok c = inc.deg_t.(c) >= inc.pdeg.(v) in
-          let mask = inc.cand.(step) in
-          let constrained = ref false in
-          Graph.iter_mask
-            (fun u ->
-              let image = inc.mapping.(u) in
-              if image >= 0 then begin
-                let nm = Graph.neighbor_mask inc.target image in
-                if !constrained then Graph.mask_inter_into ~into:mask nm
-                else begin
-                  Array.blit nm 0 mask 0 (Array.length nm);
-                  constrained := true
-                end
-              end)
-            inc.pmask.(v);
-          if !constrained then begin
-            Graph.mask_diff_into ~into:mask inc.used;
-            Graph.iter_mask (fun c -> if deg_ok c then try_candidate c) mask
-          end
-          else
+          let dv = inc.pdeg.(v) in
+          let nb = inc.nback.(step) in
+          if nb = 0 then
             for c = 0 to inc.nt - 1 do
-              if (not (Graph.mask_mem inc.used c)) && deg_ok c then
-                try_candidate c
+              if (not inc.used.(c)) && inc.deg_t.(c) >= dv then
+                try_candidate step v c
             done
+          else begin
+            let base = step * inc.stride in
+            let cands =
+              Graph.neighbors inc.target inc.mapping.(inc.back.(base))
+            in
+            for i = 0 to Array.length cands - 1 do
+              let c = cands.(i) in
+              if (not inc.used.(c)) && inc.deg_t.(c) >= dv then begin
+                let j = ref 1 in
+                while
+                  !j < nb
+                  && Graph.mem_edge inc.target
+                       inc.mapping.(inc.back.(base + !j))
+                       c
+                do
+                  incr j
+                done;
+                if !j = nb then try_candidate step v c
+              end
+            done
+          end
         end
+      and try_candidate step v c =
+        incr nodes;
+        if !nodes > budget then raise Exhausted;
+        inc.mapping.(v) <- c;
+        inc.used.(c) <- true;
+        extend (step + 1);
+        inc.used.(c) <- false;
+        inc.mapping.(v) <- -1
       in
       (try extend 0 with Found -> () | Exhausted -> ());
       !witness

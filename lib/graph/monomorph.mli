@@ -59,7 +59,20 @@ val check : pattern:Graph.t -> target:Graph.t -> int array -> bool
     keeps the pattern as mutable adjacency bitsets over the qubit indices so
     a query runs directly on that structure instead of rebuilding a
     {!Graph.t} per call.  Answers agree with [exists] on the equivalent
-    built graph (existence is search-order independent). *)
+    built graph (existence is search-order independent).
+
+    Search contract: a query walks one fixed DFS tree — pattern qubits in
+    degree-descending BFS order, candidates in ascending target-vertex
+    order, one node counted per tried candidate — so the answer, the
+    witness (the first embedding in that order) and the point where a
+    [budget] cuts the search are functions of the pattern and the target
+    alone.  Candidates of a qubit with earlier-ordered neighbors come from
+    the sorted neighbor row of the first such neighbor's image, filtered
+    by adjacency to the other images, the used set and the degree test;
+    the per-step neighbor lists and the scratch arrays are built into [t],
+    so a query allocates only its witness.  [test/suite_monomorph.ml]
+    pins the tree against a verbatim copy of the mask-intersection search
+    it replaced, at several budgets. *)
 module Incremental : sig
   type t
 

@@ -55,6 +55,14 @@ let component_members g =
 
 let is_connected g = Graph.n g <= 1 || snd (components g) = 1
 
+let is_bipartite g =
+  let side = Array.make (Graph.n g) (-1) in
+  for v = 0 to Graph.n g - 1 do
+    if side.(v) < 0 then
+      Array.iteri (fun u d -> if d >= 0 then side.(u) <- d land 1) (bfs_dist g v)
+  done;
+  List.for_all (fun (u, v) -> side.(u) <> side.(v)) (Graph.edges g)
+
 let is_connected_subset g vs =
   match vs with
   | [] -> true

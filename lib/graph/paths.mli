@@ -22,6 +22,10 @@ val component_members : Graph.t -> int list list
 val is_connected : Graph.t -> bool
 (** True for the empty and one-vertex graph as well. *)
 
+val is_bipartite : Graph.t -> bool
+(** Whether the vertices 2-color so that every edge joins both colors
+    (equivalently: the graph has no odd cycle). *)
+
 val is_connected_subset : Graph.t -> int list -> bool
 (** Whether the induced subgraph on the given vertices is connected. *)
 

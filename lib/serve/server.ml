@@ -217,18 +217,19 @@ module Engine = struct
         (fun i j ->
           if budget t.config j <= now then Shed
           else
+            (* The key is built once per job: lookup, dedup and the
+               insert after solving all use it. *)
             let p = j.j_place in
-            let cacheable = Protocol.cacheable p in
-            match
-              if cacheable then Result_cache.find t.result_cache (cache_key p)
-              else None
-            with
+            let key =
+              if Protocol.cacheable p then Some (cache_key p) else None
+            in
+            match Option.bind key (Result_cache.find t.result_cache) with
             | Some text -> Hit text
             | None ->
               (* Non-cacheable (portfolio + finite deadline) requests never
                  dedupe: each gets its own race. *)
               let dk =
-                if cacheable then cache_key p else Printf.sprintf "!%d" i
+                match key with Some k -> k | None -> Printf.sprintf "!%d" i
               in
               (match Hashtbl.find_opt index_of_key dk with
               | Some u -> Solve (u, false)
@@ -236,12 +237,13 @@ module Engine = struct
                 let u = !unique_count in
                 incr unique_count;
                 Hashtbl.add index_of_key dk u;
-                unique := j :: !unique;
+                unique := (j, key) :: !unique;
                 Solve (u, true)))
         jobs
     in
     let t_lookup = Clock.now () in
-    let unique = Array.of_list (List.rev !unique) in
+    let unique_keys = Array.of_list (List.rev_map snd !unique) in
+    let unique = Array.of_list (List.rev_map fst !unique) in
     (* Solve the misses under a per-batch trace capture when the flight
        recorder is armed (and nobody else owns the tracer): the spans land
        on the batch's first solved record, dumpable while the daemon keeps
@@ -316,8 +318,9 @@ module Engine = struct
                 (Protocol.result_of_program ~telemetry:p.Protocol.telemetry
                    program)
             in
-            if Protocol.cacheable p then
-              Result_cache.add t.result_cache (cache_key p) text;
+            Option.iter
+              (fun key -> Result_cache.add t.result_cache key text)
+              unique_keys.(u);
             ("ok", Some text, None)
           | Placer.Unplaceable msg when msg = Placer.msg_deadline ->
             ("timeout", None, Some msg)
@@ -685,6 +688,11 @@ let serve config =
   end;
   let clients : (Unix.file_descr, client) Hashtbl.t = Hashtbl.create 16 in
   let queue : queued Queue.t = Queue.create () in
+  (* One receive buffer for every read: each read's bytes are copied into
+     the client's buffer before the next read.  A fresh 64 KiB chunk per
+     read made the heap peak depend on how requests happened to split
+     into reads. *)
+  let chunk = Bytes.create 65536 in
   let drop client =
     client.alive <- false;
     Hashtbl.remove clients client.fd;
@@ -768,8 +776,11 @@ let serve config =
       let fds =
         listening @ Hashtbl.fold (fun fd _ acc -> fd :: acc) clients []
       in
+      (* With requests still queued (a backlog past [max_batch]) only poll
+         the sockets, so the next batch dispatches at once. *)
+      let timeout = if Queue.is_empty queue then 0.2 else 0.0 in
       let readable, _, _ =
-        try Unix.select fds [] [] 0.2
+        try Unix.select fds [] [] timeout
         with Unix.Unix_error (EINTR, _, _) -> ([], [], [])
       in
       List.iter
@@ -786,7 +797,6 @@ let serve config =
             match Hashtbl.find_opt clients fd with
             | None -> ()
             | Some client -> (
-              let chunk = Bytes.create 65536 in
               match
                 try Unix.read fd chunk 0 (Bytes.length chunk)
                 with Unix.Unix_error ((ECONNRESET | EPIPE), _, _) -> 0

@@ -143,6 +143,174 @@ module Reference = struct
       in
       if extend start 1 then Some (List.rev !route) else None
     end
+
+  (* Incremental existence search with candidate sets built by intersecting
+     target neighbor masks, kept verbatim.  The list-driven search must walk
+     the same DFS tree: same answers, same witnesses, same budget cut-off. *)
+  module Incremental = struct
+    let by_degree_desc degree a b =
+      match Int.compare (degree b) (degree a) with
+      | 0 -> Int.compare a b
+      | c -> c
+
+    type t = {
+      qubits : int;
+      target : Graph.t;
+      nt : int;
+      deg_t : int array;
+      max_deg_t : int;
+      pmask : int array array; (* pattern adjacency bitsets, over qubits *)
+      pdeg : int array;
+      (* per-query scratch, allocated once *)
+      mapping : int array;
+      used : int array;
+      cand : int array array;
+      order : int array;
+      seen : bool array;
+    }
+
+    let create ~qubits ~target =
+      {
+        qubits;
+        target;
+        nt = Graph.n target;
+        deg_t = Array.init (Graph.n target) (Graph.degree target);
+        max_deg_t = Graph.max_degree target;
+        pmask = Array.init qubits (fun _ -> Graph.mask_make qubits);
+        pdeg = Array.make qubits 0;
+        mapping = Array.make qubits (-1);
+        used = Graph.mask_make (Graph.n target);
+        cand = Array.init (max 1 qubits) (fun _ -> Graph.mask_make (Graph.n target));
+        order = Array.make (max 1 qubits) 0;
+        seen = Array.make qubits false;
+      }
+
+    let reset inc =
+      Array.iter (fun m -> Array.fill m 0 (Array.length m) 0) inc.pmask;
+      Array.fill inc.pdeg 0 inc.qubits 0
+
+    let mem inc a b = Graph.mask_mem inc.pmask.(a) b
+
+    let add inc (a, b) =
+      if a <> b && not (mem inc a b) then begin
+        Graph.mask_set inc.pmask.(a) b;
+        Graph.mask_set inc.pmask.(b) a;
+        inc.pdeg.(a) <- inc.pdeg.(a) + 1;
+        inc.pdeg.(b) <- inc.pdeg.(b) + 1
+      end
+
+    let remove inc (a, b) =
+      if a <> b && mem inc a b then begin
+        Graph.mask_clear inc.pmask.(a) b;
+        Graph.mask_clear inc.pmask.(b) a;
+        inc.pdeg.(a) <- inc.pdeg.(a) - 1;
+        inc.pdeg.(b) <- inc.pdeg.(b) - 1
+      end
+
+    let build_order inc =
+      let len = ref 0 in
+      Array.fill inc.seen 0 inc.qubits false;
+      let cmp = by_degree_desc (fun q -> inc.pdeg.(q)) in
+      let seeds = ref [] in
+      for q = inc.qubits - 1 downto 0 do
+        if inc.pdeg.(q) > 0 then seeds := q :: !seeds
+      done;
+      let seeds = Array.of_list !seeds in
+      Array.sort cmp seeds;
+      let queue = Queue.create () in
+      Array.iter
+        (fun seed ->
+          if not inc.seen.(seed) then begin
+            inc.seen.(seed) <- true;
+            Queue.add seed queue;
+            while not (Queue.is_empty queue) do
+              let u = Queue.pop queue in
+              inc.order.(!len) <- u;
+              incr len;
+              Graph.iter_mask
+                (fun v ->
+                  if not inc.seen.(v) then begin
+                    inc.seen.(v) <- true;
+                    Queue.add v queue
+                  end)
+                inc.pmask.(u)
+            done
+          end)
+        seeds;
+      !len
+
+    exception Found
+
+    exception Exhausted
+
+    let search ?budget inc =
+      let budget = match budget with None -> max_int | Some b -> b in
+      let order_len = build_order inc in
+      (* Quick refutations: an active qubit needs a target vertex of at least
+         its degree; active qubits need distinct target vertices. *)
+      let feasible = ref (order_len <= inc.nt) in
+      for i = 0 to order_len - 1 do
+        if inc.pdeg.(inc.order.(i)) > inc.max_deg_t then feasible := false
+      done;
+      if not !feasible then None
+      else begin
+        Array.fill inc.mapping 0 inc.qubits (-1);
+        Array.fill inc.used 0 (Array.length inc.used) 0;
+        let witness = ref None in
+        let nodes = ref 0 in
+        let rec extend step =
+          if step >= order_len then begin
+            witness := Some (Array.copy inc.mapping);
+            raise Found
+          end
+          else begin
+            let v = inc.order.(step) in
+            let try_candidate c =
+              incr nodes;
+              if !nodes > budget then raise Exhausted;
+              inc.mapping.(v) <- c;
+              Graph.mask_set inc.used c;
+              extend (step + 1);
+              Graph.mask_clear inc.used c;
+              inc.mapping.(v) <- -1
+            in
+            let deg_ok c = inc.deg_t.(c) >= inc.pdeg.(v) in
+            let mask = inc.cand.(step) in
+            let constrained = ref false in
+            Graph.iter_mask
+              (fun u ->
+                let image = inc.mapping.(u) in
+                if image >= 0 then begin
+                  let nm = Graph.neighbor_mask inc.target image in
+                  if !constrained then Graph.mask_inter_into ~into:mask nm
+                  else begin
+                    Array.blit nm 0 mask 0 (Array.length nm);
+                    constrained := true
+                  end
+                end)
+              inc.pmask.(v);
+            if !constrained then begin
+              Graph.mask_diff_into ~into:mask inc.used;
+              Graph.iter_mask (fun c -> if deg_ok c then try_candidate c) mask
+            end
+            else
+              for c = 0 to inc.nt - 1 do
+                if (not (Graph.mask_mem inc.used c)) && deg_ok c then
+                  try_candidate c
+              done
+          end
+        in
+        (try extend 0 with Found -> () | Exhausted -> ());
+        !witness
+      end
+
+    let embeds_with ?budget inc ((a, b) as pair) =
+      let fresh = not (mem inc a b) in
+      if fresh then add inc pair;
+      let result = search ?budget inc in
+      if fresh then remove inc pair;
+      result
+  end
 end
 
 (* ------------------------------------------------------------------ *)
@@ -314,6 +482,70 @@ let test_incremental_matches_oracle () =
       (Monomorph.Incremental.embeds_with inc pair <> None)
   done
 
+(* Seeded add/query sequences against both incremental searches: every
+   query at every budget must give the identical [int array option] (the
+   same answer and the same first witness), and some 50-node queries must
+   run out of budget where the top budget answers, so the cut-off itself is
+   compared (budgets 0 and 1 cut off every query that needs a node).  The top budget is unbounded on the small targets; on the
+   64-vertex grid, whose masks span two words, it is the splitter's
+   10 000 nodes. *)
+let test_incremental_matches_reference () =
+  let witness = Alcotest.(option (array int)) in
+  let exhausted = ref 0 in
+  let targets =
+    [
+      ("grid-4x4", Gen.grid 4 4, None);
+      ("grid-3x5", Gen.grid 3 5, None);
+      ("heavy-hex", Gen.heavy_hex ~rows:3 ~cols:5, None);
+      ("cycle-10", Gen.cycle_graph 10, None);
+      ("cycle-14", Gen.cycle_graph 14, None);
+      ("random-12", random_graph (Rng.create 7001) 12 ~edge_chance:0.3, None);
+      ("random-14", random_graph (Rng.create 7002) 14 ~edge_chance:0.2, None);
+      ("grid-8x8", Gen.grid 8 8, Some 10_000);
+    ]
+  in
+  List.iteri
+    (fun ti (name, target, top) ->
+      let budgets = [ Some 0; Some 1; Some 50; top ] in
+      for seed = 0 to 4 do
+        let rng = Rng.create (7100 + (10 * ti) + seed) in
+        let qubits = Int.min 12 (Graph.n target) in
+        let inc = Monomorph.Incremental.create ~qubits ~target in
+        let reference = Reference.Incremental.create ~qubits ~target in
+        let query step pair =
+          List.map
+            (fun budget ->
+              let expected =
+                Reference.Incremental.embeds_with ?budget reference pair
+              in
+              let actual = Monomorph.Incremental.embeds_with ?budget inc pair in
+              Alcotest.check witness
+                (Printf.sprintf "%s seed %d step %d budget %s" name seed step
+                   (match budget with
+                   | None -> "unbounded"
+                   | Some b -> string_of_int b))
+                expected actual;
+              actual)
+            budgets
+        in
+        for step = 0 to 39 do
+          let a = Rng.int rng qubits and b = Rng.int rng qubits in
+          if a <> b then begin
+            let answers = query step (a, b) in
+            if List.nth answers 3 <> None then begin
+              if List.nth answers 2 = None then incr exhausted;
+              Monomorph.Incremental.add inc (a, b);
+              Reference.Incremental.add reference (a, b)
+            end
+          end
+        done;
+        Monomorph.Incremental.reset inc;
+        Reference.Incremental.reset reference;
+        ignore (query 40 (0, 1) : int array option list)
+      done)
+    targets;
+  Alcotest.(check bool) "some bounded queries exhaust" true (!exhausted > 0)
+
 let test_degree_suffix () =
   for seed = 0 to 9 do
     let rng = Rng.create (6000 + seed) in
@@ -347,5 +579,7 @@ let suite =
       test_hamilton_matches_reference;
     Alcotest.test_case "incremental oracle matches enumerator" `Quick
       test_incremental_matches_oracle;
+    Alcotest.test_case "incremental search walks the reference tree" `Quick
+      test_incremental_matches_reference;
     Alcotest.test_case "degree suffix counts" `Quick test_degree_suffix;
   ]

@@ -5,6 +5,10 @@ module Circuit = Qcp_circuit.Circuit
 module Gate = Qcp_circuit.Gate
 module Catalog = Qcp_circuit.Catalog
 module Gen = Qcp_graph.Generators
+module Graph = Qcp_graph.Graph
+module Monomorph = Qcp_graph.Monomorph
+module Paths = Qcp_graph.Paths
+module Rng = Qcp_util.Rng
 
 let gate_count_sum subs =
   List.fold_left (fun acc c -> acc + Circuit.gate_count c) 0 subs
@@ -126,6 +130,146 @@ let qcheck_hidden_stage_count =
         let k = List.length subs in
         k >= stages && k <= stages + 2)
 
+(* ------------------------------------------------------------------ *)
+(* Odd-cycle refutation in the oracle.                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Computed apart from the oracle: [pair] closes an odd cycle when the
+   pattern already joins its endpoints by an even-length path. *)
+let closes_odd_cycle ~qubits edges (a, b) =
+  let d = Paths.bfs_dist (Graph.of_edges qubits edges) a in
+  d.(b) >= 0 && d.(b) mod 2 = 0
+
+(* Grow a random pattern through the oracle as the splitter does (new pairs
+   only, commit on admission), checking every answer against
+   [Monomorph.exists] on the built pattern.  Returns the odd-cycle-closing
+   queries as (answer, exists) pairs. *)
+let drive_oracle ~target ~qubits ~seed =
+  let rng = Rng.create seed in
+  let o = Workspace.make_oracle ~adjacency:target ~qubits () in
+  let admitted = ref [] in
+  let odd = ref [] in
+  for step = 0 to 29 do
+    let a = Rng.int rng qubits and b = Rng.int rng qubits in
+    let pair = (Int.min a b, Int.max a b) in
+    if a <> b && not (List.mem pair !admitted) then begin
+      let exists =
+        Monomorph.exists
+          ~pattern:(Graph.of_edges qubits (pair :: !admitted))
+          ~target
+      in
+      let answer = o.Workspace.o_extends pair in
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d step %d answer" seed step)
+        exists answer;
+      if closes_odd_cycle ~qubits !admitted pair then
+        odd := (answer, exists) :: !odd;
+      if answer then begin
+        o.Workspace.o_admit pair;
+        admitted := pair :: !admitted
+      end
+    end
+  done;
+  !odd
+
+let test_parity_refutation_sound () =
+  let refuted = ref 0 in
+  List.iteri
+    (fun ti (name, target) ->
+      Alcotest.(check bool) (name ^ " is bipartite") true
+        (Paths.is_bipartite target);
+      for seed = 0 to 9 do
+        List.iter
+          (fun (_, exists) ->
+            incr refuted;
+            Alcotest.(check bool)
+              (Printf.sprintf "%s seed %d: odd cycle has no embedding" name seed)
+              false exists)
+          (drive_oracle ~target
+             ~qubits:(Int.min 10 (Graph.n target))
+             ~seed:(8000 + (100 * ti) + seed))
+      done)
+    [
+      ("grid-4x4", Gen.grid 4 4);
+      ("cycle-10", Gen.cycle_graph 10);
+      ("heavy-hex", Gen.heavy_hex ~rows:3 ~cols:5);
+    ];
+  Alcotest.(check bool) "odd-cycle queries exercised" true (!refuted > 0)
+
+let test_parity_inactive_on_odd_targets () =
+  let admitted_odd = ref 0 in
+  List.iteri
+    (fun ti (name, target) ->
+      Alcotest.(check bool) (name ^ " is not bipartite") false
+        (Paths.is_bipartite target);
+      for seed = 0 to 9 do
+        List.iter
+          (fun (answer, _) -> if answer then incr admitted_odd)
+          (drive_oracle ~target
+             ~qubits:(Int.min 8 (Graph.n target))
+             ~seed:(8500 + (100 * ti) + seed))
+      done)
+    [
+      ("grid-3x3+diagonal", Graph.add_edges (Gen.grid 3 3) [ (0, 4) ]);
+      ("petersen", Gen.petersen ());
+      ("complete-5", Gen.complete 5);
+    ];
+  Alcotest.(check bool) "odd cycles admitted" true (!admitted_odd > 0)
+
+(* Stage boundaries (gate counts), an MD5 of every stage's gate pairs and
+   witness, and the oracle-call count of [split_windowed ~window:64] on
+   seeded 8x8-grid hidden-stage circuits, as produced by the
+   mask-intersection search before odd-cycle refutation existed.  The
+   search rewrite walks the same tree and the refutation only skips
+   searches that would refuse, so nothing here may move. *)
+let split_goldens =
+  [
+    (0, [ 370; 208; 240; 390; 258; 134 ], "6b08ccebd3a0a73f5fcd81670baefcc4", 410);
+    (1, [ 335; 194; 285; 373; 260; 153 ], "d4275ba2f51b9811c238e67aa20a4e6a", 411);
+    (2, [ 381; 221; 214; 332; 152; 300 ], "80d996f472a0738573792dd90333ef26", 439);
+    (3, [ 404; 398; 405; 321; 72 ], "2640c6cdaf818ba55411459e812a7beb", 340);
+    (4, [ 251; 187; 369; 345; 169; 279 ], "e151ae4f47ed20e7b761bf9b62ec0fbd", 425);
+    (5, [ 279; 168; 324; 259; 195; 340; 35 ], "357ec0a718aec2ff9278bf41d718f984", 436);
+    (6, [ 294; 153; 349; 320; 169; 315 ], "d0806563b199cd8efc0a19b841486d30", 422);
+    (7, [ 327; 188; 303; 393; 358; 31 ], "06b5db23a67d7d7d2088c69a6340c7bb", 381);
+    (8, [ 145; 269; 353; 224; 226; 383 ], "c5aa0d0ab23d5d79ba63e8e878a6624a", 425);
+    (9, [ 333; 177; 298; 406; 296; 90 ], "fd045f0cf7d1d11ffa3b3a5c7df7eb44", 408);
+  ]
+
+let stage_signature (sub, witness) =
+  let ints l = String.concat "," (List.map string_of_int l) in
+  String.concat ";"
+    (List.map (fun g -> ints (Gate.qubits g)) (Circuit.gates sub))
+  ^ "|"
+  ^ match witness with None -> "-" | Some w -> ints (Array.to_list w)
+
+let test_windowed_split_golden () =
+  let adjacency = Gen.grid 8 8 in
+  List.iter
+    (fun (seed, sizes, digest, calls) ->
+      let circuit =
+        Qcp_circuit.Random_circuit.hidden_stages_custom
+          (Rng.create (9000 + seed))
+          ~n:64 ~stages:4 ~gates_per_stage:400
+      in
+      let oracle_calls = ref 0 in
+      match
+        Workspace.split_windowed ~oracle_calls ~window:64 ~adjacency circuit
+      with
+      | Error msg -> Alcotest.failf "seed %d: %s" seed msg
+      | Ok stages ->
+        let label what = Printf.sprintf "seed %d %s" seed what in
+        Alcotest.(check (list int))
+          (label "stage sizes") sizes
+          (List.map (fun (s, _) -> Circuit.gate_count s) stages);
+        Alcotest.(check string)
+          (label "gates and witnesses") digest
+          (Digest.to_hex
+             (Digest.string
+                (String.concat "\n" (List.map stage_signature stages))));
+        Alcotest.(check int) (label "oracle calls") calls !oracle_calls)
+    split_goldens
+
 let suite =
   [
     Alcotest.test_case "single workspace when alignable" `Quick
@@ -142,4 +286,10 @@ let suite =
     Alcotest.test_case "repeated pair no split" `Quick test_repeated_pair_does_not_split;
     QCheck_alcotest.to_alcotest qcheck_split_preserves_gates;
     QCheck_alcotest.to_alcotest qcheck_hidden_stage_count;
+    Alcotest.test_case "parity refutations are sound" `Quick
+      test_parity_refutation_sound;
+    Alcotest.test_case "parity inactive on non-bipartite targets" `Quick
+      test_parity_inactive_on_odd_targets;
+    Alcotest.test_case "windowed split matches golden stages" `Quick
+      test_windowed_split_golden;
   ]
