@@ -118,6 +118,73 @@ let make_phase_times () =
     ph_balance = ref 0.0;
   }
 
+(* The cost of moving a token along the adjacency graph by SWAPs, for the
+   routing-free swap-displacement bound (DESIGN §9).  Edge [(u, v)] costs
+   one capped SWAP at its cheaper orientation,
+   [min (delay u v) (delay v u) *. min reuse_cap 3]: every maximal same-pair
+   swap run costs at least that while moving a token at most one edge, so
+   a token displaced from [src] to [dst] cannot reach [dst] before
+   [start.(src)] plus the cheapest such path. *)
+type swap_metric =
+  | Uniform of float
+      (* Every adjacency edge costs this step (grids, chains, heavy-hex):
+         the distance is exactly hops times the step, read off the BFS
+         table, so no second m x m table is built. *)
+  | Weighted of float array array Lazy.t
+      (* All-pairs weighted shortest paths ({!Paths.all_pairs_weighted}),
+         built on first use. *)
+
+let swap_metric options env adjacency =
+  let weights = Environment.weights env in
+  let capped_swap =
+    match options.Options.reuse_cap with
+    | None -> 3.0
+    | Some cap -> Float.min cap 3.0
+  in
+  let cost u v =
+    Float.min (weights.Timing.coupled u v) (weights.Timing.coupled v u)
+    *. capped_swap
+  in
+  let cheapest, dearest =
+    List.fold_left
+      (fun (lo, hi) (u, v) ->
+        let c = cost u v in
+        (Float.min lo c, Float.max hi c))
+      (infinity, 0.0) (Graph.edges adjacency)
+  in
+  if dearest <= cheapest then Uniform cheapest
+  else Weighted (lazy (Paths.all_pairs_weighted ~cost adjacency))
+
+(* [swap_arrival metric dist] forces the distance table [metric] reads
+   and returns [arrival]: [arrival start src dst] is the clock a token
+   displaced from [src] to [dst <> src] lifts [dst] to ([neg_infinity]: no
+   lift).  A weighted distance is a float sum in Dijkstra's order while
+   the swap stage sums its delays gate by gate, so a weighted lift is
+   shaded down by 2^-40 of itself -- far above any rounding gap, far below
+   any delay -- so that rounding never puts it above a clock the swap
+   stage really reaches. *)
+let swap_arrival metric dist =
+  match metric with
+  | Uniform step ->
+    let dist = Lazy.force dist in
+    fun start src dst ->
+      let d = dist.(src).(dst) in
+      if d > 0 then start.(src) +. (float_of_int d *. step) else neg_infinity
+  | Weighted table ->
+    let table = Lazy.force table in
+    fun start src dst ->
+      let t = start.(src) +. table.(src).(dst) in
+      t -. (t *. 0x1p-40)
+
+let bfs_table adjacency =
+  Array.init (Graph.n adjacency) (fun v -> Paths.bfs_dist adjacency v)
+
+let swap_lift options env adjacency =
+  let arrival =
+    swap_arrival (swap_metric options env adjacency) (lazy (bfs_table adjacency))
+  in
+  fun ~start src dst -> if src = dst then neg_infinity else arrival start src dst
+
 (* Internal context shared by the pipeline.  Search counters live in a
    per-run {!Qcp_obs.Metrics} registry (each handle is one atomic cell, so
    parallel candidate evaluation shares them exactly like the plain atomics
@@ -146,14 +213,9 @@ type ctx = {
   c_scratch : Timing.scratch; (* main-domain scoring buffers *)
   c_scoring_time : float ref; (* wall seconds spent scoring candidates *)
   c_dist : int array array Lazy.t;
-      (* All-pairs BFS distances over the adjacency graph, for the
-         swap-displacement lower bound. *)
-  c_swap_step : float;
-      (* Cheapest possible cost of one SWAP along any usable interaction:
-         every maximal same-pair swap run costs at least one full (capped)
-         swap gate while moving a token at most one edge, so a token
-         displaced by graph distance [d] delays its destination clock by at
-         least [d *. c_swap_step]. *)
+      (* All-pairs BFS distances over the adjacency graph. *)
+  c_swap : swap_metric;
+      (* SWAP distances for the swap-displacement lower bound. *)
   c_hier : Coarsen.t option Lazy.t;
       (* Coarsening hierarchy of the adjacency graph for the
          coarsen-place-refine path; [None] when [Options.coarsen] is off,
@@ -386,6 +448,23 @@ let connecting_stage ctx ~prev placement =
     in
     if Perm.is_identity perm then None else Some (route_network ctx perm)
 
+(* The swap-displacement lift shared by {!score_makespan}'s prebound and
+   {!candidate_bound}: raise each displaced token's destination clock in
+   [scratch] (already loaded with [phys_start]) to its {!swap_arrival}
+   and return the largest lift (0 when nothing moves). *)
+let lift_displaced ctx scratch ~phys_start perm =
+  let arrival = swap_arrival ctx.c_swap ctx.c_dist in
+  let lifted = ref 0.0 in
+  Array.iteri
+    (fun src dst ->
+      if src <> dst then begin
+        let t = arrival phys_start src dst in
+        Timing.stage_lift scratch dst t;
+        if t > !lifted then lifted := t
+      end)
+    perm;
+  !lifted
+
 (* Score one candidate placement from the current physical clock: optional
    connecting SWAP stage, then the subcircuit.  Returns the network, the
    updated clock and the makespan. *)
@@ -413,8 +492,9 @@ let score_candidate ctx ~phys_start ~prev ~subcircuit placement =
    When the candidate needs a (non-identity) connecting SWAP stage, a
    bounded evaluation first times the subcircuit *alone* under the cutoff,
    from the previous clocks lifted by the swap-displacement bound (each
-   displaced token delays its destination clock by at least its graph
-   distance times [c_swap_step]) -- a routing-free admissible lower bound:
+   displaced token's destination clock rises to at least its start clock
+   plus its SWAP distance, {!lift_displaced}) -- a routing-free admissible
+   lower bound:
    the swap stage raises each start clock by at least the lift, and the
    recurrence is monotone in its start clocks, so the real score is at
    least this makespan.  An abort there refutes the candidate before the
@@ -456,25 +536,10 @@ let score_makespan ?(cutoff = infinity) ?(prebound = true) ctx ~scratch
         bounded && prebound
         && begin
              Timing.stage_start scratch phys_start;
-             let dist = Lazy.force ctx.c_dist in
-             let lifted = ref 0.0 in
-             Array.iteri
-               (fun src dst ->
-                 if src <> dst then begin
-                   let d = dist.(src).(dst) in
-                   if d > 0 then begin
-                     let t =
-                       phys_start.(src)
-                       +. (float_of_int d *. ctx.c_swap_step)
-                     in
-                     Timing.stage_lift scratch dst t;
-                     if t > !lifted then lifted := t
-                   end
-                 end)
-               perm;
              (* A lifted clock above the cutoff already refutes the
                 candidate even if no gate ever touches that vertex. *)
-             !lifted > cutoff || not (advance ~cutoff ~place subcircuit)
+             lift_displaced ctx scratch ~phys_start perm > cutoff
+             || not (advance ~cutoff ~place subcircuit)
            end
       in
       if prebound_refuted then refute ()
@@ -502,16 +567,7 @@ let candidate_bound ctx ~scratch ~phys_start ~prev ~subcircuit placement =
     let perm =
       Perm.of_placements ~size:ctx.c_m ~before:previous ~after:placement
     in
-    let dist = Lazy.force ctx.c_dist in
-    Array.iteri
-      (fun src dst ->
-        if src <> dst then begin
-          let d = dist.(src).(dst) in
-          if d > 0 then
-            Timing.stage_lift scratch dst
-              (phys_start.(src) +. (float_of_int d *. ctx.c_swap_step))
-        end)
-      perm);
+    ignore (lift_displaced ctx scratch ~phys_start perm : float));
   let completed =
     Timing.stage_advance ~model:ctx.c_options.Options.model
       ?reuse_cap:ctx.c_options.Options.reuse_cap ~weights:ctx.c_weights
@@ -540,9 +596,12 @@ let sweep_scores ctx total eval =
       out.(i) <- eval ctx.c_scratch i
     done
   else begin
-    (* Slots read the distance table; forcing a lazy value from two
+    (* Slots read the distance tables; forcing a lazy value from two
        domains at once raises [CamlinternalLazy.Undefined]. *)
     ignore (Lazy.force ctx.c_dist : int array array);
+    (match ctx.c_swap with
+    | Weighted table -> ignore (Lazy.force table : float array array)
+    | Uniform _ -> ());
     Qcp_util.Task_pool.parallel_for
       (Qcp_util.Task_pool.get ())
       ~jobs
@@ -1588,19 +1647,8 @@ let place ?(deadline = infinity) ?shared ?spill options env circuit =
               ~register:m ();
           c_scratch = Timing.make_scratch ();
           c_scoring_time = ref 0.0;
-          c_dist =
-            lazy (Array.init m (fun v -> Paths.bfs_dist adjacency v));
-          c_swap_step =
-            (let weights = Environment.weights env in
-             let capped_swap =
-               match options.Options.reuse_cap with
-               | None -> 3.0
-               | Some cap -> Float.min cap 3.0
-             in
-             List.fold_left
-               (fun acc (u, v) ->
-                 Float.min acc (weights.Timing.coupled u v *. capped_swap))
-               infinity (Graph.edges adjacency));
+          c_dist = lazy (bfs_table adjacency);
+          c_swap = swap_metric options env adjacency;
           c_hier =
             lazy
               (if options.Options.coarsen && m >= coarsen_min_env then begin

@@ -32,6 +32,47 @@ let shortest_path ?restrict g source dest =
     Some (climb dest [])
   end
 
+(* Dijkstra's frontier: (tentative distance, vertex), nearest first. *)
+module Frontier_key = struct
+  type t = float * int
+
+  let compare (d1, v1) (d2, v2) =
+    match Float.compare d1 d2 with 0 -> Int.compare v1 v2 | c -> c
+end
+
+let weighted_dist ~cost g source =
+  (* Applied here, not at toplevel: instantiating the functor when the
+     module loads perturbs the heap of every program that links this
+     library, weighted paths or not. *)
+  let module Frontier = Set.Make (Frontier_key) in
+  let dist = Array.make (Graph.n g) infinity in
+  dist.(source) <- 0.0;
+  let relax u d frontier v =
+    let c = cost u v in
+    if c < 0.0 then invalid_arg "Paths.all_pairs_weighted: negative edge cost";
+    let dv = d +. c in
+    if dv < dist.(v) then begin
+      let frontier = Frontier.remove (dist.(v), v) frontier in
+      dist.(v) <- dv;
+      Frontier.add (dv, v) frontier
+    end
+    else frontier
+  in
+  let rec settle frontier =
+    match Frontier.min_elt_opt frontier with
+    | None -> ()
+    | Some ((d, u) as nearest) ->
+      settle
+        (Array.fold_left (relax u d)
+           (Frontier.remove nearest frontier)
+           (Graph.neighbors g u))
+  in
+  settle (Frontier.singleton (0.0, source));
+  dist
+
+let all_pairs_weighted ~cost g =
+  Array.init (Graph.n g) (weighted_dist ~cost g)
+
 let components g =
   let size = Graph.n g in
   let comp = Array.make size (-1) in

@@ -13,6 +13,12 @@ val bfs_parents : ?restrict:(int -> bool) -> Graph.t -> int -> int array
 val shortest_path : ?restrict:(int -> bool) -> Graph.t -> int -> int -> int list option
 (** Vertex sequence from source to destination inclusive, if connected. *)
 
+val all_pairs_weighted : cost:(int -> int -> float) -> Graph.t -> float array array
+(** [(all_pairs_weighted ~cost g).(s).(t)] is the cheapest path cost from
+    [s] to [t] when traversing edge [(u, v)] from [u] costs [cost u v]
+    ([infinity] if unreachable), by one Dijkstra per source.  Raises
+    [Invalid_argument] on a negative edge cost. *)
+
 val components : Graph.t -> int array * int
 (** [(comp, count)] where [comp.(v)] is the component id of [v]. *)
 

@@ -176,9 +176,11 @@ module Engine = struct
   (* The cache key adds the telemetry flag on top of the content key: the
      flag changes the rendered result (metrics present or not) without
      changing the instance, and cached bytes must match what the hit's
-     request would have produced cold. *)
+     request would have produced cold.  Without the flag the content key
+     is the cache key itself, so a hit copies no multi-kilobyte string. *)
   let cache_key p =
-    p.Protocol.key ^ if p.Protocol.telemetry then "\n+telemetry" else ""
+    if p.Protocol.telemetry then p.Protocol.key ^ "\n+telemetry"
+    else p.Protocol.key
 
   (* A request's absolute timeout budget.  Portfolio races ignore the
      out-of-band budget (their anchor strategy must finish); everything

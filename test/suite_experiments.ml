@@ -102,11 +102,65 @@ let test_schedule_demo () =
   let text = E.schedule_demo () in
   Alcotest.(check bool) "gantt" true (contains ~needle:"pulse schedule" text)
 
+(* The 12-qubit histidine block of Table 3, pinned cell by cell: runtime
+   (delay units) and subcircuit count under [Options.default] at each
+   threshold, exactly as recorded in EXPERIMENTS.md.  Every pruning bound
+   in the placer claims to leave placements unchanged; this holds them to
+   it on the paper's heaviest block. *)
+let histidine_block =
+  [
+    ("phaseest", [ 1831.0, 4; 1831.0, 4; 1347.25, 3; 793.75, 2; 793.75, 2; 992.0, 1 ]);
+    ("qft6", [ 5504.3125, 5; 5504.3125, 5; 2088.75, 4; 1443.625, 2; 1790.625, 2; 1059.0, 1 ]);
+    ("aqft9", [ 10495.75, 8; 10495.75, 8; 13806.0, 7; 5777.0, 3; 8579.75, 3; 5061.5, 1 ]);
+    ("steane-x/z1", [ 4207.0, 4; 4207.0, 4; 7319.0, 3; 7092.0, 2; 5382.0, 2; 12788.0, 1 ]);
+    ("steane-x/z2", [ 8461.0, 5; 8461.0, 5; 29958.0, 3; 5166.0, 2; 5236.0, 2; 5893.0, 1 ]);
+    ("aqft12", [ 18640.625, 11; 18640.625, 11; 20284.0, 10; 16444.25, 4; 15435.875, 4; 7459.5, 1 ]);
+  ]
+
+let place_histidine ?jobs name threshold =
+  let circuit = Option.get (Qcp_circuit.Catalog.by_name name) in
+  let options = Qcp.Options.default ~threshold in
+  let options =
+    match jobs with
+    | Some jobs -> { options with Qcp.Options.jobs }
+    | None -> options
+  in
+  match Qcp.Placer.place options Qcp_env.Molecules.histidine circuit with
+  | Qcp.Placer.Placed p -> p
+  | Qcp.Placer.Unplaceable msg ->
+    Alcotest.failf "%s @ %g unplaceable: %s" name threshold msg
+
+let test_histidine_block () =
+  List.iter
+    (fun (name, cells) ->
+      List.iter2
+        (fun threshold (runtime, subcircuits) ->
+          let p = place_histidine name threshold in
+          let cell = Printf.sprintf "%s @ %g" name threshold in
+          Alcotest.(check (float 0.0)) (cell ^ " runtime") runtime
+            (Qcp.Placer.runtime p);
+          Alcotest.(check int) (cell ^ " subcircuits") subcircuits
+            (Qcp.Placer.subcircuit_count p))
+        [ 50.0; 100.0; 200.0; 500.0; 1000.0; 10000.0 ]
+        cells)
+    histidine_block;
+  (* The swap-weighted prebound refutes most lookahead completions of this
+     cell before routing; the parent's hop-count bound routed 10,319.
+     Sequential, so the request count is schedule-independent. *)
+  let p = place_histidine ~jobs:0 "steane-x/z2" 1000.0 in
+  Alcotest.(check (float 0.0)) "steane-x/z2 @ 1000 runtime" 5236.0
+    (Qcp.Placer.runtime p);
+  let routed = p.Qcp.Placer.stats.Qcp.Placer.networks_routed in
+  if routed > 4300 then
+    Alcotest.failf "steane-x/z2 @ 1000 routed %d networks (budget 4300)" routed
+
 let suite =
   [
     Alcotest.test_case "table1 anchors" `Quick test_table1;
     Alcotest.test_case "table2 anchors" `Quick test_table2;
     Alcotest.test_case "table3 anchors" `Slow test_table3;
+    Alcotest.test_case "table3 histidine block pinned" `Quick
+      test_histidine_block;
     Alcotest.test_case "table4 stage structure" `Slow test_table4;
     Alcotest.test_case "figures" `Quick test_figures;
     Alcotest.test_case "npc report" `Quick test_npc;

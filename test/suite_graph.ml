@@ -52,6 +52,47 @@ let test_shortest_path () =
     Alcotest.(check int) "path length" 5 (List.length p);
     Alcotest.(check int) "starts at src" 0 (List.hd p)
 
+(* All-pairs Dijkstra against Floyd-Warshall on random connected graphs
+   with random integer edge costs (exact in floating point, so the two
+   must agree bit for bit), plus the unreachable and negative-cost cases. *)
+let test_all_pairs_weighted () =
+  for seed = 1 to 30 do
+    let rng = Qcp_util.Rng.create seed in
+    let n = 2 + Qcp_util.Rng.int rng 12 in
+    let g = Gen.random_connected rng ~n ~extra_edges:(Qcp_util.Rng.int rng 6) in
+    let w = Array.init n (fun _ -> Array.make n 0.0) in
+    List.iter
+      (fun (u, v) ->
+        let c = float_of_int (1 + Qcp_util.Rng.int rng 20) in
+        w.(u).(v) <- c;
+        w.(v).(u) <- c)
+      (Graph.edges g);
+    let fw =
+      Array.init n (fun u ->
+          Array.init n (fun v ->
+              if u = v then 0.0 else if Graph.mem_edge g u v then w.(u).(v) else infinity))
+    in
+    for k = 0 to n - 1 do
+      for u = 0 to n - 1 do
+        for v = 0 to n - 1 do
+          fw.(u).(v) <- Float.min fw.(u).(v) (fw.(u).(k) +. fw.(k).(v))
+        done
+      done
+    done;
+    let got = Paths.all_pairs_weighted ~cost:(fun u v -> w.(u).(v)) g in
+    Array.iteri
+      (fun u row ->
+        Alcotest.(check (array (float 0.0))) (Printf.sprintf "seed %d row %d" seed u) row got.(u))
+      fw
+  done;
+  let g = Graph.of_edges 3 [ (0, 1) ] in
+  let d = Paths.all_pairs_weighted ~cost:(fun _ _ -> 2.5) g in
+  Alcotest.(check (float 0.0)) "one edge" 2.5 d.(1).(0);
+  Alcotest.(check bool) "unreachable" true (d.(0).(2) = infinity);
+  Alcotest.check_raises "negative cost"
+    (Invalid_argument "Paths.all_pairs_weighted: negative edge cost") (fun () ->
+      ignore (Paths.all_pairs_weighted ~cost:(fun _ _ -> -1.0) g))
+
 let test_components () =
   let g = Graph.of_edges 6 [ (0, 1); (2, 3); (3, 4) ] in
   let _, count = Paths.components g in
@@ -235,6 +276,7 @@ let suite =
     Alcotest.test_case "bfs distances" `Quick test_bfs_dist;
     Alcotest.test_case "bfs restricted" `Quick test_bfs_restricted;
     Alcotest.test_case "shortest path" `Quick test_shortest_path;
+    Alcotest.test_case "all-pairs weighted distances" `Quick test_all_pairs_weighted;
     Alcotest.test_case "components" `Quick test_components;
     Alcotest.test_case "connected subset" `Quick test_connected_subset;
     Alcotest.test_case "spanning tree" `Quick test_spanning_tree;

@@ -188,6 +188,98 @@ let qcheck_network_swaps_on_edges =
       let perm = Perm.random rng n in
       Swap_network.is_valid g (Bisect_router.route g ~perm))
 
+(* The placer's routing-free prebound lifts a displaced token's
+   destination clock to [start.(src)] plus its SWAP distance
+   ({!Qcp.Placer.swap_lift}).  That lift must be admissible for every SWAP
+   network the placer can time: whatever router built it, under either
+   timing model and with or without a reuse cap, the network's finish
+   clock at [dst] is never below the lift.  Environments are random
+   molecules (non-uniform coupling delays) at a random threshold, plus
+   non-uniform chains so the odd-even router runs too.  The bound must
+   also be tight somewhere: a lift that never meets a real finish clock
+   (say, one that charges too little) would pass vacuously. *)
+let test_swap_lift_admissible () =
+  let module Environment = Qcp_env.Environment in
+  let module Timing = Qcp_circuit.Timing in
+  let module Options = Qcp.Options in
+  let checked = ref 0 and tight = ref 0 in
+  let check_instance rng env adjacency =
+    let m = Environment.size env in
+    let routers =
+      [
+        ("bisect", fun perm -> Bisect_router.route adjacency ~perm);
+        ( "bisect-no-override",
+          fun perm -> Bisect_router.route ~leaf_override:false adjacency ~perm );
+        ( "bisect-weighted",
+          fun perm ->
+            Bisect_router.route ~edge_cost:(Environment.coupling_delay env)
+              adjacency ~perm );
+        ("token", fun perm -> Token_router.route adjacency ~perm);
+      ]
+      @
+      match Qcp_route.Oes_router.path_order adjacency with
+      | Some _ -> [ ("odd-even", fun perm -> Qcp_route.Oes_router.route adjacency ~perm) ]
+      | None -> []
+    in
+    let perm = Perm.random rng m in
+    let start = Array.init m (fun _ -> Qcp_util.Rng.float rng 400.0) in
+    List.iter
+      (fun (model, reuse_cap) ->
+        let options =
+          { (Options.default ~threshold:infinity) with Options.model; reuse_cap }
+        in
+        let lift = Qcp.Placer.swap_lift options env adjacency ~start in
+        List.iter
+          (fun (name, route) ->
+            let circuit = Swap_network.to_circuit ~qubits:m (route perm) in
+            let finish =
+              Timing.finish_times_placed ~model ?reuse_cap ~start
+                ~weights:(Environment.weights env) ~place:Fun.id circuit
+            in
+            Array.iteri
+              (fun src dst ->
+                if src <> dst then begin
+                  let bound = lift src dst in
+                  incr checked;
+                  if finish.(dst) < bound then
+                    Alcotest.failf "%s: token %d->%d finishes at %g < lift %g"
+                      name src dst finish.(dst) bound;
+                  if finish.(dst) -. bound <= 1e-9 *. finish.(dst) then incr tight
+                end)
+              perm)
+          routers)
+      [
+        (Timing.Asap, None);
+        (Timing.Asap, Some 3.0);
+        (Timing.Asap, Some 1.5);
+        (Timing.Sequential, None);
+        (Timing.Sequential, Some 1.5);
+      ]
+  in
+  for seed = 1 to 40 do
+    let rng = Qcp_util.Rng.create seed in
+    let n = 4 + Qcp_util.Rng.int rng 6 in
+    let env = Qcp_env.Random_env.molecule rng ~n in
+    let threshold = Qcp_env.Random_env.interesting_threshold rng env in
+    (match Environment.connected_adjacency env ~threshold with
+    | Some adjacency -> check_instance rng env adjacency
+    | None -> ());
+    let chain =
+      Environment.of_couplings ~name:"chain"
+        ~nuclei:(Array.init n string_of_int)
+        ~single:(Array.make n 1.0)
+        ~couplings:
+          (List.init (n - 1) (fun i ->
+               (i, i + 1, 25.0 +. Qcp_util.Rng.float rng 135.0)))
+        ()
+    in
+    match Environment.connected_adjacency chain ~threshold:200.0 with
+    | Some adjacency -> check_instance rng chain adjacency
+    | None -> Alcotest.fail "chain environment has no adjacency"
+  done;
+  Alcotest.(check bool) "tokens checked" true (!checked > 1000);
+  Alcotest.(check bool) "bound tight somewhere" true (!tight > 0)
+
 let suite =
   [
     Alcotest.test_case "perm basics" `Quick test_perm_basics;
@@ -208,6 +300,8 @@ let suite =
     Alcotest.test_case "token router correct" `Quick test_token_router_correct;
     Alcotest.test_case "bisect beats token on chains" `Quick test_bisect_beats_token_on_chain;
     Alcotest.test_case "leaf override on star" `Quick test_leaf_override_star;
+    Alcotest.test_case "swap lift admissible for every router" `Quick
+      test_swap_lift_admissible;
     QCheck_alcotest.to_alcotest qcheck_bisect_router_correct;
     QCheck_alcotest.to_alcotest qcheck_bisect_router_no_override_correct;
     QCheck_alcotest.to_alcotest qcheck_depth_linear_bound;
