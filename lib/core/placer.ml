@@ -201,7 +201,7 @@ type ctx = {
   c_m : int; (* environment size *)
   c_n : int; (* circuit qubits *)
   c_metrics : Telemetry.t;
-  c_oracle : int ref; (* threaded into {!Workspace.fold_windowed} *)
+  c_oracle : Workspace.counters; (* threaded into {!Workspace.fold_windowed} *)
   c_enumerations : Telemetry.counter;
   c_scored : Telemetry.counter;
   c_pruned : Telemetry.counter;
@@ -663,6 +663,14 @@ let coarsen_min_env = 24
    splitter's witness embedding serves as the single candidate instead. *)
 let scale_enum_max_active = 64
 
+(* Node budget per kept first-vertex image of a region enumeration.  Below
+   that cap a region can still hold a search of minutes (a 45-qubit stage
+   on a 180-vertex region, every slot searched to exhaustion); a slot that
+   runs out ends the list with what was found, and an empty list takes the
+   witness fallback.  The largest slot any of the 128 vetted 16x16
+   scale-grid circuits needs is 14,329 nodes, so none of them is cut. *)
+let scale_slot_budget = 100_000
+
 (* Power-of-two buckets for the scale histograms (window fill in gates,
    region size in vertices, refinement moves). *)
 let scale_bounds =
@@ -826,7 +834,8 @@ let scale_mappings ctx ~prev ~hint ~subcircuit =
         let mapped =
           Monomorph.enumerate ~limit:ctx.c_options.Options.monomorphism_limit
             ~jobs:ctx.c_options.Options.jobs
-            ?root_cap:ctx.c_options.Options.root_cap ~pattern ~target:sub ()
+            ?root_cap:ctx.c_options.Options.root_cap
+            ~slot_budget:scale_slot_budget ~pattern ~target:sub ()
           |> List.map
                (Array.map (fun v -> if v < 0 then -1 else back.(v)))
         in
@@ -1271,7 +1280,7 @@ let collect () =
 (* The windowed splitter with the window-fill histogram recorded per
    stage. *)
 let fold_stages ctx ~init ~stage circuit =
-  Workspace.fold_windowed ~oracle_calls:ctx.c_oracle
+  Workspace.fold_windowed ~counters:ctx.c_oracle
     ~window:ctx.c_options.Options.window ~adjacency:ctx.c_adjacency ~init
     ~stage:(fun acc ((subcircuit, _) as s) ->
       observe_scale ctx "placer.scale.window_fill"
@@ -1549,7 +1558,12 @@ let vcycle_refine ctx stage_list =
    reads. *)
 let finalize_metrics ctx =
   let t = ctx.c_metrics in
-  Telemetry.add (Telemetry.counter t "placer.oracle_calls") !(ctx.c_oracle);
+  let oracle = ctx.c_oracle in
+  Telemetry.add (Telemetry.counter t "placer.oracle_calls") oracle.Workspace.calls;
+  Telemetry.add (Telemetry.counter t "placer.oracle_nodes") oracle.Workspace.nodes;
+  Telemetry.add
+    (Telemetry.counter t "placer.oracle_exhausted")
+    oracle.Workspace.exhausted;
   Telemetry.add
     (Telemetry.counter t "placer.route_cache.hits")
     (Score_cache.hits ctx.c_cache);
@@ -1583,7 +1597,7 @@ let finalize_metrics ctx =
   end;
   let stats =
     {
-      oracle_calls = !(ctx.c_oracle);
+      oracle_calls = oracle.Workspace.calls;
       enumerations = Telemetry.count ctx.c_enumerations;
       candidates_scored = Telemetry.count ctx.c_scored;
       candidates_pruned = Telemetry.count ctx.c_pruned;
@@ -1630,7 +1644,7 @@ let place ?(deadline = infinity) ?shared ?spill options env circuit =
           c_m = m;
           c_n = n;
           c_metrics = rm.rm_registry;
-          c_oracle = ref 0;
+          c_oracle = Workspace.counters ();
           c_enumerations = rm.rm_enumerations;
           c_scored = rm.rm_scored;
           c_pruned = rm.rm_pruned;

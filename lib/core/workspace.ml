@@ -22,9 +22,25 @@ type oracle = {
   o_witness : unit -> int array option;
 }
 
-let make_oracle ?oracle_calls ?budget ~adjacency ~qubits () =
-  let count () = match oracle_calls with Some r -> incr r | None -> () in
+type counters = {
+  mutable calls : int;
+  mutable nodes : int;
+  mutable exhausted : int;
+}
+
+let counters () = { calls = 0; nodes = 0; exhausted = 0 }
+
+let make_oracle ?(counters = counters ()) ?budget ~adjacency ~qubits () =
   let inc = Monomorph.Incremental.create ~qubits ~target:adjacency in
+  (* Charged once per search, after it returns: the search loop itself
+     never touches a counter. *)
+  let search pair =
+    let found = Monomorph.Incremental.embeds_with ?budget inc pair in
+    counters.nodes <- counters.nodes + Monomorph.Incremental.last_nodes inc;
+    if Monomorph.Incremental.last_exhausted inc then
+      counters.exhausted <- counters.exhausted + 1;
+    found
+  in
   let pdeg q = Monomorph.Incremental.degree inc q in
   (* Witness shortcut: remember one concrete monomorphism of the current
      pair set (plus its occupied-vertex mask).  A new pair whose endpoints
@@ -122,7 +138,7 @@ let make_oracle ?oracle_calls ?budget ~adjacency ~qubits () =
     end
   in
   let extends ((a, b) as pair) =
-    count ();
+    counters.calls <- counters.calls + 1;
     witness_covers pair
     || (pdeg a < max_deg && pdeg b < max_deg)
        &&
@@ -135,7 +151,7 @@ let make_oracle ?oracle_calls ?budget ~adjacency ~qubits () =
        else
          (not (bipartite && closes_odd_cycle pair))
          &&
-         match Monomorph.Incremental.embeds_with ?budget inc pair with
+         match search pair with
          | Some m ->
            let taken = Array.make (Graph.n adjacency) false in
            Array.iter (fun v -> if v >= 0 then taken.(v) <- true) m;
@@ -191,11 +207,11 @@ let make_oracle ?oracle_calls ?budget ~adjacency ~qubits () =
    flight.  The stream's pop order equals the offline heap's (gates are
    pulled only while nothing pulled is ready), so stage boundaries are
    identical to {!split_windowed}'s. *)
-let fold_windowed ?oracle_calls ?(budget = 10_000) ~window ~adjacency ~init
+let fold_windowed ?counters ?(budget = 10_000) ~window ~adjacency ~init
     ~stage circuit =
   let qubits = Circuit.qubits circuit in
   let window = Int.max 1 window in
-  let o = make_oracle ?oracle_calls ~budget ~adjacency ~qubits () in
+  let o = make_oracle ?counters ~budget ~adjacency ~qubits () in
   let stream = Dag.Stream.create circuit in
   let emitted = ref [] in
   let acc = ref init in
@@ -253,8 +269,8 @@ let fold_windowed ?oracle_calls ?(budget = 10_000) ~window ~adjacency ~init
     close ();
     Ok !acc
 
-let split_windowed ?oracle_calls ?budget ~window ~adjacency circuit =
+let split_windowed ?counters ?budget ~window ~adjacency circuit =
   Result.map List.rev
-    (fold_windowed ?oracle_calls ?budget ~window ~adjacency ~init:[]
+    (fold_windowed ?counters ?budget ~window ~adjacency ~init:[]
        ~stage:(fun acc s -> s :: acc)
        circuit)

@@ -29,19 +29,33 @@ type oracle = {
     that would have answered [None].  A refusal otherwise comes from the
     search, which errs toward refusal when [budget] runs out. *)
 
+type counters = {
+  mutable calls : int;  (** [o_extends] queries, however answered. *)
+  mutable nodes : int;
+      (** Search nodes walked by the queries that reached the incremental
+          search (added once per search). *)
+  mutable exhausted : int;
+      (** Searches refused because [budget] ran out, not because no
+          embedding exists. *)
+}
+(** The oracle's work, accumulated across queries and stages. *)
+
+val counters : unit -> counters
+(** All zero. *)
+
 val make_oracle :
-  ?oracle_calls:int ref ->
+  ?counters:counters ->
   ?budget:int ->
   adjacency:Qcp_graph.Graph.t ->
   qubits:int ->
   unit ->
   oracle
-(** A fresh oracle over [qubits] pattern vertices.  [oracle_calls] is
-    incremented per [o_extends] query; [budget] caps search nodes per query
-    (default unbounded). *)
+(** A fresh oracle over [qubits] pattern vertices, charging its work to
+    [counters] (default: a private record); [budget] caps search nodes per
+    query (default unbounded). *)
 
 val fold_windowed :
-  ?oracle_calls:int ref ->
+  ?counters:counters ->
   ?budget:int ->
   window:int ->
   adjacency:Qcp_graph.Graph.t ->
@@ -58,7 +72,7 @@ val fold_windowed :
     Exceptions raised by [stage] propagate (aborting the fold). *)
 
 val split_windowed :
-  ?oracle_calls:int ref ->
+  ?counters:counters ->
   ?budget:int ->
   window:int ->
   adjacency:Qcp_graph.Graph.t ->
@@ -82,10 +96,11 @@ val split_windowed :
     dependency DAG — unitarily identical to the input circuit.  With
     [window = 1] they are the gate list itself, cut into consecutive,
     individually alignable, maximal subcircuits.  Every returned circuit
-    keeps the full qubit register.  [oracle_calls], when given, is
-    incremented once per monomorphism existence query — the paper bounds
-    this by twice the number of two-qubit gates, and the oracle is only
-    consulted for {e new} interaction pairs.  [budget] (default 10000) caps
+    keeps the full qubit register.  [counters], when given, accumulates
+    the oracle's work: one call per monomorphism existence query — the
+    paper bounds this by twice the number of two-qubit gates, and the
+    oracle is only consulted for {e new} interaction pairs — plus the
+    search nodes and budget cut-offs behind them.  [budget] (default 10000) caps
     search nodes per oracle query; an exhausted query defers the gate, it
     never mis-reports an error.  [Error _] exactly when some single
     interaction cannot be aligned at all (then the instance is unplaceable

@@ -28,14 +28,6 @@ let m_ref_degseq =
 
 let m_enumerations = Telemetry.counter Telemetry.global "monomorph.enumerations"
 
-(* Sort key shared by the ordering heuristics: degree descending, vertex id
-   ascending -- the order a stable sort of an ascending list by degree
-   produces, which is what the enumeration order contract is pinned to. *)
-let by_degree_desc degree a b =
-  match Int.compare (degree b) (degree a) with
-  | 0 -> Int.compare a b
-  | c -> c
-
 (* Insertion sort of [arr.(lo .. hi-1)] by [cmp]; the sorted ranges are tiny
    (bounded by a vertex degree), so this beats allocating slices for
    [Array.sort]. *)
@@ -158,19 +150,22 @@ let compatible e v c =
 
 (* Per-search mutable state; one per domain when fanning out.  The
    single-word search path tracks the used set as a plain int argument, so
-   [used] and [cand] stay empty there. *)
+   [used] and [cand] stay empty there.  [nodes] counts the nodes below the
+   first vertex against [budget]. *)
 type state = {
   mapping : int array;
   used : int array; (* bitset over target vertices *)
   cand : int array array; (* per-depth candidate-mask scratch *)
   limit : int;
+  budget : int;
   mutable results : int array list; (* reversed *)
   mutable count : int;
+  mutable nodes : int;
 }
 
 let small e = Graph.words e.target = 1
 
-let make_state e limit =
+let make_state ?(budget = max_int) e limit =
   let multiword = not (small e) in
   {
     mapping = Array.make (Graph.n e.pattern) (-1);
@@ -182,17 +177,27 @@ let make_state e limit =
            (fun _ -> Graph.mask_make e.nt)
        else [||]);
     limit;
+    budget;
     results = [];
     count = 0;
+    nodes = 0;
   }
 
 let clear_state st =
   st.results <- [];
   st.count <- 0;
+  st.nodes <- 0;
   Array.fill st.mapping 0 (Array.length st.mapping) (-1);
   Array.fill st.used 0 (Array.length st.used) 0
 
 exception Limit_reached
+
+exception Budget_exhausted
+
+let count_node st =
+  if st.nodes >= st.budget then raise Budget_exhausted;
+  st.nodes <- st.nodes + 1;
+  if Telemetry.enabled () then Telemetry.incr m_nodes
 
 let record st =
   st.results <- Array.copy st.mapping :: st.results;
@@ -204,7 +209,7 @@ let rec extend e st step =
   else begin
     let v = e.order.(step) in
     let try_candidate c =
-      if Telemetry.enabled () then Telemetry.incr m_nodes;
+      count_node st;
       st.mapping.(v) <- c;
       Graph.mask_set st.used c;
       extend e st (step + 1);
@@ -261,7 +266,7 @@ let rec extend_small e st step used =
         cand := !cand lxor b;
         let c = Graph.bit_index b in
         if compatible e v c then begin
-          if Telemetry.enabled () then Telemetry.incr m_nodes;
+          count_node st;
           st.mapping.(v) <- c;
           extend_small e st (step + 1) (used lor b);
           st.mapping.(v) <- -1
@@ -271,7 +276,7 @@ let rec extend_small e st step used =
     else
       for c = 0 to e.nt - 1 do
         if used land (1 lsl c) = 0 && compatible e v c then begin
-          if Telemetry.enabled () then Telemetry.incr m_nodes;
+          count_node st;
           st.mapping.(v) <- c;
           extend_small e st (step + 1) (used lor (1 lsl c));
           st.mapping.(v) <- -1
@@ -319,11 +324,15 @@ let cap_firsts e cap firsts =
    Search state is per participating worker — the pool guarantees a worker
    id never runs two slots concurrently — allocated lazily on the worker's
    first slot and reset between slots (a previous slot that hit the limit
-   left [mapping] and [used] mid-search). *)
-let run_parallel e limit jobs firsts =
+   left [mapping] and [used] mid-search).
+
+   A slot that spends its [budget] nodes keeps what it found and ends the
+   result list there: the answer is a prefix of the unbudgeted one, and
+   each slot's search is the same whichever worker runs it. *)
+let run_parallel ?budget e limit jobs firsts =
   let v0 = e.order.(0) in
   let total = Array.length firsts in
-  let slots = Array.make total [] in
+  let slots = Array.make total ([], false) in
   let jobs = min jobs total in
   let states = Array.make (max 1 jobs) None in
   Qcp_util.Task_pool.parallel_for
@@ -336,25 +345,37 @@ let run_parallel e limit jobs firsts =
           clear_state st;
           st
         | None ->
-          let st = make_state e limit in
+          let st = make_state ?budget e limit in
           states.(worker) <- Some st;
           st
       in
       let c = firsts.(i) in
       if Telemetry.enabled () then Telemetry.incr m_nodes;
       st.mapping.(v0) <- c;
-      (try
-         if small e then extend_small e st 1 (1 lsl c)
-         else begin
-           Graph.mask_set st.used c;
-           extend e st 1
-         end
-       with Limit_reached -> ());
-      slots.(i) <- List.rev st.results)
+      let exhausted =
+        try
+          if small e then extend_small e st 1 (1 lsl c)
+          else begin
+            Graph.mask_set st.used c;
+            extend e st 1
+          end;
+          false
+        with
+        | Limit_reached -> false
+        | Budget_exhausted -> true
+      in
+      slots.(i) <- (List.rev st.results, exhausted))
     total;
-  Qcp_util.Listx.take limit (List.concat (Array.to_list slots))
+  let rec prefix i =
+    if i >= total then []
+    else
+      let results, exhausted = slots.(i) in
+      if exhausted then results else results @ prefix (i + 1)
+  in
+  Qcp_util.Listx.take limit (prefix 0)
 
-let enumerate ?(limit = 100) ?(jobs = 1) ?root_cap ~pattern ~target () =
+let enumerate ?(limit = 100) ?(jobs = 1) ?root_cap ?slot_budget ~pattern
+    ~target () =
   if limit <= 0 then []
   else begin
     if Telemetry.enabled () then Telemetry.incr m_enumerations;
@@ -373,7 +394,7 @@ let enumerate ?(limit = 100) ?(jobs = 1) ?root_cap ~pattern ~target () =
         | Some cap when Array.length order > 0 ->
           let firsts = cap_firsts e (max 1 cap) (compute_firsts e) in
           if Array.length firsts = 0 then []
-          else run_parallel e limit (max 1 jobs) firsts
+          else run_parallel ?budget:slot_budget e limit (max 1 jobs) firsts
         | _ ->
           if jobs > 1 && limit > 1 && Array.length order > 0 then
             run_parallel e limit jobs (compute_firsts e)
@@ -413,127 +434,208 @@ module Incremental = struct
   (* The workspace grows its pattern one interaction pair at a time and only
      ever asks "does the grown pattern still embed?".  Rebuilding a Graph.t
      per query (sort + dedup + adjacency construction) dominated that loop;
-     here the pattern lives as mutable degree counters and adjacency bitsets
-     over the qubit indices, and a query is a plain existence search over
-     that structure.  Existence is order-independent, so the search is free
-     to use any sound ordering; answers always match the full enumerator. *)
+     here the pattern lives as mutable degree counters and sorted neighbor
+     rows over the qubit indices, and a query is a plain existence search
+     over that structure.  Every per-query array -- the order, the
+     earlier-neighbor rows, the free list -- is scratch built into [t], and
+     the search runs as top-level functions over it, so a query allocates
+     nothing but the witness it returns. *)
 
   type t = {
     qubits : int;
-    target : Graph.t;
     nt : int;
     deg_t : int array;
     max_deg_t : int;
+    trow : int array array; (* target neighbor rows, ascending *)
+    tmask : int array array; (* target neighbor bitsets *)
     stride : int; (* max(1, max_deg_t): row width of [back] *)
-    pmask : int array array; (* pattern adjacency bitsets, over qubits *)
+    prow : int array array;
+        (* pattern neighbor rows, ascending in their first [pdeg] slots;
+           grown by doubling, so any degree fits *)
     pdeg : int array;
     (* per-query scratch, allocated once *)
     mapping : int array;
     used : bool array; (* over target vertices *)
+    next : int array;
+    prev : int array;
+        (* free list: the unused target vertices, ascending, as a circular
+           doubly linked list through the sentinel [nt] *)
+    bucket : int array; (* counting-sort offsets, per pattern degree *)
+    seeds : int array; (* active qubits, degree descending then ascending *)
     order : int array;
-    pos : int array; (* pos.(q) = index of q in [order], for ordered q *)
+    pos : int array; (* pos.(q) = index of q in [order]; -1 unvisited *)
     back : int array;
         (* back.(step * stride + i): the earlier-ordered pattern neighbors of
            order.(step), ascending; a feasible query has pdeg <= max_deg_t,
            so every row fits *)
     nback : int array; (* row lengths of [back] *)
-    seen : bool array;
+    mutable order_len : int;
+    mutable budget : int;
+    mutable nodes : int;
+    mutable exhausted : bool;
   }
 
   let create ~qubits ~target =
+    let nt = Graph.n target in
     let max_deg_t = Graph.max_degree target in
     let stride = max 1 max_deg_t in
     {
       qubits;
-      target;
-      nt = Graph.n target;
-      deg_t = Array.init (Graph.n target) (Graph.degree target);
+      nt;
+      deg_t = Array.init nt (Graph.degree target);
       max_deg_t;
+      trow = Array.init nt (Graph.neighbors target);
+      tmask = Array.init nt (Graph.neighbor_mask target);
       stride;
-      pmask = Array.init qubits (fun _ -> Graph.mask_make qubits);
+      (* Room for one query edge on a qubit at the target's maximum degree,
+         so the workspace's queries never grow a row. *)
+      prow = Array.init qubits (fun _ -> Array.make (max_deg_t + 1) 0);
       pdeg = Array.make qubits 0;
       mapping = Array.make qubits (-1);
-      used = Array.make (Graph.n target) false;
+      used = Array.make nt false;
+      next = Array.make (nt + 1) 0;
+      prev = Array.make (nt + 1) 0;
+      bucket = Array.make (max_deg_t + 1) 0;
+      seeds = Array.make (max 1 qubits) 0;
       order = Array.make (max 1 qubits) 0;
-      pos = Array.make qubits 0;
+      pos = Array.make qubits (-1);
       back = Array.make (max 1 (qubits * stride)) 0;
       nback = Array.make (max 1 qubits) 0;
-      seen = Array.make qubits false;
+      order_len = 0;
+      budget = max_int;
+      nodes = 0;
+      exhausted = false;
     }
 
-  let reset inc =
-    Array.iter (fun m -> Array.fill m 0 (Array.length m) 0) inc.pmask;
-    Array.fill inc.pdeg 0 inc.qubits 0
+  let reset inc = Array.fill inc.pdeg 0 inc.qubits 0
 
-  let mem inc a b = Graph.mask_mem inc.pmask.(a) b
+  let mem inc a b =
+    let row = inc.prow.(a) and d = inc.pdeg.(a) in
+    let i = ref 0 in
+    while !i < d && row.(!i) < b do
+      incr i
+    done;
+    !i < d && row.(!i) = b
+
+  (* Sorted insertion into [a]'s row, doubling it when full. *)
+  let insert inc a b =
+    let d = inc.pdeg.(a) in
+    if d = Array.length inc.prow.(a) then begin
+      let grown = Array.make (2 * d) 0 in
+      Array.blit inc.prow.(a) 0 grown 0 d;
+      inc.prow.(a) <- grown
+    end;
+    let row = inc.prow.(a) in
+    let i = ref d in
+    while !i > 0 && row.(!i - 1) > b do
+      row.(!i) <- row.(!i - 1);
+      decr i
+    done;
+    row.(!i) <- b;
+    inc.pdeg.(a) <- d + 1
+
+  let delete inc a b =
+    let row = inc.prow.(a) and d = inc.pdeg.(a) in
+    let i = ref 0 in
+    while row.(!i) <> b do
+      incr i
+    done;
+    Array.blit row (!i + 1) row !i (d - 1 - !i);
+    inc.pdeg.(a) <- d - 1
 
   let add inc (a, b) =
     if a <> b && not (mem inc a b) then begin
-      Graph.mask_set inc.pmask.(a) b;
-      Graph.mask_set inc.pmask.(b) a;
-      inc.pdeg.(a) <- inc.pdeg.(a) + 1;
-      inc.pdeg.(b) <- inc.pdeg.(b) + 1
+      insert inc a b;
+      insert inc b a
     end
 
   let remove inc (a, b) =
     if a <> b && mem inc a b then begin
-      Graph.mask_clear inc.pmask.(a) b;
-      Graph.mask_clear inc.pmask.(b) a;
-      inc.pdeg.(a) <- inc.pdeg.(a) - 1;
-      inc.pdeg.(b) <- inc.pdeg.(b) - 1
+      delete inc a b;
+      delete inc b a
     end
 
   let degree inc q = inc.pdeg.(q)
 
-  (* BFS component order from maximum-degree seeds, as in {!ordering};
-     neighbor ties resolve in ascending qubit order (existence does not
-     depend on it). *)
+  let last_nodes inc = inc.nodes
+
+  let last_exhausted inc = inc.exhausted
+
+  (* Component-by-component BFS order from maximum-degree seeds.  Seeds are
+     the active qubits counting-sorted by degree, descending, ties in
+     ascending qubit order; BFS neighbors come off the sorted rows, so
+     they are visited in ascending qubit order.  The caller has checked
+     every degree is at most [max_deg_t]. *)
   let build_order inc =
-    let len = ref 0 in
-    Array.fill inc.seen 0 inc.qubits false;
-    let cmp = by_degree_desc (fun q -> inc.pdeg.(q)) in
-    let seeds = ref [] in
-    for q = inc.qubits - 1 downto 0 do
-      if inc.pdeg.(q) > 0 then seeds := q :: !seeds
+    let bucket = inc.bucket and pdeg = inc.pdeg in
+    Array.fill bucket 0 (Array.length bucket) 0;
+    for q = 0 to inc.qubits - 1 do
+      let d = pdeg.(q) in
+      if d > 0 then bucket.(d) <- bucket.(d) + 1
     done;
-    let seeds = Array.of_list !seeds in
-    Array.sort cmp seeds;
-    let visit q =
-      inc.seen.(q) <- true;
-      inc.pos.(q) <- !len;
-      inc.order.(!len) <- q;
-      incr len
-    in
-    let head = ref 0 in
-    Array.iter
-      (fun seed ->
-        if not inc.seen.(seed) then begin
-          visit seed;
-          while !head < !len do
-            let u = inc.order.(!head) in
-            incr head;
-            Graph.iter_mask
-              (fun v -> if not inc.seen.(v) then visit v)
-              inc.pmask.(u)
+    let total = ref 0 in
+    for d = inc.max_deg_t downto 1 do
+      let k = bucket.(d) in
+      bucket.(d) <- !total;
+      total := !total + k
+    done;
+    for q = 0 to inc.qubits - 1 do
+      let d = pdeg.(q) in
+      if d > 0 then begin
+        inc.seeds.(bucket.(d)) <- q;
+        bucket.(d) <- bucket.(d) + 1
+      end
+    done;
+    Array.fill inc.pos 0 inc.qubits (-1);
+    (* [order] itself is the BFS queue: [head] consumes what the loop below
+       appends, and the emission order is exactly the visit order. *)
+    let len = ref 0 and head = ref 0 in
+    for s = 0 to !total - 1 do
+      let seed = inc.seeds.(s) in
+      if inc.pos.(seed) < 0 then begin
+        inc.pos.(seed) <- !len;
+        inc.order.(!len) <- seed;
+        incr len;
+        while !head < !len do
+          let u = inc.order.(!head) in
+          incr head;
+          let row = inc.prow.(u) in
+          for i = 0 to pdeg.(u) - 1 do
+            let w = row.(i) in
+            if inc.pos.(w) < 0 then begin
+              inc.pos.(w) <- !len;
+              inc.order.(!len) <- w;
+              incr len
+            end
           done
-        end)
-      seeds;
-    !len
+        done
+      end
+    done;
+    inc.order_len <- !len
 
   (* Fill the [back] rows: every pattern neighbor of an ordered qubit is in
      its component, hence ordered too, so [pos] decides "earlier". *)
-  let build_back inc order_len =
-    for step = 0 to order_len - 1 do
-      let base = step * inc.stride in
+  let build_back inc =
+    for step = 0 to inc.order_len - 1 do
+      let u = inc.order.(step) in
+      let base = step * inc.stride and row = inc.prow.(u) in
       let k = ref 0 in
-      Graph.iter_mask
-        (fun u ->
-          if inc.pos.(u) < step then begin
-            inc.back.(base + !k) <- u;
-            incr k
-          end)
-        inc.pmask.(inc.order.(step));
+      for i = 0 to inc.pdeg.(u) - 1 do
+        let w = row.(i) in
+        if inc.pos.(w) < step then begin
+          inc.back.(base + !k) <- w;
+          incr k
+        end
+      done;
       inc.nback.(step) <- !k
+    done
+
+  (* Every target vertex free, ascending. *)
+  let reset_free inc =
+    let nt = inc.nt in
+    for c = 0 to nt do
+      inc.next.(c) <- (if c = nt then 0 else c + 1);
+      inc.prev.(c) <- (if c = 0 then nt else c - 1)
     done
 
   exception Found
@@ -546,71 +648,84 @@ module Incremental = struct
      are adjacent to every other earlier neighbor's image, unused and of
      sufficient degree -- exactly the set the intersection of their
      neighbor masks minus the used set yields, in the same order.  A step
-     without one (a component seed) scans every target vertex.  Nodes are
-     counted per tried candidate, and the budget cuts at the same node. *)
+     without one (a component seed) walks the free list, which holds the
+     unused target vertices in ascending order.  Nodes are counted per
+     tried candidate, and the budget cuts at the same node. *)
+  let rec extend inc step =
+    if step >= inc.order_len then raise Found;
+    let v = inc.order.(step) in
+    let dv = inc.pdeg.(v) and nb = inc.nback.(step) in
+    let deg_t = inc.deg_t and mapping = inc.mapping in
+    if nb = 0 then begin
+      let next = inc.next in
+      let c = ref next.(inc.nt) in
+      while !c <> inc.nt do
+        let x = !c in
+        if deg_t.(x) >= dv then try_candidate inc step v x;
+        (* [x] is relinked by now, so its successor is current. *)
+        c := next.(x)
+      done
+    end
+    else begin
+      let used = inc.used and back = inc.back and tmask = inc.tmask in
+      let base = step * inc.stride in
+      let cands = inc.trow.(mapping.(back.(base))) in
+      for i = 0 to Array.length cands - 1 do
+        let c = cands.(i) in
+        if (not used.(c)) && deg_t.(c) >= dv then begin
+          let j = ref 1 in
+          while !j < nb && Graph.mask_mem tmask.(mapping.(back.(base + !j))) c do
+            incr j
+          done;
+          if !j = nb then try_candidate inc step v c
+        end
+      done
+    end
+
+  (* Map [v] to [c] and recurse.  [c] leaves the free list for the
+     subtree and is relinked in LIFO order on the way out, the dancing-links
+     discipline that leaves the list exactly as it was. *)
+  and try_candidate inc step v c =
+    if inc.nodes >= inc.budget then raise Exhausted;
+    inc.nodes <- inc.nodes + 1;
+    inc.mapping.(v) <- c;
+    inc.used.(c) <- true;
+    let p = inc.prev.(c) and n = inc.next.(c) in
+    inc.next.(p) <- n;
+    inc.prev.(n) <- p;
+    extend inc (step + 1);
+    inc.next.(p) <- c;
+    inc.prev.(n) <- c;
+    inc.used.(c) <- false;
+    inc.mapping.(v) <- -1
+
   let search ?budget inc =
-    let budget = match budget with None -> max_int | Some b -> b in
-    let order_len = build_order inc in
+    inc.budget <- (match budget with None -> max_int | Some b -> b);
+    inc.nodes <- 0;
+    inc.exhausted <- false;
     (* Quick refutations: an active qubit needs a target vertex of at least
        its degree; active qubits need distinct target vertices. *)
-    let feasible = ref (order_len <= inc.nt) in
-    for i = 0 to order_len - 1 do
-      if inc.pdeg.(inc.order.(i)) > inc.max_deg_t then feasible := false
+    let active = ref 0 and max_deg = ref 0 in
+    for q = 0 to inc.qubits - 1 do
+      let d = inc.pdeg.(q) in
+      if d > 0 then begin
+        incr active;
+        if d > !max_deg then max_deg := d
+      end
     done;
-    if not !feasible then None
+    if !active > inc.nt || !max_deg > inc.max_deg_t then None
     else begin
-      build_back inc order_len;
+      build_order inc;
+      build_back inc;
       Array.fill inc.mapping 0 inc.qubits (-1);
       Array.fill inc.used 0 inc.nt false;
-      let witness = ref None in
-      let nodes = ref 0 in
-      let rec extend step =
-        if step >= order_len then begin
-          witness := Some (Array.copy inc.mapping);
-          raise Found
-        end
-        else begin
-          let v = inc.order.(step) in
-          let dv = inc.pdeg.(v) in
-          let nb = inc.nback.(step) in
-          if nb = 0 then
-            for c = 0 to inc.nt - 1 do
-              if (not inc.used.(c)) && inc.deg_t.(c) >= dv then
-                try_candidate step v c
-            done
-          else begin
-            let base = step * inc.stride in
-            let cands =
-              Graph.neighbors inc.target inc.mapping.(inc.back.(base))
-            in
-            for i = 0 to Array.length cands - 1 do
-              let c = cands.(i) in
-              if (not inc.used.(c)) && inc.deg_t.(c) >= dv then begin
-                let j = ref 1 in
-                while
-                  !j < nb
-                  && Graph.mem_edge inc.target
-                       inc.mapping.(inc.back.(base + !j))
-                       c
-                do
-                  incr j
-                done;
-                if !j = nb then try_candidate step v c
-              end
-            done
-          end
-        end
-      and try_candidate step v c =
-        incr nodes;
-        if !nodes > budget then raise Exhausted;
-        inc.mapping.(v) <- c;
-        inc.used.(c) <- true;
-        extend (step + 1);
-        inc.used.(c) <- false;
-        inc.mapping.(v) <- -1
-      in
-      (try extend 0 with Found -> () | Exhausted -> ());
-      !witness
+      reset_free inc;
+      match extend inc 0 with
+      | () -> None
+      | exception Found -> Some (Array.copy inc.mapping)
+      | exception Exhausted ->
+        inc.exhausted <- true;
+        None
     end
 
   let embeds_with ?budget inc ((a, b) as pair) =

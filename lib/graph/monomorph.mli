@@ -23,6 +23,7 @@ val enumerate :
   ?limit:int ->
   ?jobs:int ->
   ?root_cap:int ->
+  ?slot_budget:int ->
   pattern:Graph.t ->
   target:Graph.t ->
   unit ->
@@ -43,7 +44,14 @@ val enumerate :
     large dense environments).  The result is a subsequence of the
     uncapped enumeration, still deterministic at any [jobs]; it may miss
     mappings an uncapped search would find, so it is a heuristic for
-    callers with a fallback path. *)
+    callers with a fallback path.
+
+    [slot_budget] (default unbounded; only read with [root_cap]) caps the
+    search nodes below each kept first-vertex image.  A slot that runs out
+    keeps the mappings it found and ends the enumeration there, so the
+    result is a prefix of the unbudgeted capped one -- still a
+    subsequence of the uncapped enumeration, and identical at any
+    [jobs]. *)
 
 val exists : pattern:Graph.t -> target:Graph.t -> bool
 (** Whether at least one monomorphism exists. *)
@@ -68,11 +76,14 @@ val check : pattern:Graph.t -> target:Graph.t -> int array -> bool
     [budget] cuts the search are functions of the pattern and the target
     alone.  Candidates of a qubit with earlier-ordered neighbors come from
     the sorted neighbor row of the first such neighbor's image, filtered
-    by adjacency to the other images, the used set and the degree test;
-    the per-step neighbor lists and the scratch arrays are built into [t],
-    so a query allocates only its witness.  [test/suite_monomorph.ml]
-    pins the tree against a verbatim copy of the mask-intersection search
-    it replaced, at several budgets. *)
+    by adjacency to the other images, the used set and the degree test; a
+    component seed's candidates come from a free list of the unused target
+    vertices, ascending.  The order (a counting sort by degree, then BFS
+    over sorted pattern rows), the per-step neighbor lists and the free
+    list are scratch built into [t], so a query allocates only its witness.
+    [test/suite_monomorph.ml] pins the tree -- answers, witnesses and node
+    counts -- against a verbatim copy of the mask-intersection search it
+    replaced, at several budgets, and checks the allocation claim. *)
 module Incremental : sig
   type t
 
@@ -99,4 +110,12 @@ module Incremental : sig
       exhausted search answers [None], so a bounded query errs toward
       refusal — sound for callers that treat refusal as "close the current
       subcircuit", never claiming an embedding that does not exist. *)
+
+  val last_nodes : t -> int
+  (** Search nodes the last {!embeds_with} query walked (at most its
+      [budget]); [0] when a quick refutation answered it without a search. *)
+
+  val last_exhausted : t -> bool
+  (** Whether the last {!embeds_with} query answered [None] because its
+      [budget] ran out rather than because the search space was empty. *)
 end

@@ -145,7 +145,12 @@ let merge_into src ~into =
   List.iter
     (fun (name, v) ->
       match v with
-      | Counter n -> if n <> 0 then add (counter into name) n
+      | Counter n ->
+        (* Interned even at zero: a counter that read zero (no budget
+           cut-off, say) is an answer, and an export must tell it apart
+           from a build without the counter. *)
+        let c = counter into name in
+        if n <> 0 then add c n
       | Gauge g -> set (gauge into name) g
       | Histogram { bounds; counts; sum; count = cnt } ->
         let h = histogram ~bounds into name in

@@ -97,7 +97,8 @@ val find : snapshot -> string -> value option
 
 val merge_into : t -> into:t -> unit
 (** Fold one registry's current values into another: counters and
-    histogram buckets add, gauges overwrite.  Histogram merging requires
+    histogram buckets add, gauges overwrite.  Every counter of [src] ends
+    up registered in [into], zero-valued ones included.  Histogram merging requires
     equal bounds (violations raise [Invalid_argument]). *)
 
 val reset : t -> unit

@@ -145,8 +145,12 @@ module Reference = struct
     end
 
   (* Incremental existence search with candidate sets built by intersecting
-     target neighbor masks, kept verbatim.  The list-driven search must walk
-     the same DFS tree: same answers, same witnesses, same budget cut-off. *)
+     target neighbor masks, kept verbatim apart from three probes: the node
+     count and budget cut-off of the last query (the production search
+     must walk the same DFS tree: same answers, same witnesses, same node
+     count, same cut-off), and a running count of seed steps that move on
+     to a second candidate, so tests can show they exercised
+     backtracking at component seeds. *)
   module Incremental = struct
     let by_degree_desc degree a b =
       match Int.compare (degree b) (degree a) with
@@ -167,6 +171,9 @@ module Reference = struct
       cand : int array array;
       order : int array;
       seen : bool array;
+      mutable nodes : int;
+      mutable exhausted : bool;
+      mutable seed_retries : int;
     }
 
     let create ~qubits ~target =
@@ -183,6 +190,9 @@ module Reference = struct
         cand = Array.init (max 1 qubits) (fun _ -> Graph.mask_make (Graph.n target));
         order = Array.make (max 1 qubits) 0;
         seen = Array.make qubits false;
+        nodes = 0;
+        exhausted = false;
+        seed_retries = 0;
       }
 
     let reset inc =
@@ -245,6 +255,8 @@ module Reference = struct
 
     let search ?budget inc =
       let budget = match budget with None -> max_int | Some b -> b in
+      inc.nodes <- 0;
+      inc.exhausted <- false;
       let order_len = build_order inc in
       (* Quick refutations: an active qubit needs a target vertex of at least
          its degree; active qubits need distinct target vertices. *)
@@ -293,14 +305,22 @@ module Reference = struct
               Graph.mask_diff_into ~into:mask inc.used;
               Graph.iter_mask (fun c -> if deg_ok c then try_candidate c) mask
             end
-            else
+            else begin
+              let tried = ref false in
               for c = 0 to inc.nt - 1 do
-                if (not (Graph.mask_mem inc.used c)) && deg_ok c then
+                if (not (Graph.mask_mem inc.used c)) && deg_ok c then begin
+                  if !tried then inc.seed_retries <- inc.seed_retries + 1;
+                  tried := true;
                   try_candidate c
+                end
               done
+            end
           end
         in
-        (try extend 0 with Found -> () | Exhausted -> ());
+        (try extend 0 with
+        | Found -> ()
+        | Exhausted -> inc.exhausted <- true);
+        inc.nodes <- Int.min !nodes budget;
         !witness
       end
 
@@ -482,15 +502,113 @@ let test_incremental_matches_oracle () =
       (Monomorph.Incremental.embeds_with inc pair <> None)
   done
 
-(* Seeded add/query sequences against both incremental searches: every
-   query at every budget must give the identical [int array option] (the
-   same answer and the same first witness), and some 50-node queries must
-   run out of budget where the top budget answers, so the cut-off itself is
-   compared (budgets 0 and 1 cut off every query that needs a node).  The top budget is unbounded on the small targets; on the
-   64-vertex grid, whose masks span two words, it is the splitter's
-   10 000 nodes. *)
+(* One query against both incremental searches: the identical
+   [int array option] (the same answer and the same first witness), the
+   same node count and the same budget cut-off.  The production query is
+   bracketed by [Gc.minor_words] (unboxed, so the probe itself allocates
+   nothing): it may allocate its witness -- the array and its [Some] --
+   and not one word more. *)
+let query_both ~label ?budget inc reference pair =
+  let expected = Reference.Incremental.embeds_with ?budget reference pair in
+  let before = Gc.minor_words () in
+  let actual = Monomorph.Incremental.embeds_with ?budget inc pair in
+  let words = int_of_float (Gc.minor_words () -. before) in
+  Alcotest.(check (option (array int))) label expected actual;
+  Alcotest.(check int) (label ^ " nodes") reference.Reference.Incremental.nodes
+    (Monomorph.Incremental.last_nodes inc);
+  Alcotest.(check bool) (label ^ " cut off")
+    reference.Reference.Incremental.exhausted
+    (Monomorph.Incremental.last_exhausted inc);
+  Alcotest.(check int) (label ^ " words allocated")
+    (match actual with None -> 0 | Some w -> Array.length w + 3)
+    words;
+  actual
+
+let budget_label = function None -> "unbounded" | Some b -> string_of_int b
+
+(* Near-spanning patterns on the scale grid, queried first so a search
+   that breaks the tree fails here before any unbounded query runs.  A
+   256-qubit pattern grows from a hidden-stage circuit the way the splitter
+   grows a stage -- a new pair is committed when its 10 000-node query
+   embeds it -- to 234 pairs, the size of a median refused stage pattern
+   on the scale grid: over 200 active qubits in several components.
+   These are the queries stage formation spends its time on: budget
+   cut-offs and component seeds that backtrack. *)
+let near_spanning () =
+  let target = Gen.grid 16 16 in
+  let qubits = 256 in
+  let inc = Monomorph.Incremental.create ~qubits ~target in
+  let reference = Reference.Incremental.create ~qubits ~target in
+  let circuit =
+    Qcp_circuit.Random_circuit.hidden_stages_custom (Rng.create 4242) ~n:qubits
+      ~stages:4 ~gates_per_stage:6400
+  in
+  let pairs =
+    List.filter_map
+      (fun g ->
+        match Qcp_circuit.Gate.qubits g with
+        | [ a; b ] -> Some (Int.min a b, Int.max a b)
+        | _ -> None)
+      (Qcp_circuit.Circuit.gates circuit)
+  in
+  let top = Some 10_000 in
+  let admitted = ref [] and exhausted = ref 0 in
+  let rec grow step = function
+    | [] -> Alcotest.fail "circuit ran out before the pattern grew"
+    | pair :: rest ->
+      if List.length !admitted >= 234 then step
+      else if List.mem pair !admitted then grow step rest
+      else begin
+        let answers =
+          List.map
+            (fun budget ->
+              let answer =
+                query_both
+                  ~label:
+                    (Printf.sprintf "grid-16x16 step %d budget %s" step
+                       (budget_label budget))
+                  ?budget inc reference pair
+              in
+              if budget = top && Monomorph.Incremental.last_exhausted inc then
+                incr exhausted;
+              answer)
+            [ Some 50; top ]
+        in
+        if List.nth answers 1 <> None then begin
+          Monomorph.Incremental.add inc pair;
+          Reference.Incremental.add reference pair;
+          admitted := pair :: !admitted
+        end;
+        grow (step + 1) rest
+      end
+  in
+  let steps = grow 0 pairs in
+  let pattern = Graph.of_edges qubits !admitted in
+  let active =
+    List.filter (fun q -> Graph.degree pattern q > 0) (Graph.vertices pattern)
+  in
+  let comp, _ = Qcp_graph.Paths.components pattern in
+  let components =
+    List.length (List.sort_uniq Int.compare (List.map (fun q -> comp.(q)) active))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "grew to %d active qubits in %d components over %d queries"
+       (List.length active) components steps)
+    true
+    (List.length active >= 200 && components >= 2);
+  Alcotest.(check bool) "some 10 000-node queries are cut off" true
+    (!exhausted > 0);
+  Alcotest.(check bool) "some component seeds backtrack" true
+    (reference.Reference.Incremental.seed_retries > 0)
+
+(* Seeded add/query sequences on small targets: every query at every
+   budget must agree with the reference, and some 50-node queries must run
+   out of budget where the top budget answers, so the cut-off itself is
+   compared (budgets 0 and 1 cut off every query that needs a node).  The
+   top budget is unbounded on the small targets; on the 64-vertex grid,
+   whose masks span two words, it is the splitter's 10 000 nodes. *)
 let test_incremental_matches_reference () =
-  let witness = Alcotest.(option (array int)) in
+  near_spanning ();
   let exhausted = ref 0 in
   let targets =
     [
@@ -515,17 +633,11 @@ let test_incremental_matches_reference () =
         let query step pair =
           List.map
             (fun budget ->
-              let expected =
-                Reference.Incremental.embeds_with ?budget reference pair
-              in
-              let actual = Monomorph.Incremental.embeds_with ?budget inc pair in
-              Alcotest.check witness
-                (Printf.sprintf "%s seed %d step %d budget %s" name seed step
-                   (match budget with
-                   | None -> "unbounded"
-                   | Some b -> string_of_int b))
-                expected actual;
-              actual)
+              query_both
+                ~label:
+                  (Printf.sprintf "%s seed %d step %d budget %s" name seed step
+                     (budget_label budget))
+                ?budget inc reference pair)
             budgets
         in
         for step = 0 to 39 do

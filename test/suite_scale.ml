@@ -277,6 +277,76 @@ let test_root_cap_subsequence () =
   Alcotest.(check (list (array int)))
     "root_cap deterministic at any jobs" capped_seq capped_par
 
+(* A per-slot node budget cuts the capped enumeration at the first slot
+   that runs out: the result is a prefix of the unbudgeted capped list,
+   the same at any jobs, and a budget no slot reaches changes nothing. *)
+let test_root_cap_slot_budget () =
+  let pattern = Generators.path_graph 5 in
+  let target = Generators.petersen () in
+  let enumerate ?slot_budget jobs =
+    Monomorph.enumerate ~limit:1000 ~root_cap:4 ?slot_budget ~jobs ~pattern
+      ~target ()
+  in
+  let capped = enumerate 1 in
+  let rec is_prefix l full =
+    match (l, full) with
+    | [], _ -> true
+    | x :: l, y :: full -> x = y && is_prefix l full
+    | _ :: _, [] -> false
+  in
+  let cut = ref false in
+  List.iter
+    (fun slot_budget ->
+      let seq = enumerate ~slot_budget 1 in
+      let label what = Printf.sprintf "slot budget %d %s" slot_budget what in
+      Alcotest.(check bool) (label "is a prefix") true (is_prefix seq capped);
+      Alcotest.(check (list (array int)))
+        (label "deterministic at any jobs") seq
+        (enumerate ~slot_budget 3);
+      if List.length seq < List.length capped then cut := true)
+    [ 0; 1; 3; 7; 20; 1_000 ];
+  Alcotest.(check bool) "small budgets cut the list" true !cut;
+  Alcotest.(check (list (array int)))
+    "an unreached budget is the identity" capped
+    (enumerate ~slot_budget:1_000_000 1)
+
+(* The 16x16 circuit of seed 903 + 104729 once spent 100-130 s in a single
+   region enumeration: 45 active qubits on a 180-vertex region, each of
+   the 32 root slots searched to exhaustion, the largest for about 10^9
+   nodes.  The per-slot budget ends that search with what it found, so the
+   circuit places in a fraction of a second; the wall-clock bound is two
+   orders of magnitude loose and only catches the tail coming back.  The
+   oracle's work counters ride in the per-run registry. *)
+let test_enumeration_tail () =
+  let circuit =
+    Random_circuit.hidden_stages_custom
+      (Rng.create (903 + 104729))
+      ~n:256 ~stages:4 ~gates_per_stage:6400
+  in
+  let env = Environment.grid 16 16 in
+  let options = Options.scale ~threshold:50.0 in
+  let t0 = Unix.gettimeofday () in
+  let p = place_exn { options with Options.jobs = 0 } env circuit in
+  let wall = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "placed in %.2f s" wall)
+    true (wall < 30.0);
+  check_structure circuit p;
+  let p2 = place_exn { options with Options.jobs = 2 } env circuit in
+  Alcotest.(check (list (array int)))
+    "jobs-independent placements" (Placer.placements p) (Placer.placements p2);
+  let counter name =
+    match Qcp_obs.Metrics.find (Placer.metrics p) name with
+    | Some (Qcp_obs.Metrics.Counter n) -> n
+    | _ -> Alcotest.failf "%s missing from the run registry" name
+  in
+  Alcotest.(check bool)
+    "oracle nodes counted" true
+    (counter "placer.oracle_nodes" > 0);
+  Alcotest.(check bool)
+    "oracle cut-offs counted" true
+    (counter "placer.oracle_exhausted" > 0)
+
 let test_embeds_with_budget () =
   let target = Generators.petersen () in
   let inc = Monomorph.Incremental.create ~qubits:4 ~target in
@@ -545,6 +615,9 @@ let suite =
       test_windowed_witnesses_valid;
     Alcotest.test_case "grid scale structure" `Quick test_grid_scale_structure;
     Alcotest.test_case "root-cap subsequence" `Quick test_root_cap_subsequence;
+    Alcotest.test_case "root-cap slot budget" `Quick test_root_cap_slot_budget;
+    Alcotest.test_case "enumeration tail places in seconds" `Quick
+      test_enumeration_tail;
     Alcotest.test_case "embeds-with budget" `Quick test_embeds_with_budget;
     Alcotest.test_case "coarsen grid" `Quick test_coarsen_grid;
     Alcotest.test_case "spill matches windowed" `Quick

@@ -217,23 +217,48 @@ let test_parity_inactive_on_odd_targets () =
   Alcotest.(check bool) "odd cycles admitted" true (!admitted_odd > 0)
 
 (* Stage boundaries (gate counts), an MD5 of every stage's gate pairs and
-   witness, and the oracle-call count of [split_windowed ~window:64] on
-   seeded 8x8-grid hidden-stage circuits, as produced by the
-   mask-intersection search before odd-cycle refutation existed.  The
-   search rewrite walks the same tree and the refutation only skips
-   searches that would refuse, so nothing here may move. *)
-let split_goldens =
+   witness, and the oracle's work -- calls, search nodes and budget
+   cut-offs -- of [split_windowed ~window:64] on seeded hidden-stage
+   circuits, as produced by the mask-intersection search before odd-cycle
+   refutation existed.  Every later search rewrite walks the same tree and
+   the refutation only skips searches that would refuse, so nothing here
+   may move. *)
+type golden = {
+  seed : int;
+  sizes : int list;
+  digest : string;
+  calls : int;
+  nodes : int;
+  exhausted : int;
+}
+
+let g seed sizes digest calls nodes exhausted =
+  { seed; sizes; digest; calls; nodes; exhausted }
+
+(* 8x8 grid, 4 stages of 400 gates. *)
+let grid8_goldens =
   [
-    (0, [ 370; 208; 240; 390; 258; 134 ], "6b08ccebd3a0a73f5fcd81670baefcc4", 410);
-    (1, [ 335; 194; 285; 373; 260; 153 ], "d4275ba2f51b9811c238e67aa20a4e6a", 411);
-    (2, [ 381; 221; 214; 332; 152; 300 ], "80d996f472a0738573792dd90333ef26", 439);
-    (3, [ 404; 398; 405; 321; 72 ], "2640c6cdaf818ba55411459e812a7beb", 340);
-    (4, [ 251; 187; 369; 345; 169; 279 ], "e151ae4f47ed20e7b761bf9b62ec0fbd", 425);
-    (5, [ 279; 168; 324; 259; 195; 340; 35 ], "357ec0a718aec2ff9278bf41d718f984", 436);
-    (6, [ 294; 153; 349; 320; 169; 315 ], "d0806563b199cd8efc0a19b841486d30", 422);
-    (7, [ 327; 188; 303; 393; 358; 31 ], "06b5db23a67d7d7d2088c69a6340c7bb", 381);
-    (8, [ 145; 269; 353; 224; 226; 383 ], "c5aa0d0ab23d5d79ba63e8e878a6624a", 425);
-    (9, [ 333; 177; 298; 406; 296; 90 ], "fd045f0cf7d1d11ffa3b3a5c7df7eb44", 408);
+    g 9000 [ 370; 208; 240; 390; 258; 134 ] "6b08ccebd3a0a73f5fcd81670baefcc4" 410 356294 29;
+    g 9001 [ 335; 194; 285; 373; 260; 153 ] "d4275ba2f51b9811c238e67aa20a4e6a" 411 497216 35;
+    g 9002 [ 381; 221; 214; 332; 152; 300 ] "80d996f472a0738573792dd90333ef26" 439 348721 25;
+    g 9003 [ 404; 398; 405; 321; 72 ] "2640c6cdaf818ba55411459e812a7beb" 340 286852 25;
+    g 9004 [ 251; 187; 369; 345; 169; 279 ] "e151ae4f47ed20e7b761bf9b62ec0fbd" 425 346860 29;
+    g 9005 [ 279; 168; 324; 259; 195; 340; 35 ] "357ec0a718aec2ff9278bf41d718f984" 436 418266 34;
+    g 9006 [ 294; 153; 349; 320; 169; 315 ] "d0806563b199cd8efc0a19b841486d30" 422 377630 32;
+    g 9007 [ 327; 188; 303; 393; 358; 31 ] "06b5db23a67d7d7d2088c69a6340c7bb" 381 375073 24;
+    g 9008 [ 145; 269; 353; 224; 226; 383 ] "c5aa0d0ab23d5d79ba63e8e878a6624a" 425 418847 35;
+    g 9009 [ 333; 177; 298; 406; 296; 90 ] "fd045f0cf7d1d11ffa3b3a5c7df7eb44" 408 350886 30;
+  ]
+
+(* 16x16 grid, 4 stages of 6,400 gates: the scale-grid benchmark's pool
+   circuits 0 and 1 (seeds 4242 and 4242 + 104729), whose near-spanning
+   stage patterns are where the oracle spends its time. *)
+let grid16_goldens =
+  [
+    g 4242 [ 2236; 4199; 1263; 5104; 3718; 2747; 1367; 4966 ]
+      "13d4be16e808ba7a682e2f0b90f2c94e" 2168 2264998 185;
+    g (4242 + 104729) [ 2772; 3655; 1105; 5274; 1004; 5195; 1106; 5408; 81 ]
+      "d66d50bd6eaddc233d20fc8b42994e47" 2198 2769027 190;
   ]
 
 let stage_signature (sub, witness) =
@@ -243,32 +268,34 @@ let stage_signature (sub, witness) =
   ^ "|"
   ^ match witness with None -> "-" | Some w -> ints (Array.to_list w)
 
+let check_split_golden ~side ~gates_per_stage golden =
+  let adjacency = Gen.grid side side in
+  let circuit =
+    Qcp_circuit.Random_circuit.hidden_stages_custom (Rng.create golden.seed)
+      ~n:(side * side) ~stages:4 ~gates_per_stage
+  in
+  let counters = Workspace.counters () in
+  match Workspace.split_windowed ~counters ~window:64 ~adjacency circuit with
+  | Error msg -> Alcotest.failf "seed %d: %s" golden.seed msg
+  | Ok stages ->
+    let label what = Printf.sprintf "%dx%d seed %d %s" side side golden.seed what in
+    Alcotest.(check (list int))
+      (label "stage sizes") golden.sizes
+      (List.map (fun (s, _) -> Circuit.gate_count s) stages);
+    Alcotest.(check string)
+      (label "gates and witnesses") golden.digest
+      (Digest.to_hex
+         (Digest.string (String.concat "\n" (List.map stage_signature stages))));
+    Alcotest.(check int) (label "oracle calls") golden.calls counters.Workspace.calls;
+    Alcotest.(check int) (label "oracle nodes") golden.nodes counters.Workspace.nodes;
+    Alcotest.(check int)
+      (label "oracle cut-offs") golden.exhausted counters.Workspace.exhausted
+
 let test_windowed_split_golden () =
-  let adjacency = Gen.grid 8 8 in
-  List.iter
-    (fun (seed, sizes, digest, calls) ->
-      let circuit =
-        Qcp_circuit.Random_circuit.hidden_stages_custom
-          (Rng.create (9000 + seed))
-          ~n:64 ~stages:4 ~gates_per_stage:400
-      in
-      let oracle_calls = ref 0 in
-      match
-        Workspace.split_windowed ~oracle_calls ~window:64 ~adjacency circuit
-      with
-      | Error msg -> Alcotest.failf "seed %d: %s" seed msg
-      | Ok stages ->
-        let label what = Printf.sprintf "seed %d %s" seed what in
-        Alcotest.(check (list int))
-          (label "stage sizes") sizes
-          (List.map (fun (s, _) -> Circuit.gate_count s) stages);
-        Alcotest.(check string)
-          (label "gates and witnesses") digest
-          (Digest.to_hex
-             (Digest.string
-                (String.concat "\n" (List.map stage_signature stages))));
-        Alcotest.(check int) (label "oracle calls") calls !oracle_calls)
-    split_goldens
+  List.iter (check_split_golden ~side:8 ~gates_per_stage:400) grid8_goldens
+
+let test_windowed_split_golden_16x16 () =
+  List.iter (check_split_golden ~side:16 ~gates_per_stage:6400) grid16_goldens
 
 let suite =
   [
@@ -292,4 +319,6 @@ let suite =
       test_parity_inactive_on_odd_targets;
     Alcotest.test_case "windowed split matches golden stages" `Quick
       test_windowed_split_golden;
+    Alcotest.test_case "windowed split matches 16x16 golden stages" `Quick
+      test_windowed_split_golden_16x16;
   ]
