@@ -83,12 +83,11 @@ let micro_tests () =
     Qcp.Workspace.split_windowed ~window:1 ~adjacency:bonds phaseest
   in
   (* The scoring engine itself: one full placement of the Table 3 workload
-     with memoization on (default) vs off, isolating the cache's effect. *)
-  let score_kernel ~cache () =
-    let options =
-      { (Qcp.Options.default ~threshold:100.0) with Qcp.Options.score_cache = cache }
-    in
-    match Qcp.Placer.place options crotonic phaseest with
+     with the default engine (memoized, incumbent-pruned). *)
+  let score_kernel () =
+    match
+      Qcp.Placer.place (Qcp.Options.default ~threshold:100.0) crotonic phaseest
+    with
     | Qcp.Placer.Placed p -> Qcp.Placer.runtime p
     | Qcp.Placer.Unplaceable _ -> nan
   in
@@ -217,10 +216,7 @@ let micro_tests () =
         (Staged.stage monomorph_dense_kernel);
       Test.make ~name:"kernel/workspace-split" (Staged.stage split_kernel);
       Test.make ~name:"npc/petersen-branch-bound" (Staged.stage npc_kernel);
-      Test.make ~name:"kernel/score-candidate-cached"
-        (Staged.stage (score_kernel ~cache:true));
-      Test.make ~name:"kernel/score-candidate-uncached"
-        (Staged.stage (score_kernel ~cache:false));
+      Test.make ~name:"kernel/score-candidate-cached" (Staged.stage score_kernel);
       Test.make ~name:"kernel/lookahead-pruned" (Staged.stage lookahead_kernel);
       Test.make ~name:"kernel/fine-tune" (Staged.stage fine_tune_kernel);
       Test.make ~name:"kernel/pool-overhead" (Staged.stage pool_overhead_kernel);

@@ -101,18 +101,21 @@ let threshold_arg =
           "Fast-interaction Threshold in 1/10000 s units; defaults to the \
            smallest value connecting the environment.")
 
-let window_conv =
+(* Integer options are range-checked here, as the serve protocol checks
+   them: [-k 0] is an input error, not an instance without monomorphisms. *)
+let int_at_least low =
   let parse s =
     match int_of_string_opt s with
-    | Some w when w >= 1 -> Ok w
-    | Some _ | None -> Error (`Msg "the window must be an integer of at least 1")
+    | Some v when v >= low -> Ok v
+    | Some _ | None ->
+      Error (`Msg (Printf.sprintf "expected an integer of at least %d" low))
   in
   Arg.conv (parse, Format.pp_print_int)
 
 let options_term =
   let make threshold no_lookahead fine_tune no_override router no_cap
-      sequential limit commute balance no_cache no_bounded window coarsen
-      root_cap spill vcycle jobs portfolio deadline strategies learn env =
+      sequential limit commute balance window coarsen root_cap spill vcycle
+      jobs portfolio deadline strategies learn env =
     let threshold =
       match threshold with
       | Some th -> th
@@ -131,8 +134,6 @@ let options_term =
       monomorphism_limit = limit;
       commute_prepass = commute;
       balance_boundaries = balance;
-      score_cache = not no_cache;
-      bounded_search = not no_bounded;
       window;
       coarsen;
       root_cap;
@@ -154,7 +155,7 @@ let options_term =
     const make $ threshold_arg
     $ Arg.(value & flag & info [ "no-lookahead" ] ~doc:"Disable depth-2 lookahead.")
     $ Arg.(
-        value & opt int 3
+        value & opt (int_at_least 0) 3
         & info [ "fine-tune" ] ~docv:"PASSES" ~doc:"Hill-climbing passes (0 disables).")
     $ Arg.(value & flag & info [ "no-leaf-override" ] ~doc:"Disable the leaf-target heuristic.")
     $ Arg.(
@@ -171,7 +172,7 @@ let options_term =
     $ Arg.(value & flag & info [ "no-reuse-cap" ] ~doc:"Disable the 3-uses interaction cap.")
     $ Arg.(value & flag & info [ "sequential" ] ~doc:"Sequential-levels timing model.")
     $ Arg.(
-        value & opt int 100
+        value & opt (int_at_least 1) 100
         & info [ "k"; "monomorphisms" ] ~docv:"K" ~doc:"Monomorphism enumeration limit.")
     $ Arg.(
         value & flag
@@ -182,21 +183,7 @@ let options_term =
         & info [ "balance" ]
             ~doc:"Refine subcircuit boundaries against swap-stage costs.")
     $ Arg.(
-        value & flag
-        & info [ "no-score-cache" ]
-            ~doc:
-              "Disable scoring memoization (routed networks, router \
-               structure, monomorphism sets).  Placements are identical \
-               either way; this only exists for benchmarking.")
-    $ Arg.(
-        value & flag
-        & info [ "no-bounded-search" ]
-            ~doc:
-              "Disable incumbent pruning of candidate evaluations (timing \
-               cutoffs and lookahead lower-bound skips).  Placements are \
-               identical either way; this only exists for benchmarking.")
-    $ Arg.(
-        value & opt window_conv 1
+        value & opt (int_at_least 1) 1
         & info [ "window" ] ~docv:"GATES"
             ~doc:
               "Deferral window of subcircuit formation: a gate that would \
@@ -214,7 +201,7 @@ let options_term =
                through a heavy-edge-matching hierarchy and fine-tune \
                locally.")
     $ Arg.(
-        value & opt (some int) None
+        value & opt (some (int_at_least 1)) None
         & info [ "root-cap" ] ~docv:"N"
             ~doc:
               "Cap the first-vertex candidate set of each monomorphism \
@@ -233,7 +220,7 @@ let options_term =
                without spilling ($(b,--balance) and $(b,--vcycle) are \
                skipped).")
     $ Arg.(
-        value & opt int 0
+        value & opt (int_at_least 0) 0
         & info [ "vcycle" ] ~docv:"PASSES"
             ~doc:
               "Run this many V-cycle refinement passes after placement: \

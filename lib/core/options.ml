@@ -13,8 +13,6 @@ type t = {
   model : Qcp_circuit.Timing.model;
   commute_prepass : bool;
   balance_boundaries : bool;
-  score_cache : bool;
-  bounded_search : bool;
   window : int;
   coarsen : bool;
   root_cap : int option;
@@ -41,8 +39,6 @@ let default ~threshold =
     model = Qcp_circuit.Timing.Asap;
     commute_prepass = false;
     balance_boundaries = false;
-    score_cache = true;
-    bounded_search = true;
     window = 1;
     coarsen = false;
     root_cap = None;
@@ -84,8 +80,6 @@ let canonical t =
     | Qcp_circuit.Timing.Sequential -> "sequential");
   flag "commute" t.commute_prepass;
   flag "balance" t.balance_boundaries;
-  flag "score_cache" t.score_cache;
-  flag "bounded" t.bounded_search;
   field "window" (string_of_int t.window);
   flag "coarsen" t.coarsen;
   field "root_cap"
@@ -110,28 +104,10 @@ let canonical t =
 
 let fast ~threshold =
   {
-    threshold;
+    (default ~threshold) with
     monomorphism_limit = 8;
     lookahead = false;
     fine_tune_passes = 0;
-    leaf_override = true;
-    router = Bisect;
-    reuse_cap = Some 3.0;
-    model = Qcp_circuit.Timing.Asap;
-    commute_prepass = false;
-    balance_boundaries = false;
-    score_cache = true;
-    bounded_search = true;
-    window = 1;
-    coarsen = false;
-    root_cap = None;
-    spill = No_spill;
-    vcycle = 0;
-    jobs = Qcp_util.Task_pool.env_jobs ();
-    portfolio = false;
-    deadline = None;
-    portfolio_strategies = all_strategies;
-    portfolio_learn = false;
   }
 
 let scale ~threshold =

@@ -46,25 +46,6 @@ type t = {
           and the depth of the following swapping stage; right now, our
           method is greedy").  Runs only on the greedy split ([window =
           1]) of a run that does not spill.  Off by default. *)
-  score_cache : bool;
-      (** Memoize routed SWAP networks, the router's bisection structure and
-          per-subcircuit interaction graphs / monomorphism enumerations
-          across candidate scorings ({!Score_cache}).  Placement output is
-          bit-identical either way; disabling only exists for benchmarking
-          and debugging.  On by default. *)
-  bounded_search : bool;
-      (** Prune candidate evaluations against the best score found so far
-          (the incumbent): timing sweeps abort as soon as any physical
-          clock strictly exceeds it — sound because the ASAP recurrence is
-          monotone (the makespan is the max of nondecreasing clocks) — and
-          the depth-2 lookahead evaluates candidates in ascending order of
-          their stage-1 makespan (an admissible lower bound on the
-          two-stage score), skipping candidates whose bound already
-          exceeds the incumbent.  Placement output is bit-identical either
-          way: aborted evaluations are provably worse than the incumbent
-          and ties still resolve to the earliest candidate.  On by
-          default (CLI [--no-bounded-search] disables, for benchmarking
-          and debugging). *)
   window : int;
       (** Deferral window of subcircuit formation
           ({!Workspace.fold_windowed}): gates stream out of the dependency
@@ -165,8 +146,8 @@ val default : threshold:float -> t
     timing. *)
 
 val fast : threshold:float -> t
-(** Cheap settings for large instances (Table 4 scale): greedy scoring,
-    [monomorphism_limit = 8], one fine-tuning pass disabled. *)
+(** Cheap settings for large instances (Table 4 scale): [default] with
+    greedy scoring, [monomorphism_limit = 8] and fine tuning off. *)
 
 val scale : threshold:float -> t
 (** [fast] plus the scale-wall machinery for 1000-qubit environments:

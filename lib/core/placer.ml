@@ -243,7 +243,15 @@ type ctx = {
          grow the heap with gate count — exactly what spill mode promises
          not to do.  Pure memoization either way: placements are
          unaffected. *)
+  c_reference : bool;
+      (* Set for {!place_reference}: every cutoff is read as [infinity]
+         ({!cutoff_of}), so no sweep prunes, skips or exits early and each
+         argmin scores every candidate in full. *)
 }
+
+(* The cutoff a bounded evaluation actually applies: [infinity] in the
+   exhaustive reference run. *)
+let cutoff_of ctx cutoff = if ctx.c_reference then infinity else cutoff
 
 (* The "per-run" registry is cached per domain and zeroed at the start of
    every [place]: registry construction and handle interning cost more
@@ -484,10 +492,10 @@ let score_candidate ctx ~phys_start ~prev ~subcircuit placement =
 
 (* Same recurrence as {!score_candidate} restricted to the makespan, run
    through reusable clock buffers so the argmin sweeps allocate nothing per
-   evaluation.  Under [Options.bounded_search] a finite [cutoff] is threaded
-   into the timing sweeps, which abort -- returning [infinity] here -- as
-   soon as any physical clock strictly exceeds it (sound because the ASAP
-   clocks are monotone nondecreasing; see {!Timing.stage_advance}).
+   evaluation.  A finite [cutoff] is threaded into the timing sweeps,
+   which abort -- returning [infinity] here -- as soon as any physical
+   clock strictly exceeds it (sound because the ASAP clocks are monotone
+   nondecreasing; see {!Timing.stage_advance}).
 
    When the candidate needs a (non-identity) connecting SWAP stage, a
    bounded evaluation first times the subcircuit *alone* under the cutoff,
@@ -509,7 +517,8 @@ let score_makespan ?(cutoff = infinity) ?(prebound = true) ctx ~scratch
   let model = ctx.c_options.Options.model in
   let reuse_cap = ctx.c_options.Options.reuse_cap in
   let place q = placement.(q) in
-  let bounded = ctx.c_options.Options.bounded_search && cutoff < infinity in
+  let cutoff = cutoff_of ctx cutoff in
+  let bounded = cutoff < infinity in
   let copt = if bounded then Some cutoff else None in
   let advance ?cutoff ~place circuit =
     Timing.stage_advance ~model ?reuse_cap ?cutoff ~weights:ctx.c_weights
@@ -587,7 +596,7 @@ let domain_scratch = Domain.DLS.new_key Timing.make_scratch
    evaluations across [Options.jobs] domains of the shared
    {!Qcp_util.Task_pool}.  Each slot writes only its own cell, so the
    result array is schedule-independent up to the monotonicity argument in
-   {!candidate_scores}. *)
+   {!lower_bound_first}. *)
 let sweep_scores ctx total eval =
   let jobs = Int.min ctx.c_options.Options.jobs total in
   let out = Array.make total infinity in
@@ -610,45 +619,52 @@ let sweep_scores ctx total eval =
   end;
   out
 
-(* Score every candidate.  Under [Options.bounded_search] the evaluations
-   share an incumbent (seeded with [cutoff]): each candidate runs with the
-   incumbent at its start time as timing cutoff, so losing evaluations
-   abort after a fraction of the sweep and report [infinity].  An aborted
-   score is strictly above some incumbent value, every incumbent value is
-   at least the sweep's true minimum, and any candidate *tying* the
-   minimum completes exactly (its clocks never exceed any incumbent) -- so
-   the argmin over the array, with its earliest-index tie-break, matches
-   the exhaustive sweep regardless of domain scheduling. *)
-let candidate_scores ?(cutoff = infinity) ctx score arr =
-  let total = Array.length arr in
-  if not ctx.c_options.Options.bounded_search then
-    sweep_scores ctx total (fun scratch i ->
-        score scratch ~cutoff:infinity arr.(i))
-  else begin
-    let incumbent = Incumbent.make cutoff in
-    sweep_scores ctx total (fun scratch i ->
-        let s = score scratch ~cutoff:(Incumbent.get incumbent) arr.(i) in
-        if s = infinity then Telemetry.incr ctx.c_pruned
-        else Incumbent.submit incumbent s;
-        s)
-  end
-
-(* Earliest strict minimum -- the same tie-breaking as [Listx.min_by].
-   Picks return the winner alongside its stage finish clocks when the sweep
-   already computed them exactly (so the pipeline can skip re-timing the
-   winner); [None] clocks mean the caller must replay.  The third component
-   is the winner's score under the sweep's cutoff: [infinity] means every
-   candidate pruned, so the "winner" is only the arbitrary earliest index
-   and the caller must widen the cutoff before trusting it. *)
-let pick_best ?cutoff ctx score candidates =
-  match candidates with
-  | [] -> None
-  | _ ->
-    let arr = Array.of_list candidates in
-    let scores = candidate_scores ?cutoff ctx score arr in
-    let best = ref 0 in
-    Array.iteri (fun i s -> if s < scores.(!best) then best := i) scores;
-    Some (arr.(!best), None, scores.(!best))
+(* The one candidate argmin, lower bound first.  [bounds.(i)] is an
+   admissible lower bound on candidate [i]'s score.  Candidates are
+   evaluated in ascending order of it (original index breaking ties); one
+   whose bound already exceeds the incumbent (seeded with [cutoff]) is
+   skipped outright, and survivors run [exact scratch ~cutoff i] under the
+   incumbent as cutoff, which must return the exact score when it is at
+   most that cutoff and [infinity] otherwise.  A skipped or aborted score
+   is strictly above some incumbent value, every incumbent value is at
+   least the true minimum, and every candidate tying the minimum is
+   evaluated exactly (its bound and clocks never exceed the incumbent) --
+   so the earliest-index argmin over the score array, the same tie-break
+   as [Listx.min_by], is the exhaustive sweep's whatever the domain
+   schedule.  Returns the winner's index and its score under the sweep's
+   cutoff: [infinity] means every candidate pruned, so the "winner" is only
+   the arbitrary earliest index and the caller must widen the cutoff
+   before trusting it. *)
+let lower_bound_first ~cutoff ctx ~bounds ~exact =
+  let total = Array.length bounds in
+  let order = Array.init total Fun.id in
+  Array.sort
+    (fun a b ->
+      match Float.compare bounds.(a) bounds.(b) with
+      | 0 -> Int.compare a b
+      | c -> c)
+    order;
+  let scores = Array.make total infinity in
+  let incumbent = Incumbent.make cutoff in
+  let eval scratch k =
+    let i = order.(k) in
+    let limit = cutoff_of ctx (Incumbent.get incumbent) in
+    let s =
+      if bounds.(i) > limit then begin
+        Telemetry.incr ctx.c_bound_skips;
+        infinity
+      end
+      else exact scratch ~cutoff:limit i
+    in
+    if s = infinity then Telemetry.incr ctx.c_pruned
+    else Incumbent.submit incumbent s;
+    scores.(i) <- s;
+    s
+  in
+  ignore (sweep_scores ctx total eval : float array);
+  let best = ref 0 in
+  Array.iteri (fun i s -> if s < scores.(!best) then best := i) scores;
+  (!best, scores.(!best))
 
 (* ------------------------------------------------------------------ *)
 (* Hierarchical coarsen-place-refine                                   *)
@@ -856,73 +872,42 @@ let enumerate_candidates ?hint ctx ~prev ~subcircuit =
   in
   List.map (complete_placement ctx ~prev ~subcircuit) mappings
 
-(* Best single-stage candidate by makespan.  Bounded and routing needed
-   (some previous placement exists): lower-bound-first search, mirroring
-   {!pick_lookahead} -- every candidate's {!candidate_bound} (no routing)
-   is computed first, candidates are evaluated in ascending order of that
-   bound, one whose bound exceeds the incumbent is skipped before the
-   router ever runs, and survivors evaluate under the incumbent as timing
-   cutoff.  Every candidate tying the true minimum is evaluated exactly
-   (its bound and clocks never exceed the incumbent), so the earliest-index
-   argmin -- hence the placement -- matches the exhaustive sweep. *)
-let pick_greedy ?(cutoff = infinity) ctx ~phys_start ~prev ~subcircuit
-    candidates =
-  if not (ctx.c_options.Options.bounded_search && prev <> None) then
-    pick_best ~cutoff ctx
-      (fun scratch ~cutoff placement ->
-        score_makespan ~cutoff ctx ~scratch ~phys_start ~prev ~subcircuit
-          placement)
-      candidates
-  else
-    match candidates with
-    | [] -> None
-    | _ ->
-      let arr = Array.of_list candidates in
-      let total = Array.length arr in
-      let bounds =
+(* Best single-stage candidate by makespan, through {!lower_bound_first}.
+   Picks return the winner, its stage finish clocks when the sweep already
+   computed them exactly (so the pipeline can skip re-timing the winner;
+   [None] means replay) and its score.  With a previous placement the
+   bound is {!candidate_bound}, so a candidate is skipped before the router
+   ever runs; the first stage routes nothing and has no bound cheaper than
+   its score, so there every candidate evaluates under the incumbent. *)
+let pick_greedy ~cutoff ctx ~phys_start ~prev ~subcircuit candidates =
+  match candidates with
+  | [] -> None
+  | _ ->
+    let arr = Array.of_list candidates in
+    let total = Array.length arr in
+    let bounds =
+      match prev with
+      | None -> Array.make total neg_infinity
+      | Some _ ->
         sweep_scores ctx total (fun scratch i ->
             candidate_bound ctx ~scratch ~phys_start ~prev ~subcircuit arr.(i))
-      in
-      let order = Array.init total (fun i -> i) in
-      Array.sort
-        (fun a b ->
-          match Float.compare bounds.(a) bounds.(b) with
-          | 0 -> Int.compare a b
-          | c -> c)
-        order;
-      let scores = Array.make total infinity in
-      let clocks = Array.make total [||] in
-      let incumbent = Incumbent.make cutoff in
-      let eval scratch k =
-        let i = order.(k) in
-        let limit = Incumbent.get incumbent in
-        let s =
-          if bounds.(i) > limit then begin
-            Telemetry.incr ctx.c_bound_skips;
-            infinity
-          end
-          else
-            score_makespan ~cutoff:limit ~prebound:false ctx ~scratch
-              ~phys_start ~prev ~subcircuit arr.(i)
-        in
-        if s = infinity then Telemetry.incr ctx.c_pruned
-        else begin
-          Incumbent.submit incumbent s;
+    in
+    let clocks = Array.make total [||] in
+    let best, score =
+      lower_bound_first ~cutoff ctx ~bounds ~exact:(fun scratch ~cutoff i ->
+          let s =
+            score_makespan ~cutoff ~prebound:false ctx ~scratch ~phys_start
+              ~prev ~subcircuit arr.(i)
+          in
           (* A completed sweep leaves the exact finish clocks loaded
-             (bit-identical to the unbounded replay); keep the winner's so
-             the pipeline need not re-time it. *)
-          clocks.(i) <- Timing.stage_clocks scratch
-        end;
-        scores.(i) <- s;
-        s
-      in
-      ignore (sweep_scores ctx total eval : float array);
-      let best = ref 0 in
-      Array.iteri (fun i s -> if s < scores.(!best) then best := i) scores;
-      let finish =
-        if Array.length clocks.(!best) = 0 then None else Some clocks.(!best)
-      in
-      Some (arr.(!best), finish, scores.(!best))
+             (bit-identical to a fresh replay). *)
+          if s < infinity then clocks.(i) <- Timing.stage_clocks scratch;
+          s)
+    in
+    let finish =
+      if Array.length clocks.(best) = 0 then None else Some clocks.(best)
+    in
+    Some (arr.(best), finish, score)
 
 (* The next-stage half of a depth-2 lookahead score, starting from the
    current candidate's stage-1 [finish] clocks: the best completion of the
@@ -971,76 +956,34 @@ let deep_score ?(cutoff = infinity) ctx ~scratch ~phys_start ~prev ~subcircuit
     deep_tail ctx ~scratch ~cutoff ~finish ~stage1 ~placement ~next_subcircuit
       ~next_mappings
 
-(* Depth-2 lookahead selection.  Unbounded: exhaustively deep-score every
-   candidate.  Bounded (lower-bound-first search): because the clocks are
-   monotone, a candidate's stage-1 makespan is an admissible lower bound on
-   its two-stage score, so stage-1 makespans are computed exactly for every
-   candidate first (they also yield the stage-1 finish clocks, reused
-   below), candidates are then deep-scored in ascending order of that bound
-   (original index breaking ties), a candidate whose bound already exceeds
-   the incumbent is skipped outright, and survivors' next-stage completions
-   run under the incumbent as cutoff.  The final argmin is taken over the
-   full score array in original candidate order: every candidate tying the
-   true minimum is evaluated exactly (its bound never exceeds the incumbent
-   and its clocks never exceed the cutoff), so the earliest-index tie-break
-   -- and hence the placement -- is bit-identical to the exhaustive
-   sweep. *)
-let pick_lookahead ?(cutoff = infinity) ctx ~phys_start ~prev ~subcircuit
-    ~next_subcircuit ~next_mappings candidates =
-  if not ctx.c_options.Options.bounded_search then
-    pick_best ctx
-      (fun scratch ~cutoff:_ placement ->
-        deep_score ctx ~scratch ~phys_start ~prev ~subcircuit ~next_subcircuit
-          ~next_mappings placement)
-      candidates
-  else
-    match candidates with
-    | [] -> None
-    | _ ->
-      let arr = Array.of_list candidates in
-      let total = Array.length arr in
-      let clocks = Array.make total [||] in
-      let bounds =
-        sweep_scores ctx total (fun scratch i ->
-            let b =
-              score_makespan ctx ~scratch ~phys_start ~prev ~subcircuit arr.(i)
-            in
-            clocks.(i) <- Timing.stage_clocks scratch;
-            b)
-      in
-      let order = Array.init total (fun i -> i) in
-      Array.sort
-        (fun a b ->
-          match Float.compare bounds.(a) bounds.(b) with
-          | 0 -> Int.compare a b
-          | c -> c)
-        order;
-      let scores = Array.make total infinity in
-      let incumbent = Incumbent.make cutoff in
-      let eval scratch k =
-        let i = order.(k) in
-        let limit = Incumbent.get incumbent in
-        let s =
-          if bounds.(i) > limit then begin
-            Telemetry.incr ctx.c_bound_skips;
-            infinity
-          end
-          else
-            deep_tail ctx ~scratch ~cutoff:limit ~finish:clocks.(i)
-              ~stage1:bounds.(i) ~placement:arr.(i) ~next_subcircuit
-              ~next_mappings
-        in
-        if s = infinity then Telemetry.incr ctx.c_pruned
-        else Incumbent.submit incumbent s;
-        scores.(i) <- s;
-        s
-      in
-      ignore (sweep_scores ctx total eval : float array);
-      let best = ref 0 in
-      Array.iteri (fun i s -> if s < scores.(!best) then best := i) scores;
-      (* The bound phase timed every candidate's own stage exactly, so the
-         winner's finish clocks are already in hand. *)
-      Some (arr.(!best), Some clocks.(!best), scores.(!best))
+(* Depth-2 lookahead selection through {!lower_bound_first}: the clocks
+   are monotone, so a candidate's stage-1 makespan is an admissible lower
+   bound on its two-stage score.  Stage-1 makespans are computed exactly
+   for every candidate first (they also yield the stage-1 finish clocks,
+   reused by the next-stage completions and returned for the winner), and
+   survivors' completions run under the incumbent as cutoff. *)
+let pick_lookahead ~cutoff ctx ~phys_start ~prev ~subcircuit ~next_subcircuit
+    ~next_mappings candidates =
+  match candidates with
+  | [] -> None
+  | _ ->
+    let arr = Array.of_list candidates in
+    let total = Array.length arr in
+    let clocks = Array.make total [||] in
+    let bounds =
+      sweep_scores ctx total (fun scratch i ->
+          let b =
+            score_makespan ctx ~scratch ~phys_start ~prev ~subcircuit arr.(i)
+          in
+          clocks.(i) <- Timing.stage_clocks scratch;
+          b)
+    in
+    let best, score =
+      lower_bound_first ~cutoff ctx ~bounds ~exact:(fun scratch ~cutoff i ->
+          deep_tail ctx ~scratch ~cutoff ~finish:clocks.(i) ~stage1:bounds.(i)
+            ~placement:arr.(i) ~next_subcircuit ~next_mappings)
+    in
+    Some (arr.(best), Some clocks.(best), score)
 
 (* Failure messages with load-bearing identity: {!Strategy} classifies a
    pipeline abort as Expired/Pruned (rather than Infeasible) by matching
@@ -1164,7 +1107,7 @@ let place_one ?(cutoff = infinity) ctx ~phys_start ~prev ~hint ~subcircuit
                   Array.fold_left Float.max 0.0 finish )
               | _ -> score_candidate ctx ~phys_start ~prev ~subcircuit tuned))
     in
-    if options.Options.bounded_search && makespan > cutoff then
+    if makespan > cutoff_of ctx cutoff then
       raise (Pipeline_failure "makespan exceeds the evaluation cutoff");
     (* Exact stage re-time above a peer's *achieved* runtime: clocks
        are monotone across stages, so this pipeline's final makespan
@@ -1616,7 +1559,7 @@ let finalize_metrics ctx =
   if Telemetry.enabled () then Telemetry.merge_into t ~into:Telemetry.global;
   (stats, snapshot)
 
-let place ?(deadline = infinity) ?shared ?spill options env circuit =
+let run ~reference ?(deadline = infinity) ?shared ?spill options env circuit =
   Qcp_obs.Trace.with_span ~cat:"placer" "placer/place" @@ fun () ->
   let circuit =
     if options.Options.commute_prepass then
@@ -1656,9 +1599,8 @@ let place ?(deadline = infinity) ?shared ?spill options env circuit =
           c_deadline = deadline;
           c_peer_pruned = rm.rm_peer_pruned;
           c_stream_mode = false;
-          c_cache =
-            Score_cache.create ~enabled:options.Options.score_cache
-              ~register:m ();
+          c_reference = reference;
+          c_cache = Score_cache.create ~enabled:(not reference) ~register:m ();
           c_scratch = Timing.make_scratch ();
           c_scoring_time = ref 0.0;
           c_dist = lazy (bfs_table adjacency);
@@ -1732,6 +1674,12 @@ let place ?(deadline = infinity) ?shared ?spill options env circuit =
               else stage_list
             in
             placed stage_list None)))
+
+let place ?deadline ?shared ?spill options env circuit =
+  run ~reference:false ?deadline ?shared ?spill options env circuit
+
+let place_reference options env circuit =
+  run ~reference:true options env circuit
 
 (* Jobs run as pool tasks, so their internal parallel layers (scoring
    sweeps, enumeration, subtree routing) serialize via the pool's nested-use

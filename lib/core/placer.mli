@@ -70,18 +70,19 @@ type stats = {
       (** Monomorphism enumeration batches (one per candidate set). *)
   candidates_scored : int;
       (** Placement candidates evaluated through the timing model
-          (including evaluations aborted by the bounded-search cutoff). *)
+          (including evaluations aborted by the incumbent cutoff). *)
   candidates_pruned : int;
-      (** Candidate evaluations refuted before completing under
-          {!Options.t.bounded_search}: lower-bound skips plus evaluations
-          whose timing sweep aborted against the incumbent.  The pruned /
-          scored ratio measures how much of the exhaustive argmin the
-          bounds avoided.  Under parallel scoring the exact split is
-          schedule-dependent (the chosen placement is not). *)
+      (** Candidate evaluations refuted before completing: lower-bound
+          skips plus evaluations whose timing sweep aborted against the
+          incumbent.  The pruned / scored ratio measures how much of the
+          exhaustive argmin ({!place_reference}) the bounds avoided.
+          Under parallel scoring the exact split is schedule-dependent
+          (the chosen placement is not). *)
   lower_bound_skips : int;
-      (** Lookahead candidates skipped outright because their stage-1
-          makespan (an admissible lower bound on the two-stage score)
-          already exceeded the incumbent. *)
+      (** Candidates skipped outright because their routing-free lower
+          bound (the stage-1 makespan under lookahead, the
+          swap-displacement bound otherwise) already exceeded the
+          incumbent. *)
   timing_early_exits : int;
       (** Timing sweeps aborted mid-circuit by the incumbent cutoff
           (includes next-stage completions inside lookahead and fine-tune
@@ -89,13 +90,13 @@ type stats = {
   networks_routed : int;
       (** SWAP routing requests (including lookahead trials).  Counted per
           request, so the value matches the number of networks constructed
-          when the score cache is off; with the cache on,
+          when the score cache is off ({!place_reference});
           [route_cache_misses] is the number actually built. *)
   route_cache_hits : int;
       (** Routing requests answered from the {!Score_cache} route table. *)
   route_cache_misses : int;
       (** Routing requests that ran the router (equals [networks_routed]
-          when [Options.score_cache] is off). *)
+          under {!place_reference}, whose cache is off). *)
   scoring_seconds : float;
       (** Wall-clock seconds spent scoring candidates (routing + timing),
           across all domains' sweeps. *)
@@ -171,6 +172,16 @@ val place :
     completes returns a program bit-identical to the same call without
     [shared]; this function never publishes into the cell itself — the
     caller decides what counts as an achieved result. *)
+
+val place_reference :
+  Options.t -> Qcp_env.Environment.t -> Qcp_circuit.Circuit.t -> outcome
+(** The exhaustive test oracle for {!place}: the same pipeline with the
+    {!Score_cache} disabled and every incumbent cutoff, lower-bound skip
+    and timing early exit turned off, so each argmin scores every
+    candidate in full.  {!place}'s pruning is admissible and keeps the
+    earliest-index tie-break, so the two return bit-identical placements;
+    the property suites check exactly that.  Not for production use: it
+    does all the work the bounds exist to avoid. *)
 
 val msg_deadline : string
 (** [Unplaceable] payload of a deadline abort (exact-match classifier). *)

@@ -31,8 +31,8 @@ type route_entry = {
 val create : ?enabled:bool -> register:int -> unit -> t
 (** A fresh cache for one placement run over a [register]-vertex
     environment.  With [enabled = false] every lookup recomputes (and
-    counts a miss) — the configuration flag behind
-    [Options.score_cache = false]. *)
+    counts a miss) — the cache of the exhaustive test oracle
+    {!Placer.place_reference}. *)
 
 val route :
   t -> route:(Qcp_route.Perm.t -> Qcp_route.Swap_network.t) -> Qcp_route.Perm.t -> route_entry

@@ -118,6 +118,15 @@ let opt_member name json f ~default =
     | Some x -> Ok x
     | None -> Error (Printf.sprintf "field %S has the wrong type" name))
 
+(* Integer options are range-checked, never clamped: a clamped request
+   would get a cache key of its own for the clamped value's result. *)
+let below_range name low =
+  Printf.sprintf "option %S must be at least %d" name low
+
+let int_member name json ~low ~default =
+  let* v = opt_member name json Json.to_int ~default in
+  if v < low then Error (below_range name low) else Ok v
+
 (* Decode the "options" object onto {!Options.default}.  Unknown names are
    rejected (a typo silently falling back to a default would cache-key the
    request differently than the client intended), as are the two fields
@@ -127,9 +136,9 @@ let options_of_json env json =
   let known =
     [
       "threshold"; "monomorphisms"; "lookahead"; "fine_tune"; "leaf_override";
-      "router"; "reuse_cap"; "sequential"; "commute"; "balance"; "score_cache";
-      "bounded_search"; "window"; "coarsen"; "root_cap"; "vcycle"; "portfolio";
-      "deadline"; "strategies"; "learn";
+      "router"; "reuse_cap"; "sequential"; "commute"; "balance"; "window";
+      "coarsen"; "root_cap"; "vcycle"; "portfolio"; "deadline"; "strategies";
+      "learn";
     ]
   in
   let* fields =
@@ -155,15 +164,14 @@ let options_of_json env json =
   in
   let base = Options.default ~threshold in
   let* monomorphism_limit =
-    opt_member "monomorphisms" json Json.to_int
+    int_member "monomorphisms" json ~low:1
       ~default:base.Options.monomorphism_limit
   in
   let* lookahead =
     opt_member "lookahead" json Json.to_bool ~default:base.Options.lookahead
   in
   let* fine_tune_passes =
-    opt_member "fine_tune" json Json.to_int
-      ~default:base.Options.fine_tune_passes
+    int_member "fine_tune" json ~low:0 ~default:base.Options.fine_tune_passes
   in
   let* leaf_override =
     opt_member "leaf_override" json Json.to_bool
@@ -202,19 +210,7 @@ let options_of_json env json =
     opt_member "balance" json Json.to_bool
       ~default:base.Options.balance_boundaries
   in
-  let* score_cache =
-    opt_member "score_cache" json Json.to_bool ~default:base.Options.score_cache
-  in
-  let* bounded_search =
-    opt_member "bounded_search" json Json.to_bool
-      ~default:base.Options.bounded_search
-  in
-  let* window =
-    opt_member "window" json Json.to_int ~default:base.Options.window
-  in
-  let* () =
-    if window < 1 then Error "option \"window\" must be at least 1" else Ok ()
-  in
+  let* window = int_member "window" json ~low:1 ~default:base.Options.window in
   let* coarsen =
     opt_member "coarsen" json Json.to_bool ~default:base.Options.coarsen
   in
@@ -223,7 +219,12 @@ let options_of_json env json =
       (fun v -> Option.map Option.some (Json.to_int v))
       ~default:base.Options.root_cap
   in
-  let* vcycle = opt_member "vcycle" json Json.to_int ~default:base.Options.vcycle in
+  let* () =
+    match root_cap with
+    | Some cap when cap < 1 -> Error (below_range "root_cap" 1)
+    | Some _ | None -> Ok ()
+  in
+  let* vcycle = int_member "vcycle" json ~low:0 ~default:base.Options.vcycle in
   let* portfolio =
     opt_member "portfolio" json Json.to_bool ~default:base.Options.portfolio
   in
@@ -274,8 +275,6 @@ let options_of_json env json =
          else Qcp_circuit.Timing.Asap);
       commute_prepass;
       balance_boundaries;
-      score_cache;
-      bounded_search;
       window;
       coarsen;
       root_cap;

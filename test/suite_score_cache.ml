@@ -1,47 +1,24 @@
 (* Property tests for the incremental scoring engine (Score_cache + pool
-   fan-out + bounded search): memoization, parallel jobs and incumbent
-   pruning are pure performance features, so every placement decision --
-   the stage list, the end-to-end runtime, the swap counts -- must be
-   bit-identical with them on or off.  The same invariance is asserted for
-   the annealer's parallel restarts and for [Placer.place_batch]. *)
+   fan-out + incumbent pruning): memoization, parallel jobs and pruning are
+   pure performance features, so every placement decision -- the stage
+   list, the end-to-end runtime, the swap counts -- must be bit-identical to
+   the exhaustive oracle {!Placer.place_reference} (cache off, every
+   candidate scored in full).  The same invariance is asserted for the
+   annealer's parallel restarts and for [Placer.place_batch]. *)
 
 module Placer = Qcp.Placer
 module Options = Qcp.Options
 module Environment = Qcp_env.Environment
 
-(* The reference configuration disables everything: no cache, no parallel
-   jobs, no bounded search.  [jobs] is pinned to 0 explicitly so the sweep
-   is the same under any ambient QCP_JOBS (the CI runs it at 0 and 2). *)
-let reference_options options =
-  {
-    options with
-    Options.score_cache = false;
-    jobs = 0;
-    bounded_search = false;
-  }
+(* [jobs] is pinned explicitly so the sweep is the same under any ambient
+   QCP_JOBS (the CI runs it at 0 and 2).  The oracle runs sequentially. *)
+let reference options env circuit =
+  Placer.place_reference { options with Options.jobs = 0 } env circuit
 
-(* Every variant must produce a bit-identical placement.  Counter equality
-   is checked separately: bounded search legitimately reshapes the
-   search-effort counters (pruned evaluations skip routing requests and
-   abort balance trials early), and parallel pruning makes the exact split
-   schedule-dependent, so full counter equality only holds between
-   sequential variants with the same [bounded_search] setting. *)
 let variants options =
-  let base = reference_options options in
   [
-    ("unbounded-cache-on", { base with Options.score_cache = true });
-    ("bounded-cache-off", { base with Options.bounded_search = true });
-    ( "bounded-cache-on",
-      { base with Options.bounded_search = true; score_cache = true } );
-    ( "unbounded-jobs4",
-      { base with Options.score_cache = true; jobs = 4 } );
-    ( "bounded-jobs4",
-      {
-        base with
-        Options.bounded_search = true;
-        score_cache = true;
-        jobs = 4;
-      } );
+    ("jobs0", { options with Options.jobs = 0 });
+    ("jobs4", { options with Options.jobs = 4 });
   ]
 
 let check_identical ~seed reference (name, outcome) =
@@ -71,38 +48,48 @@ let check_identical ~seed reference (name, outcome) =
       sb.Placer.networks_routed
       (sb.Placer.route_cache_hits + sb.Placer.route_cache_misses)
 
-(* Scoring work is counted per request, so two sequential variants with the
-   same [bounded_search] setting agree on every search-effort counter; only
-   the cache hit/miss split may differ. *)
-let check_counters ~seed name_a a name_b b =
-  let tag what =
-    Printf.sprintf "seed %d, %s vs %s: %s" seed name_a name_b what
-  in
-  match (a, b) with
-  | Placer.Placed a, Placer.Placed b ->
-    let sa = a.Placer.stats and sb = b.Placer.stats in
-    Alcotest.(check int) (tag "oracle calls") sa.Placer.oracle_calls
-      sb.Placer.oracle_calls;
-    Alcotest.(check int) (tag "candidates scored") sa.Placer.candidates_scored
-      sb.Placer.candidates_scored;
-    Alcotest.(check int) (tag "candidates pruned") sa.Placer.candidates_pruned
-      sb.Placer.candidates_pruned;
-    Alcotest.(check int) (tag "lower-bound skips") sa.Placer.lower_bound_skips
-      sb.Placer.lower_bound_skips;
-    Alcotest.(check int) (tag "timing early exits")
-      sa.Placer.timing_early_exits sb.Placer.timing_early_exits;
-    Alcotest.(check int) (tag "routing requests") sa.Placer.networks_routed
-      sb.Placer.networks_routed
-  | Placer.Unplaceable _, Placer.Unplaceable _ -> ()
-  | _ -> Alcotest.fail (tag "placeability disagrees")
-
 let options_for ~seed threshold =
   (* Alternate option profiles so the sweep exercises lookahead + fine
-     tuning, the cheap greedy path and boundary balancing. *)
-  match seed mod 3 with
-  | 0 -> Options.fast ~threshold
-  | 1 -> Options.default ~threshold
-  | _ -> { (Options.default ~threshold) with Options.balance_boundaries = true }
+     tuning, the cheap greedy path and boundary balancing, and rotate the
+     router on a different period: the weighted bisection and odd-even
+     routes take the per-run route table (odd-even falls back to the
+     shared registry off chains), not only the shared one. *)
+  let profile =
+    match seed mod 3 with
+    | 0 -> Options.fast ~threshold
+    | 1 -> Options.default ~threshold
+    | _ ->
+      { (Options.default ~threshold) with Options.balance_boundaries = true }
+  in
+  let router =
+    match seed / 3 mod 3 with
+    | 0 -> Options.Bisect
+    | 1 -> Options.Bisect_weighted
+    | _ -> Options.Odd_even
+  in
+  { profile with Options.router }
+
+(* The oracle prunes nothing and never reads the cache. *)
+let check_exhaustive ~seed = function
+  | Placer.Placed p ->
+    let s = p.Placer.stats in
+    let tag what = Printf.sprintf "seed %d, reference: %s" seed what in
+    Alcotest.(check int) (tag "no pruning") 0 s.Placer.candidates_pruned;
+    Alcotest.(check int) (tag "no bound skips") 0 s.Placer.lower_bound_skips;
+    Alcotest.(check int) (tag "no early exits") 0 s.Placer.timing_early_exits;
+    Alcotest.(check int) (tag "no cache hits") 0 s.Placer.route_cache_hits
+  | Placer.Unplaceable _ -> ()
+
+(* Returns the variants' outcomes, in [variants] order. *)
+let check_against_reference ~seed options env circuit =
+  let expected = reference options env circuit in
+  check_exhaustive ~seed expected;
+  List.map
+    (fun (name, o) ->
+      let outcome = Placer.place o env circuit in
+      check_identical ~seed expected (name, outcome);
+      outcome)
+    (variants options)
 
 let test_engine_identical () =
   for seed = 1 to 50 do
@@ -111,40 +98,32 @@ let test_engine_identical () =
     let env = Qcp_env.Random_env.molecule rng ~n in
     let threshold = Qcp_env.Random_env.interesting_threshold rng env in
     let circuit, _ = Qcp_circuit.Random_circuit.hidden_stages rng ~n in
-    let options = options_for ~seed threshold in
-    let reference = Placer.place (reference_options options) env circuit in
-    let outcomes =
-      List.map
-        (fun (name, o) -> (name, Placer.place o env circuit))
-        (variants options)
+    ignore
+      (check_against_reference ~seed (options_for ~seed threshold) env circuit
+        : Placer.outcome list)
+  done;
+  (* The scale profile (windowed split, coarsened region enumeration,
+     capped roots) on grids above the hierarchy cutoff, small enough per
+     stage that the region path, not the full-graph fallback, picks. *)
+  for seed = 1 to 3 do
+    let rng = Qcp_util.Rng.create (500 + seed) in
+    let env = Environment.grid 8 8 in
+    let circuit =
+      Qcp_circuit.Random_circuit.hidden_stages_custom rng ~n:12 ~stages:3
+        ~gates_per_stage:30
     in
-    List.iter (check_identical ~seed reference) outcomes;
-    let outcome name = List.assoc name outcomes in
-    (* Memoization alone never changes the per-request counters... *)
-    check_counters ~seed "reference" reference "unbounded-cache-on"
-      (outcome "unbounded-cache-on");
-    (* ...and neither does memoization under bounded search. *)
-    check_counters ~seed "bounded-cache-off"
-      (outcome "bounded-cache-off")
-      "bounded-cache-on"
-      (outcome "bounded-cache-on");
-    (* The reference and unbounded variants never prune. *)
-    List.iter
-      (fun (name, o) ->
-        match o with
-        | Placer.Placed p ->
-          Alcotest.(check int)
-            (Printf.sprintf "seed %d, %s: no pruning when unbounded" seed name)
-            0 p.Placer.stats.Placer.candidates_pruned
-        | Placer.Unplaceable _ -> ())
-      (("reference", reference) :: [ ("unbounded-cache-on", outcome "unbounded-cache-on") ]);
-    (* The reference variant never touches the cache. *)
-    match reference with
-    | Placer.Placed p ->
-      Alcotest.(check int)
-        (Printf.sprintf "seed %d: cache-off has no hits" seed)
-        0 p.Placer.stats.Placer.route_cache_hits
-    | Placer.Unplaceable _ -> ()
+    match
+      check_against_reference ~seed:(500 + seed)
+        (Options.scale ~threshold:50.0)
+        env circuit
+    with
+    | Placer.Placed p :: _ ->
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: region path taken" (500 + seed))
+        true
+        (Qcp_obs.Metrics.find (Placer.metrics p) "placer.scale.region_size"
+        <> None)
+    | _ -> Alcotest.fail "scale grid instance unplaceable"
   done
 
 let test_cache_actually_hits () =
@@ -167,8 +146,8 @@ let test_cache_actually_hits () =
       (s.Placer.route_cache_hits + s.Placer.route_cache_misses)
 
 let test_bounded_actually_prunes () =
-  (* Same workload: with the defaults (bounded search on) a meaningful share
-     of candidate evaluations must be refuted before completing.  [jobs]
+  (* Same workload: a meaningful share of candidate evaluations must be
+     refuted before completing.  [jobs]
      pinned to 0: the exact pruned/early-exit counts are schedule-dependent
      under parallel sweeps. *)
   let env = Qcp_env.Molecules.trans_crotonic_acid in

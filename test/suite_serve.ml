@@ -362,33 +362,53 @@ let test_request_validation () =
   expect_error
     "{\"op\":\"place\",\"env\":\"chain:6\",\"circuit\":\"qft6\",\"options\":{\"typo\":1}}"
     "unknown option";
+  (* The memo and the pruning are not options: the only exhaustive mode
+     is the test oracle {!Qcp.Placer.place_reference}. *)
+  List.iter
+    (fun field ->
+      expect_error
+        (Printf.sprintf
+           "{\"op\":\"place\",\"env\":\"chain:6\",\"circuit\":\"qft6\",\"options\":{%S:false}}"
+           field)
+        (Printf.sprintf "unknown option %S" field))
+    [ "score_cache"; "bounded_search" ];
   expect_error "{\"op\":\"dance\"}" "unknown op";
   expect_error "not json" "bad JSON"
 
-(* A window below 1 is an error, not a silent clamp: a clamped request
-   would get a key of its own for the window-1 result. *)
+(* An integer option out of range is an error, not a silent clamp: a
+   clamped request would get a key of its own for the clamped result. *)
 let test_window_validation () =
   let eng = engine ~jobs:0 () in
-  let line window =
+  let line options =
     Printf.sprintf
       "{\"op\":\"place\",\"env\":\"chain:6\",\"circuit\":\"qft6\",\"options\":{%s}}"
-      (match window with
-      | None -> ""
-      | Some w -> Printf.sprintf "\"window\":%d" w)
+      options
   in
   List.iter
-    (fun w ->
-      match (Engine.parse_line eng (line (Some w))).Protocol.request with
-      | Error msg ->
-        Alcotest.(check bool)
-          (Printf.sprintf "window %d rejected by name" w)
-          true
-          (Helpers.contains ~needle:"window" msg)
-      | Ok _ -> Alcotest.failf "window %d: should be rejected" w)
-    [ 0; -3 ];
+    (fun (field, bad) ->
+      List.iter
+        (fun v ->
+          match
+            (Engine.parse_line eng (line (Printf.sprintf "%S:%d" field v)))
+              .Protocol.request
+          with
+          | Error msg ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s %d rejected by name" field v)
+              true
+              (Helpers.contains ~needle:field msg)
+          | Ok _ -> Alcotest.failf "%s %d: should be rejected" field v)
+        bad)
+    [
+      ("window", [ 0; -3 ]);
+      ("monomorphisms", [ 0; -1 ]);
+      ("root_cap", [ 0; -2 ]);
+      ("fine_tune", [ -1 ]);
+      ("vcycle", [ -2 ]);
+    ];
   Alcotest.(check string) "window 1 is the default key"
-    (place_of_line (line None)).Protocol.key
-    (place_of_line (line (Some 1))).Protocol.key
+    (place_of_line (line "")).Protocol.key
+    (place_of_line (line "\"window\":1")).Protocol.key
 
 (* ------------------------------------------------------------------ *)
 (* Socket daemon smoke                                                 *)
