@@ -81,25 +81,84 @@ let resolve_circuit spec =
 (* Content-hash keys                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* An instance's printed text, memoized by physical identity.  The
+   daemon's intern tables hand every repeat of a spec the same physical
+   value, so a repeated request reprints nothing.  Keys are held weakly:
+   an entry lives exactly as long as its value does elsewhere.  The hash
+   reads only immutable content (never an environment's adjacency memo),
+   and the lock makes the table safe to share across domains. *)
+module Text_memo (V : sig
+  type t
+
+  val hash : t -> int
+  val print : t -> string
+end) =
+struct
+  module Table = Ephemeron.K1.Make (struct
+    type t = V.t
+
+    let equal = ( == )
+    let hash = V.hash
+  end)
+
+  let table = Table.create 64
+  let lock = Mutex.create ()
+
+  let text v =
+    match Mutex.protect lock (fun () -> Table.find_opt table v) with
+    | Some text -> text
+    | None ->
+      let text = V.print v in
+      Mutex.protect lock (fun () -> Table.replace table v text);
+      text
+
+  let live () =
+    Mutex.protect lock (fun () ->
+        Table.clean table;
+        Table.length table)
+end
+
+module Env_text = Text_memo (struct
+  type t = Environment.t
+
+  let hash env = Hashtbl.hash (Environment.name env, Environment.size env)
+  let print = Env_format.print
+end)
+
+module Circuit_text = Text_memo (struct
+  type t = Qcp_circuit.Circuit.t
+
+  let hash c =
+    Hashtbl.hash (Qcp_circuit.Circuit.qubits c, Qcp_circuit.Circuit.gates c)
+
+  let print = Qc_format.print
+end)
+
 let key options env circuit =
   String.concat "\n"
     [
       "qcp-serve-v1";
       Options.canonical options;
-      Env_format.print env;
-      Qc_format.print circuit;
+      Env_text.text env;
+      Circuit_text.text circuit;
     ]
 
+let memo_entries () = Env_text.live () + Circuit_text.live ()
+
 let key_hash s =
-  (* FNV-1a, 64-bit. *)
-  let offset = 0xcbf29ce484222325L and prime = 0x100000001b3L in
-  let h = ref offset in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h prime)
-    s;
-  Printf.sprintf "%016Lx" !h
+  (* FNV-1a, 64-bit.  A plain loop keeps the accumulator unboxed, so the
+     16 hex digits are the only allocation. *)
+  let h = ref 0xcbf29ce484222325L in
+  for i = 0 to String.length s - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        0x100000001b3L
+  done;
+  let h = !h and hex = "0123456789abcdef" in
+  String.init 16 (fun i ->
+      hex.[Int64.to_int
+             (Int64.logand (Int64.shift_right_logical h (60 - (4 * i))) 15L)])
 
 let cacheable p =
   not (p.options.Options.portfolio && p.options.Options.deadline <> None)
@@ -110,13 +169,16 @@ let cacheable p =
 
 let ( let* ) = Result.bind
 
-let opt_member name json f ~default =
+let opt_field name json f =
   match Json.member name json with
-  | None | Some Json.Null -> Ok default
+  | None | Some Json.Null -> Ok None
   | Some v -> (
     match f v with
-    | Some x -> Ok x
+    | Some _ as x -> Ok x
     | None -> Error (Printf.sprintf "field %S has the wrong type" name))
+
+let opt_member name json f ~default =
+  Result.map (Option.value ~default) (opt_field name json f)
 
 (* Integer options are range-checked, never clamped: a clamped request
    would get a cache key of its own for the clamped value's result. *)
@@ -158,9 +220,13 @@ let options_of_json env json =
         else Error (Printf.sprintf "unknown option %S" name))
       (Ok ()) fields
   in
-  let* threshold =
-    opt_member "threshold" json Json.to_float
-      ~default:(Environment.min_threshold_connected env)
+  let* threshold = opt_field "threshold" json Json.to_float in
+  (* The default is a spanning-tree computation over the environment:
+     only a request that names no threshold pays for it. *)
+  let threshold =
+    match threshold with
+    | Some t -> t
+    | None -> Environment.min_threshold_connected env
   in
   let base = Options.default ~threshold in
   let* monomorphism_limit =
@@ -399,7 +465,7 @@ let result_of_program ~telemetry program =
 (* [result] is pre-rendered JSON text spliced in verbatim: the cache
    stores rendered result bytes, so a hit's response body is bit-identical
    to the cold solve's without a decode/re-encode round-trip. *)
-let response ~id ~status ?cached ?key ?queue_wait ?wall ?result ?error () =
+let response ~id ~status ?cached ?digest ?queue_wait ?wall ?result ?error () =
   let b = Buffer.create 256 in
   let field name json =
     Buffer.add_char b ',';
@@ -411,7 +477,7 @@ let response ~id ~status ?cached ?key ?queue_wait ?wall ?result ?error () =
   Json.to_buffer b (Json.Str id);
   field "status" (Json.Str status);
   Option.iter (fun c -> field "cached" (Json.Bool c)) cached;
-  Option.iter (fun k -> field "key" (Json.Str (key_hash k))) key;
+  Option.iter (fun d -> field "key" (Json.Str d)) digest;
   Option.iter (fun s -> field "queue_wait_s" (Json.Num s)) queue_wait;
   Option.iter (fun s -> field "wall_s" (Json.Num s)) wall;
   Option.iter

@@ -87,11 +87,22 @@ val resolve_circuit : string -> (Qcp_circuit.Circuit.t, string) result
     No file paths. *)
 
 val key : Qcp.Options.t -> Qcp_env.Environment.t -> Qcp_circuit.Circuit.t -> string
-(** The canonical content key of a (options, env, circuit) instance. *)
+(** The canonical content key of a (options, env, circuit) instance.
+
+    The environment and circuit texts are memoized by physical identity
+    ([==]) in weak-keyed tables: the daemon's intern tables hand repeated
+    specs the same physical value, so a repeat costs the options text and
+    one concatenation, not a reprint of the instance.  A structurally
+    equal but physically distinct value misses the memo and prints the
+    same text, so the key bytes never depend on the memo. *)
+
+val memo_entries : unit -> int
+(** Live entries of the {!key} text memos (environments plus circuits),
+    after dropping those whose value the GC has collected. *)
 
 val key_hash : string -> string
 (** FNV-1a 64-bit hex digest of a key (16 hex chars) — the [key] field of
-    responses. *)
+    responses.  Allocates only the digest text. *)
 
 val cacheable : place -> bool
 (** Whether the request's result may be cached and served to repeats:
@@ -114,7 +125,7 @@ val response :
   id:string ->
   status:string ->
   ?cached:bool ->
-  ?key:string ->
+  ?digest:string ->
   ?queue_wait:float ->
   ?wall:float ->
   ?result:string ->
@@ -123,7 +134,8 @@ val response :
   string
 (** Render one response line (no trailing newline).  [status] is one of
     ["ok"], ["timeout"], ["unplaceable"], ["error"], ["overloaded"],
-    ["shutting-down"].  [key] is hashed with {!key_hash} before rendering.
+    ["shutting-down"].  [digest] is the request key's {!key_hash},
+    rendered as the ["key"] field; the server computes it once per job.
     [result] is pre-rendered JSON text (typically
     [Json.to_string (result_of_program ...)] — or the cache's stored copy
     of exactly that), spliced in verbatim so cached responses carry the

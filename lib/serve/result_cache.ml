@@ -1,9 +1,18 @@
-type entry = { value : string; mutable tick : int }
+(* Entries sit on an intrusive doubly-linked recency list through a
+   sentinel: [sentinel.next] is the most recently used entry,
+   [sentinel.prev] the least.  Every access moves its entry to the front,
+   so the tail is always the entry a minimum-tick scan would pick. *)
+type entry = {
+  key : string;
+  mutable value : string;
+  mutable prev : entry;
+  mutable next : entry;
+}
 
 type t = {
   cap : int;
   table : (string, entry) Hashtbl.t;
-  mutable clock : int;
+  sentinel : entry;
   mutable hit_count : int;
   mutable miss_count : int;
   mutable eviction_count : int;
@@ -11,10 +20,11 @@ type t = {
 }
 
 let create cap =
+  let rec sentinel = { key = ""; value = ""; prev = sentinel; next = sentinel } in
   {
     cap;
     table = Hashtbl.create (max 16 (min cap 4096));
-    clock = 0;
+    sentinel;
     hit_count = 0;
     miss_count = 0;
     eviction_count = 0;
@@ -29,46 +39,50 @@ let with_lock t f =
 
 let length t = with_lock t (fun () -> Hashtbl.length t.table)
 
-let tick t =
-  t.clock <- t.clock + 1;
-  t.clock
+let unlink e =
+  e.prev.next <- e.next;
+  e.next.prev <- e.prev
+
+let push_front t e =
+  let s = t.sentinel in
+  e.prev <- s;
+  e.next <- s.next;
+  s.next.prev <- e;
+  s.next <- e
 
 let find t key =
   with_lock t @@ fun () ->
   match Hashtbl.find_opt t.table key with
   | Some entry ->
-    entry.tick <- tick t;
+    unlink entry;
+    push_front t entry;
     t.hit_count <- t.hit_count + 1;
     Some entry.value
   | None ->
     t.miss_count <- t.miss_count + 1;
     None
 
-(* Ticks are unique, so the minimum-tick victim is unambiguous: eviction
-   order depends only on the access history, never on hash-table layout. *)
+(* Called only on a full cache of positive capacity: the list is never
+   empty here. *)
 let evict_lru t =
-  let victim = ref None in
-  Hashtbl.iter
-    (fun key entry ->
-      match !victim with
-      | Some (_, oldest) when oldest.tick <= entry.tick -> ()
-      | _ -> victim := Some (key, entry))
-    t.table;
-  match !victim with
-  | Some (key, _) ->
-    Hashtbl.remove t.table key;
-    t.eviction_count <- t.eviction_count + 1
-  | None -> ()
+  let victim = t.sentinel.prev in
+  unlink victim;
+  Hashtbl.remove t.table victim.key;
+  t.eviction_count <- t.eviction_count + 1
 
 let add t key value =
   if t.cap > 0 then
     with_lock t @@ fun () ->
     match Hashtbl.find_opt t.table key with
-    | Some _ ->
-      Hashtbl.replace t.table key { value; tick = tick t }
+    | Some entry ->
+      entry.value <- value;
+      unlink entry;
+      push_front t entry
     | None ->
       if Hashtbl.length t.table >= t.cap then evict_lru t;
-      Hashtbl.add t.table key { value; tick = tick t }
+      let entry = { key; value; prev = t.sentinel; next = t.sentinel } in
+      push_front t entry;
+      Hashtbl.add t.table key entry
 
 let hits t = with_lock t (fun () -> t.hit_count)
 

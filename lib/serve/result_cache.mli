@@ -2,11 +2,10 @@
 
     Maps full content keys (see {!Protocol.key}) to rendered result text.
     Values are the final bytes a cold solve produced, so a hit returns a
-    bit-identical response body.  Eviction is least-recently-used with a
-    deterministic tie-free order: every access stamps a unique logical
-    tick, so the eviction victim is a pure function of the operation
-    history — two daemons fed the same request stream hold the same
-    entries. *)
+    bit-identical response body.  Eviction is least-recently-used over a
+    recency list that every access reorders, so the victim is a pure
+    function of the operation history — two daemons fed the same request
+    stream hold the same entries — and {!find} and {!add} are O(1). *)
 
 type t
 

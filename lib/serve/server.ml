@@ -160,12 +160,19 @@ module Engine = struct
     j_id : string;
     j_arrival : float;
     j_place : Protocol.place;
+    j_digest : string;
   }
 
   let make_job t ~id ~arrival place =
     let seq = t.seq in
     t.seq <- t.seq + 1;
-    { j_seq = seq; j_id = id; j_arrival = arrival; j_place = place }
+    {
+      j_seq = seq;
+      j_id = id;
+      j_arrival = arrival;
+      j_place = place;
+      j_digest = Protocol.key_hash place.Protocol.key;
+    }
 
   let observe_wait c seconds =
     let i = Metrics.bucket_index qw_bounds seconds in
@@ -349,7 +356,6 @@ module Engine = struct
       Array.to_list
         (Array.mapi
            (fun i j ->
-             let p = j.j_place in
              let queue_wait = Float.max 0.0 (now -. j.j_arrival) in
              let status, cached, shed, wall, result, error, phases =
                match assignments.(i) with
@@ -387,7 +393,7 @@ module Engine = struct
                    f_status = status;
                    f_cached = cached;
                    f_shed = shed;
-                   f_key = Protocol.key_hash p.Protocol.key;
+                   f_key = j.j_digest;
                    f_arrival = j.j_arrival -. t.started;
                    f_queue_wait = queue_wait;
                    f_wall = wall;
@@ -399,7 +405,7 @@ module Engine = struct
                    [
                      ("req_seq", Log.Int j.j_seq);
                      ("id", Log.Str j.j_id);
-                     ("key", Log.Str (Protocol.key_hash p.Protocol.key));
+                     ("key", Log.Str j.j_digest);
                      ("queue_wait_s", Log.Num queue_wait);
                    ]);
              Log.info "request" (fun () ->
@@ -407,7 +413,7 @@ module Engine = struct
                    ("req_seq", Log.Int j.j_seq);
                    ("id", Log.Str j.j_id);
                    ("op", Log.Str "place");
-                   ("key", Log.Str (Protocol.key_hash p.Protocol.key));
+                   ("key", Log.Str j.j_digest);
                    ("status", Log.Str status);
                    ("cached", Log.Bool cached);
                    ("shed", Log.Bool shed);
@@ -425,8 +431,8 @@ module Engine = struct
                    ]);
              slowest := Float.max !slowest (queue_wait +. wall);
              if status <> "ok" then trouble := true;
-             Protocol.response ~id:j.j_id ~status ~cached
-               ~key:p.Protocol.key ~queue_wait ~wall ?result ?error ())
+             Protocol.response ~id:j.j_id ~status ~cached ~digest:j.j_digest
+               ~queue_wait ~wall ?result ?error ())
            jobs)
     in
     (match (t.flight, t.config.slow_dump) with

@@ -107,11 +107,15 @@ module Engine : sig
     j_id : string;  (** Echoed client correlation id. *)
     j_arrival : float;  (** {!Qcp_util.Clock.now} at admission. *)
     j_place : Protocol.place;
+    j_digest : string;
+        (** {!Protocol.key_hash} of the place's key, computed once: the
+            response, the flight record and the access log share it. *)
   }
 
   val make_job :
     t -> id:string -> arrival:float -> Protocol.place -> job
-  (** Build a job with the engine's next sequence number. *)
+  (** Build a job with the engine's next sequence number and its key
+      digest. *)
 
   val dispatch : t -> now:float -> job list -> string list
   (** Solve one batch, returning response lines in job order.  Jobs whose

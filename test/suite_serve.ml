@@ -137,6 +137,208 @@ let test_key_hash_format () =
   Alcotest.(check bool) "distinct inputs, distinct digests" true
     (Protocol.key_hash "a" <> Protocol.key_hash "b")
 
+(* The digest as the serve layer first shipped it: a boxed fold over the
+   key's bytes.  Responses have carried these digests ever since, so the
+   unboxed loop must reproduce them bit for bit. *)
+let reference_key_hash s =
+  let offset = 0xcbf29ce484222325L and prime = 0x100000001b3L in
+  let h = ref offset in
+  String.iter
+    (fun c ->
+      h := Int64.logxor !h (Int64.of_int (Char.code c));
+      h := Int64.mul !h prime)
+    s;
+  Printf.sprintf "%016Lx" !h
+
+let test_key_hash_pinned () =
+  (* The published FNV-1a 64-bit test vectors. *)
+  List.iter
+    (fun (input, digest) ->
+      Alcotest.(check string)
+        (Printf.sprintf "fnv1a64 %S" input)
+        digest (Protocol.key_hash input))
+    [
+      ("", "cbf29ce484222325");
+      ("a", "af63dc4c8601ec8c");
+      ("foobar", "85944171f73967e8");
+    ];
+  let rng = Rng.create 22 in
+  let long = String.init 2048 (fun _ -> Char.chr (Rng.int rng 256)) in
+  Alcotest.(check string) "2 KB key matches the reference fold"
+    (reference_key_hash long) (Protocol.key_hash long);
+  let before = Gc.minor_words () in
+  let digest = Protocol.key_hash long in
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity digest);
+  if words > 64.0 then
+    Alcotest.failf "hashing 2 KB allocated %.0f minor words" words;
+  (* A whole request: this digest is what the CI serve smoke expects. *)
+  let p =
+    place_of_line
+      "{\"id\":\"r1\",\"op\":\"place\",\"env\":\"trans-crotonic\",\"circuit\":\"qft6\",\"options\":{\"threshold\":100}}"
+  in
+  Alcotest.(check string) "request digest" "f284848e0fd60483"
+    (Protocol.key_hash p.Protocol.key)
+
+let test_default_threshold () =
+  let env_spec = "histidine" in
+  let env = Option.get (Qcp_env.Molecules.by_name env_spec) in
+  let line options =
+    Printf.sprintf
+      "{\"op\":\"place\",\"env\":\"%s\",\"circuit\":\"qft6\"%s}" env_spec
+      options
+  in
+  let threshold options =
+    (place_of_line (line options)).Protocol.options.Qcp.Options.threshold
+  in
+  let connected = Qcp_env.Environment.min_threshold_connected env in
+  Alcotest.(check (float 0.0)) "no options" connected (threshold "");
+  Alcotest.(check (float 0.0)) "no threshold" connected
+    (threshold ",\"options\":{\"lookahead\":false}");
+  Alcotest.(check (float 0.0)) "null threshold" connected
+    (threshold ",\"options\":{\"threshold\":null}");
+  Alcotest.(check (float 0.0)) "named threshold" 250.0
+    (threshold ",\"options\":{\"threshold\":250}");
+  match
+    (Protocol.parse_line (line ",\"options\":{\"threshold\":\"low\"}"))
+      .Protocol.request
+  with
+  | Error msg ->
+    Alcotest.(check bool) "wrong type named" true
+      (Helpers.contains ~needle:"threshold" msg)
+  | Ok _ -> Alcotest.fail "a string threshold should be rejected"
+
+(* The key as it was defined before the text memo: fresh prints,
+   concatenated.  The memo must never change a key's bytes. *)
+let printed_key options env circuit =
+  String.concat "\n"
+    [
+      "qcp-serve-v1";
+      Qcp.Options.canonical options;
+      Qcp_env.Env_format.print env;
+      Qcp_circuit.Qc_format.print circuit;
+    ]
+
+(* The Table 2 rows (threshold [None]: the protocol's default) and the
+   Table 3 sweep, as request lines. *)
+let paper_cell_lines =
+  let line env circuit threshold =
+    Printf.sprintf "{\"op\":\"place\",\"env\":\"%s\",\"circuit\":\"%s\"%s}" env
+      circuit
+      (match threshold with
+      | None -> ""
+      | Some t -> Printf.sprintf ",\"options\":{\"threshold\":%g}" t)
+  in
+  [
+    line "acetyl-chloride" "qec3" None;
+    line "trans-crotonic" "qec5" (Some 100.0);
+    line "histidine" "cat10" (Some 1000.0);
+  ]
+  @ List.concat_map
+      (fun (env, circuits) ->
+        List.concat_map
+          (fun circuit ->
+            List.map
+              (fun t -> line env circuit (Some t))
+              [ 50.0; 100.0; 200.0; 500.0; 1000.0; 10000.0 ])
+          circuits)
+      [
+        ("boc-glycine", [ "phaseest" ]);
+        ("iron-complex", [ "phaseest" ]);
+        ("trans-crotonic", [ "phaseest"; "qft6" ]);
+        ( "histidine",
+          [ "phaseest"; "qft6"; "aqft9"; "steane-x/z1"; "steane-x/z2"; "aqft12" ] );
+      ]
+
+let test_memo_keys_match_printing () =
+  let eng = Engine.create Server.default_config in
+  let parsed line =
+    match (Engine.parse_line eng line).Protocol.request with
+    | Ok (Protocol.Place p) -> p
+    | Ok _ -> Alcotest.failf "%s: not a place request" line
+    | Error msg -> Alcotest.failf "%s: %s" line msg
+  in
+  (* Twice each: the first parse fills the memo, the second reads it. *)
+  let check_line line =
+    for pass = 1 to 2 do
+      let p = parsed line in
+      Alcotest.(check string)
+        (Printf.sprintf "%s (pass %d)" line pass)
+        (printed_key p.Protocol.options p.Protocol.env p.Protocol.circuit)
+        p.Protocol.key
+    done
+  in
+  let placeable =
+    List.filter
+      (fun line ->
+        let p = parsed line in
+        Qcp_circuit.Circuit.qubits p.Protocol.circuit
+        <= Qcp_env.Environment.size p.Protocol.env
+        && Qcp_env.Environment.connected_adjacency p.Protocol.env
+             ~threshold:p.Protocol.options.Qcp.Options.threshold
+           <> None)
+      paper_cell_lines
+  in
+  Alcotest.(check int) "placeable paper cells" 61 (List.length placeable);
+  List.iter check_line placeable;
+  for seed = 1 to 50 do
+    let rng = Rng.create seed in
+    check_line (request_line rng ~mutate:0);
+    check_line (request_line rng ~mutate:(1 + Rng.int rng 10))
+  done
+
+let test_memo_structural_twins () =
+  (* Structurally equal, physically distinct values miss the memo and
+     must still print to the same key. *)
+  let env_text =
+    Qcp_env.Env_format.print Qcp_env.Molecules.trans_crotonic_acid
+  in
+  let qft6 = Option.get (Qcp_circuit.Catalog.by_name "qft6") in
+  let circuit_text = Qcp_circuit.Qc_format.print qft6 in
+  let e1 = Qcp_env.Env_format.parse env_text
+  and e2 = Qcp_env.Env_format.parse env_text in
+  let c1 = Qcp_circuit.Qc_format.parse circuit_text
+  and c2 = Qcp_circuit.Qc_format.parse circuit_text in
+  Alcotest.(check bool) "distinct environments" true (e1 != e2);
+  Alcotest.(check bool) "distinct circuits" true (c1 != c2);
+  let options = Qcp.Options.default ~threshold:100.0 in
+  let expected = printed_key options e1 c1 in
+  List.iter
+    (fun (what, env, circuit) ->
+      Alcotest.(check string) what expected (Protocol.key options env circuit))
+    [
+      ("first twin", e1, c1);
+      ("first twin again", e1, c1);
+      ("second twin", e2, c2);
+      ("mixed twins", e1, c2);
+      ("named originals", Qcp_env.Molecules.trans_crotonic_acid, qft6);
+    ]
+
+let test_memo_bounded () =
+  (* Entries are held weakly: once the intern tables drop a value, the
+     GC drops its memo entry.  Each engine interns at most 128 envs and
+     128 circuits. *)
+  Gc.full_major ();
+  let before = Protocol.memo_entries () in
+  let eng = Engine.create Server.default_config in
+  for i = 1 to 300 do
+    let line =
+      Printf.sprintf
+        "{\"op\":\"place\",\"env\":\"name memo-%d\\nnuclei x1 x2\\nsingle x1 1\\nsingle x2 1\\ncoupling x1 x2 10\\n\",\"circuit\":\"qubits 2\\nzz 0 1 %d\\n\",\"options\":{\"threshold\":100}}"
+        i i
+    in
+    match (Engine.parse_line eng line).Protocol.request with
+    | Ok (Protocol.Place _) -> ()
+    | Ok _ -> Alcotest.fail "not a place request"
+    | Error msg -> Alcotest.failf "inline request %d: %s" i msg
+  done;
+  Gc.full_major ();
+  let after = Protocol.memo_entries () in
+  ignore (Sys.opaque_identity eng);
+  if after > before + 256 then
+    Alcotest.failf "memo holds %d entries (%d before, intern cap 2 x 128)"
+      after before
+
 (* ------------------------------------------------------------------ *)
 (* Result cache                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -160,6 +362,87 @@ let test_result_cache_lru () =
   Result_cache.add disabled "a" "1";
   Alcotest.(check (option string)) "cap 0 disables" None
     (Result_cache.find disabled "a")
+
+(* The eviction order as first implemented: every access stamps a
+   unique tick, and an insert at capacity scans for the minimum. *)
+module Lru_model = struct
+  type t = {
+    cap : int;
+    table : (string, string * int) Hashtbl.t;
+    mutable clock : int;
+    mutable hits : int;
+    mutable misses : int;
+    mutable evictions : int;
+  }
+
+  let create cap =
+    { cap; table = Hashtbl.create 16; clock = 0; hits = 0; misses = 0; evictions = 0 }
+
+  let tick t =
+    t.clock <- t.clock + 1;
+    t.clock
+
+  let find t key =
+    match Hashtbl.find_opt t.table key with
+    | Some (value, _) ->
+      Hashtbl.replace t.table key (value, tick t);
+      t.hits <- t.hits + 1;
+      Some value
+    | None ->
+      t.misses <- t.misses + 1;
+      None
+
+  let add t key value =
+    if Hashtbl.mem t.table key then Hashtbl.replace t.table key (value, tick t)
+    else begin
+      if Hashtbl.length t.table >= t.cap then begin
+        let victim =
+          Hashtbl.fold
+            (fun k (_, tk) acc ->
+              match acc with
+              | Some (_, best) when best <= tk -> acc
+              | _ -> Some (k, tk))
+            t.table None
+        in
+        Option.iter
+          (fun (k, _) ->
+            Hashtbl.remove t.table k;
+            t.evictions <- t.evictions + 1)
+          victim
+      end;
+      Hashtbl.add t.table key (value, tick t)
+    end
+end
+
+let test_result_cache_lockstep () =
+  let rng = Rng.create 2007 in
+  let cache = Result_cache.create 8 and model = Lru_model.create 8 in
+  for op = 1 to 10_000 do
+    let key = Printf.sprintf "k%d" (Rng.int rng 16) in
+    (if Rng.int rng 2 = 0 then begin
+       let got = Result_cache.find cache key
+       and want = Lru_model.find model key in
+       if got <> want then
+         Alcotest.failf "op %d: find %s = %s, model %s" op key
+           (Option.value got ~default:"-") (Option.value want ~default:"-")
+     end
+     else
+       let value = Printf.sprintf "v%d" op in
+       Result_cache.add cache key value;
+       Lru_model.add model key value);
+    if
+      Result_cache.length cache <> Hashtbl.length model.Lru_model.table
+      || Result_cache.evictions cache <> model.Lru_model.evictions
+    then
+      Alcotest.failf "op %d: length %d/%d, evictions %d/%d" op
+        (Result_cache.length cache)
+        (Hashtbl.length model.Lru_model.table)
+        (Result_cache.evictions cache) model.Lru_model.evictions
+  done;
+  Alcotest.(check int) "hits" model.Lru_model.hits (Result_cache.hits cache);
+  Alcotest.(check int) "misses" model.Lru_model.misses
+    (Result_cache.misses cache);
+  Alcotest.(check bool) "evicted often" true (Result_cache.evictions cache > 1000)
 
 (* ------------------------------------------------------------------ *)
 (* Engine: hits bit-identical to cold solves                           *)
@@ -481,4 +764,15 @@ let suite =
     Alcotest.test_case "window below 1 rejected" `Quick test_window_validation;
     Alcotest.test_case "socket daemon round trip" `Quick test_socket_roundtrip;
     Alcotest.test_case "admission control overload" `Quick test_socket_overload;
+    Alcotest.test_case "key digest pinned" `Quick test_key_hash_pinned;
+    Alcotest.test_case "default threshold only when absent" `Quick
+      test_default_threshold;
+    Alcotest.test_case "memoized keys equal printed keys" `Quick
+      test_memo_keys_match_printing;
+    Alcotest.test_case "memo misses on structural twins" `Quick
+      test_memo_structural_twins;
+    Alcotest.test_case "memo bounded by intern tables" `Quick
+      test_memo_bounded;
+    Alcotest.test_case "result cache LRU matches tick scan" `Quick
+      test_result_cache_lockstep;
   ]
