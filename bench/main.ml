@@ -326,7 +326,7 @@ let memory_probes ?(full = false) () =
      the batch path) — the daemon's sustained solve rate;
    - serve/hit-path: 256 repeats of one warmed request — the exact-cache
      hit path, which the acceptance criterion pins well below a cold
-     solve;
+     solve; five passes, each row the median across them;
    - serve/log-overhead: the same hit kernel against a second daemon with
      the full observability stack armed (debug logging to a file, flight
      recorder) — the regression gate holds its p50 within 2x of the quiet
@@ -334,11 +334,7 @@ let memory_probes ?(full = false) () =
 
    The [req-per-s] rows are rates (higher is better); regression.exe
    special-cases the suffix. *)
-let serve_probes () =
-  let socket =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "qcp-bench-%d.sock" (Unix.getpid ()))
-  in
+let daemon_config socket log_file =
   let config =
     {
       Qcp_serve.Server.default_config with
@@ -348,9 +344,47 @@ let serve_probes () =
       verbose = false;
     }
   in
-  let daemon = Domain.spawn (fun () -> Qcp_serve.Server.serve config) in
-  let client =
-    Qcp_serve.Client.connect (Qcp_serve.Client.Unix_socket socket)
+  match log_file with
+  | None -> config
+  | Some path ->
+    {
+      config with
+      Qcp_serve.Server.log_level = Some Qcp_obs.Log.Debug;
+      log_file = Some path;
+      flight_cap = 64;
+    }
+
+(* Each daemon runs in its own process ([main.exe serve-daemon SOCKET
+   [LOG_FILE]]).  As a domain of this process, every minor collection on
+   either side stopped both, and the blocked side's wake-up latency set
+   the hit kernels' tails: a p99 of 0.25 ms in most runs, ~8 ms in some.
+   [f] talks to the daemon and ends by asking it to shut down; if [f]
+   raises, the daemon is killed instead of outliving the bench. *)
+let with_daemon ?log_file name f =
+  let socket =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "qcp-bench-%s%d.sock" name (Unix.getpid ()))
+  in
+  let pid =
+    Unix.create_process Sys.executable_name
+      (Array.of_list
+         ([ Sys.executable_name; "serve-daemon"; socket ] @ Option.to_list log_file))
+      Unix.stdin Unix.stdout Unix.stderr
+  in
+  let reap () = ignore (Unix.waitpid [] pid : int * Unix.process_status) in
+  match f (Qcp_serve.Client.connect (Qcp_serve.Client.Unix_socket socket)) with
+  | rows ->
+    reap ();
+    rows
+  | exception e ->
+    (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+    reap ();
+    raise e
+
+let serve_probes () =
+  let shutdown client =
+    ignore (Qcp_serve.Client.request client "{\"op\":\"shutdown\"}" : string);
+    Qcp_serve.Client.close client
   in
   let ok_needle = {|"status":"ok"|} in
   let is_ok resp =
@@ -384,6 +418,22 @@ let serve_probes () =
       (name ^ "/req-per-s", float_of_int n /. total_s);
     ]
   in
+  (* The gated hit kernels: one 256-request pass puts its p99 at about the
+     third-largest sample, which one scheduler hiccup moves by 20x.  Each
+     row is instead the median of that row over [hit_passes] passes.  The
+     daemon's own process ([with_daemon]) removes the shared-collection
+     stalls, not these hiccups or the first pass's warm-up: over 20 runs
+     on a 2-core x86-64 host, the first pass alone read hit p99 0.15-2.98
+     ms (log-overhead 0.18-0.43 ms), the five-pass median 0.12-0.23 ms
+     (0.14-0.35 ms). *)
+  let hit_passes = 5 in
+  let run_median client name requests =
+    let passes = List.init hit_passes (fun _ -> run client name requests) in
+    List.map
+      (fun (row, _) ->
+        (row, percentile (List.map (List.assoc row) passes) 0.50))
+      (List.hd passes)
+  in
   let place_line id options =
     Printf.sprintf
       "{\"id\":%S,\"op\":\"place\",\"env\":\"trans-crotonic\",\"circuit\":\"qft6\",\"options\":{%s}}"
@@ -394,51 +444,36 @@ let serve_probes () =
      criterion.  (Running throughput first would pre-warm the shared
      adjacency/route registries and shrink the measured gap.) *)
   let hit_line = place_line "h" "\"threshold\":100" in
-  let hit_cold_ns = roundtrip client hit_line in
-  let hit_rows =
-    run client "serve/hit-path" (List.init 256 (fun _ -> hit_line))
+  let hit_rows, throughput_rows =
+    with_daemon "" @@ fun client ->
+    let hit_cold_ns = roundtrip client hit_line in
+    let hit_rows =
+      run_median client "serve/hit-path" (List.init 256 (fun _ -> hit_line))
+    in
+    let throughput_rows =
+      run client "serve/throughput"
+        (List.init 64 (fun i ->
+             place_line
+               (Printf.sprintf "t%d" i)
+               (Printf.sprintf "\"threshold\":100,\"monomorphisms\":%d" (8 + i))))
+    in
+    shutdown client;
+    (hit_rows @ [ ("serve/hit-path/cold-ns", hit_cold_ns) ], throughput_rows)
   in
-  let hit_rows = hit_rows @ [ ("serve/hit-path/cold-ns", hit_cold_ns) ] in
-  let throughput_rows =
-    run client "serve/throughput"
-      (List.init 64 (fun i ->
-           place_line
-             (Printf.sprintf "t%d" i)
-             (Printf.sprintf "\"threshold\":100,\"monomorphisms\":%d" (8 + i))))
-  in
-  ignore (Qcp_serve.Client.request client "{\"op\":\"shutdown\"}" : string);
-  Qcp_serve.Client.close client;
-  Domain.join daemon;
   (* Second daemon with the observability stack armed: every request
-     emits an access-log line to a file and lands in the flight ring.
-     The server restores the process-global logger on drain, so later
-     kernels run quiet. *)
-  let armed_socket =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "qcp-bench-armed-%d.sock" (Unix.getpid ()))
-  in
+     emits an access-log line to a file and lands in the flight ring. *)
   let log_file = Filename.temp_file "qcp-bench-serve" ".log" in
-  let armed_config =
-    {
-      config with
-      Qcp_serve.Server.socket_path = Some armed_socket;
-      log_level = Some Qcp_obs.Log.Debug;
-      log_file = Some log_file;
-      flight_cap = 64;
-    }
-  in
-  let daemon = Domain.spawn (fun () -> Qcp_serve.Server.serve armed_config) in
-  let client =
-    Qcp_serve.Client.connect (Qcp_serve.Client.Unix_socket armed_socket)
-  in
-  ignore (roundtrip client hit_line : float);
   let log_rows =
-    run client "serve/log-overhead" (List.init 256 (fun _ -> hit_line))
+    Fun.protect ~finally:(fun () -> try Sys.remove log_file with Sys_error _ -> ())
+    @@ fun () ->
+    with_daemon ~log_file "armed-" @@ fun client ->
+    ignore (roundtrip client hit_line : float);
+    let rows =
+      run_median client "serve/log-overhead" (List.init 256 (fun _ -> hit_line))
+    in
+    shutdown client;
+    rows
   in
-  ignore (Qcp_serve.Client.request client "{\"op\":\"shutdown\"}" : string);
-  Qcp_serve.Client.close client;
-  Domain.join daemon;
-  (try Sys.remove log_file with Sys_error _ -> ());
   throughput_rows @ hit_rows @ log_rows
 
 let print_serve_rows rows =
@@ -595,6 +630,8 @@ let () =
       exit 2
   in
   match args with
+  | "serve-daemon" :: socket :: log_file ->
+    Qcp_serve.Server.serve (daemon_config socket (List.nth_opt log_file 0))
   | [] ->
     List.iter run
       [

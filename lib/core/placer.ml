@@ -210,6 +210,12 @@ type ctx = {
   c_routed : Telemetry.counter;
   c_phases : phase_times;
   c_cache : Score_cache.t;
+      (* Over the cross-run table for this run's graph and router; a
+         private copy, trimmed after every stage, for spill runs
+         ({!run_stages}); uncached for {!place_reference}. *)
+  c_router :
+    Qcp_route.Bisect_router.memo option -> Perm.t -> Swap_network.t;
+      (* The run's router, chosen once in {!run}. *)
   c_scratch : Timing.scratch; (* main-domain scoring buffers *)
   c_scoring_time : float ref; (* wall seconds spent scoring candidates *)
   c_dist : int array array Lazy.t;
@@ -234,15 +240,6 @@ type ctx = {
   c_peer_pruned : Telemetry.counter;
       (* Stage sweeps and pipeline aborts cut short by [c_shared] (as
          opposed to this run's own incumbent). *)
-  c_stream_mode : bool;
-      (* Set for spill runs: route entries bypass the cross-run shared
-         registry and go through this run's private table, which
-         {!run_stages} trims after every stage.  On a large register each
-         cached entry carries a full-register SWAP circuit, so letting a
-         multi-thousand-stage run feed the process-lifetime registry would
-         grow the heap with gate count — exactly what spill mode promises
-         not to do.  Pure memoization either way: placements are
-         unaffected. *)
   c_reference : bool;
       (* Set for {!place_reference}: every cutoff is read as [infinity]
          ({!cutoff_of}), so no sweep prunes, skips or exits early and each
@@ -318,52 +315,30 @@ let in_phase cell ~name f =
 
 let route_network ctx perm =
   Telemetry.incr ctx.c_routed;
-  let leaf_override = ctx.c_options.Options.leaf_override in
-  (* An unweighted bisection route is a pure function of the graph, the
-     leaf-override flag and the permutation, so both its subset structure
-     and its finished networks come from the cross-run per-graph registry;
-     the weighted variant's channel choice also depends on the edge costs,
-     so it keeps this run's private memo and route table. *)
-  let jobs = ctx.c_options.Options.jobs in
-  let shared_bisect () =
-    Score_cache.shared_route ctx.c_cache ctx.c_adjacency ~leaf_override
-      ~route:(fun memo perm ->
-        Qcp_route.Bisect_router.route ~leaf_override ~memo ~jobs
-          ctx.c_adjacency ~perm)
-      perm
+  Score_cache.route ctx.c_cache ~route:ctx.c_router perm
+
+(* The run's router and the registry key its routes are shared under.
+   Odd-even off a chain is exactly the unweighted bisection, so it routes
+   and shares as one. *)
+let router_of options env adjacency =
+  let leaf_override = options.Options.leaf_override in
+  let jobs = options.Options.jobs in
+  let bisect ?edge_cost memo perm =
+    Qcp_route.Bisect_router.route ~leaf_override ?edge_cost ?memo ~jobs
+      adjacency ~perm
   in
-  let per_run route = Score_cache.route ctx.c_cache perm ~route in
-  let bisect_per_run () =
-    per_run (fun perm ->
-        Qcp_route.Bisect_router.route ~leaf_override
-          ?memo:(Score_cache.shared_bisect_memo ctx.c_cache ctx.c_adjacency)
-          ~jobs ctx.c_adjacency ~perm)
-  in
-  match ctx.c_options.Options.router with
-  | Options.Bisect ->
-    if ctx.c_stream_mode then bisect_per_run ()
-    else (
-      match shared_bisect () with
-      | Some entry -> entry
-      | None -> bisect_per_run ())
+  match options.Options.router with
+  | Options.Bisect -> (Options.Bisect, fun memo -> bisect memo)
   | Options.Bisect_weighted ->
-    per_run (fun perm ->
-        Qcp_route.Bisect_router.route ~leaf_override
-          ~edge_cost:(fun u v -> Environment.coupling_delay ctx.c_env u v)
-          ?memo:(Score_cache.bisect_memo ctx.c_cache) ~jobs ctx.c_adjacency
-          ~perm)
+    ( Options.Bisect_weighted,
+      bisect ~edge_cost:(fun u v -> Environment.coupling_delay env u v) )
   | Options.Token ->
-    per_run (fun perm -> Qcp_route.Token_router.route ctx.c_adjacency ~perm)
+    (Options.Token, fun _ perm -> Qcp_route.Token_router.route adjacency ~perm)
   | Options.Odd_even -> (
-    match Qcp_route.Oes_router.path_order ctx.c_adjacency with
+    match Qcp_route.Oes_router.path_order adjacency with
     | Some _ ->
-      per_run (fun perm -> Qcp_route.Oes_router.route ctx.c_adjacency ~perm)
-    | None -> (
-      (* The fallback is exactly the unweighted bisection, so it shares the
-         same cross-run entries. *)
-      match shared_bisect () with
-      | Some entry -> entry
-      | None -> bisect_per_run ()))
+      (Options.Odd_even, fun _ perm -> Qcp_route.Oes_router.route adjacency ~perm)
+    | None -> (Options.Bisect, fun memo -> bisect memo))
 
 let time_placed ctx start place circuit =
   Timing.finish_times_placed ~model:ctx.c_options.Options.model
@@ -1138,8 +1113,8 @@ let place_one ?(cutoff = infinity) ctx ~phys_start ~prev ~hint ~subcircuit
 
    In spill mode peak heap is O(window + environment) beyond the input
    circuit and whatever the sink retains: the split's deferral window,
-   the lag buffer, one candidate set, and the score cache (trimmed after
-   every stage, see [c_stream_mode]). *)
+   the lag buffer, one candidate set, and the score cache (a private
+   table, trimmed after every stage). *)
 let run_stages ?cutoff ctx ~sink feed =
   let phys_start = ref (Array.make ctx.c_m 0.0) in
   let prev = ref None in
@@ -1176,10 +1151,11 @@ let run_stages ?cutoff ctx ~sink feed =
       phys_start := finish;
       prev := Some tuned;
       pending := None;
-      (* Connecting permutations are rarely shared across stages, so the
-         per-run route table would otherwise be the one structure growing
-         with gate count; trimming costs only recomputation. *)
-      if ctx.c_stream_mode then Score_cache.trim ctx.c_cache
+      (* Connecting permutations are rarely shared across stages, so a
+         spill run's private route table would otherwise be the one
+         structure growing with gate count; trimming costs only
+         recomputation, and leaves a cross-run table alone. *)
+      Score_cache.trim ctx.c_cache
   in
   let outcome =
     Fun.protect ~finally:sink.Spill.close @@ fun () ->
@@ -1578,6 +1554,29 @@ let run ~reference ?(deadline = infinity) ?shared ?spill options env circuit =
     | Some adjacency -> (
       let rm = Domain.DLS.get run_metrics_key in
       Telemetry.reset rm.rm_registry;
+      let sink =
+        match (spill, options.Options.spill) with
+        | Some sink, _ -> Some sink
+        | None, Options.Spill_file path -> Some (Spill.file path)
+        | None, Options.Spill_drop -> Some Spill.null
+        | None, Options.No_spill -> None
+      in
+      let router, c_router = router_of options env adjacency in
+      let table =
+        if reference then Score_cache.uncached adjacency
+        else
+          let shared =
+            Score_cache.shared adjacency ~router
+              ~leaf_override:options.Options.leaf_override
+          in
+          (* A spill run's routes stay out of the cross-run table: on a
+             large register each entry carries a full-register SWAP
+             circuit, and a multi-thousand-stage run feeding the
+             process-lifetime table would grow the heap with gate count —
+             exactly what spill mode promises not to do. *)
+          if Option.is_some sink then Score_cache.private_copy shared
+          else shared
+      in
       let ctx =
         {
           c_env = env;
@@ -1598,9 +1597,9 @@ let run ~reference ?(deadline = infinity) ?shared ?spill options env circuit =
           c_shared = shared;
           c_deadline = deadline;
           c_peer_pruned = rm.rm_peer_pruned;
-          c_stream_mode = false;
           c_reference = reference;
-          c_cache = Score_cache.create ~enabled:(not reference) ~register:m ();
+          c_cache = Score_cache.create table;
+          c_router;
           c_scratch = Timing.make_scratch ();
           c_scoring_time = ref 0.0;
           c_dist = lazy (bfs_table adjacency);
@@ -1626,18 +1625,10 @@ let run ~reference ?(deadline = infinity) ?shared ?spill options env circuit =
           { env; source = circuit; options; adjacency; stages; spilled; stats;
             metrics = snapshot }
       in
-      let sink =
-        match (spill, options.Options.spill) with
-        | Some sink, _ -> Some sink
-        | None, Options.Spill_file path -> Some (Spill.file path)
-        | None, Options.Spill_drop -> Some Spill.null
-        | None, Options.No_spill -> None
-      in
       match sink with
       | Some sink -> (
         (* Spill mode: stages stream out of the splitter straight through
            the sink and the program keeps only the summary. *)
-        let ctx = { ctx with c_stream_mode = true } in
         match run_stages ctx ~sink (stream_feed ctx circuit) with
         | Error msg -> Unplaceable msg
         | Ok summary -> placed [] (Some summary))
@@ -1684,11 +1675,10 @@ let place_reference options env circuit =
 (* Jobs run as pool tasks, so their internal parallel layers (scoring
    sweeps, enumeration, subtree routing) serialize via the pool's nested-use
    guard; each job is exactly the sequential engine.  Cross-run state is
-   shared where PR 4 already made it thread-safe: jobs with equal
-   environment and threshold resolve to the same physical adjacency graph
-   ({!Environment.connected_adjacency}, mutex-protected) and therefore to
-   the same {!Score_cache} per-graph registry entry (mutex-protected route
-   tables and bisection memo). *)
+   thread-safe: jobs with equal environment and threshold resolve to the
+   same physical adjacency graph ({!Environment.connected_adjacency},
+   mutex-protected) and therefore to the same {!Score_cache} route table
+   per router (mutex-protected entries, internally locked memo). *)
 let place_batch ?(jobs = 0) ?(deadline_of = fun _ -> infinity) specs =
   let arr = Array.of_list specs in
   let total = Array.length arr in

@@ -93,10 +93,15 @@ type stats = {
           when the score cache is off ({!place_reference});
           [route_cache_misses] is the number actually built. *)
   route_cache_hits : int;
-      (** Routing requests answered from the {!Score_cache} route table. *)
+      (** Routing requests answered from the {!Score_cache} route table —
+          for every router the cross-run table of the run's graph, so
+          this counts networks routed by earlier runs over the same
+          environment and threshold too (a spilled run's private table
+          only its own). *)
   route_cache_misses : int;
       (** Routing requests that ran the router (equals [networks_routed]
-          under {!place_reference}, whose cache is off). *)
+          under {!place_reference}, whose cache is off; [0] on a repeat of
+          an in-core run whose routes are still in the table). *)
   scoring_seconds : float;
       (** Wall-clock seconds spent scoring candidates (routing + timing),
           across all domains' sweeps. *)
@@ -208,12 +213,12 @@ val place_batch :
     returned in input order and are bit-identical to calling {!place} on
     each spec in turn: concurrent jobs serialize their own inner parallel
     layers through the pool's nested-use guard, and the only cross-job
-    state — the per-threshold adjacency memo and the per-graph route/memo
-    registry of {!Score_cache} — is mutex-protected and deterministic.
-    Jobs sharing an environment and threshold share one physical adjacency
-    graph and hence one cross-run route registry entry, so batch runs reuse
-    routed SWAP networks across jobs exactly like repeated sequential
-    {!place} calls do.
+    state — the per-threshold adjacency memo and the cross-run route
+    tables of {!Score_cache} — is mutex-protected and deterministic.
+    Jobs sharing an environment, threshold, router and leaf-override flag
+    share one physical adjacency graph and hence one route table, so batch
+    runs reuse routed SWAP networks across jobs exactly like repeated
+    sequential {!place} calls do, whichever the router.
 
     [deadline_of i] (default: [infinity] for every job) is job [i]'s
     absolute anytime deadline, forwarded to {!place}'s [?deadline] — the

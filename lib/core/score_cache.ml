@@ -23,32 +23,101 @@ type route_entry = {
   swap_circuit : Circuit.t; (* the network as a physical SWAP circuit *)
 }
 
-type t = {
-  enabled : bool;
-  register : int;
-  routes : route_entry Perm_tbl.t;
+type table = {
+  entries : route_entry Perm_tbl.t;
+  order : int array Queue.t;
+      (* insertion order; [Queue.length order = Perm_tbl.length entries]
+         outside the lock, the FIFO eviction victim is the queue's head *)
+  cap : int;
+  memo : Bisect_router.memo option;
+  register : int; (* vertices of the table's graph *)
+  is_private : bool; (* made by [private_copy]: the only kind [trim] clears *)
   lock : Mutex.t;
+}
+
+type t = {
+  table : table;
   hits : int Atomic.t;
   misses : int Atomic.t;
-  bisect_memo : Bisect_router.memo;
   mutable graphs : (Circuit.t * Graph.t) list;
   mutable mappings : (Circuit.t * int array list) list;
 }
 
 let memo_cap = 32
 
-let create ?(enabled = true) ~register () =
+(* The cross-run tables outlive any single run (they die with their graph,
+   and memoized adjacencies keep graphs alive), so every table carries a
+   hard entry cap instead of relying on a caller-driven trim: runs over
+   one graph — a long placement, a daemon's stream of requests — keep
+   meeting new connecting permutations, and without the cap a table would
+   carry every one of them as a full-register SWAP circuit, for the
+   process lifetime.  Eviction is FIFO on insertion order, one entry at a
+   time: given the same insertion sequence the same keys survive, so a
+   daemon replaying identical traffic sees identical hit patterns — a
+   whole-table reset would instead tie the surviving set to where in the
+   stream the cap happened to trip.  Evicting loses only memoization
+   (every entry is a pure function of its key). *)
+let route_capacity = 1024
+
+let make_table ~cap ~memo graph =
   {
-    enabled;
-    register;
-    routes = Perm_tbl.create 256;
+    entries = Perm_tbl.create (min cap 64);
+    order = Queue.create ();
+    cap;
+    memo;
+    register = Graph.n graph;
+    is_private = false;
     lock = Mutex.create ();
-    hits = Atomic.make 0;
-    misses = Atomic.make 0;
-    bisect_memo = Bisect_router.make_memo ();
-    graphs = [];
-    mappings = [];
   }
+
+let uncached graph = make_table ~cap:0 ~memo:None graph
+
+(* Why graph identity is a sound key: see [shared] in the interface.  The
+   ephemeron key lets the cached state die with its graph. *)
+module Graph_registry = Ephemeron.K1.Make (struct
+  type t = Graph.t
+
+  let equal = ( == )
+
+  (* Immutable content only: a graph's lazily filled degree tables would
+     move a whole-value hash between insertion and lookup. *)
+  let hash g = Hashtbl.hash (Graph.n g, Graph.edge_count g)
+end)
+
+let registry : ((Options.router * bool) * table) list ref Graph_registry.t =
+  Graph_registry.create 8
+
+let registry_lock = Mutex.create ()
+
+let shared graph ~router ~leaf_override =
+  let key = (router, leaf_override) in
+  Mutex.protect registry_lock (fun () ->
+      let tables =
+        match Graph_registry.find_opt registry graph with
+        | Some tables -> tables
+        | None ->
+          let tables = ref [] in
+          Graph_registry.add registry graph tables;
+          tables
+      in
+      match List.assoc_opt key !tables with
+      | Some table -> table
+      | None ->
+        let table =
+          make_table ~cap:route_capacity
+            ~memo:(Some (Bisect_router.make_memo ()))
+            graph
+        in
+        tables := (key, table) :: !tables;
+        table)
+
+let private_copy table =
+  { table with entries = Perm_tbl.create 64; order = Queue.create ();
+               is_private = true; lock = Mutex.create () }
+
+let create table =
+  { table; hits = Atomic.make 0; misses = Atomic.make 0; graphs = [];
+    mappings = [] }
 
 let hits t = Atomic.get t.hits
 
@@ -70,149 +139,45 @@ let count_miss t =
   Atomic.incr t.misses;
   if Telemetry.enabled () then Telemetry.incr m_misses
 
-let bisect_memo t = if t.enabled then Some t.bisect_memo else None
+let memoizes t = t.table.cap > 0
 
 (* The subcircuit memos are only touched from sequential orchestration
    (see their doc below), so clearing them needs no lock. *)
 let trim t =
-  Mutex.protect t.lock (fun () -> Perm_tbl.reset t.routes);
-  t.graphs <- [];
-  t.mappings <- []
-
-(* The shared per-graph tables outlive any single run (they die with their
-   graph, and memoized adjacencies keep graphs alive), so they get a hard
-   entry cap instead of a caller-driven trim: a streaming run over
-   thousands of stages sees thousands of distinct connecting permutations,
-   and without the cap the tables — not the run — would carry O(stages)
-   full-register SWAP circuits.  Eviction is FIFO on insertion order, one
-   entry at a time: given the same insertion sequence the same keys
-   survive, so a daemon replaying identical traffic sees identical hit
-   patterns — a whole-table reset would instead tie the surviving set to
-   where in the stream the cap happened to trip.  Evicting loses only
-   memoization (every entry is a pure function of its key). *)
-let shared_route_cap = 1024
-
-let shared_route_capacity = shared_route_cap
-
-let entry_of t network =
-  { network; swap_circuit = Swap_network.to_circuit ~qubits:t.register network }
-
-(* Everything the unweighted router produces is a pure function of the
-   adjacency graph (plus the leaf-override flag and the permutation), so it
-   is shared across placement runs through a weak-keyed registry:
-   {!Qcp_env.Environment.connected_adjacency} hands back the same physical
-   graph per environment and threshold, and the ephemeron key lets the
-   cached state die with its graph.  Weighted routes keep the per-run memo
-   above — their channel choice depends on the caller's edge-cost oracle,
-   which the registry key cannot see. *)
-type shared_table = {
-  st_entries : route_entry Perm_tbl.t;
-  st_order : int array Queue.t;
-      (* insertion order; [Queue.length st_order = Perm_tbl.length
-         st_entries] outside the lock, the FIFO eviction victim is the
-         queue's head *)
-}
-
-type shared = {
-  sh_memo : Bisect_router.memo;
-  sh_register : int; (* the register width the cached circuits were built for *)
-  sh_lock : Mutex.t;
-  sh_plain : shared_table; (* leaf_override = false *)
-  sh_leaf : shared_table; (* leaf_override = true *)
-}
-
-let make_shared_table () =
-  { st_entries = Perm_tbl.create 64; st_order = Queue.create () }
-
-module Graph_registry = Ephemeron.K1.Make (struct
-  type t = Graph.t
-
-  let equal = ( == )
-
-  let hash = Hashtbl.hash
-end)
-
-let shared_registry = Graph_registry.create 8
-
-let shared_registry_lock = Mutex.create ()
-
-let shared_for t graph =
-  Mutex.protect shared_registry_lock (fun () ->
-      match Graph_registry.find_opt shared_registry graph with
-      | Some sh -> sh
-      | None ->
-        let sh =
-          {
-            sh_memo = Bisect_router.make_memo ();
-            sh_register = t.register;
-            sh_lock = Mutex.create ();
-            sh_plain = make_shared_table ();
-            sh_leaf = make_shared_table ();
-          }
-        in
-        Graph_registry.add shared_registry graph sh;
-        sh)
-
-let shared_bisect_memo t graph =
-  if not t.enabled then None else Some (shared_for t graph).sh_memo
-
-let shared_route t graph ~leaf_override ~route perm =
-  if not t.enabled then None
-  else
-    let sh = shared_for t graph in
-    if sh.sh_register <> t.register then None
-    else begin
-      let table = if leaf_override then sh.sh_leaf else sh.sh_plain in
-      match
-        Mutex.protect sh.sh_lock (fun () ->
-            Perm_tbl.find_opt table.st_entries perm)
-      with
-      | Some entry ->
-        count_hit t;
-        Some entry
-      | None ->
-        count_miss t;
-        (* Routing runs outside the lock, as in [route] above: concurrent
-           racers compute the same deterministic entry. *)
-        let entry = entry_of t (route sh.sh_memo perm) in
-        Mutex.protect sh.sh_lock (fun () ->
-            if not (Perm_tbl.mem table.st_entries perm) then begin
-              (* FIFO eviction: drop the oldest inserted entry, so the
-                 surviving set is a deterministic function of the
-                 insertion sequence. *)
-              if Perm_tbl.length table.st_entries >= shared_route_cap then begin
-                let victim = Queue.pop table.st_order in
-                Perm_tbl.remove table.st_entries victim
-              end;
-              let key = Array.copy perm in
-              Queue.push key table.st_order;
-              Perm_tbl.add table.st_entries key entry
-            end);
-        Some entry
-    end
+  let table = t.table in
+  if table.is_private then begin
+    Mutex.protect table.lock (fun () ->
+        Perm_tbl.reset table.entries;
+        Queue.clear table.order);
+    t.graphs <- [];
+    t.mappings <- []
+  end
 
 let route t ~route perm =
-  if not t.enabled then begin
+  let table = t.table in
+  match Mutex.protect table.lock (fun () -> Perm_tbl.find_opt table.entries perm) with
+  | Some entry ->
+    count_hit t;
+    entry
+  | None ->
     count_miss t;
-    entry_of t (route perm)
-  end
-  else begin
-    let cached = Mutex.protect t.lock (fun () -> Perm_tbl.find_opt t.routes perm) in
-    match cached with
-    | Some entry ->
-      count_hit t;
-      entry
-    | None ->
-      count_miss t;
-      (* Routing runs outside the lock; concurrent scorers of the same perm
-         may race to insert, but the router is deterministic so both compute
-         the same entry. *)
-      let entry = entry_of t (route perm) in
-      Mutex.protect t.lock (fun () ->
-          if not (Perm_tbl.mem t.routes perm) then
-            Perm_tbl.add t.routes (Array.copy perm) entry);
-      entry
-  end
+    (* Routing runs outside the lock; concurrent scorers of the same perm
+       may race to insert, but the router is deterministic so both compute
+       the same entry. *)
+    let network = route table.memo perm in
+    let entry =
+      { network; swap_circuit = Swap_network.to_circuit ~qubits:table.register network }
+    in
+    if table.cap > 0 then
+      Mutex.protect table.lock (fun () ->
+          if not (Perm_tbl.mem table.entries perm) then begin
+            if Perm_tbl.length table.entries >= table.cap then
+              Perm_tbl.remove table.entries (Queue.pop table.order);
+            let key = Array.copy perm in
+            Queue.push key table.order;
+            Perm_tbl.add table.entries key entry
+          end);
+    entry
 
 (* The per-subcircuit memos are keyed by physical identity: the placer
    threads the same circuit values through stage formation, lookahead and
@@ -228,7 +193,7 @@ let assoc_memo get set cap key compute t =
     value
 
 let interaction_graph t circuit =
-  if not t.enabled then Circuit.interaction_graph circuit
+  if not (memoizes t) then Circuit.interaction_graph circuit
   else
     assoc_memo
       (fun t -> t.graphs)
@@ -236,7 +201,7 @@ let interaction_graph t circuit =
       memo_cap circuit Circuit.interaction_graph t
 
 let mappings t ~enumerate circuit =
-  if not t.enabled then enumerate circuit
+  if not (memoizes t) then enumerate circuit
   else
     assoc_memo
       (fun t -> t.mappings)

@@ -3,21 +3,27 @@
     Candidate scoring re-routes the same connecting permutations over and
     over: the lookahead pair sweep, fine tuning and the final re-score of a
     stage's winner all revisit [before -> after] placements already routed
-    earlier in the same placement run.  This cache stores, per run:
-
-    - routed SWAP networks keyed by their connecting permutation, together
-      with their physical SWAP-circuit form (the timing model's input);
-    - the bisection router's permutation-independent subset structure
-      ({!Qcp_route.Bisect_router.memo});
-    - per-subcircuit interaction graphs and monomorphism enumerations,
-      keyed by physical identity.
+    earlier in the same placement run, and repeated runs over one
+    environment revisit each other's.  A {!table} stores routed SWAP
+    networks keyed by their connecting permutation, together with their
+    physical SWAP-circuit form (the timing model's input), plus the
+    bisection router's permutation-independent subset structure
+    ({!Qcp_route.Bisect_router.memo}).  Tables are shared across placement
+    runs per (adjacency graph, router, leaf-override flag); a cache {!t}
+    adds one run's hit/miss counters and its per-subcircuit memos
+    (interaction graphs and monomorphism enumerations, keyed by physical
+    identity).
 
     Everything cached is a deterministic function of its key, so placements
     computed with the cache enabled are bit-identical to placements computed
-    without it.  The route table is lock-protected and its counters are
-    atomic, so parallel candidate scoring can share one cache; the
-    per-subcircuit memos must only be consulted from sequential
+    without it.  Tables are lock-protected and the counters are atomic, so
+    parallel candidate scoring and concurrent placement runs can share them;
+    the per-subcircuit memos must only be consulted from sequential
     orchestration code. *)
+
+type table
+(** Permutation-keyed route entries in FIFO insertion order under a hard
+    entry cap, plus the router memo handed to every route it computes. *)
 
 type t
 
@@ -28,52 +34,47 @@ type route_entry = {
           memoized so scoring never rebuilds it. *)
 }
 
-val create : ?enabled:bool -> register:int -> unit -> t
-(** A fresh cache for one placement run over a [register]-vertex
-    environment.  With [enabled = false] every lookup recomputes (and
-    counts a miss) — the cache of the exhaustive test oracle
-    {!Placer.place_reference}. *)
+val shared :
+  Qcp_graph.Graph.t -> router:Options.router -> leaf_override:bool -> table
+(** The cross-run table for routes over [graph] by [router], from a
+    weak-keyed registry: the graph's physical identity is the key, and the
+    table dies with its graph.  Sharing is sound because every router's
+    output — the weighted router's included — is a pure function of
+    [(graph, router, leaf_override, perm)]:
+    {!Qcp_env.Environment.connected_adjacency} memoizes each graph inside
+    the environment that owns it, whose delays never change.  The table
+    holds at most {!route_capacity} entries; at the cap, inserting a new
+    entry evicts the {e oldest inserted} one (FIFO), so the surviving set
+    is a deterministic function of the insertion sequence and a daemon
+    replaying identical traffic sees identical hit patterns. *)
+
+val private_copy : table -> table
+(** A fresh, empty table with [table]'s cap, sharing its router memo (the
+    subset structure is small and permutation-independent) but none of its
+    entries — for a run that must not leave its routes in the cross-run
+    table.  The only kind of table {!trim} clears. *)
+
+val uncached : Qcp_graph.Graph.t -> table
+(** A table of capacity 0 with no router memo: every lookup recomputes
+    from scratch (and counts a miss).  A cache over it also skips the
+    subcircuit memos — the exhaustive test oracle {!Placer.place_reference}. *)
+
+val route_capacity : int
+(** Entry cap of every table except {!uncached}.  Exposed for the
+    eviction-order tests. *)
+
+val create : table -> t
+(** A fresh cache for one placement run over [table], with zeroed counters
+    and empty subcircuit memos. *)
 
 val route :
-  t -> route:(Qcp_route.Perm.t -> Qcp_route.Swap_network.t) -> Qcp_route.Perm.t -> route_entry
-(** The routed network for a permutation, from cache or by calling [route]. *)
-
-val bisect_memo : t -> Qcp_route.Bisect_router.memo option
-(** This run's private router memo ([None] when the cache is disabled) —
-    for routes whose subset structure depends on more than the graph
-    (e.g. a weighted channel choice). *)
-
-val shared_bisect_memo :
-  t -> Qcp_graph.Graph.t -> Qcp_route.Bisect_router.memo option
-(** The cross-run router memo for [graph] ([None] when the cache is
-    disabled), from a weak-keyed per-graph registry.  Split structure is a
-    deterministic function of the graph alone, so sharing it across
-    placement runs cannot change any result; entries are dropped by the GC
-    together with their graph. *)
-
-val shared_route :
   t ->
-  Qcp_graph.Graph.t ->
-  leaf_override:bool ->
-  route:(Qcp_route.Bisect_router.memo -> Qcp_route.Perm.t -> Qcp_route.Swap_network.t) ->
+  route:(Qcp_route.Bisect_router.memo option -> Qcp_route.Perm.t -> Qcp_route.Swap_network.t) ->
   Qcp_route.Perm.t ->
-  route_entry option
-(** The routed network for a permutation from the cross-run per-graph
-    registry, or by calling [route] with the registry's memo and storing
-    the result.  Only for routes that are a pure function of
-    [(graph, leaf_override, perm)] — i.e. the unweighted bisection router —
-    so sharing across placement runs cannot change any result.  Returns
-    [None] (caller falls back to the per-run {!route} table) when the cache
-    is disabled or the registry entry was built for a different register
-    width.  Hits and misses count into this cache's counters as usual. *)
-
-val shared_route_capacity : int
-(** Hard entry cap of each cross-run per-graph route table (one per
-    [leaf_override] value).  At the cap, inserting a new entry evicts the
-    {e oldest inserted} one (FIFO): the surviving set is a deterministic
-    function of the insertion sequence, so a daemon replaying identical
-    traffic sees identical hit patterns.  Exposed for the eviction-order
-    tests. *)
+  route_entry
+(** The routed network for a permutation from the table, or by calling
+    [route] with the table's memo and storing the result.  Hits and misses
+    count into this cache's counters. *)
 
 val interaction_graph : t -> Qcp_circuit.Circuit.t -> Qcp_graph.Graph.t
 (** Memoized {!Qcp_circuit.Circuit.interaction_graph} (physical identity
@@ -89,13 +90,16 @@ val mappings :
     within one placement run.  Sequential callers only. *)
 
 val trim : t -> unit
-(** Drop this run's route table and subcircuit memos.  Every entry is a
-    deterministic pure function of its key, so trimming can only cost
-    recomputation, never change a placement.  The streaming spill driver
-    calls this after each placed stage: connecting permutations are
+(** For a cache over a {!private_copy}: drop the table's route entries and
+    this run's subcircuit memos.  Over any other table, a no-op — trimming
+    a {!shared} table would discard other runs' routes, and an in-core run
+    keeps its memos.  Every entry is a deterministic pure function of its
+    key, so trimming can only cost recomputation, never change a
+    placement.  The placer calls this after each placed stage; only a
+    spill run's private table is affected: connecting permutations are
     rarely shared across stages and the memos key whole stage
-    subcircuits, so without trimming these tables are the structures that
-    would grow with gate count on a multi-thousand-stage run.  Sequential
+    subcircuits, so without trimming these are the structures that would
+    grow with gate count on a multi-thousand-stage run.  Sequential
     callers only (the memos are unlocked). *)
 
 val hits : t -> int

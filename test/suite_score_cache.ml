@@ -52,8 +52,8 @@ let options_for ~seed threshold =
   (* Alternate option profiles so the sweep exercises lookahead + fine
      tuning, the cheap greedy path and boundary balancing, and rotate the
      router on a different period: the weighted bisection and odd-even
-     routes take the per-run route table (odd-even falls back to the
-     shared registry off chains), not only the shared one. *)
+     routes have tables of their own (odd-even shares the unweighted
+     bisection's off chains). *)
   let profile =
     match seed mod 3 with
     | 0 -> Options.fast ~threshold
@@ -80,14 +80,35 @@ let check_exhaustive ~seed = function
     Alcotest.(check int) (tag "no cache hits") 0 s.Placer.route_cache_hits
   | Placer.Unplaceable _ -> ()
 
-(* Returns the variants' outcomes, in [variants] order. *)
+(* An environment equal to [env] but owning its own adjacency memo, hence
+   its own (empty) cross-run route tables: a run over it routes from
+   scratch, whatever ran over [env] before. *)
+let fresh_copy env =
+  let m = Environment.size env in
+  Environment.make ~name:(Environment.name env)
+    ~nuclei:(Array.init m (Environment.nucleus env))
+    ~delay:
+      (Array.init m (fun i -> Array.init m (Environment.coupling_delay env i)))
+    ~t2:(Array.init m (Environment.t2 env))
+    ()
+
+(* Returns the variants' outcomes, in [variants] order.  Each variant runs
+   over its own copy of [env], so none hits routes another one inserted:
+   the jobs 4 sweeps race to miss and insert into an empty table. *)
 let check_against_reference ~seed options env circuit =
   let expected = reference options env circuit in
   check_exhaustive ~seed expected;
   List.map
     (fun (name, o) ->
-      let outcome = Placer.place o env circuit in
+      let outcome = Placer.place o (fresh_copy env) circuit in
       check_identical ~seed expected (name, outcome);
+      (match outcome with
+      | Placer.Placed p when p.Placer.stats.Placer.networks_routed > 0 ->
+        Alcotest.(check bool)
+          (Printf.sprintf "seed %d, %s: routes from an empty table" seed name)
+          true
+          (p.Placer.stats.Placer.route_cache_misses > 0)
+      | _ -> ());
       outcome)
     (variants options)
 
@@ -193,9 +214,12 @@ let test_annealer_identical () =
 
 (* [place_batch] outcomes must equal per-spec [place] calls, in order, at
    any batch jobs value — including specs whose own [Options.jobs] exercise
-   the pool's nested-use guard under a parallel batch. *)
+   the pool's nested-use guard under a parallel batch.  Each pass builds
+   its specs afresh, so no pass hits routes an earlier one inserted; within
+   a pass, a seed's two specs share one environment, so a parallel batch
+   races two runs over one empty route table. *)
 let test_place_batch_identical () =
-  let specs =
+  let specs () =
     List.concat_map
       (fun seed ->
         let rng = Qcp_util.Rng.create (7000 + seed) in
@@ -211,14 +235,14 @@ let test_place_batch_identical () =
       [ 1; 2; 3; 4; 5; 6 ]
   in
   let sequential =
-    List.map (fun (o, e, c) -> Placer.place o e c) specs
+    List.map (fun (o, e, c) -> Placer.place o e c) (specs ())
   in
   List.iter
     (fun batch_jobs ->
-      let batch = Placer.place_batch ~jobs:batch_jobs specs in
+      let batch = Placer.place_batch ~jobs:batch_jobs (specs ()) in
       Alcotest.(check int)
         (Printf.sprintf "jobs %d: one outcome per spec" batch_jobs)
-        (List.length specs) (List.length batch);
+        (List.length sequential) (List.length batch);
       List.iteri
         (fun i (reference, outcome) ->
           check_identical ~seed:i reference
@@ -226,21 +250,24 @@ let test_place_batch_identical () =
         (List.combine sequential batch))
     [ 0; 4 ]
 
-(* The cross-run shared route registry is bounded by a FIFO cap: at
-   [shared_route_capacity] entries, inserting a new permutation evicts the
-   oldest *inserted* one, so the surviving set is a deterministic function
-   of the insertion sequence (a daemon replaying identical traffic sees
-   identical hit patterns).  A fresh graph owns a fresh registry table
+(* Every cross-run route table is bounded by a FIFO cap: at
+   [route_capacity] entries, inserting a new permutation evicts the oldest
+   *inserted* one, so the surviving set is a deterministic function of the
+   insertion sequence (a daemon replaying identical traffic sees identical
+   hit patterns).  A fresh graph owns fresh registry tables
    (physical-identity key), so this test controls its table completely; a
    trivial router keeps the fill cheap. *)
-let test_shared_route_fifo_eviction () =
+let test_route_fifo_eviction () =
   let register = 8 in
-  let cap = Qcp.Score_cache.shared_route_capacity in
+  let cap = Qcp.Score_cache.route_capacity in
   let graph =
     Qcp_graph.Graph.of_edges register
       [ (0, 1); (1, 2); (2, 3); (3, 4); (4, 5); (5, 6); (6, 7) ]
   in
-  let cache = Qcp.Score_cache.create ~register () in
+  let cache =
+    Qcp.Score_cache.create
+      (Qcp.Score_cache.shared graph ~router:Options.Bisect ~leaf_override:false)
+  in
   let route _memo _perm = [] in
   (* Lehmer-code unranking: a distinct permutation of [register] elements
      per rank (all ranks used stay far below 8! = 40320). *)
@@ -260,12 +287,9 @@ let test_shared_route_fifo_eviction () =
     Array.of_list (pick (List.init register Fun.id) rank 0)
   in
   let query rank =
-    match
-      Qcp.Score_cache.shared_route cache graph ~leaf_override:false ~route
-        (perm_of_rank rank)
-    with
-    | Some _ -> ()
-    | None -> Alcotest.fail "shared registry unavailable"
+    ignore
+      (Qcp.Score_cache.route cache ~route (perm_of_rank rank)
+        : Qcp.Score_cache.route_entry)
   in
   let total = cap + 16 in
   for rank = 0 to total - 1 do
@@ -296,6 +320,98 @@ let test_shared_route_fifo_eviction () =
   Alcotest.(check int) "eviction follows insertion order" 16
     (Qcp.Score_cache.misses cache - m1)
 
+let place_exn options env circuit =
+  match Placer.place options env circuit with
+  | Placer.Placed p -> p
+  | Placer.Unplaceable msg -> Alcotest.fail msg
+
+(* Every router's routes live in the cross-run table of their graph, so a
+   repeated placement over the same environment routes nothing.  The
+   registry lookup happens before enumeration fills the graph's lazy
+   degree tables, so this also pins a registry hash over immutable graph
+   content only. *)
+let test_routes_shared_across_runs () =
+  let circuit = Qcp_circuit.Catalog.phase_estimation 4 in
+  List.iter
+    (fun (name, router) ->
+      let env = fresh_copy Qcp_env.Molecules.trans_crotonic_acid in
+      let options =
+        { (Options.default ~threshold:100.0) with Options.router; jobs = 0 }
+      in
+      let first = place_exn options env circuit in
+      let second = place_exn options env circuit in
+      Alcotest.(check bool) (name ^ ": first run routes") true
+        (first.Placer.stats.Placer.route_cache_misses > 0);
+      Alcotest.(check int) (name ^ ": second run routes nothing") 0
+        second.Placer.stats.Placer.route_cache_misses;
+      Alcotest.(check bool) (name ^ ": same runtime") true
+        (Placer.runtime first = Placer.runtime second))
+    [
+      ("bisect", Options.Bisect);
+      ("weighted", Options.Bisect_weighted);
+      ("token", Options.Token);
+      ("odd-even", Options.Odd_even);
+    ]
+
+(* Two environments with one fast-edge graph (a 3x3 grid under the
+   threshold) but opposite coupling-delay orders.  Weighted routes depend
+   on the edge costs, so the registry must keep their tables apart: it
+   does, because each environment memoizes its own physical graph.
+   Interleaved placements must each equal their own oracle. *)
+let test_edge_costs_isolated () =
+  let edges = Qcp_graph.Graph.edges (Qcp_graph.Generators.grid 3 3) in
+  let env name delay_of =
+    Environment.of_couplings ~name
+      ~nuclei:(Array.init 9 (Printf.sprintf "q%d"))
+      ~single:(Array.make 9 1.0)
+      ~couplings:(List.mapi (fun i (u, v) -> (u, v, delay_of i)) edges)
+      ()
+  in
+  let rising = env "rising" (fun i -> float_of_int (10 + (3 * i))) in
+  let falling = env "falling" (fun i -> float_of_int (48 - (3 * i))) in
+  let options =
+    { (Options.default ~threshold:50.0) with
+      Options.router = Options.Bisect_weighted; jobs = 0 }
+  in
+  for seed = 1 to 5 do
+    (* Full occupancy: every vertex carries a token, so channel choices
+       move real SWAP costs (seeds 1 and 5 diverge if the two
+       environments' routes are pooled). *)
+    let rng = Qcp_util.Rng.create (3100 + seed) in
+    let circuit, _ = Qcp_circuit.Random_circuit.hidden_stages rng ~n:9 in
+    List.iter
+      (fun env ->
+        check_identical ~seed
+          (reference options env circuit)
+          (Environment.name env, Placer.place options env circuit))
+      [ rising; falling ]
+  done
+
+(* A spilled run routes through a private copy of the cross-run table, so
+   it leaves nothing behind for a later in-core run to hit: that run
+   misses exactly as often as on a never-used environment. *)
+let test_spill_leaves_no_routes () =
+  let circuit =
+    Qcp_circuit.Random_circuit.hidden_stages_custom (Qcp_util.Rng.create 17)
+      ~n:6 ~stages:3 ~gates_per_stage:10
+  in
+  (* The greedy profile routes a few dozen distinct networks, far below
+     the table cap, so a leaked spill route would be a certain hit. *)
+  let in_core = { (Options.fast ~threshold:50.0) with Options.jobs = 0 } in
+  let misses env =
+    (place_exn in_core env circuit).Placer.stats.Placer.route_cache_misses
+  in
+  let spilled_env = Environment.grid 6 6 in
+  let spilled =
+    place_exn { in_core with Options.spill = Options.Spill_drop } spilled_env
+      circuit
+  in
+  Alcotest.(check bool) "the spilled run routed" true
+    (spilled.Placer.stats.Placer.route_cache_misses > 0);
+  Alcotest.(check int) "in-core misses unchanged by the spilled run"
+    (misses (Environment.grid 6 6))
+    (misses spilled_env)
+
 let suite =
   [
     Alcotest.test_case "engine variants identical over 50 seeds" `Quick
@@ -309,5 +425,11 @@ let suite =
     Alcotest.test_case "bounded search prunes on table3 workload" `Quick
       test_bounded_actually_prunes;
     Alcotest.test_case "shared route registry evicts FIFO at the cap" `Quick
-      test_shared_route_fifo_eviction;
+      test_route_fifo_eviction;
+    Alcotest.test_case "every router's routes are shared across runs" `Quick
+      test_routes_shared_across_runs;
+    Alcotest.test_case "weighted routes isolated per environment" `Quick
+      test_edge_costs_isolated;
+    Alcotest.test_case "spilled runs leave no shared routes" `Quick
+      test_spill_leaves_no_routes;
   ]
