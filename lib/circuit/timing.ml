@@ -5,6 +5,8 @@ type weights = {
 
 type model = Asap | Sequential
 
+let identity_place q = q
+
 let capped reuse_cap t =
   match reuse_cap with None -> t | Some cap -> Float.min cap t
 
@@ -94,6 +96,38 @@ let scratch_ready scratch register =
     scratch.s_acc <- Array.make register 0.0
   end
 
+(* The two-qubit step of the physical-clock recurrence: a gate of
+   duration [t] on vertices [pa], [pb] updates the interaction-run state
+   (the [reuse_cap] accounting) and returns its finish clock, which the
+   caller stores into both clocks.  Inlined into every loop below. *)
+let[@inline] pair_finish ?reuse_cap ~register ~time ~pair_code ~run_acc
+    ~weights pa pb t =
+  let lo = min pa pb and hi = max pa pb in
+  let code = (lo * register) + hi in
+  let effective =
+    if pair_code.(pa) = code && pair_code.(pb) = code then begin
+      match reuse_cap with
+      | None ->
+        run_acc.(pa) <- run_acc.(pa) +. t;
+        run_acc.(pb) <- run_acc.(pa);
+        t
+      | Some cap ->
+        let acc = run_acc.(pa) in
+        let eff = Float.min cap (acc +. t) -. Float.min cap acc in
+        run_acc.(pa) <- acc +. t;
+        run_acc.(pb) <- run_acc.(pa);
+        eff
+    end
+    else begin
+      pair_code.(pa) <- code;
+      pair_code.(pb) <- code;
+      run_acc.(pa) <- t;
+      run_acc.(pb) <- t;
+      capped reuse_cap t
+    end
+  in
+  Float.max time.(pa) time.(pb) +. (weights.coupled pa pb *. effective)
+
 (* The ASAP recurrence over physical clocks.  [time] must be pre-loaded with
    the start clocks; [pair_code] with -1; [run_acc] with 0. *)
 let asap_placed_into ?reuse_cap ~register ~time ~pair_code ~run_acc ~weights
@@ -105,33 +139,9 @@ let asap_placed_into ?reuse_cap ~register ~time ~pair_code ~run_acc ~weights
       time.(p) <- time.(p) +. (weights.single p *. Gate.duration gate)
     | Gate.G2 (_, a, b) ->
       let pa = place a and pb = place b in
-      let lo = min pa pb and hi = max pa pb in
-      let code = (lo * register) + hi in
-      let t = Gate.duration gate in
-      let effective =
-        if pair_code.(pa) = code && pair_code.(pb) = code then begin
-          match reuse_cap with
-          | None ->
-            run_acc.(pa) <- run_acc.(pa) +. t;
-            run_acc.(pb) <- run_acc.(pa);
-            t
-          | Some cap ->
-            let acc = run_acc.(pa) in
-            let eff = Float.min cap (acc +. t) -. Float.min cap acc in
-            run_acc.(pa) <- acc +. t;
-            run_acc.(pb) <- run_acc.(pa);
-            eff
-        end
-        else begin
-          pair_code.(pa) <- code;
-          pair_code.(pb) <- code;
-          run_acc.(pa) <- t;
-          run_acc.(pb) <- t;
-          capped reuse_cap t
-        end
-      in
       let finish =
-        Float.max time.(pa) time.(pb) +. (weights.coupled pa pb *. effective)
+        pair_finish ?reuse_cap ~register ~time ~pair_code ~run_acc ~weights pa
+          pb (Gate.duration gate)
       in
       time.(pa) <- finish;
       time.(pb) <- finish
@@ -159,33 +169,9 @@ let asap_placed_bounded ?reuse_cap ~limit ~register ~time ~pair_code ~run_acc
       time.(p) <- finish
     | Gate.G2 (_, a, b) ->
       let pa = place a and pb = place b in
-      let lo = min pa pb and hi = max pa pb in
-      let code = (lo * register) + hi in
-      let t = Gate.duration gate in
-      let effective =
-        if pair_code.(pa) = code && pair_code.(pb) = code then begin
-          match reuse_cap with
-          | None ->
-            run_acc.(pa) <- run_acc.(pa) +. t;
-            run_acc.(pb) <- run_acc.(pa);
-            t
-          | Some cap ->
-            let acc = run_acc.(pa) in
-            let eff = Float.min cap (acc +. t) -. Float.min cap acc in
-            run_acc.(pa) <- acc +. t;
-            run_acc.(pb) <- run_acc.(pa);
-            eff
-        end
-        else begin
-          pair_code.(pa) <- code;
-          pair_code.(pb) <- code;
-          run_acc.(pa) <- t;
-          run_acc.(pb) <- t;
-          capped reuse_cap t
-        end
-      in
       let finish =
-        Float.max time.(pa) time.(pb) +. (weights.coupled pa pb *. effective)
+        pair_finish ?reuse_cap ~register ~time ~pair_code ~run_acc ~weights pa
+          pb (Gate.duration gate)
       in
       if finish > limit then raise Cutoff_exceeded;
       time.(pa) <- finish;
@@ -272,6 +258,57 @@ let stage_advance ?(model = Asap) ?reuse_cap ?cutoff ~weights ~place scratch
       Array.fill scratch.s_time 0 register total;
       true)
 
+(* {!asap_placed_bounded} over SWAP gates on physical vertices (identity
+   placement).  One loop serves both verdicts -- no clock ever exceeds an
+   infinite limit. *)
+let swap_duration = Gate.duration (Gate.swap 0 1)
+
+let asap_swaps ?reuse_cap ~limit ~register ~time ~pair_code ~run_acc ~weights
+    swaps =
+  let count = Array.length swaps / 2 in
+  let i = ref 0 in
+  let ok = ref true in
+  while !ok && !i < count do
+    let pa = swaps.(2 * !i) and pb = swaps.((2 * !i) + 1) in
+    if pa < 0 || pa >= register || pb < 0 || pb >= register then
+      invalid_arg "Timing: swap vertex outside the physical register";
+    let finish =
+      pair_finish ?reuse_cap ~register ~time ~pair_code ~run_acc ~weights pa pb
+        swap_duration
+    in
+    if finish > limit then ok := false
+    else begin
+      time.(pa) <- finish;
+      time.(pb) <- finish;
+      incr i
+    end
+  done;
+  !ok
+
+let stage_advance_swaps ?(model = Asap) ?reuse_cap ?cutoff ~weights scratch
+    swaps =
+  let register = scratch.s_len in
+  match model with
+  | Asap ->
+    Array.fill scratch.s_pair 0 register (-1);
+    Array.fill scratch.s_acc 0 register 0.0;
+    asap_swaps ?reuse_cap
+      ~limit:(Option.value cutoff ~default:infinity)
+      ~register ~time:scratch.s_time ~pair_code:scratch.s_pair
+      ~run_acc:scratch.s_acc ~weights swaps
+  | Sequential ->
+    let gates =
+      List.init (Array.length swaps / 2) (fun i ->
+          Gate.swap swaps.(2 * i) swaps.((2 * i) + 1))
+    in
+    let circuit =
+      try Circuit.make ~qubits:register gates
+      with Invalid_argument _ ->
+        invalid_arg "Timing: swap vertex outside the physical register"
+    in
+    stage_advance ~model ?reuse_cap ?cutoff ~weights
+      ~place:identity_place scratch circuit
+
 let stage_lift scratch v t =
   if t > scratch.s_time.(v) then scratch.s_time.(v) <- t
 
@@ -301,4 +338,3 @@ let runtime ?model ?reuse_cap ?start ~weights ~place circuit =
   Array.fold_left Float.max 0.0
     (finish_times ?model ?reuse_cap ?start ~weights ~place circuit)
 
-let identity_place q = q

@@ -111,6 +111,22 @@ val stage_advance :
     advanced and unspecified; reload them with {!stage_start} before the
     next evaluation. *)
 
+val stage_advance_swaps :
+  ?model:model ->
+  ?reuse_cap:float ->
+  ?cutoff:float ->
+  weights:weights ->
+  scratch ->
+  int array ->
+  bool
+(** [stage_advance_swaps scratch swaps] is {!stage_advance} with the
+    identity placement over the circuit of SWAP gates
+    [Gate.swap swaps.(2i) swaps.(2i+1)], in order, on physical vertices —
+    without building that circuit under {!Asap}: the float operations run
+    in the same order, so the verdict and the clocks are bit-identical.
+    {!Sequential} builds the circuit (it needs the levelization).  Raises
+    [Invalid_argument] on a vertex outside the loaded register. *)
+
 val stage_makespan : scratch -> float
 (** [max 0] of the loaded clocks. *)
 

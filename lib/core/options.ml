@@ -57,12 +57,31 @@ let default ~threshold =
    key exactly when they are structurally equal. *)
 let canonical t =
   let b = Buffer.create 256 in
-  let field name value = Buffer.add_string b (name ^ "=" ^ value ^ ";") in
+  let open_field name =
+    Buffer.add_string b name;
+    Buffer.add_char b '='
+  in
+  let close_field () = Buffer.add_char b ';' in
+  let field name value =
+    open_field name;
+    Buffer.add_string b value;
+    close_field ()
+  in
+  let int_field name v = field name (string_of_int v) in
+  let float_field name v =
+    open_field name;
+    Printf.bprintf b "%h" v;
+    close_field ()
+  in
+  let option_field name print = function
+    | None -> field name "none"
+    | Some v -> print name v
+  in
   let flag name v = field name (if v then "1" else "0") in
-  field "threshold" (Printf.sprintf "%h" t.threshold);
-  field "k" (string_of_int t.monomorphism_limit);
+  float_field "threshold" t.threshold;
+  int_field "k" t.monomorphism_limit;
   flag "lookahead" t.lookahead;
-  field "fine_tune" (string_of_int t.fine_tune_passes);
+  int_field "fine_tune" t.fine_tune_passes;
   flag "leaf_override" t.leaf_override;
   field "router"
     (match t.router with
@@ -70,35 +89,37 @@ let canonical t =
     | Bisect_weighted -> "weighted"
     | Token -> "token"
     | Odd_even -> "odd-even");
-  field "reuse_cap"
-    (match t.reuse_cap with
-    | None -> "none"
-    | Some c -> Printf.sprintf "%h" c);
+  option_field "reuse_cap" float_field t.reuse_cap;
   field "model"
     (match t.model with
     | Qcp_circuit.Timing.Asap -> "asap"
     | Qcp_circuit.Timing.Sequential -> "sequential");
   flag "commute" t.commute_prepass;
   flag "balance" t.balance_boundaries;
-  field "window" (string_of_int t.window);
+  int_field "window" t.window;
   flag "coarsen" t.coarsen;
-  field "root_cap"
-    (match t.root_cap with None -> "none" | Some c -> string_of_int c);
-  field "spill"
-    (match t.spill with
-    | No_spill -> "none"
-    | Spill_drop -> "drop"
-    | Spill_file path -> "file:" ^ path);
-  field "vcycle" (string_of_int t.vcycle);
+  option_field "root_cap" int_field t.root_cap;
+  (match t.spill with
+  | No_spill -> field "spill" "none"
+  | Spill_drop -> field "spill" "drop"
+  | Spill_file path ->
+    open_field "spill";
+    Buffer.add_string b "file:";
+    Buffer.add_string b path;
+    close_field ());
+  int_field "vcycle" t.vcycle;
   (* [jobs] is deliberately excluded: placements are bit-identical at any
      jobs value (the library's determinism contract), so a server may
      answer a jobs=4 request from a jobs=0 solve and vice versa. *)
   flag "portfolio" t.portfolio;
-  field "deadline"
-    (match t.deadline with
-    | None -> "none"
-    | Some d -> Printf.sprintf "%h" d);
-  field "strategies" (String.concat "," t.portfolio_strategies);
+  option_field "deadline" float_field t.deadline;
+  open_field "strategies";
+  List.iteri
+    (fun i name ->
+      if i > 0 then Buffer.add_char b ',';
+      Buffer.add_string b name)
+    t.portfolio_strategies;
+  close_field ();
   flag "learn" t.portfolio_learn;
   Buffer.contents b
 

@@ -155,35 +155,31 @@ let swap_metric options env adjacency =
   if dearest <= cheapest then Uniform cheapest
   else Weighted (lazy (Paths.all_pairs_weighted ~cost adjacency))
 
-(* [swap_arrival metric dist] forces the distance table [metric] reads
-   and returns [arrival]: [arrival start src dst] is the clock a token
-   displaced from [src] to [dst <> src] lifts [dst] to ([neg_infinity]: no
-   lift).  A weighted distance is a float sum in Dijkstra's order while
-   the swap stage sums its delays gate by gate, so a weighted lift is
-   shaded down by 2^-40 of itself -- far above any rounding gap, far below
-   any delay -- so that rounding never puts it above a clock the swap
-   stage really reaches. *)
-let swap_arrival metric dist =
+(* [swap_arrival metric dist start src dst] is the clock a token displaced
+   from [src] to [dst <> src] lifts [dst] to ([neg_infinity]: no lift),
+   forcing the distance table [metric] reads ([dist] is the BFS one).  A
+   weighted distance is a float sum in Dijkstra's order while the swap
+   stage sums its delays gate by gate, so a weighted lift is shaded down by
+   2^-40 of itself -- far above any rounding gap, far below any delay -- so
+   that rounding never puts it above a clock the swap stage really
+   reaches.  Inlined, so the scoring loop boxes no float. *)
+let[@inline] swap_arrival metric dist start src dst =
   match metric with
   | Uniform step ->
-    let dist = Lazy.force dist in
-    fun start src dst ->
-      let d = dist.(src).(dst) in
-      if d > 0 then start.(src) +. (float_of_int d *. step) else neg_infinity
+    let d = (Lazy.force dist).(src).(dst) in
+    if d > 0 then start.(src) +. (float_of_int d *. step) else neg_infinity
   | Weighted table ->
-    let table = Lazy.force table in
-    fun start src dst ->
-      let t = start.(src) +. table.(src).(dst) in
-      t -. (t *. 0x1p-40)
+    let t = start.(src) +. (Lazy.force table).(src).(dst) in
+    t -. (t *. 0x1p-40)
 
 let bfs_table adjacency =
   Array.init (Graph.n adjacency) (fun v -> Paths.bfs_dist adjacency v)
 
 let swap_lift options env adjacency =
-  let arrival =
-    swap_arrival (swap_metric options env adjacency) (lazy (bfs_table adjacency))
-  in
-  fun ~start src dst -> if src = dst then neg_infinity else arrival start src dst
+  let metric = swap_metric options env adjacency in
+  let dist = lazy (bfs_table adjacency) in
+  fun ~start src dst ->
+    if src = dst then neg_infinity else swap_arrival metric dist start src dst
 
 (* Internal context shared by the pipeline.  Search counters live in a
    per-run {!Qcp_obs.Metrics} registry (each handle is one atomic cell, so
@@ -214,7 +210,7 @@ type ctx = {
          private copy, trimmed after every stage, for spill runs
          ({!run_stages}); uncached for {!place_reference}. *)
   c_router :
-    Qcp_route.Bisect_router.memo option -> Perm.t -> Swap_network.t;
+    Qcp_route.Bisect_router.memo option -> Perm.t -> Swap_network.flat;
       (* The run's router, chosen once in {!run}. *)
   c_scratch : Timing.scratch; (* main-domain scoring buffers *)
   c_scoring_time : float ref; (* wall seconds spent scoring candidates *)
@@ -319,12 +315,11 @@ let route_network ctx perm =
 
 (* The run's router and the registry key its routes are shared under.
    Odd-even off a chain is exactly the unweighted bisection, so it routes
-   and shares as one. *)
+   and shares as one.  Every router answers with a flat schedule. *)
 let router_of options env adjacency =
   let leaf_override = options.Options.leaf_override in
-  let jobs = options.Options.jobs in
   let bisect ?edge_cost memo perm =
-    Qcp_route.Bisect_router.route ~leaf_override ?edge_cost ?memo ~jobs
+    Qcp_route.Bisect_router.route_flat ~leaf_override ?edge_cost ?memo
       adjacency ~perm
   in
   match options.Options.router with
@@ -333,11 +328,15 @@ let router_of options env adjacency =
     ( Options.Bisect_weighted,
       bisect ~edge_cost:(fun u v -> Environment.coupling_delay env u v) )
   | Options.Token ->
-    (Options.Token, fun _ perm -> Qcp_route.Token_router.route adjacency ~perm)
+    ( Options.Token,
+      fun _ perm ->
+        Swap_network.flatten (Qcp_route.Token_router.route adjacency ~perm) )
   | Options.Odd_even -> (
     match Qcp_route.Oes_router.path_order adjacency with
     | Some _ ->
-      (Options.Odd_even, fun _ perm -> Qcp_route.Oes_router.route adjacency ~perm)
+      ( Options.Odd_even,
+        fun _ perm ->
+          Swap_network.flatten (Qcp_route.Oes_router.route adjacency ~perm) )
     | None -> (Options.Bisect, fun memo -> bisect memo))
 
 let time_placed ctx start place circuit =
@@ -345,57 +344,67 @@ let time_placed ctx start place circuit =
     ?reuse_cap:ctx.c_options.Options.reuse_cap ~start ~weights:ctx.c_weights
     ~place circuit
 
-(* Extend a partial monomorphism (active qubits only) to a full injective
-   placement of every logical qubit.  Inactive qubits keep their previous
-   vertex when possible, then fall to the nearest free vertex; in the first
-   stage qubits with the heaviest single-qubit workload get the fastest
-   nuclei. *)
+(* Load a partial monomorphism (active qubits only) into [placement],
+   marking its vertices in [taken]; every other qubit reads -1. *)
+let place_active ctx ~placement ~taken mapping =
+  Array.fill placement 0 ctx.c_n (-1);
+  Array.fill taken 0 ctx.c_m false;
+  for q = 0 to Array.length mapping - 1 do
+    let v = mapping.(q) in
+    if v >= 0 then begin
+      placement.(q) <- v;
+      taken.(v) <- true
+    end
+  done
+
+(* Extend a partial monomorphism to a full injective placement of every
+   logical qubit, given the previous stage's placement, into [placement]
+   ([taken] is scratch of environment size): inactive qubits keep their
+   previous vertex when it is free, then, in qubit order, fall to the
+   nearest free vertex.  Allocates nothing. *)
+let complete_after ctx ~previous ~placement ~taken mapping =
+  place_active ctx ~placement ~taken mapping;
+  (* Previous vertices are distinct, so no inactive qubit can take another
+     one's: the order of this pass does not matter. *)
+  for q = 0 to ctx.c_n - 1 do
+    if placement.(q) < 0 && not taken.(previous.(q)) then begin
+      placement.(q) <- previous.(q);
+      taken.(previous.(q)) <- true
+    end
+  done;
+  (* Displaced inactive qubits move to the nearest free vertex. *)
+  let dist_table = Lazy.force ctx.c_dist in
+  for q = 0 to ctx.c_n - 1 do
+    if placement.(q) < 0 then begin
+      let dist = dist_table.(previous.(q)) in
+      let best = ref (-1) in
+      for v = 0 to ctx.c_m - 1 do
+        if not taken.(v) then
+          match !best with
+          | -1 -> best := v
+          | b ->
+            let dv = if dist.(v) < 0 then max_int else dist.(v) in
+            let db = if dist.(b) < 0 then max_int else dist.(b) in
+            if dv < db then best := v
+      done;
+      assert (!best >= 0);
+      placement.(q) <- !best;
+      taken.(!best) <- true
+    end
+  done
+
+(* {!complete_after} into fresh arrays; in the first stage qubits with the
+   heaviest single-qubit workload get the fastest nuclei. *)
 let complete_placement ctx ~prev ~subcircuit mapping =
   let placement = Array.make ctx.c_n (-1) in
   let taken = Array.make ctx.c_m false in
-  Array.iteri
-    (fun q v ->
-      if v >= 0 then begin
-        placement.(q) <- v;
-        taken.(v) <- true
-      end)
-    mapping;
-  let inactive =
-    List.filter (fun q -> placement.(q) < 0) (Qcp_util.Listx.range ctx.c_n)
-  in
   (match prev with
-  | Some previous ->
-    let pending =
-      List.filter
-        (fun q ->
-          let v = previous.(q) in
-          if taken.(v) then true
-          else begin
-            placement.(q) <- v;
-            taken.(v) <- true;
-            false
-          end)
-        inactive
-    in
-    (* Displaced inactive qubits move to the nearest free vertex. *)
-    List.iter
-      (fun q ->
-        let dist = (Lazy.force ctx.c_dist).(previous.(q)) in
-        let best = ref (-1) in
-        for v = 0 to ctx.c_m - 1 do
-          if not taken.(v) then
-            match !best with
-            | -1 -> best := v
-            | b ->
-              let dv = if dist.(v) < 0 then max_int else dist.(v) in
-              let db = if dist.(b) < 0 then max_int else dist.(b) in
-              if dv < db then best := v
-        done;
-        assert (!best >= 0);
-        placement.(q) <- !best;
-        taken.(!best) <- true)
-      pending
+  | Some previous -> complete_after ctx ~previous ~placement ~taken mapping
   | None ->
+    place_active ctx ~placement ~taken mapping;
+    let inactive =
+      List.filter (fun q -> placement.(q) < 0) (Qcp_util.Listx.range ctx.c_n)
+    in
     let workload = Array.make ctx.c_n 0.0 in
     List.iter
       (fun gate ->
@@ -431,22 +440,40 @@ let connecting_stage ctx ~prev placement =
     in
     if Perm.is_identity perm then None else Some (route_network ctx perm)
 
+(* A connecting stage's list network, for the stages a program keeps. *)
+let connecting_network ctx ~prev placement =
+  Option.map Swap_network.of_flat (connecting_stage ctx ~prev placement)
+
 (* The swap-displacement lift shared by {!score_makespan}'s prebound and
    {!candidate_bound}: raise each displaced token's destination clock in
    [scratch] (already loaded with [phys_start]) to its {!swap_arrival}
    and return the largest lift (0 when nothing moves). *)
 let lift_displaced ctx scratch ~phys_start perm =
-  let arrival = swap_arrival ctx.c_swap ctx.c_dist in
   let lifted = ref 0.0 in
-  Array.iteri
-    (fun src dst ->
-      if src <> dst then begin
-        let t = arrival phys_start src dst in
-        Timing.stage_lift scratch dst t;
-        if t > !lifted then lifted := t
-      end)
-    perm;
+  for src = 0 to Array.length perm - 1 do
+    let dst = perm.(src) in
+    if src <> dst then begin
+      let t = swap_arrival ctx.c_swap ctx.c_dist phys_start src dst in
+      Timing.stage_lift scratch dst t;
+      if t > !lifted then lifted := t
+    end
+  done;
   !lifted
+
+(* Per-domain connecting-permutation and completion buffers: the scoring
+   loops build each candidate's permutation, and each lookahead completion,
+   in place.  A domain runs one sweep slot at a time and a slot finishes
+   with a buffer before it is refilled. *)
+let perm_builder = Domain.DLS.new_key Perm.builder
+
+type completion = { mutable c_placement : int array; mutable c_taken : bool array }
+
+let completion_key =
+  Domain.DLS.new_key (fun () -> { c_placement = [||]; c_taken = [||] })
+
+let connecting_perm ctx ~previous placement =
+  Perm.of_placements_into (Domain.DLS.get perm_builder) ~size:ctx.c_m
+    ~before:previous ~after:placement
 
 (* Score one candidate placement from the current physical clock: optional
    connecting SWAP stage, then the subcircuit.  Returns the network, the
@@ -458,12 +485,19 @@ let score_candidate ctx ~phys_start ~prev ~subcircuit placement =
     match entry with
     | None -> phys_start
     | Some entry ->
-      time_placed ctx phys_start Timing.identity_place
-        entry.Score_cache.swap_circuit
+      let scratch = ctx.c_scratch in
+      Timing.stage_start scratch phys_start;
+      let completed =
+        Timing.stage_advance_swaps ~model:ctx.c_options.Options.model
+          ?reuse_cap:ctx.c_options.Options.reuse_cap ~weights:ctx.c_weights
+          scratch entry.Swap_network.swaps
+      in
+      assert completed;
+      Timing.stage_clocks scratch
   in
   let finish = time_placed ctx after_swaps (fun q -> placement.(q)) subcircuit in
   let makespan = Array.fold_left Float.max 0.0 finish in
-  (Option.map (fun e -> e.Score_cache.network) entry, finish, makespan)
+  (Option.map Swap_network.of_flat entry, finish, makespan)
 
 (* Same recurrence as {!score_candidate} restricted to the makespan, run
    through reusable clock buffers so the argmin sweeps allocate nothing per
@@ -511,9 +545,7 @@ let score_makespan ?(cutoff = infinity) ?(prebound = true) ctx ~scratch
   match prev with
   | None -> swap_free ()
   | Some previous ->
-    let perm =
-      Perm.of_placements ~size:ctx.c_m ~before:previous ~after:placement
-    in
+    let perm = connecting_perm ctx ~previous placement in
     if Perm.is_identity perm then swap_free ()
     else begin
       let prebound_refuted =
@@ -531,8 +563,8 @@ let score_makespan ?(cutoff = infinity) ?(prebound = true) ctx ~scratch
         let entry = route_network ctx perm in
         Timing.stage_start scratch phys_start;
         if
-          advance ?cutoff:copt ~place:Timing.identity_place
-            entry.Score_cache.swap_circuit
+          Timing.stage_advance_swaps ~model ?reuse_cap ?cutoff:copt
+            ~weights:ctx.c_weights scratch entry.Swap_network.swaps
           && advance ?cutoff:copt ~place subcircuit
         then Timing.stage_makespan scratch
         else refute ()
@@ -548,9 +580,7 @@ let candidate_bound ctx ~scratch ~phys_start ~prev ~subcircuit placement =
   (match prev with
   | None -> ()
   | Some previous ->
-    let perm =
-      Perm.of_placements ~size:ctx.c_m ~before:previous ~after:placement
-    in
+    let perm = connecting_perm ctx ~previous placement in
     ignore (lift_displaced ctx scratch ~phys_start perm : float));
   let completed =
     Timing.stage_advance ~model:ctx.c_options.Options.model
@@ -890,28 +920,32 @@ let pick_greedy ~cutoff ctx ~phys_start ~prev ~subcircuit candidates =
    Each completion is timed under the running inner minimum capped by
    [cutoff] -- an aborted completion is strictly worse than one of those,
    so the returned minimum is exact whenever it is [<= cutoff] and is
-   reported as [infinity] (provably above [cutoff]) otherwise. *)
+   reported as [infinity] (provably above [cutoff]) otherwise.  Each
+   completion is built into this domain's buffer just before it is
+   scored. *)
 let deep_tail ctx ~scratch ~cutoff ~finish ~stage1 ~placement ~next_subcircuit
     ~next_mappings =
-  let next_candidates =
-    List.map
-      (complete_placement ctx ~prev:(Some placement) ~subcircuit:next_subcircuit)
-      next_mappings
-  in
-  match next_candidates with
-  | [] -> stage1
-  | _ ->
+  if Array.length next_mappings = 0 then stage1
+  else begin
+    let buffers = Domain.DLS.get completion_key in
+    if Array.length buffers.c_placement <> ctx.c_n then
+      buffers.c_placement <- Array.make ctx.c_n (-1);
+    if Array.length buffers.c_taken <> ctx.c_m then
+      buffers.c_taken <- Array.make ctx.c_m false;
+    let next_placement = buffers.c_placement in
+    let prev = Some placement in
     let best = ref infinity in
-    List.iter
-      (fun next_placement ->
-        let s =
-          score_makespan ~cutoff:(Float.min !best cutoff) ctx ~scratch
-            ~phys_start:finish ~prev:(Some placement)
-            ~subcircuit:next_subcircuit next_placement
-        in
-        if s < !best then best := s)
-      next_candidates;
+    for i = 0 to Array.length next_mappings - 1 do
+      complete_after ctx ~previous:placement ~placement:next_placement
+        ~taken:buffers.c_taken next_mappings.(i);
+      let s =
+        score_makespan ~cutoff:(Float.min !best cutoff) ctx ~scratch
+          ~phys_start:finish ~prev ~subcircuit:next_subcircuit next_placement
+      in
+      if s < !best then best := s
+    done;
     !best
+  end
 
 (* Depth-2 lookahead score (paper Section 5.3): the best achievable makespan
    after also placing the *next* subcircuit with its own connecting swaps.
@@ -1005,7 +1039,7 @@ let place_one ?(cutoff = infinity) ctx ~phys_start ~prev ~hint ~subcircuit
       Some
         ( next,
           in_phase ctx.c_phases.ph_enumerate ~name:"placer/enumerate"
-            (fun () -> enumerate_mappings ctx ~subcircuit:next) )
+            (fun () -> Array.of_list (enumerate_mappings ctx ~subcircuit:next)) )
     | Some _ | None -> None
   in
   let pick cutoff =
@@ -1076,8 +1110,7 @@ let place_one ?(cutoff = infinity) ctx ~phys_start ~prev ~hint ~subcircuit
                    saved clocks are bit-identical to a fresh replay, so
                    only the connecting network is fetched (a
                    route-cache hit). *)
-                let entry = connecting_stage ctx ~prev tuned in
-                ( Option.map (fun e -> e.Score_cache.network) entry,
+                ( connecting_network ctx ~prev tuned,
                   finish,
                   Array.fold_left Float.max 0.0 finish )
               | _ -> score_candidate ctx ~phys_start ~prev ~subcircuit tuned))
@@ -1461,9 +1494,9 @@ let vcycle_refine ctx stage_list =
       for j = k - 1 downto 0 do
         stages := Compute { placement = p.(j); circuit = c.(j) } :: !stages;
         if j > 0 then
-          match connecting_stage ctx ~prev:(Some p.(j - 1)) p.(j) with
-          | Some entry when entry.Score_cache.network <> [] ->
-            stages := Permute entry.Score_cache.network :: !stages
+          match connecting_network ctx ~prev:(Some p.(j - 1)) p.(j) with
+          | Some network when network <> [] ->
+            stages := Permute network :: !stages
           | Some _ | None -> ()
       done;
       !stages
@@ -1563,15 +1596,14 @@ let run ~reference ?(deadline = infinity) ?shared ?spill options env circuit =
       in
       let router, c_router = router_of options env adjacency in
       let table =
-        if reference then Score_cache.uncached adjacency
+        if reference then Score_cache.uncached ()
         else
           let shared =
             Score_cache.shared adjacency ~router
               ~leaf_override:options.Options.leaf_override
           in
-          (* A spill run's routes stay out of the cross-run table: on a
-             large register each entry carries a full-register SWAP
-             circuit, and a multi-thousand-stage run feeding the
+          (* A spill run's routes stay out of the cross-run table: a
+             multi-thousand-stage run feeding the
              process-lifetime table would grow the heap with gate count —
              exactly what spill mode promises not to do. *)
           if Option.is_some sink then Score_cache.private_copy shared

@@ -18,10 +18,7 @@ module Perm_tbl = Hashtbl.Make (struct
     !h
 end)
 
-type route_entry = {
-  network : Swap_network.t;
-  swap_circuit : Circuit.t; (* the network as a physical SWAP circuit *)
-}
+type route_entry = Swap_network.flat
 
 type table = {
   entries : route_entry Perm_tbl.t;
@@ -30,7 +27,6 @@ type table = {
          outside the lock, the FIFO eviction victim is the queue's head *)
   cap : int;
   memo : Bisect_router.memo option;
-  register : int; (* vertices of the table's graph *)
   is_private : bool; (* made by [private_copy]: the only kind [trim] clears *)
   lock : Mutex.t;
 }
@@ -50,8 +46,8 @@ let memo_cap = 32
    hard entry cap instead of relying on a caller-driven trim: runs over
    one graph — a long placement, a daemon's stream of requests — keep
    meeting new connecting permutations, and without the cap a table would
-   carry every one of them as a full-register SWAP circuit, for the
-   process lifetime.  Eviction is FIFO on insertion order, one entry at a
+   carry every one of them as a flat SWAP schedule, for the process
+   lifetime.  Eviction is FIFO on insertion order, one entry at a
    time: given the same insertion sequence the same keys survive, so a
    daemon replaying identical traffic sees identical hit patterns — a
    whole-table reset would instead tie the surviving set to where in the
@@ -59,18 +55,17 @@ let memo_cap = 32
    (every entry is a pure function of its key). *)
 let route_capacity = 1024
 
-let make_table ~cap ~memo graph =
+let make_table ~cap ~memo =
   {
     entries = Perm_tbl.create (min cap 64);
     order = Queue.create ();
     cap;
     memo;
-    register = Graph.n graph;
     is_private = false;
     lock = Mutex.create ();
   }
 
-let uncached graph = make_table ~cap:0 ~memo:None graph
+let uncached () = make_table ~cap:0 ~memo:None
 
 (* Why graph identity is a sound key: see [shared] in the interface.  The
    ephemeron key lets the cached state die with its graph. *)
@@ -106,7 +101,6 @@ let shared graph ~router ~leaf_override =
         let table =
           make_table ~cap:route_capacity
             ~memo:(Some (Bisect_router.make_memo ()))
-            graph
         in
         tables := (key, table) :: !tables;
         table)
@@ -164,10 +158,7 @@ let route t ~route perm =
     (* Routing runs outside the lock; concurrent scorers of the same perm
        may race to insert, but the router is deterministic so both compute
        the same entry. *)
-    let network = route table.memo perm in
-    let entry =
-      { network; swap_circuit = Swap_network.to_circuit ~qubits:table.register network }
-    in
+    let entry = route table.memo perm in
     if table.cap > 0 then
       Mutex.protect table.lock (fun () ->
           if not (Perm_tbl.mem table.entries perm) then begin

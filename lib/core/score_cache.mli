@@ -5,9 +5,8 @@
     stage's winner all revisit [before -> after] placements already routed
     earlier in the same placement run, and repeated runs over one
     environment revisit each other's.  A {!table} stores routed SWAP
-    networks keyed by their connecting permutation, together with their
-    physical SWAP-circuit form (the timing model's input), plus the
-    bisection router's permutation-independent subset structure
+    networks keyed by their connecting permutation, as flat schedules,
+    plus the bisection router's compiled split tree
     ({!Qcp_route.Bisect_router.memo}).  Tables are shared across placement
     runs per (adjacency graph, router, leaf-override flag); a cache {!t}
     adds one run's hit/miss counters and its per-subcircuit memos
@@ -27,12 +26,13 @@ type table
 
 type t
 
-type route_entry = {
-  network : Qcp_route.Swap_network.t;
-  swap_circuit : Qcp_circuit.Circuit.t;
-      (** [Swap_network.to_circuit] of [network] over the full register,
-          memoized so scoring never rebuilds it. *)
-}
+type route_entry = Qcp_route.Swap_network.flat
+(** A routed network as its flat schedule: two [int array]s, the swaps in
+    execution order and the level starts.  Scoring times it directly
+    ({!Qcp_circuit.Timing.stage_advance_swaps}), so a miss builds neither
+    the level list nor a SWAP circuit; the placer converts an entry to a
+    list network ({!Qcp_route.Swap_network.of_flat}) only for the stages
+    it keeps. *)
 
 val shared :
   Qcp_graph.Graph.t -> router:Options.router -> leaf_override:bool -> table
@@ -54,7 +54,7 @@ val private_copy : table -> table
     entries — for a run that must not leave its routes in the cross-run
     table.  The only kind of table {!trim} clears. *)
 
-val uncached : Qcp_graph.Graph.t -> table
+val uncached : unit -> table
 (** A table of capacity 0 with no router memo: every lookup recomputes
     from scratch (and counts a miss).  A cache over it also skips the
     subcircuit memos — the exhaustive test oracle {!Placer.place_reference}. *)
@@ -69,11 +69,12 @@ val create : table -> t
 
 val route :
   t ->
-  route:(Qcp_route.Bisect_router.memo option -> Qcp_route.Perm.t -> Qcp_route.Swap_network.t) ->
+  route:(Qcp_route.Bisect_router.memo option -> Qcp_route.Perm.t -> route_entry) ->
   Qcp_route.Perm.t ->
   route_entry
 (** The routed network for a permutation from the table, or by calling
-    [route] with the table's memo and storing the result.  Hits and misses
+    [route] with the table's memo and storing the result under a copy of
+    [perm] (so [perm] may be a reused scratch array).  Hits and misses
     count into this cache's counters. *)
 
 val interaction_graph : t -> Qcp_circuit.Circuit.t -> Qcp_graph.Graph.t

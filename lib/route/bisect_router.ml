@@ -8,34 +8,60 @@ let depth_upper_bound g = (8 * Graph.n g) + 8
 
 (* Everything the divide-and-conquer recursion derives from a vertex subset
    alone — the bisection, the channel edge and the per-half BFS structure —
-   is independent of the permutation being routed.  A [memo] caches it per
-   subset so repeated routes over the same adjacency graph (the placer
-   scores hundreds of candidates against one graph) pay the separator and
-   BFS costs once. *)
-type split_info = {
-  si_sa : int list; (* small half, original vertex ids *)
-  si_sb : int list; (* large half *)
-  si_in_a : bool array;
-  si_in_b : bool array;
-  si_guard_cap : int;
-  si_channel : int * int; (* (u1 in sa, u2 in sb) *)
-  si_parent_a : int array;
-  si_order_a : int list; (* sa sorted by distance to the channel *)
-  si_parent_b : int array;
-  si_order_b : int list;
+   is independent of the permutation being routed.  A memo compiles it once
+   per subset into a split tree whose nodes point at their halves' nodes,
+   so a route walks the tree without hashing below its root. *)
+type node =
+  | Unsplittable
+  | No_channel
+  | Split of split
+
+and split = {
+  sa : int array; (* small half, ascending vertex ids *)
+  sb : int array; (* large half *)
+  u1 : int; (* channel edge: u1 in sa, u2 in sb *)
+  u2 : int;
+  order_a : int array; (* sa by BFS distance to u1, ties in vertex order *)
+  up_a : int array; (* up_a.(i): BFS parent of order_a.(i) inside sa *)
+  order_b : int array;
+  up_b : int array;
+  guard_cap : int;
+  children : node option array;
+      (* the nodes of sa and sb, once met; halves of three or more
+         vertices only *)
 }
 
-type subset_info = Unsplittable | No_channel | Split of split_info
+(* Subset keys: vertex bitsets, [bits_per_word] vertices per word. *)
+let bits_per_word = 62
+
+let rec words_equal (a : int array) b i =
+  i < 0 || (a.(i) = b.(i) && words_equal a b (i - 1))
+
+module Key_tbl = Hashtbl.Make (struct
+  type t = int array
+
+  let equal a b =
+    Array.length a = Array.length b && words_equal a b (Array.length a - 1)
+
+  let hash a =
+    let h = ref 0x811c9dc5 in
+    for i = 0 to Array.length a - 1 do
+      h := (!h lxor a.(i)) * 0x01000193 land max_int
+    done;
+    !h
+end)
 
 type memo = {
-  table : (int list, subset_info) Hashtbl.t;
+  table : node Key_tbl.t;
   lock : Mutex.t;
-  mutable owner : Graph.t option; (* the graph this memo was built against *)
+  mutable owner : Graph.t option;
+      (* the graph this memo was built against, checked connected once *)
 }
 
-let make_memo () = { table = Hashtbl.create 64; lock = Mutex.create (); owner = None }
+let make_memo () =
+  { table = Key_tbl.create 16; lock = Mutex.create (); owner = None }
 
-let compute_info g edge_cost vertices =
+let compile g edge_cost vertices =
   let n = Graph.n g in
   let sub, back = Graph.induced g vertices in
   match Separator.bisect sub with
@@ -66,230 +92,412 @@ let compute_info g edge_cost vertices =
     (match channel with
     | None -> No_channel
     | Some (u1, u2) ->
-      let dist_a = Paths.bfs_dist ~restrict:(fun v -> in_sa.(v)) g u1 in
-      let parent_a = Paths.bfs_parents ~restrict:(fun v -> in_sa.(v)) g u1 in
-      let dist_b = Paths.bfs_dist ~restrict:(fun v -> in_sb.(v)) g u2 in
-      let parent_b = Paths.bfs_parents ~restrict:(fun v -> in_sb.(v)) g u2 in
-      let by_dist dist side =
-        List.sort (fun a b -> Int.compare dist.(a) dist.(b)) side
+      let half side inside root =
+        let restrict v = inside.(v) in
+        let dist = Paths.bfs_dist ~restrict g root in
+        let parent = Paths.bfs_parents ~restrict g root in
+        let order =
+          Array.of_list (List.sort (fun a b -> Int.compare dist.(a) dist.(b)) side)
+        in
+        (order, Array.map (fun v -> parent.(v)) order)
       in
+      let order_a, up_a = half sa in_sa u1 in
+      let order_b, up_b = half sb in_sb u2 in
       Split
         {
-          si_sa = sa;
-          si_sb = sb;
-          si_in_a = in_sa;
-          si_in_b = in_sb;
-          si_guard_cap = (8 * (List.length sa + List.length sb)) + 16;
-          si_channel = (u1, u2);
-          si_parent_a = parent_a;
-          si_order_a = by_dist dist_a sa;
-          si_parent_b = parent_b;
-          si_order_b = by_dist dist_b sb;
+          sa = Array.of_list sa;
+          sb = Array.of_list sb;
+          u1;
+          u2;
+          order_a;
+          up_a;
+          order_b;
+          up_b;
+          guard_cap = (8 * (List.length sa + List.length sb)) + 16;
+          children = [| None; None |];
         })
 
-(* Offloading a subtree pays one pool round-trip plus a fresh scratch
-   array; only worth it when the small half is big enough to hide that. *)
-let parallel_min_half = 8
+(* Per-domain routing state, grown on demand and reused by every route on
+   the domain: a route allocates only its result.  Levels are built in
+   generation order (depth-first, small half first), each swap tagged with
+   its level in the uncompressed network; {!flat_of_buffer} turns that into
+   the compressed network. *)
+type scratch = {
+  mutable config : int array; (* config.(v) = token currently at v *)
+  mutable active : bool array; (* not frozen by the leaf pre-pass *)
+  mutable mark : int array; (* mark.(v) = stamp: v is in the level being built *)
+  mutable stamp : int;
+  mutable side : bool array; (* v in the large half of the split in progress *)
+  mutable ready : int array;
+  mutable verts : int array; (* pre-pass freezes, then the root subset *)
+  mutable key : int array;
+  mutable su : int array; (* swap i is (su.(i), sv.(i)) at level sl.(i) *)
+  mutable sv : int array;
+  mutable sl : int array;
+  mutable count : int;
+  mutable order : int array; (* swap indices by level, stable *)
+  mutable cl : int array; (* compressed level of each swap *)
+  mutable hist : int array;
+}
 
-let route_impl ?(leaf_override = true) ?edge_cost ?memo ?(jobs = 0) g ~perm =
+let scratch_key =
+  Domain.DLS.new_key (fun () ->
+      {
+        config = [||];
+        active = [||];
+        mark = [||];
+        stamp = 0;
+        side = [||];
+        ready = [||];
+        verts = [||];
+        key = [||];
+        su = Array.make 64 0;
+        sv = Array.make 64 0;
+        sl = Array.make 64 0;
+        count = 0;
+        order = [||];
+        cl = [||];
+        hist = [||];
+      })
+
+let prepare s n =
+  if Array.length s.config < n then begin
+    s.config <- Array.make n 0;
+    s.active <- Array.make n true;
+    s.mark <- Array.make n 0;
+    s.side <- Array.make n false;
+    s.ready <- Array.make n 0;
+    s.verts <- Array.make n 0
+  end;
+  let words = (n + bits_per_word - 1) / bits_per_word in
+  if Array.length s.key <> words then s.key <- Array.make words 0;
+  for v = 0 to n - 1 do
+    s.config.(v) <- v
+  done;
+  Array.fill s.active 0 n true;
+  s.count <- 0
+
+let grow a = Array.append a (Array.make (Array.length a) 0)
+
+let push s u v level =
+  if s.count = Array.length s.su then begin
+    s.su <- grow s.su;
+    s.sv <- grow s.sv;
+    s.sl <- grow s.sl
+  end;
+  s.su.(s.count) <- u;
+  s.sv.(s.count) <- v;
+  s.sl.(s.count) <- level;
+  s.count <- s.count + 1
+
+let take s stamp u v level =
+  s.mark.(u) <- stamp;
+  s.mark.(v) <- stamp;
+  push s u v level
+
+(* A level's swaps are vertex-disjoint, so applying them in any order gives
+   the same configuration; the level list of the network holds them in
+   reverse discovery order, which [close_level] restores. *)
+let close_level s start =
+  let config = s.config and su = s.su and sv = s.sv in
+  let i = ref start and j = ref (s.count - 1) in
+  while !i < !j do
+    let u = su.(!i) and v = sv.(!i) in
+    su.(!i) <- su.(!j);
+    sv.(!i) <- sv.(!j);
+    su.(!j) <- u;
+    sv.(!j) <- v;
+    incr i;
+    decr j
+  done;
+  for k = start to s.count - 1 do
+    let u = su.(k) and v = sv.(k) in
+    let t = config.(u) in
+    config.(u) <- config.(v);
+    config.(v) <- t
+  done
+
+let dest s perm v = perm.(s.config.(v))
+
+let active_degree s g v =
+  let neighbors = Graph.neighbors g v in
+  let d = ref 0 in
+  for i = 0 to Array.length neighbors - 1 do
+    if s.active.(neighbors.(i)) then incr d
+  done;
+  !d
+
+let last_active_neighbor s g v =
+  let neighbors = Graph.neighbors g v in
+  let u = ref (-1) in
+  for i = 0 to Array.length neighbors - 1 do
+    if s.active.(neighbors.(i)) then u := neighbors.(i)
+  done;
+  !u
+
+(* Leaf-target value override pre-pass: freeze leaves that hold (or can
+   directly receive) their final value, shrinking the routing instance.
+   Freezes of one round apply after its scan.  Returns the number of
+   pre-pass levels. *)
+let prepass s g perm n =
+  let levels = ref 0 in
+  let active_count = ref n in
+  let progress = ref true in
+  while !progress && !active_count > 2 do
+    progress := false;
+    s.stamp <- s.stamp + 1;
+    let stamp = s.stamp in
+    let start = s.count in
+    let frozen = ref 0 in
+    for v = 0 to n - 1 do
+      if s.active.(v) && s.mark.(v) <> stamp && active_degree s g v = 1 then begin
+        if dest s perm v = v then begin
+          s.verts.(!frozen) <- v;
+          incr frozen
+        end
+        else begin
+          let u = last_active_neighbor s g v in
+          if u >= 0 && s.mark.(u) <> stamp && dest s perm u = v then begin
+            take s stamp u v !levels;
+            s.verts.(!frozen) <- v;
+            incr frozen
+          end
+        end
+      end
+    done;
+    if s.count > start then begin
+      close_level s start;
+      incr levels
+    end;
+    for i = 0 to !frozen - 1 do
+      s.active.(s.verts.(i)) <- false;
+      decr active_count;
+      progress := true
+    done
+  done;
+  !levels
+
+(* Within a half, misplaced tokens bubble toward the channel along BFS-tree
+   parents, swapping only with correctly-sided tokens, closest-to-channel
+   first.  [want] is the side a misplaced token of this half belongs to. *)
+let sweep s perm order up want root stamp level =
+  for i = 0 to Array.length order - 1 do
+    let v = order.(i) in
+    if v <> root && s.mark.(v) <> stamp && s.side.(dest s perm v) = want then begin
+      let p = up.(i) in
+      if p >= 0 && s.mark.(p) <> stamp && s.side.(dest s perm p) <> want then
+        take s stamp v p level
+    end
+  done
+
+let rec misplaced_in_a s perm sa i =
+  i >= 0 && (s.side.(dest s perm sa.(i)) || misplaced_in_a s perm sa (i - 1))
+
+(* Move misplaced tokens of [sa] and [sb] to their own half through the
+   channel edge; returns the number of levels, placed from [base] on.
+   Every token in a routed subset is bound for a vertex of that subset,
+   so [side] is only read at vertices this phase has just marked. *)
+let phase s perm sp base =
+  for i = 0 to Array.length sp.sa - 1 do
+    s.side.(sp.sa.(i)) <- false
+  done;
+  for i = 0 to Array.length sp.sb - 1 do
+    s.side.(sp.sb.(i)) <- true
+  done;
+  let iters = ref 0 in
+  while misplaced_in_a s perm sp.sa (Array.length sp.sa - 1) do
+    if !iters > sp.guard_cap then raise (Routing_failure "phase did not converge");
+    let level = base + !iters in
+    incr iters;
+    s.stamp <- s.stamp + 1;
+    let stamp = s.stamp in
+    let start = s.count in
+    (* Channel swap first. *)
+    if s.side.(dest s perm sp.u1) && not s.side.(dest s perm sp.u2) then
+      take s stamp sp.u1 sp.u2 level;
+    sweep s perm sp.order_a sp.up_a true sp.u1 stamp level;
+    sweep s perm sp.order_b sp.up_b false sp.u2 stamp level;
+    if s.count = start then raise (Routing_failure "phase produced an empty level");
+    close_level s start
+  done;
+  !iters
+
+(* The node of the subset [vertices.(0 .. len-1)] (ascending), compiled
+   under the memo's lock on first sight. *)
+let find_node s memo g edge_cost vertices len =
+  let key = s.key in
+  Array.fill key 0 (Array.length key) 0;
+  for i = 0 to len - 1 do
+    let v = vertices.(i) in
+    let w = v / bits_per_word in
+    key.(w) <- key.(w) lor (1 lsl (v mod bits_per_word))
+  done;
+  Mutex.lock memo.lock;
+  let found = Key_tbl.find_opt memo.table key in
+  Mutex.unlock memo.lock;
+  match found with
+  | Some node -> node
+  | None ->
+    Mutex.protect memo.lock (fun () ->
+        match Key_tbl.find_opt memo.table key with
+        | Some node -> node
+        | None ->
+          let node =
+            compile g edge_cost (Array.to_list (Array.sub vertices 0 len))
+          in
+          Key_tbl.add memo.table (Array.copy key) node;
+          node)
+
+let pair s perm a b level =
+  if dest s perm a <> a then begin
+    push s a b level;
+    close_level s (s.count - 1)
+  end
+
+(* The halves are vertex-disjoint after the phase, so each recursion swaps
+   only within its own half; both start at the level after the phase, the
+   small half's swaps generated first. *)
+let rec solve s memo g edge_cost perm node base =
+  match node with
+  | Unsplittable -> raise (Routing_failure "could not bisect a connected subgraph")
+  | No_channel -> raise (Routing_failure "no channel edge between bisection halves")
+  | Split sp ->
+    let base = base + phase s perm sp base in
+    solve_half s memo g edge_cost perm sp 0 sp.sa base;
+    solve_half s memo g edge_cost perm sp 1 sp.sb base
+
+and solve_half s memo g edge_cost perm sp side half base =
+  match half with
+  | [| a; b |] -> pair s perm a b base
+  | [||] | [| _ |] -> ()
+  | _ ->
+    let child =
+      match sp.children.(side) with
+      | Some child -> child
+      | None ->
+        let child = find_node s memo g edge_cost half (Array.length half) in
+        sp.children.(side) <- Some child;
+        child
+    in
+    solve s memo g edge_cost perm child base
+
+let ensure a size = if Array.length a < size then Array.make size 0 else a
+
+(* The uncompressed network lists its levels in order, the swaps of one
+   level in generation order (halves are interleaved level by level, the
+   small half's first) — a stable sort of the buffer by level.  ASAP
+   re-levelization over that sequence ({!Swap_network.compress}) then
+   buckets every swap at the earliest level where both its vertices are
+   free, keeping sequence order within a bucket: a second stable sort. *)
+let flat_of_buffer s n =
+  let count = s.count in
+  if count = 0 then Swap_network.empty_flat
+  else begin
+    let top = ref 0 in
+    for i = 0 to count - 1 do
+      if s.sl.(i) > !top then top := s.sl.(i)
+    done;
+    s.order <- ensure s.order count;
+    s.cl <- ensure s.cl count;
+    s.hist <- ensure s.hist (!top + 2);
+    let order = s.order and cl = s.cl and hist = s.hist in
+    Array.fill hist 0 (!top + 2) 0;
+    for i = 0 to count - 1 do
+      hist.(s.sl.(i) + 1) <- hist.(s.sl.(i) + 1) + 1
+    done;
+    for l = 1 to !top + 1 do
+      hist.(l) <- hist.(l) + hist.(l - 1)
+    done;
+    for i = 0 to count - 1 do
+      let l = s.sl.(i) in
+      order.(hist.(l)) <- i;
+      hist.(l) <- hist.(l) + 1
+    done;
+    let ready = s.ready in
+    Array.fill ready 0 n 0;
+    let depth = ref 0 in
+    for j = 0 to count - 1 do
+      let i = order.(j) in
+      let u = s.su.(i) and v = s.sv.(i) in
+      let c = max ready.(u) ready.(v) in
+      ready.(u) <- c + 1;
+      ready.(v) <- c + 1;
+      cl.(i) <- c;
+      if c + 1 > !depth then depth := c + 1
+    done;
+    let level_starts = Array.make (!depth + 1) 0 in
+    for i = 0 to count - 1 do
+      level_starts.(cl.(i) + 1) <- level_starts.(cl.(i) + 1) + 1
+    done;
+    for l = 1 to !depth do
+      level_starts.(l) <- level_starts.(l) + level_starts.(l - 1)
+    done;
+    Array.blit level_starts 0 hist 0 !depth;
+    let swaps = Array.make (2 * count) 0 in
+    for j = 0 to count - 1 do
+      let i = order.(j) in
+      let at = hist.(cl.(i)) in
+      hist.(cl.(i)) <- at + 1;
+      swaps.(2 * at) <- s.su.(i);
+      swaps.((2 * at) + 1) <- s.sv.(i)
+    done;
+    { Swap_network.swaps; level_starts }
+  end
+
+(* A memo is bound to its graph on first use, once the graph is known to be
+   connected, so later routes skip the connectivity check.  Concurrent
+   first routes may both check; the lock makes the binding itself
+   atomic. *)
+let bind memo g =
+  match memo.owner with
+  | Some owner when owner == g -> ()
+  | _ ->
+    if not (Paths.is_connected g) then
+      invalid_arg "Bisect_router.route: adjacency graph must be connected";
+    Mutex.protect memo.lock (fun () ->
+        match memo.owner with
+        | None -> memo.owner <- Some g
+        | Some owner when owner == g -> ()
+        | Some _ ->
+          invalid_arg "Bisect_router.route: memo built for a different graph")
+
+let route_impl ?(leaf_override = true) ?edge_cost ?memo g ~perm =
   let n = Graph.n g in
   if Array.length perm <> n then
     invalid_arg "Bisect_router.route: permutation size mismatch";
   if not (Perm.is_valid perm) then
     invalid_arg "Bisect_router.route: not a permutation";
-  if not (Paths.is_connected g) then
-    invalid_arg "Bisect_router.route: adjacency graph must be connected";
-  let info_of =
-    match memo with
-    | None -> compute_info g edge_cost
-    | Some memo ->
-      (match memo.owner with
-      | None -> memo.owner <- Some g
-      | Some owner ->
-        if owner != g then
-          invalid_arg "Bisect_router.route: memo built for a different graph");
-      fun vertices ->
-        let find () = Hashtbl.find_opt memo.table vertices in
-        Mutex.protect memo.lock (fun () ->
-            match find () with
-            | Some info -> info
-            | None ->
-              let info = compute_info g edge_cost vertices in
-              Hashtbl.add memo.table vertices info;
-              info)
-  in
-  let config = Array.init n (fun v -> v) in
-  let dest_of v = perm.(config.(v)) in
-  let settled v = dest_of v = v in
-  let apply_level level =
-    List.iter
-      (fun (u, v) ->
-        let tmp = config.(u) in
-        config.(u) <- config.(v);
-        config.(v) <- tmp)
-      level
-  in
-
-  (* Leaf-target value override pre-pass: freeze leaves that hold (or can
-     directly receive) their final value, shrinking the routing instance. *)
-  let active = Array.make n true in
-  let active_count = ref n in
-  let prepass_levels = ref [] in
-  (* Scratch "touched this level" marks, shared by the pre-pass and every
-     phase iteration on the same task: cleared with a fill instead of a
-     fresh allocation.  A subtree offloaded to the pool gets its own array
-     ([phase] fills all [n] cells), so concurrent siblings never share
-     scratch. *)
-  let used = Array.make n false in
-  if leaf_override then begin
-    let progress = ref true in
-    while !progress && !active_count > 2 do
-      progress := false;
-      let active_degree v =
-        Array.fold_left
-          (fun acc u -> if active.(u) then acc + 1 else acc)
-          0 (Graph.neighbors g v)
-      in
-      Array.fill used 0 n false;
-      let level = ref [] in
-      let freezes = ref [] in
-      for v = 0 to n - 1 do
-        if active.(v) && (not used.(v)) && active_degree v = 1 then begin
-          if settled v then freezes := v :: !freezes
-          else begin
-            let neighbor =
-              Array.fold_left
-                (fun acc u -> if active.(u) then Some u else acc)
-                None (Graph.neighbors g v)
-            in
-            match neighbor with
-            | Some u when (not used.(u)) && dest_of u = v ->
-              used.(v) <- true;
-              used.(u) <- true;
-              level := (u, v) :: !level;
-              freezes := v :: !freezes
-            | Some _ | None -> ()
-          end
-        end
-      done;
-      if !level <> [] then begin
-        apply_level !level;
-        prepass_levels := !level :: !prepass_levels
-      end;
-      List.iter
-        (fun v ->
-          active.(v) <- false;
-          decr active_count;
-          progress := true)
-        !freezes
-    done
-  end;
-
-  (* Move misplaced tokens of [sa] and [sb] to their own half through the
-     channel edge (u1, u2); within a half, misplaced tokens bubble toward the
-     channel along BFS-tree parents, swapping only with correctly-sided
-     tokens, closest-to-channel first. *)
-  let phase ~used info =
-    let in_sa = info.si_in_a in
-    let in_sb = info.si_in_b in
-    let u1, u2 = info.si_channel in
-    (* Every closure the loop needs is built once per phase, not once per
-       iteration: the inner loop runs O(half size) times per split and was
-       dominated by its own allocations. *)
-    let wrong_side_a v = in_sb.(dest_of v) in
-    let in_sb_dest d = in_sb.(d) in
-    let in_sa_dest d = in_sa.(d) in
-    let out = ref [] in
-    let level = ref [] in
-    let take u v =
-      used.(u) <- true;
-      used.(v) <- true;
-      level := (u, v) :: !level
-    in
-    let sweep order parent inside_other u_root =
-      List.iter
-        (fun v ->
-          if v <> u_root && (not used.(v)) && inside_other (dest_of v) then begin
-            let p = parent.(v) in
-            if p >= 0 && (not used.(p)) && not (inside_other (dest_of p)) then
-              take v p
-          end)
-        order
-    in
-    let iters = ref 0 in
-    let cap = info.si_guard_cap in
-    while List.exists wrong_side_a info.si_sa do
-      if !iters > cap then raise (Routing_failure "phase did not converge");
-      incr iters;
-      Array.fill used 0 n false;
-      level := [];
-      (* Channel swap first. *)
-      if in_sb.(dest_of u1) && in_sa.(dest_of u2) then take u1 u2;
-      sweep info.si_order_a info.si_parent_a in_sb_dest u1;
-      sweep info.si_order_b info.si_parent_b in_sa_dest u2;
-      if !level = [] then raise (Routing_failure "phase produced an empty level");
-      apply_level !level;
-      out := !level :: !out
-    done;
-    List.rev !out
-  in
-
-  (* Interleave sibling level lists: the halves are vertex-disjoint, so their
-     levels execute in parallel. *)
-  let rec merge la lb =
-    match (la, lb) with
-    | [], rest | rest, [] -> rest
-    | a :: ra, b :: rb -> (a @ b) :: merge ra rb
-  in
-  let rec solve ~used vertices =
-    match vertices with
-    | [] | [ _ ] -> []
-    | [ a; b ] ->
-      if settled a then []
-      else begin
-        let level = [ (a, b) ] in
-        apply_level level;
-        [ level ]
-      end
-    | _ -> (
-      match info_of vertices with
-      | Unsplittable -> raise (Routing_failure "could not bisect a connected subgraph")
-      | No_channel -> raise (Routing_failure "no channel edge between bisection halves")
-      | Split info ->
-        let phase_levels = phase ~used info in
-        (* After the phase, the halves are vertex-disjoint routing
-           instances: their [config] entries never alias and each recursion
-           swaps only within its own half, so they run as concurrent pool
-           tasks.  Levels are pure values and [merge] interleaves them
-           deterministically — the network is bit-identical to the
-           sequential recursion. *)
-        let la, lb =
-          if jobs > 1 && List.length info.si_sa >= parallel_min_half then
-            Qcp_util.Task_pool.both
-              (Qcp_util.Task_pool.get ())
-              ~jobs
-              (fun () -> solve ~used info.si_sa)
-              (fun () -> solve ~used:(Array.make n false) info.si_sb)
-          else begin
-            let la = solve ~used info.si_sa in
-            let lb = solve ~used info.si_sb in
-            (la, lb)
-          end
-        in
-        phase_levels @ merge la lb)
-  in
-  let remaining = List.filter (fun v -> active.(v)) (Graph.vertices g) in
-  let main_levels = solve ~used remaining in
-  let network = List.rev_append !prepass_levels main_levels in
-  assert (Array.for_all (fun v -> settled v) (Array.init n (fun v -> v)));
-  (* ASAP re-levelization: sparse pre-pass and phase levels pack together. *)
-  Swap_network.compress network
+  let memo = match memo with Some memo -> memo | None -> make_memo () in
+  bind memo g;
+  let s = Domain.DLS.get scratch_key in
+  prepare s n;
+  let base = if leaf_override then prepass s g perm n else 0 in
+  let remaining = ref 0 in
+  for v = 0 to n - 1 do
+    if s.active.(v) then begin
+      s.verts.(!remaining) <- v;
+      incr remaining
+    end
+  done;
+  (match !remaining with
+  | 0 | 1 -> ()
+  | 2 -> pair s perm s.verts.(0) s.verts.(1) base
+  | len -> solve s memo g edge_cost perm (find_node s memo g edge_cost s.verts len) base);
+  for v = 0 to n - 1 do
+    assert (dest s perm v = v)
+  done;
+  flat_of_buffer s n
 
 module Telemetry = Qcp_obs.Metrics
 
 let m_routes = Telemetry.counter Telemetry.global "router.routes"
 
-let route ?leaf_override ?edge_cost ?memo ?jobs g ~perm =
+let route_flat ?leaf_override ?edge_cost ?memo g ~perm =
   if Telemetry.enabled () then Telemetry.incr m_routes;
-  Qcp_obs.Trace.with_span ~cat:"route" "router/bisect" (fun () ->
-      route_impl ?leaf_override ?edge_cost ?memo ?jobs g ~perm)
+  if Qcp_obs.Trace.enabled () then
+    Qcp_obs.Trace.with_span ~cat:"route" "router/bisect" (fun () ->
+        route_impl ?leaf_override ?edge_cost ?memo g ~perm)
+  else route_impl ?leaf_override ?edge_cost ?memo g ~perm
+
+let route ?leaf_override ?edge_cost ?memo ?jobs:_ g ~perm =
+  Swap_network.of_flat (route_flat ?leaf_override ?edge_cost ?memo g ~perm)

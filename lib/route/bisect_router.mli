@@ -16,18 +16,34 @@ exception Routing_failure of string
 (** Internal-invariant violation; never expected on valid inputs. *)
 
 type memo
-(** Cache of the permutation-independent routing structure (bisections,
-    channel edges, per-half BFS trees) per vertex subset of one adjacency
-    graph.  Sharing a memo across [route] calls on the same graph amortizes
-    the separator work, which dominates routing cost; networks produced with
-    and without a memo are identical.  A memo is internally locked and safe
-    to share across domains. *)
+(** The permutation-independent routing structure of one adjacency graph,
+    compiled on demand into a split tree: one node per routed vertex
+    subset (keyed by a vertex bitset, one word per 62 vertices), holding
+    its two bisection halves, its channel edge, each half's BFS order
+    toward the channel with the matching BFS parents as [int array]s, and
+    pointers to its halves' nodes.  The separator and BFS work, which
+    dominates routing cost, is paid once per subset; a route below the
+    root only follows pointers.  The graph's connectivity is checked once,
+    when the memo binds to it.  Networks produced with and without a memo
+    are identical.  A memo is internally locked and safe to share across
+    domains. *)
 
 val make_memo : unit -> memo
 (** A fresh, empty memo.  Use one memo per (graph, [edge_cost]) combination:
     the first [route] call binds it to its graph (later calls with another
     graph raise [Invalid_argument]), but a differing [edge_cost] cannot be
     detected and silently yields the channels of the first one. *)
+
+val route_flat :
+  ?leaf_override:bool ->
+  ?edge_cost:(int -> int -> float) ->
+  ?memo:memo ->
+  Qcp_graph.Graph.t ->
+  perm:Perm.t ->
+  Swap_network.flat
+(** {!route} as a flat schedule: the same swaps, level by level in the same
+    order.  Routing runs in per-domain scratch buffers, so with a warm
+    [memo] a call allocates little beyond its result. *)
 
 val route :
   ?leaf_override:bool ->
@@ -43,12 +59,11 @@ val route :
     actual costs of SWAPs is possible"): communication-channel edges are
     chosen to minimize it.
 
-    [jobs] (default 0 = sequential) > 1 routes the two halves of each
-    sufficiently large bisection as concurrent tasks on the shared
-    {!Qcp_util.Task_pool} — the recursion the paper itself notes runs "in
-    parallel".  The halves are vertex-disjoint, every phase level is a pure
-    value, and sibling levels are interleaved deterministically, so the
-    produced network is bit-identical to the sequential one at any [jobs].
+    The paper's recursion routes the two halves of each bisection "in
+    parallel": they are vertex-disjoint, so their levels are interleaved
+    into one network.  The router computes them one after the other on the
+    calling domain; [jobs] is accepted and ignored, and the network is the
+    same at any value.
     Raises [Invalid_argument] if the graph is disconnected or [perm] is not a
     permutation of the graph's vertices. *)
 

@@ -53,44 +53,58 @@ let displaced p =
   Array.iteri (fun i dst -> if i <> dst then out := i :: !out) p;
   List.rev !out
 
-let of_placements ~size ~before ~after =
+type builder = { mutable perm : int array; mutable taken : bool array }
+
+let builder () = { perm = [||]; taken = [||] }
+
+let of_placements_into b ~size ~before ~after =
   if Array.length before <> Array.length after then
     invalid_arg "Perm.of_placements: placement lengths differ";
-  let perm = Array.make size (-1) in
-  let target_taken = Array.make size false in
-  Array.iteri
-    (fun q src ->
-      let dst = after.(q) in
-      if src < 0 || src >= size || dst < 0 || dst >= size then
-        invalid_arg "Perm.of_placements: vertex out of range";
-      if perm.(src) >= 0 || target_taken.(dst) then
-        invalid_arg "Perm.of_placements: placements not injective";
-      perm.(src) <- dst;
-      target_taken.(dst) <- true)
-    before;
-  (* Complete over blank vertices: fix points first, then match leftovers. *)
+  if Array.length b.perm <> size then begin
+    b.perm <- Array.make size (-1);
+    b.taken <- Array.make size false
+  end;
+  let perm = b.perm and taken = b.taken in
+  Array.fill perm 0 size (-1);
+  Array.fill taken 0 size false;
+  for q = 0 to Array.length before - 1 do
+    let src = before.(q) and dst = after.(q) in
+    if src < 0 || src >= size || dst < 0 || dst >= size then
+      invalid_arg "Perm.of_placements: vertex out of range";
+    if perm.(src) >= 0 || taken.(dst) then
+      invalid_arg "Perm.of_placements: placements not injective";
+    perm.(src) <- dst;
+    taken.(dst) <- true
+  done;
+  (* Complete over blank vertices: fix points first, then match leftover
+     sources to free targets, both in index order. *)
   for v = 0 to size - 1 do
-    if perm.(v) < 0 && not target_taken.(v) then begin
+    if perm.(v) < 0 && not taken.(v) then begin
       perm.(v) <- v;
-      target_taken.(v) <- true
+      taken.(v) <- true
     end
   done;
-  let free_targets = ref [] in
-  for v = size - 1 downto 0 do
-    if not target_taken.(v) then free_targets := v :: !free_targets
+  let free = ref 0 in
+  for src = 0 to size - 1 do
+    if perm.(src) < 0 then begin
+      while taken.(!free) do
+        incr free
+      done;
+      perm.(src) <- !free;
+      taken.(!free) <- true
+    end
   done;
-  Array.iteri
-    (fun src dst ->
-      if dst < 0 then begin
-        match !free_targets with
-        | [] -> assert false
-        | t :: rest ->
-          perm.(src) <- t;
-          free_targets := rest
-      end)
-    perm;
-  assert (is_valid perm);
+  (* [is_valid] without its allocation: [taken] becomes the seen marks. *)
+  Array.fill taken 0 size false;
+  for src = 0 to size - 1 do
+    let dst = perm.(src) in
+    assert (dst >= 0 && dst < size && not taken.(dst));
+    taken.(dst) <- true
+  done;
   perm
+
+let of_placements ~size ~before ~after =
+  of_placements_into (builder ()) ~size ~before ~after
 
 let pp ppf p =
   Format.fprintf ppf "(";

@@ -33,4 +33,17 @@ val of_placements : size:int -> before:int array -> after:int array -> t
     in index order otherwise.  Raises [Invalid_argument] on non-injective or
     out-of-range placements. *)
 
+type builder
+(** Reusable buffers for {!of_placements_into}.  Not thread-safe: use one
+    builder per domain. *)
+
+val builder : unit -> builder
+
+val of_placements_into :
+  builder -> size:int -> before:int array -> after:int array -> t
+(** {!of_placements} into the builder's own array, with the same checks
+    and the same [Invalid_argument] messages, allocating nothing once the
+    builder has seen [size].  The result is owned by the builder and
+    overwritten by its next call: copy it to keep it. *)
+
 val pp : Format.formatter -> t -> unit

@@ -4,6 +4,36 @@ type t = level list
 
 let depth t = List.length t
 
+type flat = { swaps : int array; level_starts : int array }
+
+let empty_flat = { swaps = [||]; level_starts = [| 0 |] }
+
+let flat_depth f = Array.length f.level_starts - 1
+
+let flatten t =
+  let swaps = Array.make (2 * List.fold_left (fun acc l -> acc + List.length l) 0 t) 0 in
+  let level_starts = Array.make (List.length t + 1) 0 in
+  let next = ref 0 in
+  List.iteri
+    (fun l level ->
+      List.iter
+        (fun (u, v) ->
+          swaps.(2 * !next) <- u;
+          swaps.((2 * !next) + 1) <- v;
+          incr next)
+        level;
+      level_starts.(l + 1) <- !next)
+    t;
+  { swaps; level_starts }
+
+let of_flat f =
+  List.init (flat_depth f) (fun l ->
+      List.init
+        (f.level_starts.(l + 1) - f.level_starts.(l))
+        (fun i ->
+          let k = f.level_starts.(l) + i in
+          (f.swaps.(2 * k), f.swaps.((2 * k) + 1))))
+
 let swap_count t = List.fold_left (fun acc level -> acc + List.length level) 0 t
 
 let is_valid g t =

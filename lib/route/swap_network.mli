@@ -12,6 +12,25 @@ type t = level list
 
 val depth : t -> int
 
+type flat = {
+  swaps : int array;
+      (** Swap [i] is [(swaps.(2i), swaps.(2i+1))]; swaps are listed level
+          by level, in execution order. *)
+  level_starts : int array;
+      (** [depth + 1] swap indices: level [l] holds swaps
+          [level_starts.(l)] to [level_starts.(l+1) - 1]. *)
+}
+(** The same network as two flat arrays: what the placer stores per routed
+    permutation and times directly ({!Qcp_circuit.Timing.stage_advance_swaps}),
+    so scoring never builds the level list or its SWAP circuit. *)
+
+val empty_flat : flat
+
+val flatten : t -> flat
+
+val of_flat : flat -> t
+(** Inverse of {!flatten}. *)
+
 val swap_count : t -> int
 
 val is_valid : Qcp_graph.Graph.t -> t -> bool

@@ -268,7 +268,7 @@ let test_route_fifo_eviction () =
     Qcp.Score_cache.create
       (Qcp.Score_cache.shared graph ~router:Options.Bisect ~leaf_override:false)
   in
-  let route _memo _perm = [] in
+  let route _memo _perm = Qcp_route.Swap_network.empty_flat in
   (* Lehmer-code unranking: a distinct permutation of [register] elements
      per rank (all ranks used stay far below 8! = 40320). *)
   let fact = Array.make register 1 in

@@ -15,6 +15,7 @@ let () =
       ("env", Suite_env.suite);
       ("route", Suite_route.suite);
       ("routers-ext", Suite_routers_ext.suite);
+      ("route-flat", Suite_route_flat.suite);
       ("workspace", Suite_workspace.suite);
       ("placer", Suite_placer.suite);
       ("score-cache", Suite_score_cache.suite);
