@@ -342,7 +342,6 @@ let daemon_config socket log_file =
       Qcp_serve.Server.socket_path = Some socket;
       jobs = 0;
       install_signals = false;
-      verbose = false;
     }
   in
   match log_file with

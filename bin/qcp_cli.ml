@@ -115,7 +115,7 @@ let int_at_least low =
 let options_term =
   let make threshold no_lookahead fine_tune no_override router no_cap
       sequential limit commute balance window coarsen root_cap spill vcycle
-      jobs portfolio deadline strategies learn env =
+      jobs portfolio deadline strategies env =
     let threshold =
       match threshold with
       | Some th -> th
@@ -144,11 +144,10 @@ let options_term =
         | Some path -> Qcp.Options.Spill_file path);
       vcycle;
       jobs = Option.value jobs ~default:(Qcp_util.Task_pool.env_jobs ());
-      portfolio = portfolio || deadline <> None || strategies <> None || learn;
+      portfolio = portfolio || deadline <> None || strategies <> None;
       deadline;
       portfolio_strategies =
         Option.value strategies ~default:Qcp.Options.all_strategies;
-      portfolio_learn = learn;
     }
   in
   Term.(
@@ -232,14 +231,14 @@ let options_term =
         & info [ "j"; "jobs" ] ~docv:"N" ~env:(Cmd.Env.info "QCP_JOBS")
             ~doc:
               "Run every parallel layer (candidate scoring, monomorphism \
-               enumeration, subtree routing) on this many domains of the \
+               enumeration, portfolio races) on this many domains of the \
                shared pool (0 or 1 = sequential).  Placements are identical \
                at any value.  Defaults to $(b,QCP_JOBS), else 0.")
     $ Arg.(
         value & flag
         & info [ "portfolio" ]
             ~doc:
-              "Race every enabled placement strategy against a shared                incumbent and keep the deterministic winner (implied by                $(b,--deadline), $(b,--strategies) and $(b,--learn)).")
+              "Race every enabled placement strategy against a shared                incumbent and keep the deterministic winner (implied by                $(b,--deadline) and $(b,--strategies)).")
     $ Arg.(
         value
         & opt (some float) None
@@ -251,12 +250,7 @@ let options_term =
         & opt (some (list string)) None
         & info [ "strategies" ] ~docv:"NAMES"
             ~doc:
-              "Comma-separated portfolio strategies to race (greedy,                lookahead, boundary, annealer, scale); default all.")
-    $ Arg.(
-        value & flag
-        & info [ "learn" ]
-            ~doc:
-              "Bias per-strategy budgets from previously recorded wins on                similarly sized instances (in-process auto-tuner)."))
+              "Comma-separated portfolio strategies to race (greedy,                lookahead, boundary, annealer, scale); default all."))
 
 (* ------------------------------------------------------------------ *)
 (* place                                                               *)
@@ -269,22 +263,6 @@ let place_run env circuit options_of_env auto verbose trace_file metrics_flag
      cache) before the run when any telemetry output was requested. *)
   if metrics_flag || metrics_json_file <> None then
     Qcp_obs.Metrics.set_enabled true;
-  (* --learn persists across processes: merge the dotfile's win history in
-     before racing, write the updated table back after.  A missing or
-     corrupt dotfile merges nothing (the unbiased race). *)
-  if options.Qcp.Options.portfolio_learn then
-    Option.iter
-      (fun path -> ignore (Qcp.Portfolio.Learn.load path : bool))
-      (Qcp.Portfolio.Learn.default_path ());
-  let save_learn () =
-    if options.Qcp.Options.portfolio_learn then
-      Option.iter
-        (fun path ->
-          try Qcp.Portfolio.Learn.save path
-          with Sys_error msg ->
-            Printf.eprintf "warning: could not save learn table: %s\n" msg)
-        (Qcp.Portfolio.Learn.default_path ())
-  in
   if trace_file <> None then Qcp_obs.Trace.start ();
   let t0 = Unix.gettimeofday () in
   let race = ref None in
@@ -330,7 +308,6 @@ let place_run env circuit options_of_env auto verbose trace_file metrics_flag
         Qcp.Placer.Unplaceable "no candidate threshold admits a placement")
   in
   let wall = Unix.gettimeofday () -. t0 in
-  save_learn ();
   (match trace_file with
   | None -> ()
   | Some path ->
@@ -777,7 +754,7 @@ let host_arg =
     & info [ "host" ] ~docv:"ADDR" ~doc:"TCP bind address.")
 
 let serve_run socket port host jobs cache_cap max_batch queue_cap deadline
-    max_requests learn telemetry verbose log_level log_file flight_cap
+    max_requests telemetry verbose log_level log_file flight_cap
     slow_dump dump_dir =
   let jobs =
     match jobs with Some j -> j | None -> Qcp_util.Task_pool.env_jobs ()
@@ -794,10 +771,12 @@ let serve_run socket port host jobs cache_cap max_batch queue_cap deadline
       queue_cap;
       default_deadline = deadline;
       max_requests;
-      learn;
       telemetry;
-      verbose;
-      log_level;
+      (* -v is shorthand for --log debug; an explicit --log wins. *)
+      log_level =
+        (match log_level with
+        | None when verbose -> Some Qcp_obs.Log.Debug
+        | l -> l);
       log_file;
       flight_cap;
       slow_dump;
@@ -853,12 +832,6 @@ let serve_cmd =
               ~doc:
                 "Serve this many place requests, then drain and exit (0 = \
                  unlimited).  For benches and CI smoke tests.")
-      $ Arg.(
-          value & flag
-          & info [ "learn" ]
-              ~doc:
-                "Load the portfolio win table from its dotfile at startup \
-                 and save it back on shutdown.")
       $ Arg.(
           value & flag
           & info [ "telemetry" ]

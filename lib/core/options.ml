@@ -22,7 +22,6 @@ type t = {
   portfolio : bool;
   deadline : float option;
   portfolio_strategies : string list;
-  portfolio_learn : bool;
 }
 
 let all_strategies = [ "greedy"; "lookahead"; "boundary"; "annealer"; "scale" ]
@@ -48,7 +47,6 @@ let default ~threshold =
     portfolio = false;
     deadline = None;
     portfolio_strategies = all_strategies;
-    portfolio_learn = false;
   }
 
 (* Canonical text form of every field, in declaration order: the serving
@@ -120,7 +118,6 @@ let canonical t =
       Buffer.add_string b name)
     t.portfolio_strategies;
   close_field ();
-  flag "learn" t.portfolio_learn;
   Buffer.contents b
 
 let fast ~threshold =

@@ -100,15 +100,14 @@ type t = {
           bit-identical to previous releases. *)
   jobs : int;
       (** Domain budget for every parallel layer of a placement run —
-          candidate-scoring sweeps, monomorphism enumeration fan-out and
-          bisection-router subtree routing all share the persistent
+          candidate-scoring sweeps, monomorphism enumeration fan-out,
+          portfolio races and batch fan-out all share the persistent
           {!Qcp_util.Task_pool}; [0] (the baseline default) and [1] run
           sequentially.  Placements are bit-identical at any [jobs] value:
-          sweeps keep the earliest-tie argmin, enumeration merges partition
-          results in candidate order, and subtree routes are pure value
-          combinations.  [default] and [fast] initialize this from the
-          [QCP_JOBS] environment variable ({!Qcp_util.Task_pool.env_jobs}),
-          0 when unset. *)
+          sweeps keep the earliest-tie argmin and enumeration merges
+          partition results in candidate order.  [default] and [fast]
+          initialize this from the [QCP_JOBS] environment variable
+          ({!Qcp_util.Task_pool.env_jobs}), 0 when unset. *)
   portfolio : bool;
       (** Race the enabled {!Portfolio} strategies against a shared
           incumbent instead of running the single classic pipeline; the
@@ -129,11 +128,6 @@ type t = {
       (** Strategies entered into the race, by name, in canonical order
           (see {!all_strategies}); unknown names are rejected by
           {!Portfolio}.  Defaults to all of them. *)
-  portfolio_learn : bool;
-      (** Bias per-strategy effort budgets from previously recorded wins
-          on similar instances (process-global feature table, see
-          {!Portfolio.Learn}).  Makes races depend on session history, so
-          off by default. *)
 }
 
 val all_strategies : string list

@@ -1705,7 +1705,7 @@ let place_reference options env circuit =
   run ~reference:true options env circuit
 
 (* Jobs run as pool tasks, so their internal parallel layers (scoring
-   sweeps, enumeration, subtree routing) serialize via the pool's nested-use
+   sweeps, enumeration) serialize via the pool's nested-use
    guard; each job is exactly the sequential engine.  Cross-run state is
    thread-safe: jobs with equal environment and threshold resolve to the
    same physical adjacency graph ({!Environment.connected_adjacency},

@@ -1,4 +1,3 @@
-module Circuit = Qcp_circuit.Circuit
 module Telemetry = Qcp_obs.Metrics
 module Clock = Qcp_util.Clock
 module Task_pool = Qcp_util.Task_pool
@@ -24,154 +23,6 @@ type report = {
   gap : float;
   entries : entry list;
 }
-
-module Learn = struct
-  let mutex = Mutex.create ()
-
-  let table : (int * int * int, (string, int) Hashtbl.t) Hashtbl.t =
-    Hashtbl.create 16
-
-  (* Floor log2, so instance sizes differing by less than 2x share a
-     bucket: win history generalizes across nearby sizes instead of
-     fragmenting per exact instance. *)
-  let bucket v =
-    let rec go acc v = if v <= 1 then acc else go (acc + 1) (v lsr 1) in
-    go 0 (Int.max 1 v)
-
-  let features circuit =
-    let n = Circuit.qubits circuit in
-    let g = Circuit.gate_count circuit in
-    (bucket n, bucket g, Int.min 7 (g / Int.max 1 n))
-
-  let record _env circuit ~winner =
-    let key = features circuit in
-    Mutex.protect mutex (fun () ->
-        let wins =
-          match Hashtbl.find_opt table key with
-          | Some wins -> wins
-          | None ->
-            let wins = Hashtbl.create 4 in
-            Hashtbl.add table key wins;
-            wins
-        in
-        Hashtbl.replace wins winner
-          (1 + Option.value ~default:0 (Hashtbl.find_opt wins winner)))
-
-  let effort _env circuit ~arity name =
-    let key = features circuit in
-    let wins, total =
-      Mutex.protect mutex (fun () ->
-          match Hashtbl.find_opt table key with
-          | None -> (0, 0)
-          | Some wins ->
-            ( Option.value ~default:0 (Hashtbl.find_opt wins name),
-              Hashtbl.fold (fun _ c acc -> acc + c) wins 0 ))
-    in
-    let share =
-      float_of_int (wins + 1) /. float_of_int (total + Int.max 1 arity)
-    in
-    Float.min 2.0 (Float.max 0.5 (float_of_int arity *. share))
-
-  let reset () = Mutex.protect mutex (fun () -> Hashtbl.reset table)
-
-  (* --------------------------------------------------------------- *)
-  (* Persistence: a versioned dotfile so the strategy bias survives   *)
-  (* process restarts (repeated CLI runs, daemon restarts).           *)
-  (* --------------------------------------------------------------- *)
-
-  let file_header = "qcp-learn v1"
-
-  let default_path () =
-    match Sys.getenv_opt "QCP_LEARN_FILE" with
-    | Some path when path <> "" -> Some path
-    | Some _ -> None
-    | None -> (
-      match Sys.getenv_opt "HOME" with
-      | Some home when home <> "" -> Some (Filename.concat home ".qcp_learn")
-      | Some _ | None -> None)
-
-  let save path =
-    (* Deterministic rendering: keys and strategies in sorted order, so
-       equal tables write byte-identical files. *)
-    let rows =
-      Mutex.protect mutex (fun () ->
-          Hashtbl.fold
-            (fun (nb, gb, db) wins acc ->
-              Hashtbl.fold
-                (fun strategy count acc ->
-                  (nb, gb, db, strategy, count) :: acc)
-                wins acc)
-            table [])
-    in
-    let rows = List.sort compare rows in
-    let oc = open_out path in
-    Fun.protect ~finally:(fun () -> close_out oc) @@ fun () ->
-    output_string oc (file_header ^ "\n");
-    List.iter
-      (fun (nb, gb, db, strategy, count) ->
-        Printf.fprintf oc "%d %d %d %s %d\n" nb gb db strategy count)
-      rows
-
-  let load path =
-    (* Ignore-on-parse-error: a missing, truncated, differently-versioned
-       or corrupted file merges nothing and returns [false] — a stale
-       format after an upgrade must never break a run.  Parsed rows merge
-       additively into the in-process table (counts accumulate), so
-       loading after some races have already been recorded loses
-       nothing. *)
-    match
-      (try Some (open_in path) with Sys_error _ -> None)
-    with
-    | None -> false
-    | Some ic ->
-      Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
-      let parse () =
-        if (try input_line ic with End_of_file -> "") <> file_header then None
-        else begin
-          let rows = ref [] in
-          let ok = ref true in
-          (try
-             while !ok do
-               let line = input_line ic in
-               if String.trim line <> "" then
-                 match String.split_on_char ' ' line with
-                 | [ nb; gb; db; strategy; count ] -> (
-                   match
-                     ( int_of_string_opt nb,
-                       int_of_string_opt gb,
-                       int_of_string_opt db,
-                       int_of_string_opt count )
-                   with
-                   | Some nb, Some gb, Some db, Some count
-                     when count >= 0 && strategy <> "" ->
-                     rows := ((nb, gb, db), strategy, count) :: !rows
-                   | _ -> ok := false)
-                 | _ -> ok := false
-             done
-           with End_of_file -> ());
-          if !ok then Some (List.rev !rows) else None
-        end
-      in
-      (match parse () with
-      | None -> false
-      | Some rows ->
-        Mutex.protect mutex (fun () ->
-            List.iter
-              (fun (key, strategy, count) ->
-                let wins =
-                  match Hashtbl.find_opt table key with
-                  | Some wins -> wins
-                  | None ->
-                    let wins = Hashtbl.create 4 in
-                    Hashtbl.add table key wins;
-                    wins
-                in
-                Hashtbl.replace wins strategy
-                  (count
-                  + Option.value ~default:0 (Hashtbl.find_opt wins strategy)))
-              rows);
-        true)
-end
 
 let status_of_result = function
   | Strategy.Complete (_, runtime) -> Completed runtime
@@ -206,17 +57,11 @@ let run ?jobs ?(share = true) options env circuit =
         (* The anchor ignores the deadline so a race always produces a
            placement, even with a zero budget. *)
         let deadline = if i = 0 then infinity else deadline in
-        let effort =
-          if options.Options.portfolio_learn then
-            Learn.effort env circuit ~arity:total s.Strategy.name
-          else 1.0
-        in
         let t0 = Clock.now () in
         let verdict =
           Qcp_obs.Trace.with_span ~cat:"portfolio"
             ("portfolio/" ^ s.Strategy.name) (fun () ->
-              s.Strategy.solve ~deadline ~shared:cell ~effort options env
-                circuit)
+              s.Strategy.solve ~deadline ~shared:cell options env circuit)
         in
         walls.(i) <- Clock.now () -. t0;
         verdicts.(i) <- Some verdict)
@@ -274,8 +119,6 @@ let run ?jobs ?(share = true) options env circuit =
              "portfolio.candidates_pruned_by_peer")
           (List.fold_left (fun acc e -> acc + e.peer_prunes) 0 entries)
       end;
-      if options.Options.portfolio_learn then
-        Learn.record env circuit ~winner;
       let lower_bound = Baselines.lower_bound env circuit in
       let gap = if lower_bound > 0.0 then runtime /. lower_bound else 1.0 in
       Ok { program; winner; runtime; lower_bound; gap; entries })

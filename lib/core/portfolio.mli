@@ -94,56 +94,3 @@ val place_batch :
 val pp_report : Format.formatter -> report -> unit
 (** Human-readable race table: winner, runtime, gap, then one line per
     strategy with status, wall seconds and peer-prune count. *)
-
-(** Per-instance-feature win history biasing future races' per-strategy
-    effort budgets (enabled by {!Options.t.portfolio_learn}).
-
-    The table is process-global and mutex-protected; keys bucket the
-    instance coarsely (power-of-two qubit and gate-count buckets plus a
-    gates-per-qubit density bucket).  Effort multipliers are
-    Laplace-smoothed win shares clamped to [\[0.5, 2.0\]], so an empty
-    history yields exactly [1.0] for every strategy (the unbiased race)
-    and no strategy is ever starved outright. *)
-module Learn : sig
-  val record :
-    Qcp_env.Environment.t -> Qcp_circuit.Circuit.t -> winner:string -> unit
-  (** Credit [winner] for this instance's feature bucket. *)
-
-  val effort :
-    Qcp_env.Environment.t ->
-    Qcp_circuit.Circuit.t ->
-    arity:int ->
-    string ->
-    float
-  (** Effort multiplier for a strategy in an [arity]-way race:
-      [clamp (arity * (wins + 1) / (total + arity)) 0.5 2.0]. *)
-
-  val reset : unit -> unit
-  (** Drop all history (tests). *)
-
-  (** {2 Persistence}
-
-      The win table can round-trip through a small versioned dotfile so
-      the strategy bias survives process restarts — both repeated CLI
-      runs and [qcp serve] restarts.  The format is one header line
-      ([qcp-learn v1]) followed by
-      [<qubit-bucket> <gate-bucket> <density-bucket> <strategy> <wins>]
-      rows.  Nothing here runs implicitly: callers that want persistence
-      (the CLI under [--learn], the daemon) load at startup and save at
-      exit. *)
-
-  val default_path : unit -> string option
-  (** [$QCP_LEARN_FILE] when set and non-empty; [None] when it is set but
-      empty (an explicit off switch); else [$HOME/.qcp_learn]; [None]
-      when neither variable offers a path. *)
-
-  val save : string -> unit
-  (** Write the current table (deterministic row order: equal tables
-      write byte-identical files).  Raises [Sys_error] on I/O failure. *)
-
-  val load : string -> bool
-  (** Merge a previously saved table additively into the in-process one
-      (counts accumulate).  Returns [false] — merging {e nothing} — on a
-      missing file, a version-header mismatch or any malformed row: a
-      stale or corrupt dotfile must never break a run. *)
-end

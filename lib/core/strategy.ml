@@ -15,33 +15,18 @@ type t = {
   solve :
     deadline:float ->
     shared:Incumbent.t ->
-    effort:float ->
     Options.t ->
     Qcp_env.Environment.t ->
     Qcp_circuit.Circuit.t ->
     verdict;
 }
 
-(* [effort] rounds onto an integer knob so 1.0 reproduces the unbiased
-   budget exactly (Float.round, not truncation: 0.999… must not lose a
-   unit). *)
-let scaled_budget base effort =
-  if effort = 1.0 then base
-  else Int.max 1 (int_of_float (Float.round (float_of_int base *. effort)))
-
 (* A classic-pipeline strategy: [tweak] fixes the pick flavor, the rest of
    the caller's options pass through untouched so a single-strategy race
    degenerates to exactly [Placer.place (tweak options)]. *)
 let classic name tweak =
-  let solve ~deadline ~shared ~effort options env circuit =
+  let solve ~deadline ~shared options env circuit =
     let options = (tweak options : Options.t) in
-    let options =
-      {
-        options with
-        Options.monomorphism_limit =
-          scaled_budget options.Options.monomorphism_limit effort;
-      }
-    in
     let result =
       match Placer.place ~deadline ~shared options env circuit with
       | Placer.Placed program ->
@@ -92,13 +77,13 @@ let scale =
         vcycle = Int.max 1 o.Options.vcycle;
       })
 
-(* Fixed annealing budget (scaled by [effort]): modest restarts because the
-   portfolio already diversifies across strategies. *)
+(* Fixed annealing budget: modest restarts because the portfolio already
+   diversifies across strategies. *)
 let annealer_restarts = 2
 let annealer_iterations = 10_000
 
 let annealer =
-  let solve ~deadline ~shared ~effort options env circuit =
+  let solve ~deadline ~shared options env circuit =
     if Qcp_util.Clock.expired deadline then
       { result = Expired; peer_prunes = 0 }
     else if Circuit.qubits circuit > Environment.size env then
@@ -114,7 +99,7 @@ let annealer =
       let placement, cost =
         Annealer.solve_restarts ~restarts:annealer_restarts
           ~jobs:options.Options.jobs
-          ~iterations:(scaled_budget annealer_iterations effort)
+          ~iterations:annealer_iterations
           ~model:options.Options.model ?reuse_cap:options.Options.reuse_cap
           ~publish:(Incumbent.submit shared)
           env circuit

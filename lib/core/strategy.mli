@@ -42,16 +42,14 @@ type t = {
   solve :
     deadline:float ->
     shared:Incumbent.t ->
-    effort:float ->
     Options.t ->
     Qcp_env.Environment.t ->
     Qcp_circuit.Circuit.t ->
     verdict;
       (** [deadline] is an absolute {!Qcp_util.Clock} instant ([infinity]:
           none); [shared] the race's incumbent cell (pass a fresh cell to
-          run solo); [effort] a budget multiplier around 1.0 (from
-          {!Portfolio.Learn}; strategies round it onto their own knob, so
-          [1.0] must reproduce the unbiased run exactly). *)
+          run solo).  Budgets come from the options and the strategy's
+          own constants, never from earlier runs. *)
 }
 
 val greedy : t

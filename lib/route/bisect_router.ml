@@ -499,5 +499,5 @@ let route_flat ?leaf_override ?edge_cost ?memo g ~perm =
         route_impl ?leaf_override ?edge_cost ?memo g ~perm)
   else route_impl ?leaf_override ?edge_cost ?memo g ~perm
 
-let route ?leaf_override ?edge_cost ?memo ?jobs:_ g ~perm =
+let route ?leaf_override ?edge_cost ?memo g ~perm =
   Swap_network.of_flat (route_flat ?leaf_override ?edge_cost ?memo g ~perm)

@@ -49,7 +49,6 @@ val route :
   ?leaf_override:bool ->
   ?edge_cost:(int -> int -> float) ->
   ?memo:memo ->
-  ?jobs:int ->
   Qcp_graph.Graph.t ->
   perm:Perm.t ->
   Swap_network.t
@@ -57,13 +56,8 @@ val route :
     [leaf_override] defaults to [true].  [edge_cost] enables the weighted
     refinement the paper mentions ("modification ... that accounts for the
     actual costs of SWAPs is possible"): communication-channel edges are
-    chosen to minimize it.
-
-    The paper's recursion routes the two halves of each bisection "in
-    parallel": they are vertex-disjoint, so their levels are interleaved
-    into one network.  The router computes them one after the other on the
-    calling domain; [jobs] is accepted and ignored, and the network is the
-    same at any value.
+    chosen to minimize it.  The two halves of each bisection are
+    vertex-disjoint, so their levels are interleaved into one network.
     Raises [Invalid_argument] if the graph is disconnected or [perm] is not a
     permutation of the graph's vertices. *)
 

@@ -33,15 +33,12 @@ let route g ~perm =
       |> Array.of_list
     in
     let active = Array.make n true in
+    (* inverse.(target) = the token destined to [target] *)
+    let inverse = Perm.inverse perm in
     let levels = ref [] in
     for i = n - 1 downto 0 do
       let target = bfs_order.(i) in
-      let token = (* the token destined to [target] *)
-        let inv = ref (-1) in
-        Array.iteri (fun t d -> if d = target then inv := t) perm;
-        !inv
-      in
-      let source = position.(token) in
+      let source = position.(inverse.(target)) in
       (match Paths.shortest_path ~restrict:(fun v -> active.(v)) g source target with
       | None -> invalid_arg "Token_router.route: active subgraph disconnected"
       | Some path ->

@@ -200,7 +200,6 @@ let options_of_json env json =
       "threshold"; "monomorphisms"; "lookahead"; "fine_tune"; "leaf_override";
       "router"; "reuse_cap"; "sequential"; "commute"; "balance"; "window";
       "coarsen"; "root_cap"; "vcycle"; "portfolio"; "deadline"; "strategies";
-      "learn";
     ]
   in
   let* fields =
@@ -310,22 +309,17 @@ let options_of_json env json =
         | _ -> None)
       ~default:None
   in
-  let* portfolio_learn =
-    opt_member "learn" json Json.to_bool ~default:base.Options.portfolio_learn
-  in
   let* deadline =
     opt_member "deadline" json
       (fun v -> Option.map Option.some (Json.to_float v))
       ~default:None
   in
-  (* Mirror the CLI: strategies / learn / a race deadline imply the
+  (* Mirror the CLI: strategies / a race deadline imply the
      portfolio.  (This is the race's anytime budget, part of the content
      key; a plain request's timeout budget is the top-level "deadline"
      field, enforced out-of-band so the cached result is shared across
      budgets.) *)
-  let portfolio =
-    portfolio || strategies <> None || portfolio_learn || deadline <> None
-  in
+  let portfolio = portfolio || strategies <> None || deadline <> None in
   let options =
     {
       base with
@@ -350,7 +344,6 @@ let options_of_json env json =
       deadline;
       portfolio_strategies =
         Option.value strategies ~default:Options.all_strategies;
-      portfolio_learn;
     }
   in
   Ok options

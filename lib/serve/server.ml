@@ -17,10 +17,8 @@ type config = {
   queue_cap : int;
   default_deadline : float option;
   max_requests : int;
-  learn : bool;
   telemetry : bool;
   install_signals : bool;
-  verbose : bool;
   log_level : Log.level option;
   log_file : string option;
   flight_cap : int;
@@ -39,10 +37,8 @@ let default_config =
     queue_cap = 256;
     default_deadline = None;
     max_requests = 0;
-    learn = false;
     telemetry = false;
     install_signals = true;
-    verbose = false;
     log_level = None;
     log_file = None;
     flight_cap = 0;
@@ -654,25 +650,12 @@ let listeners config =
 let serve config =
   let engine = Engine.create config in
   if config.telemetry then Metrics.set_enabled true;
-  (* Arm the structured logger: an explicit --log level wins; --verbose
-     is an alias for debug.  The previous level is restored on drain so a
-     daemon hosted inside a test or bench domain leaves the process-global
-     logger as it found it. *)
+  (* Arm the structured logger.  The previous level is restored on drain
+     so a daemon hosted inside a test or bench domain leaves the
+     process-global logger as it found it. *)
   let prev_level = Log.level () in
-  let level =
-    match config.log_level with
-    | Some _ as l -> l
-    | None -> if config.verbose then Some Log.Debug else None
-  in
   Option.iter (fun path -> Log.set_sink (Log.file_sink path)) config.log_file;
-  Log.set_level level;
-  if config.learn then
-    Option.iter
-      (fun path ->
-        let loaded = Qcp.Portfolio.Learn.load path in
-        Log.info "learn-load" (fun () ->
-            [ ("path", Log.Str path); ("loaded", Log.Bool loaded) ]))
-      (Qcp.Portfolio.Learn.default_path ());
+  Log.set_level config.log_level;
   let listening = listeners config in
   Log.info "listening" (fun () ->
       Option.to_list
@@ -824,12 +807,6 @@ let serve config =
   Option.iter
     (fun path -> try Unix.unlink path with Unix.Unix_error _ -> ())
     config.socket_path;
-  if config.learn then
-    Option.iter
-      (fun path ->
-        (try Qcp.Portfolio.Learn.save path with Sys_error _ -> ());
-        Log.info "learn-save" (fun () -> [ ("path", Log.Str path) ]))
-      (Qcp.Portfolio.Learn.default_path ());
   Log.info "exit" (fun () ->
       [ ("stats", Log.Str (Engine.stats_json engine)) ]);
   Log.set_level prev_level;

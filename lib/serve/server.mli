@@ -3,10 +3,9 @@
 
     The daemon exists to amortize everything the one-shot CLI rebuilds per
     process: the {!Qcp_util.Task_pool} domains, the per-threshold
-    adjacency memo, the cross-run route registries of {!Qcp.Score_cache},
-    the {!Qcp.Portfolio.Learn} win table — and, above them all, an exact
-    {!Result_cache} answering repeated requests with the bit-identical
-    bytes a cold solve would produce.
+    adjacency memo, the cross-run route registries of {!Qcp.Score_cache}
+    — and, above them all, an exact {!Result_cache} answering repeated
+    requests with the bit-identical bytes a cold solve would produce.
 
     {b Architecture.}  A single-threaded [select] loop owns the sockets:
     it accepts clients, splits their byte streams into request lines, and
@@ -28,9 +27,8 @@
 
     {b Shutdown.}  SIGINT/SIGTERM, a ["shutdown"] request, or the
     [max_requests] budget flips the loop into draining: listeners close,
-    queued requests are still solved and answered, then the learn table
-    is saved (under [learn]) and the process exits.  Nothing is dropped
-    silently.
+    queued requests are still solved and answered, then the process
+    exits.  Nothing is dropped silently.
 
     {b Observability.}  Every lifecycle transition and every served
     request emits a structured {!Qcp_obs.Log} event (one JSON object per
@@ -58,15 +56,10 @@ type config = {
   max_requests : int;
       (** Serve this many place requests, then drain and exit
           ([0] = unlimited) — benches and CI smoke tests. *)
-  learn : bool;
-      (** Load {!Qcp.Portfolio.Learn} from its default path at startup
-          and save it back when draining. *)
   telemetry : bool;  (** Arm {!Qcp_obs.Metrics} hot-path instruments. *)
   install_signals : bool;
       (** Install SIGINT/SIGTERM drain handlers (off when the daemon runs
           inside a test or bench domain: signals are process-global). *)
-  verbose : bool;  (** Alias for [log_level = Some Debug] (kept for the
-          [-v] flag; an explicit [log_level] wins). *)
   log_level : Qcp_obs.Log.level option;
       (** Arm the structured logger at this level ([None] = quiet). *)
   log_file : string option;
@@ -84,7 +77,7 @@ type config = {
 val default_config : config
 (** No listeners (callers pick at least one), [jobs = 0],
     [cache_cap = 512], [max_batch = 16], [queue_cap = 256], no default
-    deadline, unlimited requests, [learn = false], [telemetry = false],
+    deadline, unlimited requests, [telemetry = false],
     [install_signals = true], quiet ([log_level = None], no log file,
     [flight_cap = 0], no auto-dump, [dump_dir = "."]). *)
 

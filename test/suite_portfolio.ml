@@ -45,7 +45,7 @@ let strategies_for seed =
 
 let solo strategy options env circuit =
   (Strategy.find strategy |> Result.get_ok).Strategy.solve ~deadline:infinity
-    ~shared:(Incumbent.make infinity) ~effort:1.0 options env circuit
+    ~shared:(Incumbent.make infinity) options env circuit
 
 (* (a) The race's winner is never worse than any enabled strategy run
    alone, and exactly matches the best of them (the reduce only ever picks
@@ -294,143 +294,6 @@ let test_strategy_resolution () =
       (contains "does-not-exist" msg)
   | Ok _ -> Alcotest.fail "unknown strategy must be rejected"
 
-let test_learn_effort () =
-  Portfolio.Learn.reset ();
-  let rng = Qcp_util.Rng.create 77 in
-  let n = 5 in
-  let env = Qcp_env.Random_env.molecule rng ~n in
-  let circuit, _ = Qcp_circuit.Random_circuit.hidden_stages rng ~n in
-  let effort name = Portfolio.Learn.effort env circuit ~arity:4 name in
-  (* Empty history: exactly the unbiased race. *)
-  List.iter
-    (fun name ->
-      Alcotest.(check (float 0.0))
-        (name ^ " unbiased") 1.0 (effort name))
-    Options.all_strategies;
-  (* A consistent winner earns budget; losers shrink but stay >= 0.5. *)
-  for _ = 1 to 10 do
-    Portfolio.Learn.record env circuit ~winner:"lookahead"
-  done;
-  Alcotest.(check bool) "winner grows" true (effort "lookahead" > 1.0);
-  Alcotest.(check bool) "winner clamped" true (effort "lookahead" <= 2.0);
-  List.iter
-    (fun name ->
-      Alcotest.(check bool) (name ^ " floor") true (effort name >= 0.5);
-      Alcotest.(check bool) (name ^ " shrinks") true (effort name < 1.0))
-    [ "greedy"; "boundary"; "annealer" ];
-  Portfolio.Learn.reset ();
-  Alcotest.(check (float 0.0)) "reset restores unbiased" 1.0
-    (effort "lookahead")
-
-(* Persistence of the win table: save/load must round-trip the learned
-   bias exactly, equal tables must serialize byte-identically, repeated
-   loads must merge additively, and anything malformed must merge
-   nothing (a stale or corrupt dotfile must never break a run). *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let learn_instance () =
-  let rng = Qcp_util.Rng.create 99 in
-  let n = 5 in
-  let env = Qcp_env.Random_env.molecule rng ~n in
-  let circuit, _ = Qcp_circuit.Random_circuit.hidden_stages rng ~n in
-  (env, circuit)
-
-let test_learn_persistence () =
-  Portfolio.Learn.reset ();
-  let env, circuit = learn_instance () in
-  let effort name = Portfolio.Learn.effort env circuit ~arity:2 name in
-  let path = Filename.temp_file "qcp_learn" ".tbl" in
-  let path2 = Filename.temp_file "qcp_learn" ".tbl" in
-  Fun.protect
-    ~finally:(fun () ->
-      Sys.remove path;
-      Sys.remove path2;
-      Portfolio.Learn.reset ())
-    (fun () ->
-      for _ = 1 to 4 do
-        Portfolio.Learn.record env circuit ~winner:"greedy"
-      done;
-      let biased = effort "greedy" in
-      Alcotest.(check bool) "recording biases" true (biased > 1.0);
-      Portfolio.Learn.save path;
-      Portfolio.Learn.reset ();
-      Alcotest.(check (float 0.0)) "reset clears the bias" 1.0
-        (effort "greedy");
-      Alcotest.(check bool) "load succeeds" true (Portfolio.Learn.load path);
-      Alcotest.(check (float 0.0)) "round trip restores the effort" biased
-        (effort "greedy");
-      (* Equal tables serialize byte-identically (deterministic order). *)
-      Portfolio.Learn.save path2;
-      Alcotest.(check string) "byte-identical re-save" (read_file path)
-        (read_file path2);
-      (* A second load merges additively: 8 wins out of 8 races shifts the
-         share from 5/6 toward 9/10 (both under the 2.0 clamp). *)
-      Alcotest.(check bool) "second load merges" true
-        (Portfolio.Learn.load path);
-      Alcotest.(check bool) "counts accumulate" true
-        (effort "greedy" > biased))
-
-let test_learn_load_rejects_corrupt () =
-  let env, circuit = learn_instance () in
-  let effort name = Portfolio.Learn.effort env circuit ~arity:2 name in
-  let check_rejected name content =
-    Portfolio.Learn.reset ();
-    let path = Filename.temp_file "qcp_learn" ".bad" in
-    Fun.protect
-      ~finally:(fun () ->
-        Sys.remove path;
-        Portfolio.Learn.reset ())
-      (fun () ->
-        let oc = open_out path in
-        output_string oc content;
-        close_out oc;
-        Alcotest.(check bool) (name ^ ": load reports failure") false
-          (Portfolio.Learn.load path);
-        Alcotest.(check (float 0.0)) (name ^ ": nothing merged") 1.0
-          (effort "greedy"))
-  in
-  check_rejected "garbage" "not a learn file\n";
-  check_rejected "wrong version" "qcp-learn v0\n1 1 1 greedy 2\n";
-  check_rejected "truncated row" "qcp-learn v1\n1 1 1 greedy\n";
-  check_rejected "non-numeric count" "qcp-learn v1\n1 1 1 greedy x\n";
-  (* A *real* table with a corrupt tail: strict loading must drop the
-     valid rows too, not merge a prefix. *)
-  Portfolio.Learn.reset ();
-  for _ = 1 to 3 do
-    Portfolio.Learn.record env circuit ~winner:"greedy"
-  done;
-  let path = Filename.temp_file "qcp_learn" ".tbl" in
-  let tainted =
-    Fun.protect
-      ~finally:(fun () -> Sys.remove path)
-      (fun () ->
-        Portfolio.Learn.save path;
-        read_file path ^ "bad row\n")
-  in
-  check_rejected "corrupt tail after valid rows" tainted;
-  Alcotest.(check bool) "missing file" false
-    (Portfolio.Learn.load "/nonexistent/qcp-learn-table")
-
-let test_learn_default_path () =
-  let old = Sys.getenv_opt "QCP_LEARN_FILE" in
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "QCP_LEARN_FILE" (Option.value old ~default:""))
-    (fun () ->
-      Unix.putenv "QCP_LEARN_FILE" "/tmp/qcp-learn-override";
-      Alcotest.(check (option string)) "env var wins"
-        (Some "/tmp/qcp-learn-override")
-        (Portfolio.Learn.default_path ());
-      (* An empty value is an explicit off switch, not a fallthrough. *)
-      Unix.putenv "QCP_LEARN_FILE" "";
-      Alcotest.(check (option string)) "empty disables persistence" None
-        (Portfolio.Learn.default_path ()))
-
 let test_incumbent_cell () =
   let cell = Incumbent.make infinity in
   Alcotest.(check bool) "starts at init" true (Incumbent.get cell = infinity);
@@ -456,13 +319,6 @@ let suite =
     Alcotest.test_case "place_batch equals sequential places" `Quick
       test_place_batch_identical;
     Alcotest.test_case "strategy resolution" `Quick test_strategy_resolution;
-    Alcotest.test_case "learn effort biasing" `Quick test_learn_effort;
-    Alcotest.test_case "learn table round-trips through its dotfile" `Quick
-      test_learn_persistence;
-    Alcotest.test_case "learn load rejects corrupt files wholesale" `Quick
-      test_learn_load_rejects_corrupt;
-    Alcotest.test_case "learn default path honors QCP_LEARN_FILE" `Quick
-      test_learn_default_path;
     Alcotest.test_case "incumbent cell monotone min" `Quick
       test_incumbent_cell;
   ]

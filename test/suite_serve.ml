@@ -177,7 +177,7 @@ let test_key_hash_pinned () =
     place_of_line
       "{\"id\":\"r1\",\"op\":\"place\",\"env\":\"trans-crotonic\",\"circuit\":\"qft6\",\"options\":{\"threshold\":100}}"
   in
-  Alcotest.(check string) "request digest" "f284848e0fd60483"
+  Alcotest.(check string) "request digest" "5d3fbc156a80754b"
     (Protocol.key_hash p.Protocol.key)
 
 let test_default_threshold () =
@@ -646,7 +646,8 @@ let test_request_validation () =
     "{\"op\":\"place\",\"env\":\"chain:6\",\"circuit\":\"qft6\",\"options\":{\"typo\":1}}"
     "unknown option";
   (* The memo and the pruning are not options: the only exhaustive mode
-     is the test oracle {!Qcp.Placer.place_reference}. *)
+     is the test oracle {!Qcp.Placer.place_reference}.  Nor is a learned
+     race bias: a response depends on its request alone. *)
   List.iter
     (fun field ->
       expect_error
@@ -654,7 +655,7 @@ let test_request_validation () =
            "{\"op\":\"place\",\"env\":\"chain:6\",\"circuit\":\"qft6\",\"options\":{%S:false}}"
            field)
         (Printf.sprintf "unknown option %S" field))
-    [ "score_cache"; "bounded_search" ];
+    [ "score_cache"; "bounded_search"; "learn" ];
   expect_error "{\"op\":\"dance\"}" "unknown op";
   expect_error "not json" "bad JSON"
 
