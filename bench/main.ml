@@ -139,21 +139,13 @@ let micro_tests () =
       ~jobs:(Qcp_util.Task_pool.env_jobs ())
       ()
   in
-  (* Portfolio kernels: race {greedy, lookahead} on the Table 3 workload
-     over the shared incumbent, and the same race with per-strategy private
-     cells ([~share:false]) — the pair isolates exactly the cross-strategy
-     pruning effect.  Winner and runtime are identical either way (the
-     deterministic reduce is share-independent); only wall clock and
-     pruned-candidate counts move. *)
+  (* The five-entry portfolio reduce on the Table 3 workload; the
+     annealer's fixed iteration budget is most of its time. *)
   let portfolio_options =
-    {
-      (Qcp.Options.default ~threshold:100.0) with
-      Qcp.Options.portfolio = true;
-      portfolio_strategies = [ "greedy"; "lookahead" ];
-    }
+    { (Qcp.Options.default ~threshold:100.0) with Qcp.Options.portfolio = true }
   in
-  let portfolio_kernel ~share () =
-    match Qcp.Portfolio.run ~share portfolio_options crotonic phaseest with
+  let portfolio_kernel () =
+    match Qcp.Portfolio.run portfolio_options crotonic phaseest with
     | Ok report -> report.Qcp.Portfolio.runtime
     | Error _ -> nan
   in
@@ -221,10 +213,7 @@ let micro_tests () =
       Test.make ~name:"kernel/fine-tune" (Staged.stage fine_tune_kernel);
       Test.make ~name:"kernel/pool-overhead" (Staged.stage pool_overhead_kernel);
       Test.make ~name:"kernel/score-parallel" (Staged.stage score_parallel_kernel);
-      Test.make ~name:"portfolio/race-table3"
-        (Staged.stage (portfolio_kernel ~share:true));
-      Test.make ~name:"portfolio/cross-prune"
-        (Staged.stage (portfolio_kernel ~share:false));
+      Test.make ~name:"portfolio/reduce-table3" (Staged.stage portfolio_kernel);
       Test.make ~name:"batch/tables234" (Staged.stage tables234_kernel);
       Test.make ~name:"scale/place-grid1024" (Staged.stage scale_grid1024_kernel);
       Test.make ~name:"scale/place-heavyhex" (Staged.stage scale_heavyhex_kernel);

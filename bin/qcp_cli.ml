@@ -115,7 +115,7 @@ let int_at_least low =
 let options_term =
   let make threshold no_lookahead fine_tune no_override router no_cap
       sequential limit commute balance window coarsen root_cap spill vcycle
-      jobs portfolio deadline strategies env =
+      jobs portfolio env =
     let threshold =
       match threshold with
       | Some th -> th
@@ -144,10 +144,7 @@ let options_term =
         | Some path -> Qcp.Options.Spill_file path);
       vcycle;
       jobs = Option.value jobs ~default:(Qcp_util.Task_pool.env_jobs ());
-      portfolio = portfolio || deadline <> None || strategies <> None;
-      deadline;
-      portfolio_strategies =
-        Option.value strategies ~default:Qcp.Options.all_strategies;
+      portfolio;
     }
   in
   Term.(
@@ -231,26 +228,16 @@ let options_term =
         & info [ "j"; "jobs" ] ~docv:"N" ~env:(Cmd.Env.info "QCP_JOBS")
             ~doc:
               "Run every parallel layer (candidate scoring, monomorphism \
-               enumeration, portfolio races) on this many domains of the \
+               enumeration, portfolio entries) on this many domains of the \
                shared pool (0 or 1 = sequential).  Placements are identical \
                at any value.  Defaults to $(b,QCP_JOBS), else 0.")
     $ Arg.(
         value & flag
         & info [ "portfolio" ]
             ~doc:
-              "Race every enabled placement strategy against a shared                incumbent and keep the deterministic winner (implied by                $(b,--deadline) and $(b,--strategies)).")
-    $ Arg.(
-        value
-        & opt (some float) None
-        & info [ "deadline" ] ~docv:"SECONDS"
-            ~doc:
-              "Anytime budget for the portfolio race: non-anchor strategies                abort once $(docv) of wall clock elapse (the canonical first                strategy always finishes, so a race still places).  Finite                deadlines trade determinism for latency.")
-    $ Arg.(
-        value
-        & opt (some (list string)) None
-        & info [ "strategies" ] ~docv:"NAMES"
-            ~doc:
-              "Comma-separated portfolio strategies to race (greedy,                lookahead, boundary, annealer, scale); default all."))
+              "Run five placement strategies (greedy, lookahead, boundary, \
+               annealer, scale) and keep the earliest one achieving the \
+               lowest replayed runtime."))
 
 (* ------------------------------------------------------------------ *)
 (* place                                                               *)
@@ -282,7 +269,7 @@ let place_run env circuit options_of_env auto verbose trace_file metrics_flag
         env circuit
     | true, false -> race_run options
     | true, true ->
-      (* Auto-threshold under the portfolio: race every candidate
+      (* Auto-threshold under the portfolio: run it at every candidate
          threshold and keep the earliest one attaining the best runtime,
          mirroring {!Qcp.Tuner.auto_place}'s tie-break. *)
       let best =
@@ -638,7 +625,8 @@ let report_cmd =
       value & flag
       & info [ "portfolio" ]
           ~doc:
-            "Place every table cell through the deterministic strategy              portfolio race instead of a single classic pipeline              (tables 2-4).")
+            "Place every table cell through the deterministic strategy \
+             portfolio instead of a single classic pipeline (tables 2-4).")
   in
   let term =
     Term.(const report_run $ target $ full $ jobs $ phases $ portfolio)

@@ -12,7 +12,7 @@ let m_accepted = Telemetry.counter Telemetry.global "annealer.moves_accepted"
    restart of [solve_restarts] share this loop, so restart results are the
    same function of their RNG stream no matter which domain runs them. *)
 let anneal ~iterations ~start_temperature ~end_temperature ?model ?reuse_cap
-    ?(publish = fun (_ : float) -> ()) env circuit rng =
+    env circuit rng =
   Qcp_obs.Trace.with_span ~cat:"anneal" "annealer/run" @@ fun () ->
   let tele = Telemetry.enabled () in
   if tele then begin
@@ -30,11 +30,6 @@ let anneal ~iterations ~start_temperature ~end_temperature ?model ?reuse_cap
   let scale = Float.max 1.0 !current_cost in
   let best = ref (Array.copy current) in
   let best_cost = ref !current_cost in
-  (* Every published value is an achieved cost of a realizable placement,
-     so portfolio peers may prune against it mid-run ({!Portfolio}).  The
-     walk itself never reads anything back: the annealer's own trajectory
-     stays a pure function of its RNG stream. *)
-  publish !best_cost;
   let cooling =
     if iterations <= 1 then 1.0
     else Float.exp (Float.log (end_temperature /. start_temperature) /. float_of_int iterations)
@@ -62,8 +57,7 @@ let anneal ~iterations ~start_temperature ~end_temperature ?model ?reuse_cap
         current_cost := candidate_cost;
         if candidate_cost < !best_cost then begin
           best_cost := candidate_cost;
-          best := Array.copy current;
-          publish candidate_cost
+          best := Array.copy current
         end
       end
       else begin
@@ -84,15 +78,14 @@ let check_size env circuit name =
     invalid_arg (name ^ ": circuit larger than environment")
 
 let solve ?(iterations = 20_000) ?(seed = 1) ?(start_temperature = 0.2)
-    ?(end_temperature = 0.001) ?model ?reuse_cap ?publish env circuit =
+    ?(end_temperature = 0.001) ?model ?reuse_cap env circuit =
   check_size env circuit "Annealer.solve";
-  anneal ~iterations ~start_temperature ~end_temperature ?model ?reuse_cap
-    ?publish env circuit
-    (Qcp_util.Rng.create seed)
+  anneal ~iterations ~start_temperature ~end_temperature ?model ?reuse_cap env
+    circuit (Qcp_util.Rng.create seed)
 
 let solve_restarts ?(restarts = 4) ?(jobs = 0) ?(iterations = 20_000)
     ?(seed = 1) ?(start_temperature = 0.2) ?(end_temperature = 0.001) ?model
-    ?reuse_cap ?publish env circuit =
+    ?reuse_cap env circuit =
   if restarts <= 0 then invalid_arg "Annealer.solve_restarts: restarts <= 0";
   check_size env circuit "Annealer.solve_restarts";
   (* Derive every restart's generator from the master stream *on the
@@ -112,7 +105,7 @@ let solve_restarts ?(restarts = 4) ?(jobs = 0) ?(iterations = 20_000)
       slots.(i) <-
         Some
           (anneal ~iterations ~start_temperature ~end_temperature ?model
-             ?reuse_cap ?publish env circuit rngs.(i)))
+             ?reuse_cap env circuit rngs.(i)))
     restarts;
   (* Earliest strict minimum over restart costs — the same tie-break as the
      placer's candidate argmin, so the winner never depends on scheduling. *)

@@ -9,20 +9,14 @@ val solve :
   ?end_temperature:float ->
   ?model:Qcp_circuit.Timing.model ->
   ?reuse_cap:float ->
-  ?publish:(float -> unit) ->
   Qcp_env.Environment.t ->
   Qcp_circuit.Circuit.t ->
   int array * float
 (** Anneal over injective placements with a move/swap neighborhood and
     geometric cooling.  Defaults: 20_000 iterations, temperatures scaled by
     the initial cost.  Returns the best placement seen and its runtime in
-    delay units.  Deterministic for a fixed [seed].
-
-    [publish] is called with every improvement of the best cost seen so
-    far (including the initial placement's cost) — each value is the
-    achieved runtime of a realizable placement, suitable for a portfolio
-    race's shared incumbent ({!Portfolio}).  The walk never reads external
-    state, so [publish] cannot perturb the result. *)
+    delay units.  Deterministic for a fixed [seed].  The {!Portfolio}'s
+    [annealer] entry runs {!solve_restarts}. *)
 
 val solve_restarts :
   ?restarts:int ->
@@ -33,7 +27,6 @@ val solve_restarts :
   ?end_temperature:float ->
   ?model:Qcp_circuit.Timing.model ->
   ?reuse_cap:float ->
-  ?publish:(float -> unit) ->
   Qcp_env.Environment.t ->
   Qcp_circuit.Circuit.t ->
   int array * float

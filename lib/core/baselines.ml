@@ -81,7 +81,7 @@ let hill_climb ?model ?reuse_cap ?(passes = 10) env circuit ~init =
   sweep passes;
   (current, !best_cost)
 
-let lower_bound env circuit =
+let lower_bound ?reuse_cap env circuit =
   let m = Environment.size env in
   let best_single = ref Float.infinity in
   let best_coupling = ref Float.infinity in
@@ -98,7 +98,7 @@ let lower_bound env circuit =
       coupled = (fun _ _ -> !best_coupling);
     }
   in
-  Timing.runtime ~weights ~place:Timing.identity_place circuit
+  Timing.runtime ?reuse_cap ~weights ~place:Timing.identity_place circuit
 
 let random_placement rng env circuit =
   let n = Circuit.qubits circuit in

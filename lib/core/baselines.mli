@@ -42,12 +42,15 @@ val random_placement :
   Qcp_util.Rng.t -> Qcp_env.Environment.t -> Qcp_circuit.Circuit.t -> int array
 
 val lower_bound :
-  Qcp_env.Environment.t -> Qcp_circuit.Circuit.t -> float
+  ?reuse_cap:float -> Qcp_env.Environment.t -> Qcp_circuit.Circuit.t -> float
 (** A placement-independent runtime lower bound: the circuit's critical
     path with every two-qubit gate charged at the environment's fastest
-    coupling and every single-qubit gate at the fastest pulse.  Any
-    placement — with or without SWAP stages — costs at least this much, so
-    [runtime / lower_bound] bounds the heuristic's optimality gap. *)
+    coupling and every single-qubit gate at the fastest pulse, under the
+    same [reuse_cap] as the placement it bounds (uncapped by default).  Any
+    placement — with or without SWAP stages — timed with that cap costs at
+    least this much, so [runtime / lower_bound] bounds the heuristic's
+    optimality gap.  An uncapped bound is not admissible for a capped
+    runtime: a long same-pair run costs less once capped. *)
 
 val whole_best :
   ?model:Qcp_circuit.Timing.model ->

@@ -8,11 +8,10 @@
     round-trip is lossless for every nonnegative float including
     [infinity].
 
-    The placer's candidate sweeps (PR 4) and the cross-strategy portfolio
-    race ({!Portfolio}) both use this cell: every publisher submits an
-    {e achieved} score (a realizable placement's runtime), so the cell's
-    value is always an upper bound on the best final result and pruning
-    against it never cuts a potential winner. *)
+    The placer's candidate sweeps use this cell as their incumbent: every
+    publisher submits an {e achieved} score (a realizable candidate's
+    makespan), so the cell's value is always an upper bound on the sweep's
+    best result and pruning against it never cuts a potential winner. *)
 
 type t
 

@@ -20,11 +20,7 @@ type t = {
   vcycle : int;
   jobs : int;
   portfolio : bool;
-  deadline : float option;
-  portfolio_strategies : string list;
 }
-
-let all_strategies = [ "greedy"; "lookahead"; "boundary"; "annealer"; "scale" ]
 
 let default ~threshold =
   {
@@ -45,8 +41,6 @@ let default ~threshold =
     vcycle = 0;
     jobs = Qcp_util.Task_pool.env_jobs ();
     portfolio = false;
-    deadline = None;
-    portfolio_strategies = all_strategies;
   }
 
 (* Canonical text form of every field, in declaration order: the serving
@@ -110,14 +104,6 @@ let canonical t =
      jobs value (the library's determinism contract), so a server may
      answer a jobs=4 request from a jobs=0 solve and vice versa. *)
   flag "portfolio" t.portfolio;
-  option_field "deadline" float_field t.deadline;
-  open_field "strategies";
-  List.iteri
-    (fun i name ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b name)
-    t.portfolio_strategies;
-  close_field ();
   Buffer.contents b
 
 let fast ~threshold =

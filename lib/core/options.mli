@@ -101,7 +101,7 @@ type t = {
   jobs : int;
       (** Domain budget for every parallel layer of a placement run —
           candidate-scoring sweeps, monomorphism enumeration fan-out,
-          portfolio races and batch fan-out all share the persistent
+          the portfolio's entries and batch fan-out all share the persistent
           {!Qcp_util.Task_pool}; [0] (the baseline default) and [1] run
           sequentially.  Placements are bit-identical at any [jobs] value:
           sweeps keep the earliest-tie argmin and enumeration merges
@@ -109,30 +109,11 @@ type t = {
           initialize this from the [QCP_JOBS] environment variable
           ({!Qcp_util.Task_pool.env_jobs}), 0 when unset. *)
   portfolio : bool;
-      (** Race the enabled {!Portfolio} strategies against a shared
-          incumbent instead of running the single classic pipeline; the
-          deterministic winner (earliest enabled strategy achieving the
-          minimum replayed runtime) becomes the placement.  Off by
-          default: with it off, output is bit-identical to previous
-          releases. *)
-  deadline : float option;
-      (** [Some s]: give a portfolio race an [s]-second anytime budget —
-          non-anchor strategies abort between stages once it expires and
-          the race reports the best result achieved in time.  The first
-          enabled strategy ignores the deadline so a race always returns a
-          valid placement, even at [Some 0.].  Finite deadlines trade
-          determinism for latency (which stages beat the clock depends on
-          machine load); [None] (default) keeps every run deterministic.
-          Only consulted when [portfolio] is on. *)
-  portfolio_strategies : string list;
-      (** Strategies entered into the race, by name, in canonical order
-          (see {!all_strategies}); unknown names are rejected by
-          {!Portfolio}.  Defaults to all of them. *)
+      (** Run the five {!Portfolio} entries instead of the single classic
+          pipeline; the earliest entry achieving the minimum replayed
+          runtime becomes the placement.  Off by default: with it off,
+          output is bit-identical to previous releases. *)
 }
-
-val all_strategies : string list
-(** Canonical strategy names (race order and reduce priority):
-    ["greedy"; "lookahead"; "boundary"; "annealer"; "scale"]. *)
 
 val default : threshold:float -> t
 (** Paper defaults: [monomorphism_limit = 100], lookahead and fine tuning

@@ -223,19 +223,9 @@ type ctx = {
          coarsen-place-refine path; [None] when [Options.coarsen] is off,
          the environment is below the hierarchy cutoff, or matching made
          no progress.  Lazy so classic runs never pay for it. *)
-  c_shared : Incumbent.t option;
-      (* Cross-strategy incumbent of a portfolio race ({!Portfolio}):
-         holds the best *achieved* end-to-end runtime any racing strategy
-         has published so far.  Consulted to seed stage sweeps and to
-         abort this run once its running makespan provably exceeds the
-         cross-strategy best; [None] (single-strategy runs) changes
-         nothing. *)
   c_deadline : float;
       (* Absolute {!Qcp_util.Clock} instant after which the pipeline
          aborts between stages ([infinity]: never, and no clock reads). *)
-  c_peer_pruned : Telemetry.counter;
-      (* Stage sweeps and pipeline aborts cut short by [c_shared] (as
-         opposed to this run's own incumbent). *)
   c_reference : bool;
       (* Set for {!place_reference}: every cutoff is read as [infinity]
          ({!cutoff_of}), so no sweep prunes, skips or exits early and each
@@ -261,7 +251,6 @@ type run_metrics = {
   rm_bound_skips : Telemetry.counter;
   rm_early_exits : Telemetry.counter;
   rm_routed : Telemetry.counter;
-  rm_peer_pruned : Telemetry.counter;
 }
 
 let run_metrics_key =
@@ -275,15 +264,7 @@ let run_metrics_key =
         rm_bound_skips = Telemetry.counter t "placer.lower_bound_skips";
         rm_early_exits = Telemetry.counter t "placer.timing_early_exits";
         rm_routed = Telemetry.counter t "placer.networks_routed";
-        rm_peer_pruned = Telemetry.counter t "placer.pruned_by_peer";
       })
-
-(* The registry is reset at the start of every [place] and runs never
-   migrate domains, so right after a [place] returns this reads that run's
-   value — including aborted runs, which produce no [program] (hence no
-   snapshot) to read it from. *)
-let last_peer_prunes () =
-  Telemetry.count (Domain.DLS.get run_metrics_key).rm_peer_pruned
 
 (* Accumulate the wall time of a candidate-scoring section. *)
 let timed ctx f =
@@ -636,10 +617,8 @@ let sweep_scores ctx total eval =
    evaluated exactly (its bound and clocks never exceed the incumbent) --
    so the earliest-index argmin over the score array, the same tie-break
    as [Listx.min_by], is the exhaustive sweep's whatever the domain
-   schedule.  Returns the winner's index and its score under the sweep's
-   cutoff: [infinity] means every candidate pruned, so the "winner" is only
-   the arbitrary earliest index and the caller must widen the cutoff
-   before trusting it. *)
+   schedule.  Returns the winner's index; when a finite [cutoff] prunes
+   every candidate it is the arbitrary index 0. *)
 let lower_bound_first ~cutoff ctx ~bounds ~exact =
   let total = Array.length bounds in
   let order = Array.init total Fun.id in
@@ -669,7 +648,7 @@ let lower_bound_first ~cutoff ctx ~bounds ~exact =
   ignore (sweep_scores ctx total eval : float array);
   let best = ref 0 in
   Array.iteri (fun i s -> if s < scores.(!best) then best := i) scores;
-  (!best, scores.(!best))
+  !best
 
 (* ------------------------------------------------------------------ *)
 (* Hierarchical coarsen-place-refine                                   *)
@@ -878,9 +857,9 @@ let enumerate_candidates ?hint ctx ~prev ~subcircuit =
   List.map (complete_placement ctx ~prev ~subcircuit) mappings
 
 (* Best single-stage candidate by makespan, through {!lower_bound_first}.
-   Picks return the winner, its stage finish clocks when the sweep already
-   computed them exactly (so the pipeline can skip re-timing the winner;
-   [None] means replay) and its score.  With a previous placement the
+   Picks return the winner and its stage finish clocks when the sweep
+   already computed them exactly (so the pipeline can skip re-timing the
+   winner; [None] means replay).  With a previous placement the
    bound is {!candidate_bound}, so a candidate is skipped before the router
    ever runs; the first stage routes nothing and has no bound cheaper than
    its score, so there every candidate evaluates under the incumbent. *)
@@ -898,7 +877,7 @@ let pick_greedy ~cutoff ctx ~phys_start ~prev ~subcircuit candidates =
             candidate_bound ctx ~scratch ~phys_start ~prev ~subcircuit arr.(i))
     in
     let clocks = Array.make total [||] in
-    let best, score =
+    let best =
       lower_bound_first ~cutoff ctx ~bounds ~exact:(fun scratch ~cutoff i ->
           let s =
             score_makespan ~cutoff ~prebound:false ctx ~scratch ~phys_start
@@ -912,7 +891,7 @@ let pick_greedy ~cutoff ctx ~phys_start ~prev ~subcircuit candidates =
     let finish =
       if Array.length clocks.(best) = 0 then None else Some clocks.(best)
     in
-    Some (arr.(best), finish, score)
+    Some (arr.(best), finish)
 
 (* The next-stage half of a depth-2 lookahead score, starting from the
    current candidate's stage-1 [finish] clocks: the best completion of the
@@ -987,43 +966,31 @@ let pick_lookahead ~cutoff ctx ~phys_start ~prev ~subcircuit ~next_subcircuit
           clocks.(i) <- Timing.stage_clocks scratch;
           b)
     in
-    let best, score =
+    let best =
       lower_bound_first ~cutoff ctx ~bounds ~exact:(fun scratch ~cutoff i ->
           deep_tail ctx ~scratch ~cutoff ~finish:clocks.(i) ~stage1:bounds.(i)
             ~placement:arr.(i) ~next_subcircuit ~next_mappings)
     in
-    Some (arr.(best), Some clocks.(best), score)
+    Some (arr.(best), Some clocks.(best))
 
-(* Failure messages with load-bearing identity: {!Strategy} classifies a
-   pipeline abort as Expired/Pruned (rather than Infeasible) by matching
-   these exact strings, so they are exported from the interface. *)
+(* Exported so the serving layer can tell a deadline abort (a "timeout")
+   from an unplaceable instance by exact match. *)
 let msg_deadline = "deadline expired before the pipeline completed"
-let msg_peer_pruned = "a portfolio peer's incumbent refutes this pipeline"
 
 exception Pipeline_failure of string
 
 (* One pipeline stage, called only from the stage loop {!run_stages}:
    enumerate candidates, pick (greedy, or depth-2 lookahead when a
    successor stage is in hand), fine-tune under the lookahead judge,
-   route/re-time, and apply the cutoff / deadline / peer-incumbent abort
-   protocol.  Returns the connecting network (already filtered: [None]
-   when empty or first stage), the chosen placement and the stage's finish
-   clocks; raises {!Pipeline_failure} on any abort.
+   route/re-time, and apply the cutoff / deadline abort protocol.  Returns
+   the connecting network (already filtered: [None] when empty or first
+   stage), the chosen placement and the stage's finish clocks; raises
+   {!Pipeline_failure} on any abort.
 
    A finite [cutoff] (used by the boundary-refinement trials) seeds the
    stage's incumbent and aborts as soon as the running makespan provably
    exceeds it: clocks are monotone across stages, so a stage makespan
-   above the cutoff refutes the final one.
-
-   A portfolio peer's incumbent ([ctx.c_shared]) joins in the same way,
-   with one extra wrinkle: the peer value is an {e upper bound on the
-   race's final winner}, not on {e this} pipeline, so when it prunes every
-   candidate of a stage the pick is re-run under the caller's own cutoff —
-   reproducing the individual-run pick exactly — and only the post-stage
-   exact re-time is allowed to abort (proving this pipeline's final
-   makespan exceeds the published value, i.e. it can neither win nor tie
-   the race).  Completed pipelines are therefore bit-identical to their
-   individual (shared-free) runs; see {!Portfolio}. *)
+   above the cutoff refutes the final one. *)
 let place_one ?(cutoff = infinity) ctx ~phys_start ~prev ~hint ~subcircuit
     ~next_subcircuit =
   if Qcp_util.Clock.expired ctx.c_deadline then
@@ -1042,7 +1009,7 @@ let place_one ?(cutoff = infinity) ctx ~phys_start ~prev ~hint ~subcircuit
             (fun () -> Array.of_list (enumerate_mappings ctx ~subcircuit:next)) )
     | Some _ | None -> None
   in
-  let pick cutoff =
+  let chosen =
     timed ctx (fun () ->
         match next_mappings with
         | Some (next_subcircuit, next_mappings) ->
@@ -1054,29 +1021,10 @@ let place_one ?(cutoff = infinity) ctx ~phys_start ~prev ~hint ~subcircuit
           in_phase ctx.c_phases.ph_greedy ~name:"placer/greedy" (fun () ->
               pick_greedy ~cutoff ctx ~phys_start ~prev ~subcircuit candidates))
   in
-  let chosen =
-    match ctx.c_shared with
-    | None -> pick cutoff
-    | Some shared -> (
-      let eff = Float.min cutoff (Incumbent.get shared) in
-      if eff >= cutoff then pick cutoff
-      else begin
-        (* The peer value tightens this stage's sweep. *)
-        Telemetry.incr ctx.c_peer_pruned;
-        match pick eff with
-        | Some (_, _, best) when best = infinity ->
-          (* The peer bound pruned the whole sweep, which refutes
-             nothing about *this* pipeline (only the exact post-stage
-             re-time may abort it): redo the pick under our own cutoff
-             so the choice matches the individual run exactly. *)
-          pick cutoff
-        | r -> r
-      end)
-  in
   match chosen with
   | None ->
     raise (Pipeline_failure "no monomorphism found for an alignable subcircuit")
-  | Some (placement, picked_finish, _) ->
+  | Some (placement, picked_finish) ->
     (* Fine tuning optimizes the current stage only; under lookahead,
        keep it only if it does not undo the two-stage choice.  The
        baseline is judged exactly, then bounds the challenger: ties
@@ -1117,16 +1065,6 @@ let place_one ?(cutoff = infinity) ctx ~phys_start ~prev ~hint ~subcircuit
     in
     if makespan > cutoff_of ctx cutoff then
       raise (Pipeline_failure "makespan exceeds the evaluation cutoff");
-    (* Exact stage re-time above a peer's *achieved* runtime: clocks
-       are monotone across stages, so this pipeline's final makespan
-       can neither win nor tie the race — abandon it.  Strict
-       comparison: a tying pipeline must complete so the portfolio's
-       seeded reduce stays schedule-independent. *)
-    (match ctx.c_shared with
-    | Some shared when makespan > Incumbent.get shared ->
-      Telemetry.incr ctx.c_peer_pruned;
-      raise (Pipeline_failure msg_peer_pruned)
-    | Some _ | None -> ());
     let network =
       match network with Some net when net <> [] -> Some net | _ -> None
     in
@@ -1282,11 +1220,6 @@ let balance_boundaries ctx subcircuits =
          balance phase's, not enumerate/greedy/route time of the real
          pipeline.  Search counters intentionally stay shared. *)
       c_phases = make_phase_times ();
-      (* Structural split decisions must not depend on a racing peer's
-         schedule: trials prune only against their own incumbent makespan,
-         so the boundary choice — hence the placement — is the same with
-         or without the portfolio running alongside. *)
-      c_shared = None;
     }
   in
   let evaluate ?cutoff subs =
@@ -1568,7 +1501,7 @@ let finalize_metrics ctx =
   if Telemetry.enabled () then Telemetry.merge_into t ~into:Telemetry.global;
   (stats, snapshot)
 
-let run ~reference ?(deadline = infinity) ?shared ?spill options env circuit =
+let run ~reference ?(deadline = infinity) ?spill options env circuit =
   Qcp_obs.Trace.with_span ~cat:"placer" "placer/place" @@ fun () ->
   let circuit =
     if options.Options.commute_prepass then
@@ -1626,9 +1559,7 @@ let run ~reference ?(deadline = infinity) ?shared ?spill options env circuit =
           c_early_exits = rm.rm_early_exits;
           c_routed = rm.rm_routed;
           c_phases = make_phase_times ();
-          c_shared = shared;
           c_deadline = deadline;
-          c_peer_pruned = rm.rm_peer_pruned;
           c_reference = reference;
           c_cache = Score_cache.create table;
           c_router;
@@ -1698,8 +1629,8 @@ let run ~reference ?(deadline = infinity) ?shared ?spill options env circuit =
             in
             placed stage_list None)))
 
-let place ?deadline ?shared ?spill options env circuit =
-  run ~reference:false ?deadline ?shared ?spill options env circuit
+let place ?deadline ?spill options env circuit =
+  run ~reference:false ?deadline ?spill options env circuit
 
 let place_reference options env circuit =
   run ~reference:true options env circuit

@@ -141,7 +141,6 @@ type outcome =
 
 val place :
   ?deadline:float ->
-  ?shared:Incumbent.t ->
   ?spill:Spill.sink ->
   Options.t ->
   Qcp_env.Environment.t ->
@@ -166,17 +165,7 @@ val place :
     an anytime cutoff checked between stages: once it passes, the run
     aborts with [Unplaceable] {!msg_deadline}.  Finite deadlines trade the
     library's determinism guarantee for latency control — whether a given
-    stage beats the clock depends on machine load.
-
-    [shared] plugs the run into a portfolio race ({!Portfolio}): stage
-    sweeps additionally prune against the cell's current value, and a
-    stage whose exact re-timed makespan strictly exceeds it abandons the
-    run with [Unplaceable] {!msg_peer_pruned} (clocks are monotone across
-    stages, so the final makespan could neither win nor tie the race).
-    The cell must only ever hold *achieved* runtimes.  A run that
-    completes returns a program bit-identical to the same call without
-    [shared]; this function never publishes into the cell itself — the
-    caller decides what counts as an achieved result. *)
+    stage beats the clock depends on machine load. *)
 
 val place_reference :
   Options.t -> Qcp_env.Environment.t -> Qcp_circuit.Circuit.t -> outcome
@@ -190,17 +179,6 @@ val place_reference :
 
 val msg_deadline : string
 (** [Unplaceable] payload of a deadline abort (exact-match classifier). *)
-
-val msg_peer_pruned : string
-(** [Unplaceable] payload of a portfolio peer abort (exact-match
-    classifier). *)
-
-val last_peer_prunes : unit -> int
-(** The ["placer.pruned_by_peer"] count of the calling domain's most
-    recent {!place} run (stage sweeps tightened and aborts caused by
-    [shared]).  Valid for aborted runs too — they return no [program] to
-    read a snapshot from; must be read on the domain that ran the
-    placement, before it starts another. *)
 
 val place_batch :
   ?jobs:int ->

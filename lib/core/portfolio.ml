@@ -1,19 +1,12 @@
+module Circuit = Qcp_circuit.Circuit
+module Environment = Qcp_env.Environment
 module Telemetry = Qcp_obs.Metrics
 module Clock = Qcp_util.Clock
 module Task_pool = Qcp_util.Task_pool
 
-type status =
-  | Completed of float
-  | Pruned
-  | Expired
-  | Infeasible of string
+type status = Completed of float | Infeasible of string
 
-type entry = {
-  strategy : string;
-  status : status;
-  wall_seconds : float;
-  peer_prunes : int;
-}
+type entry = { strategy : string; status : status; wall_seconds : float }
 
 type report = {
   program : Placer.program;
@@ -24,104 +17,170 @@ type report = {
   entries : entry list;
 }
 
-let status_of_result = function
-  | Strategy.Complete (_, runtime) -> Completed runtime
-  | Strategy.Pruned -> Pruned
-  | Strategy.Expired -> Expired
-  | Strategy.Infeasible msg -> Infeasible msg
+(* A classic-pipeline entry: [tweak] fixes the pick flavor; the rest of the
+   caller's options pass through untouched. *)
+let classic tweak options env circuit =
+  match Placer.place (tweak options) env circuit with
+  | Placer.Placed program -> Ok program
+  | Placer.Unplaceable msg -> Error msg
 
-let run ?jobs ?(share = true) options env circuit =
-  match Strategy.resolve options.Options.portfolio_strategies with
-  | Error msg -> Error msg
-  | Ok strategies ->
-    Qcp_obs.Trace.with_span ~cat:"portfolio" "portfolio/race" @@ fun () ->
-    let jobs = Option.value jobs ~default:options.Options.jobs in
-    let deadline =
-      match options.Options.deadline with
-      | None -> infinity
-      | Some budget -> Clock.deadline_after budget
+(* The scale-wall pipeline: windowed stage formation, coarsen-place-refine
+   and sparse candidate roots, plus one V-cycle refinement pass.  Caller-set
+   knobs win (a window above the default 1, a root cap, V-cycles).
+   Spilling stays off: the reduce replays the program. *)
+let scale_options o =
+  {
+    o with
+    Options.lookahead = false;
+    balance_boundaries = false;
+    window = (if o.Options.window = 1 then 64 else o.Options.window);
+    coarsen = true;
+    root_cap = (match o.Options.root_cap with None -> Some 32 | c -> c);
+    spill = Options.No_spill;
+    vcycle = Int.max 1 o.Options.vcycle;
+  }
+
+(* Fixed annealing budget: modest restarts because the portfolio already
+   diversifies across entries. *)
+let annealer_restarts = 2
+let annealer_iterations = 10_000
+
+(* Whole-circuit simulated annealing wrapped as one computation stage over
+   the full delay matrix: the paper's "optimal placement when placed
+   without insertion of SWAPs" column.  [adjacency] keeps the
+   fast-interaction graph for reporting, but the placement may use slow
+   couplings; the replay charges them at their true cost. *)
+let annealer options env circuit =
+  if Circuit.qubits circuit > Environment.size env then
+    Error
+      (Printf.sprintf "circuit needs %d qubits but the environment has %d"
+         (Circuit.qubits circuit) (Environment.size env))
+  else begin
+    let placement, _ =
+      Annealer.solve_restarts ~restarts:annealer_restarts
+        ~jobs:options.Options.jobs ~iterations:annealer_iterations
+        ~model:options.Options.model ?reuse_cap:options.Options.reuse_cap env
+        circuit
     in
-    let shared = Incumbent.make infinity in
-    let arr = Array.of_list strategies in
-    let total = Array.length arr in
-    let verdicts = Array.make total None in
-    let walls = Array.make total 0.0 in
-    Task_pool.parallel_for (Task_pool.get ())
-      ~jobs:(Int.min jobs total)
-      ~body:(fun ~worker:_ i ->
-        let s = arr.(i) in
-        (* Private cell under [~share:false]: the strategy still publishes
-           and prunes, but only against itself — the ablation isolates
-           exactly the cross-strategy effect. *)
-        let cell = if share then shared else Incumbent.make infinity in
-        (* The anchor ignores the deadline so a race always produces a
-           placement, even with a zero budget. *)
-        let deadline = if i = 0 then infinity else deadline in
-        let t0 = Clock.now () in
-        let verdict =
-          Qcp_obs.Trace.with_span ~cat:"portfolio"
-            ("portfolio/" ^ s.Strategy.name) (fun () ->
-              s.Strategy.solve ~deadline ~shared:cell options env circuit)
-        in
-        walls.(i) <- Clock.now () -. t0;
-        verdicts.(i) <- Some verdict)
-      total;
-    let verdicts = Array.map Option.get verdicts in
-    (* Earliest strict minimum over completed strategies in canonical
-       order — the only reduce under which the winner is schedule-free:
-       completed programs are bit-identical to their solo runs, and a
-       pruned strategy's final runtime provably exceeds some published
-       (achieved) value, so it could neither win nor tie. *)
-    let best = ref None in
-    Array.iteri
-      (fun i v ->
-        match v.Strategy.result with
-        | Strategy.Complete (program, runtime) -> (
-          match !best with
-          | Some (_, _, best_runtime) when runtime >= best_runtime -> ()
-          | _ -> best := Some (i, program, runtime))
-        | Strategy.Pruned | Strategy.Expired | Strategy.Infeasible _ -> ())
-      verdicts;
-    let entries =
-      Array.to_list
-        (Array.mapi
-           (fun i v ->
-             {
-               strategy = arr.(i).Strategy.name;
-               status = status_of_result v.Strategy.result;
-               wall_seconds = walls.(i);
-               peer_prunes = v.Strategy.peer_prunes;
-             })
-           verdicts)
+    let adjacency =
+      match
+        Environment.connected_adjacency env ~threshold:options.Options.threshold
+      with
+      | Some g -> g
+      | None -> Environment.adjacency env ~threshold:infinity
     in
-    (match !best with
-    | None ->
-      let detail =
-        match
-          List.find_map
-            (function
-              | { status = Infeasible msg; _ } -> Some msg | _ -> None)
-            entries
-        with
-        | Some msg -> msg
-        | None -> "every strategy aborted"
-      in
-      Error (Printf.sprintf "portfolio: no strategy completed (%s)" detail)
-    | Some (i, program, runtime) ->
-      let winner = arr.(i).Strategy.name in
-      if Telemetry.enabled () then begin
-        Telemetry.incr (Telemetry.counter Telemetry.global "portfolio.races");
-        Telemetry.incr
-          (Telemetry.counter Telemetry.global
-             ("portfolio.strategy_wins." ^ winner));
-        Telemetry.add
-          (Telemetry.counter Telemetry.global
-             "portfolio.candidates_pruned_by_peer")
-          (List.fold_left (fun acc e -> acc + e.peer_prunes) 0 entries)
-      end;
-      let lower_bound = Baselines.lower_bound env circuit in
-      let gap = if lower_bound > 0.0 then runtime /. lower_bound else 1.0 in
-      Ok { program; winner; runtime; lower_bound; gap; entries })
+    Ok
+      {
+        Placer.env;
+        source = circuit;
+        options;
+        adjacency;
+        stages = [ Placer.Compute { placement; circuit } ];
+        spilled = None;
+        stats =
+          {
+            Placer.oracle_calls = 0;
+            enumerations = 0;
+            candidates_scored = 0;
+            candidates_pruned = 0;
+            lower_bound_skips = 0;
+            timing_early_exits = 0;
+            networks_routed = 0;
+            route_cache_hits = 0;
+            route_cache_misses = 0;
+            scoring_seconds = 0.0;
+          };
+        metrics = Telemetry.snapshot (Telemetry.create ());
+      }
+  end
+
+(* The entries in canonical order, which is also the reduce's tie-break
+   priority. *)
+let entries_in_order =
+  [
+    ( "greedy",
+      classic (fun o ->
+          { o with Options.lookahead = false; balance_boundaries = false }) );
+    ( "lookahead",
+      classic (fun o ->
+          { o with Options.lookahead = true; balance_boundaries = false }) );
+    ( "boundary",
+      classic (fun o ->
+          { o with Options.lookahead = true; balance_boundaries = true }) );
+    ("annealer", annealer);
+    ("scale", classic scale_options);
+  ]
+
+let run ?jobs options env circuit =
+  Qcp_obs.Trace.with_span ~cat:"portfolio" "portfolio/race" @@ fun () ->
+  let jobs = Option.value jobs ~default:options.Options.jobs in
+  let arr = Array.of_list entries_in_order in
+  let total = Array.length arr in
+  let results = Array.make total (Error "") in
+  let walls = Array.make total 0.0 in
+  Task_pool.parallel_for (Task_pool.get ())
+    ~jobs:(Int.min jobs total)
+    ~body:(fun ~worker:_ i ->
+      let name, solve = arr.(i) in
+      let t0 = Clock.now () in
+      results.(i) <-
+        Qcp_obs.Trace.with_span ~cat:"portfolio" ("portfolio/" ^ name)
+          (fun () ->
+            match solve options env circuit with
+            | Error msg -> Error msg
+            | Ok program ->
+              (* A placement over an absent coupling replays to [inf] or
+                 NaN; neither is an achieved runtime. *)
+              let runtime = Placer.runtime program in
+              if Float.is_finite runtime then Ok (program, runtime)
+              else Error "replayed runtime is not finite");
+      walls.(i) <- Clock.now () -. t0)
+    total;
+  (* Earliest strict minimum in canonical order: every entry runs on its
+     own and is deterministic, so the winner is the same at any [jobs]. *)
+  let best = ref None in
+  Array.iteri
+    (fun i result ->
+      match (result, !best) with
+      | Ok (_, runtime), Some (_, _, best_runtime) when runtime >= best_runtime
+        ->
+        ()
+      | Ok (program, runtime), _ -> best := Some (i, program, runtime)
+      | Error _, _ -> ())
+    results;
+  let entries =
+    List.init total (fun i ->
+        {
+          strategy = fst arr.(i);
+          status =
+            (match results.(i) with
+            | Ok (_, runtime) -> Completed runtime
+            | Error msg -> Infeasible msg);
+          wall_seconds = walls.(i);
+        })
+  in
+  match !best with
+  | None ->
+    (* Every entry failed: report the first reason in canonical order. *)
+    let detail =
+      Array.find_map (function Error msg -> Some msg | Ok _ -> None) results
+    in
+    Error
+      (Printf.sprintf "portfolio: no strategy completed (%s)"
+         (Option.value detail ~default:""))
+  | Some (i, program, runtime) ->
+    let winner = fst arr.(i) in
+    if Telemetry.enabled () then begin
+      Telemetry.incr (Telemetry.counter Telemetry.global "portfolio.races");
+      Telemetry.incr
+        (Telemetry.counter Telemetry.global
+           ("portfolio.strategy_wins." ^ winner))
+    end;
+    let lower_bound =
+      Baselines.lower_bound ?reuse_cap:options.Options.reuse_cap env circuit
+    in
+    let gap = if lower_bound > 0.0 then runtime /. lower_bound else 1.0 in
+    Ok { program; winner; runtime; lower_bound; gap; entries }
 
 let place ?jobs options env circuit =
   match run ?jobs options env circuit with
@@ -146,8 +205,6 @@ let place_batch ?(jobs = 0) specs =
 
 let pp_status ppf = function
   | Completed runtime -> Format.fprintf ppf "completed (runtime %.1f)" runtime
-  | Pruned -> Format.pp_print_string ppf "pruned by peer"
-  | Expired -> Format.pp_print_string ppf "deadline expired"
   | Infeasible msg -> Format.fprintf ppf "infeasible (%s)" msg
 
 let pp_report ppf report =
@@ -155,7 +212,7 @@ let pp_report ppf report =
     report.winner report.runtime report.lower_bound report.gap;
   List.iter
     (fun e ->
-      Format.fprintf ppf "@\n  %-10s %-32s %7.3fs  peer prunes: %d" e.strategy
+      Format.fprintf ppf "@\n  %-10s %-32s %7.3fs" e.strategy
         (Format.asprintf "%a" pp_status e.status)
-        e.wall_seconds e.peer_prunes)
+        e.wall_seconds)
     report.entries

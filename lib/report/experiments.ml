@@ -104,8 +104,8 @@ let phase_section buf pbuf =
    byte-identical at any [jobs] value (outcomes are bit-identical and the
    formatting is order-preserving). *)
 (* [portfolio] swaps the batch engine for {!Qcp.Portfolio.place_batch}:
-   every cell becomes a strategy race instead of a single classic pipeline
-   (same outcome order, still deterministic without a deadline). *)
+   every cell runs the five-entry reduce instead of a single classic
+   pipeline (same outcome order, still deterministic). *)
 let batch ~portfolio ~jobs specs =
   if portfolio then Qcp.Portfolio.place_batch ~jobs specs
   else Placer.place_batch ~jobs specs

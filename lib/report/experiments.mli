@@ -57,9 +57,9 @@ val tables234 :
     are unchanged.
 
     [portfolio] (default [false]) places every cell through
-    {!Qcp.Portfolio.place} — a deterministic strategy race against a
-    shared incumbent — instead of a single classic pipeline.  Row order
-    and determinism guarantees are unchanged (no deadline is set). *)
+    {!Qcp.Portfolio.place} — the deterministic five-entry reduce —
+    instead of a single classic pipeline.  Row order and determinism
+    guarantees are unchanged. *)
 
 val figure1 : unit -> string
 (** Acetyl chloride interaction graph (DOT + delay listing). *)

@@ -160,9 +160,6 @@ let key_hash s =
       hex.[Int64.to_int
              (Int64.logand (Int64.shift_right_logical h (60 - (4 * i))) 15L)])
 
-let cacheable p =
-  not (p.options.Options.portfolio && p.options.Options.deadline <> None)
-
 (* ------------------------------------------------------------------ *)
 (* Request parsing                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -199,7 +196,7 @@ let options_of_json env json =
     [
       "threshold"; "monomorphisms"; "lookahead"; "fine_tune"; "leaf_override";
       "router"; "reuse_cap"; "sequential"; "commute"; "balance"; "window";
-      "coarsen"; "root_cap"; "vcycle"; "portfolio"; "deadline"; "strategies";
+      "coarsen"; "root_cap"; "vcycle"; "portfolio";
     ]
   in
   let* fields =
@@ -293,33 +290,6 @@ let options_of_json env json =
   let* portfolio =
     opt_member "portfolio" json Json.to_bool ~default:base.Options.portfolio
   in
-  let* strategies =
-    opt_member "strategies" json
-      (fun v ->
-        match v with
-        | Json.Arr items ->
-          let rec strs acc = function
-            | [] -> Some (List.rev acc)
-            | item :: rest -> (
-              match Json.to_str item with
-              | Some s -> strs (s :: acc) rest
-              | None -> None)
-          in
-          Option.map Option.some (strs [] items)
-        | _ -> None)
-      ~default:None
-  in
-  let* deadline =
-    opt_member "deadline" json
-      (fun v -> Option.map Option.some (Json.to_float v))
-      ~default:None
-  in
-  (* Mirror the CLI: strategies / a race deadline imply the
-     portfolio.  (This is the race's anytime budget, part of the content
-     key; a plain request's timeout budget is the top-level "deadline"
-     field, enforced out-of-band so the cached result is shared across
-     budgets.) *)
-  let portfolio = portfolio || strategies <> None || deadline <> None in
   let options =
     {
       base with
@@ -341,9 +311,6 @@ let options_of_json env json =
       vcycle;
       jobs = 0;
       portfolio;
-      deadline;
-      portfolio_strategies =
-        Option.value strategies ~default:Options.all_strategies;
     }
   in
   Ok options

@@ -38,11 +38,8 @@ type place = {
       (** The request's timeout budget in seconds, counted from arrival
           (the top-level ["deadline"] field).  Enforced out-of-band by the
           server — it is {e not} part of the content key, so one cached
-          solve answers the same instance under any budget.  Distinct from
-          ["options":{"deadline"}], which is the portfolio race's anytime
-          budget: that one shapes the result, lives in the key, and (like
-          the CLI flag) implies [portfolio].  A portfolio race ignores
-          this out-of-band budget (its anchor strategy must finish). *)
+          solve answers the same instance under any budget.  Portfolio
+          requests are exempt: the server runs every entry to the end. *)
   telemetry : bool;
       (** Include the run's full metrics snapshot in the result. *)
   key : string;  (** Canonical content key (see above). *)
@@ -103,12 +100,6 @@ val memo_entries : unit -> int
 val key_hash : string -> string
 (** FNV-1a 64-bit hex digest of a key (16 hex chars) — the [key] field of
     responses.  Allocates only the digest text. *)
-
-val cacheable : place -> bool
-(** Whether the request's result may be cached and served to repeats:
-    everything except portfolio races under a finite deadline, whose
-    winner depends on machine load (the one knob that trades determinism
-    for latency). *)
 
 val result_of_program :
   telemetry:bool -> Qcp.Placer.program -> Qcp_util.Json.t

@@ -185,10 +185,9 @@ module Engine = struct
     if p.Protocol.telemetry then p.Protocol.key ^ "\n+telemetry"
     else p.Protocol.key
 
-  (* A request's absolute timeout budget.  Portfolio races ignore the
-     out-of-band budget (their anchor strategy must finish); everything
-     else counts its own deadline — or the server default — from
-     arrival. *)
+  (* A request's absolute timeout budget.  Portfolio requests are exempt
+     (the portfolio takes no deadline); everything else counts its own
+     deadline — or the server default — from arrival. *)
   let budget config j =
     if j.j_place.Protocol.options.Options.portfolio then infinity
     else
@@ -218,30 +217,22 @@ module Engine = struct
     let unique = ref [] and unique_count = ref 0 in
     let index_of_key = Hashtbl.create 16 in
     let assignments =
-      Array.mapi
-        (fun i j ->
+      Array.map
+        (fun j ->
           if budget t.config j <= now then Shed
           else
             (* The key is built once per job: lookup, dedup and the
                insert after solving all use it. *)
-            let p = j.j_place in
-            let key =
-              if Protocol.cacheable p then Some (cache_key p) else None
-            in
-            match Option.bind key (Result_cache.find t.result_cache) with
+            let key = cache_key j.j_place in
+            match Result_cache.find t.result_cache key with
             | Some text -> Hit text
-            | None ->
-              (* Non-cacheable (portfolio + finite deadline) requests never
-                 dedupe: each gets its own race. *)
-              let dk =
-                match key with Some k -> k | None -> Printf.sprintf "!%d" i
-              in
-              (match Hashtbl.find_opt index_of_key dk with
+            | None -> (
+              match Hashtbl.find_opt index_of_key key with
               | Some u -> Solve (u, false)
               | None ->
                 let u = !unique_count in
                 incr unique_count;
-                Hashtbl.add index_of_key dk u;
+                Hashtbl.add index_of_key key u;
                 unique := (j, key) :: !unique;
                 Solve (u, true)))
         jobs
@@ -263,8 +254,7 @@ module Engine = struct
       trace_abs := Clock.now ()
     end;
     (* Classic requests solve in one placer batch with per-job absolute
-       deadlines, portfolio requests in one portfolio batch (their budget
-       lives in [options.deadline]). *)
+       deadlines, portfolio requests in one portfolio batch. *)
     let outcomes = Array.make (Array.length unique) (Placer.Unplaceable "") in
     let classic = ref [] and races = ref [] in
     Array.iteri
@@ -310,7 +300,7 @@ module Engine = struct
       end
       else []
     in
-    (* Render unique results once; successful cacheable ones get stored. *)
+    (* Render unique results once; successful ones get stored. *)
     let rendered =
       Array.mapi
         (fun u outcome ->
@@ -323,9 +313,7 @@ module Engine = struct
                 (Protocol.result_of_program ~telemetry:p.Protocol.telemetry
                    program)
             in
-            Option.iter
-              (fun key -> Result_cache.add t.result_cache key text)
-              unique_keys.(u);
+            Result_cache.add t.result_cache unique_keys.(u) text;
             ("ok", Some text, None)
           | Placer.Unplaceable msg when msg = Placer.msg_deadline ->
             ("timeout", None, Some msg)

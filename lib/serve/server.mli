@@ -113,7 +113,7 @@ module Engine : sig
   val dispatch : t -> now:float -> job list -> string list
   (** Solve one batch, returning response lines in job order.  Jobs whose
       timeout budget (own deadline or the config default, counted from
-      arrival; portfolio races are exempt) expired before [now] are shed:
+      arrival; portfolio requests are exempt) expired before [now] are shed:
       answered ["timeout"] without solving, counted in both [timeouts]
       and [shed].  Cache hits answer immediately (the stored bytes);
       misses dedupe by cache key (duplicate jobs in one batch solve once
@@ -121,7 +121,7 @@ module Engine : sig
       {!Qcp.Placer.place_batch} — classic requests with per-job absolute
       deadlines ([arrival + budget]) via [deadline_of] — and
       {!Qcp.Portfolio.place_batch} for portfolio requests.  Successful
-      cacheable results are rendered once and stored; [status] maps
+      results are rendered once and stored; [status] maps
       deadline aborts to ["timeout"] and placement failures to
       ["unplaceable"].  Each response also emits one ["request"] access
       log event, lands one record (plus, for the batch's first solve,

@@ -84,9 +84,19 @@ let test_heuristic_close_to_exhaustive () =
   check Molecules.trans_crotonic_acid Catalog.qec5_encode 100.0
 
 let test_lower_bound_below_everything () =
+  let paper = Qcp.Options.default ~threshold:200.0 in
+  (* Table 4's chain:8 row (seed 2007 + 8, fast options at threshold 50):
+     greedy places it at 870, below the uncapped bound of 1,050. *)
+  let chain8 =
+    let rng = Qcp_util.Rng.create 2015 in
+    fst (Qcp_circuit.Random_circuit.hidden_stages rng ~n:8)
+  in
   List.iter
-    (fun (env, circuit) ->
-      let lb = Baselines.lower_bound env circuit in
+    (fun (env, circuit, options) ->
+      let lb =
+        Baselines.lower_bound ?reuse_cap:options.Qcp.Options.reuse_cap env
+          circuit
+      in
       Alcotest.(check bool) "positive" true (lb > 0.0);
       (match Baselines.exhaustive env circuit with
       | Some (_, opt) ->
@@ -94,16 +104,20 @@ let test_lower_bound_below_everything () =
           (Printf.sprintf "lb %.0f <= optimum %.0f" lb opt)
           true (lb <= opt +. 1e-9)
       | None -> ());
-      match Qcp.Placer.place (Qcp.Options.default ~threshold:200.0) env circuit with
+      match Qcp.Placer.place options env circuit with
       | Qcp.Placer.Placed p ->
-        Alcotest.(check bool) "lb <= placed runtime" true
-          (lb <= Qcp.Placer.runtime p +. 1e-9)
+        let runtime = Qcp.Placer.runtime p in
+        Alcotest.(check bool)
+          (Printf.sprintf "lb %.0f <= placed runtime %.0f" lb runtime)
+          true
+          (lb <= runtime +. 1e-9)
       | Qcp.Placer.Unplaceable _ -> ())
     [
-      (Molecules.acetyl_chloride, Catalog.qec3_encode);
-      (Molecules.trans_crotonic_acid, Catalog.qec5_encode);
-      (Molecules.trans_crotonic_acid, Catalog.qft 6);
-      (Molecules.boc_glycine_fluoride, Catalog.phase_estimation 4);
+      (Molecules.acetyl_chloride, Catalog.qec3_encode, paper);
+      (Molecules.trans_crotonic_acid, Catalog.qec5_encode, paper);
+      (Molecules.trans_crotonic_acid, Catalog.qft 6, paper);
+      (Molecules.boc_glycine_fluoride, Catalog.phase_estimation 4, paper);
+      (Environment.chain 8, chain8, Qcp.Options.fast ~threshold:50.0);
     ]
 
 let qcheck_exhaustive_beats_random =

@@ -1,33 +1,26 @@
-(* Property tests for the strategy portfolio (Strategy + Portfolio +
-   shared-incumbent plumbing in the placer): racing is a pure performance
-   feature, so the winner must be bit-identical at any [jobs] value, never
-   worse than any individually-run enabled strategy, and a single-strategy
-   race must degenerate to running that strategy directly.  The deadline
-   is an anytime cutoff whose anchor exemption guarantees a valid
-   placement even at a zero budget. *)
+(* Property tests for the strategy portfolio: every entry runs on its own,
+   so the reduce's winner must equal the best of the entries run alone,
+   be bit-identical at any [jobs] value, and never be an entry whose
+   replayed runtime is not finite.  The solo oracle below calls
+   [Placer.place] and [Annealer] directly over its own copy of the option
+   tweaks: it shares no code with the reduce. *)
 
 module Placer = Qcp.Placer
 module Options = Qcp.Options
-module Strategy = Qcp.Strategy
 module Portfolio = Qcp.Portfolio
 module Incumbent = Qcp.Incumbent
 
 let options_for ~seed threshold =
   (* Alternate option profiles so the sweep exercises the fast and the
-     paper-default pipelines under the race. *)
+     paper-default pipelines. *)
   match seed mod 2 with
   | 0 -> Options.fast ~threshold
   | _ -> Options.default ~threshold
 
 (* [jobs] pinned explicitly everywhere: CI runs the suite under QCP_JOBS 0
    and 2 and these properties must not depend on the ambient value. *)
-let portfolio_options ~seed ~strategies ~jobs threshold =
-  {
-    (options_for ~seed threshold) with
-    Options.portfolio = true;
-    portfolio_strategies = strategies;
-    jobs;
-  }
+let portfolio_options ~seed ~jobs threshold =
+  { (options_for ~seed threshold) with Options.portfolio = true; jobs }
 
 let instance seed =
   let rng = Qcp_util.Rng.create (3100 + seed) in
@@ -37,76 +30,127 @@ let instance seed =
   let circuit, _ = Qcp_circuit.Random_circuit.hidden_stages rng ~n in
   (env, threshold, circuit)
 
-(* Classic strategies on every seed; the annealer joins every fifth seed
-   (its fixed iteration budget dominates the sweep's wall time). *)
-let strategies_for seed =
-  if seed mod 5 = 0 then Options.all_strategies
-  else [ "greedy"; "lookahead"; "boundary" ]
+(* The solo result of one entry: its stages and replayed runtime, or
+   [None] when it cannot place the instance at a finite runtime. *)
+type solo = { name : string; stages : Placer.stage list; runtime : float }
 
-let solo strategy options env circuit =
-  (Strategy.find strategy |> Result.get_ok).Strategy.solve ~deadline:infinity
-    ~shared:(Incumbent.make infinity) options env circuit
+let classic_solo name options env circuit =
+  match Placer.place options env circuit with
+  | Placer.Unplaceable _ -> None
+  | Placer.Placed p ->
+    let runtime = Placer.runtime p in
+    if Float.is_finite runtime then
+      Some { name; stages = p.Placer.stages; runtime }
+    else None
 
-(* (a) The race's winner is never worse than any enabled strategy run
-   alone, and exactly matches the best of them (the reduce only ever picks
-   achieved runtimes). *)
+let solos options env circuit =
+  let greedy =
+    { options with Options.lookahead = false; balance_boundaries = false }
+  in
+  let lookahead =
+    { options with Options.lookahead = true; balance_boundaries = false }
+  in
+  let boundary =
+    { options with Options.lookahead = true; balance_boundaries = true }
+  in
+  let scale =
+    {
+      options with
+      Options.lookahead = false;
+      balance_boundaries = false;
+      window = (if options.Options.window = 1 then 64 else options.Options.window);
+      coarsen = true;
+      root_cap =
+        (match options.Options.root_cap with None -> Some 32 | c -> c);
+      spill = Options.No_spill;
+      vcycle = Int.max 1 options.Options.vcycle;
+    }
+  in
+  let annealer =
+    let placement, cost =
+      Qcp.Annealer.solve_restarts ~restarts:2 ~jobs:0 ~iterations:10_000
+        ~model:options.Options.model ?reuse_cap:options.Options.reuse_cap env
+        circuit
+    in
+    if Float.is_finite cost then
+      Some
+        {
+          name = "annealer";
+          stages = [ Placer.Compute { placement; circuit } ];
+          runtime = cost;
+        }
+    else None
+  in
+  List.filter_map Fun.id
+    [
+      classic_solo "greedy" greedy env circuit;
+      classic_solo "lookahead" lookahead env circuit;
+      classic_solo "boundary" boundary env circuit;
+      annealer;
+      classic_solo "scale" scale env circuit;
+    ]
+
+(* The earliest solo achieving the strict minimum runtime. *)
+let best_solo solos =
+  List.fold_left
+    (fun acc s ->
+      match acc with
+      | Some b when s.runtime >= b.runtime -> acc
+      | _ -> Some s)
+    None solos
+
+let check_against_solos ~label report solos =
+  match best_solo solos with
+  | None -> Alcotest.failf "%s: no solo entry placed" label
+  | Some best ->
+    List.iter
+      (fun s ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: winner <= solo %s" label s.name)
+          true
+          (report.Portfolio.runtime <= s.runtime))
+      solos;
+    (* Exact equality: the winner *is* the best solo run, stage for
+       stage. *)
+    Alcotest.(check string)
+      (Printf.sprintf "%s: winner is the best solo" label)
+      best.name report.Portfolio.winner;
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: winner runtime equals best solo" label)
+      true
+      (report.Portfolio.runtime = best.runtime);
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: winner stages equal its solo run" label)
+      true
+      (report.Portfolio.program.Placer.stages = best.stages)
+
+(* (a) The winner equals the best entry run alone: name, runtime and
+   stages. *)
 let test_winner_never_worse () =
   for seed = 1 to 50 do
     let env, threshold, circuit = instance seed in
-    let strategies = strategies_for seed in
-    let options = portfolio_options ~seed ~strategies ~jobs:0 threshold in
+    let options = portfolio_options ~seed ~jobs:0 threshold in
     match Portfolio.run options env circuit with
     | Error msg -> Alcotest.fail (Printf.sprintf "seed %d: %s" seed msg)
     | Ok report ->
-      let solo_runtimes =
-        List.filter_map
-          (fun name ->
-            match (solo name options env circuit).Strategy.result with
-            | Strategy.Complete (_, runtime) -> Some (name, runtime)
-            | Strategy.Pruned | Strategy.Expired ->
-              Alcotest.fail
-                (Printf.sprintf
-                   "seed %d: solo %s aborted without peers or deadline" seed
-                   name)
-            | Strategy.Infeasible _ -> None)
-          strategies
-      in
-      List.iter
-        (fun (name, runtime) ->
-          Alcotest.(check bool)
-            (Printf.sprintf "seed %d: winner <= solo %s" seed name)
-            true
-            (report.Portfolio.runtime <= runtime))
-        solo_runtimes;
-      (* Exact equality with the best solo runtime: the winner *is* one of
-         the solo results. *)
-      let best_solo =
-        List.fold_left
-          (fun acc (_, r) -> Float.min acc r)
-          infinity solo_runtimes
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "seed %d: winner equals best solo" seed)
-        true
-        (report.Portfolio.runtime = best_solo)
+      check_against_solos
+        ~label:(Printf.sprintf "seed %d" seed)
+        report (solos options env circuit)
   done
 
 (* (b) The winner — name, stages and runtime — is bit-identical whether
-   the race runs sequentially or over two pool domains. *)
+   the entries run sequentially or over two pool domains. *)
 let test_jobs_invariant () =
   for seed = 1 to 50 do
     let env, threshold, circuit = instance seed in
-    let strategies = strategies_for seed in
-    let race jobs =
+    let reduce jobs =
       match
-        Portfolio.run
-          (portfolio_options ~seed ~strategies ~jobs threshold)
-          env circuit
+        Portfolio.run (portfolio_options ~seed ~jobs threshold) env circuit
       with
       | Error msg -> Alcotest.fail (Printf.sprintf "seed %d: %s" seed msg)
       | Ok report -> report
     in
-    let a = race 0 and b = race 2 in
+    let a = reduce 0 and b = reduce 2 in
     Alcotest.(check string)
       (Printf.sprintf "seed %d: same winner" seed)
       a.Portfolio.winner b.Portfolio.winner;
@@ -122,117 +166,37 @@ let test_jobs_invariant () =
       (a.Portfolio.runtime = b.Portfolio.runtime)
   done
 
-(* The cross-pruning ablation must not change the result either: sharing
-   only lets losers stop earlier. *)
-let test_share_ablation_invariant () =
-  for seed = 1 to 15 do
-    let env, threshold, circuit = instance seed in
-    let strategies = strategies_for seed in
-    let options = portfolio_options ~seed ~strategies ~jobs:0 threshold in
-    let race share =
-      match Portfolio.run ~share options env circuit with
-      | Error msg -> Alcotest.fail (Printf.sprintf "seed %d: %s" seed msg)
-      | Ok report -> report
-    in
-    let shared = race true and private_ = race false in
-    Alcotest.(check string)
-      (Printf.sprintf "seed %d: same winner without sharing" seed)
-      shared.Portfolio.winner private_.Portfolio.winner;
-    Alcotest.(check bool)
-      (Printf.sprintf "seed %d: identical stages without sharing" seed)
-      true
-      (shared.Portfolio.program.Placer.stages
-      = private_.Portfolio.program.Placer.stages);
-    (* Private cells never see a peer value. *)
-    List.iter
-      (fun e ->
-        Alcotest.(check int)
-          (Printf.sprintf "seed %d: %s has no peer prunes without sharing"
-             seed e.Portfolio.strategy)
-          0 e.Portfolio.peer_prunes)
-      private_.Portfolio.entries
-  done
-
-(* (c) A zero deadline still returns a valid placement: the anchor ignores
-   the clock. *)
-let test_deadline_zero_places () =
-  for seed = 1 to 10 do
-    let env, threshold, circuit = instance seed in
-    let options =
-      {
-        (portfolio_options ~seed ~strategies:(strategies_for seed) ~jobs:0
-           threshold)
-        with
-        Options.deadline = Some 0.0;
-      }
-    in
-    match Portfolio.run options env circuit with
-    | Error msg -> Alcotest.fail (Printf.sprintf "seed %d: %s" seed msg)
-    | Ok report ->
-      Alcotest.(check bool)
-        (Printf.sprintf "seed %d: finite runtime" seed)
-        true
-        (Float.is_finite report.Portfolio.runtime);
-      Alcotest.(check bool)
-        (Printf.sprintf "seed %d: runtime respects the lower bound" seed)
-        true
-        (report.Portfolio.runtime >= report.Portfolio.lower_bound);
-      (* The anchor cannot expire; whoever won, somebody completed. *)
-      List.iter
-        (fun e ->
-          match e.Portfolio.status with
-          | Portfolio.Infeasible msg ->
-            Alcotest.fail
-              (Printf.sprintf "seed %d: %s infeasible under deadline: %s"
-                 seed e.Portfolio.strategy msg)
-          | Portfolio.Completed _ | Portfolio.Pruned | Portfolio.Expired ->
-            ())
-        report.Portfolio.entries
-  done
-
-(* (d) A single-strategy portfolio degenerates to running that strategy's
-   pipeline directly. *)
-let test_single_strategy_degenerates () =
-  let direct_options name options =
-    match name with
-    | "greedy" ->
-      Some
-        { options with Options.lookahead = false; balance_boundaries = false }
-    | "lookahead" ->
-      Some
-        { options with Options.lookahead = true; balance_boundaries = false }
-    | "boundary" ->
-      Some
-        { options with Options.lookahead = true; balance_boundaries = true }
-    | _ -> None
-  in
-  for seed = 1 to 25 do
-    let env, threshold, circuit = instance seed in
-    List.iter
-      (fun name ->
-        let options =
-          portfolio_options ~seed ~strategies:[ name ] ~jobs:0 threshold
-        in
-        match direct_options name options with
-        | None -> ()
-        | Some direct -> (
-          let race = Portfolio.place options env circuit in
-          let alone = Placer.place direct env circuit in
-          match (race, alone) with
-          | Placer.Placed a, Placer.Placed b ->
-            Alcotest.(check bool)
-              (Printf.sprintf "seed %d: %s race equals direct run" seed name)
-              true
-              (a.Placer.stages = b.Placer.stages
-              && Placer.runtime a = Placer.runtime b)
-          | Placer.Unplaceable _, Placer.Unplaceable _ -> ()
-          | Placer.Placed _, Placer.Unplaceable msg
-          | Placer.Unplaceable msg, Placer.Placed _ ->
-            Alcotest.fail
-              (Printf.sprintf "seed %d: %s placeability disagrees: %s" seed
-                 name msg)))
-      [ "greedy"; "lookahead"; "boundary" ]
-  done
+(* (c) On a chain the annealer may place a pair on an absent coupling,
+   which replays to [inf] or NaN; such an entry is infeasible and never
+   wins.  Table 4's chain rows (seed 2007 + n, [Options.fast] at
+   threshold 50): chain:16 replays the annealer to NaN. *)
+let test_non_finite_never_wins () =
+  List.iter
+    (fun n ->
+      let rng = Qcp_util.Rng.create (2007 + n) in
+      let circuit, _ = Qcp_circuit.Random_circuit.hidden_stages rng ~n in
+      let env = Qcp_env.Environment.chain n in
+      let options = { (Options.fast ~threshold:50.0) with Options.jobs = 0 } in
+      let label = Printf.sprintf "chain:%d" n in
+      match Portfolio.run options env circuit with
+      | Error msg -> Alcotest.failf "%s: %s" label msg
+      | Ok report ->
+        Alcotest.(check bool)
+          (label ^ ": finite runtime")
+          true
+          (Float.is_finite report.Portfolio.runtime);
+        List.iter
+          (fun e ->
+            match e.Portfolio.status with
+            | Portfolio.Completed r ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: %s completed at a finite runtime" label
+                   e.Portfolio.strategy)
+                true (Float.is_finite r)
+            | Portfolio.Infeasible _ -> ())
+          report.Portfolio.entries;
+        check_against_solos ~label report (solos options env circuit))
+    [ 8; 16 ]
 
 (* [Portfolio.place_batch] outcomes must equal per-spec [place] calls, in
    order, at any batch jobs value. *)
@@ -241,10 +205,7 @@ let test_place_batch_identical () =
     List.map
       (fun seed ->
         let env, threshold, circuit = instance (400 + seed) in
-        ( portfolio_options ~seed ~strategies:(strategies_for seed) ~jobs:0
-            threshold,
-          env,
-          circuit ))
+        (portfolio_options ~seed ~jobs:0 threshold, env, circuit))
       [ 1; 2; 3; 4 ]
   in
   let sequential =
@@ -272,28 +233,6 @@ let test_place_batch_identical () =
         (List.combine sequential batch))
     [ 0; 3 ]
 
-let test_strategy_resolution () =
-  (match Strategy.resolve [ "lookahead"; "greedy"; "greedy" ] with
-  | Ok strategies ->
-    Alcotest.(check (list string))
-      "canonical order, deduplicated" [ "greedy"; "lookahead" ]
-      (List.map (fun s -> s.Strategy.name) strategies)
-  | Error msg -> Alcotest.fail msg);
-  (match Strategy.resolve [] with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "empty selection must be rejected");
-  let contains needle haystack =
-    let n = String.length needle and h = String.length haystack in
-    let rec at i = i + n <= h && (String.sub haystack i n = needle || at (i + 1)) in
-    at 0
-  in
-  match Strategy.resolve [ "greedy"; "does-not-exist" ] with
-  | Error msg ->
-    Alcotest.(check bool)
-      "unknown name reported" true
-      (contains "does-not-exist" msg)
-  | Ok _ -> Alcotest.fail "unknown strategy must be rejected"
-
 let test_incumbent_cell () =
   let cell = Incumbent.make infinity in
   Alcotest.(check bool) "starts at init" true (Incumbent.get cell = infinity);
@@ -310,15 +249,10 @@ let suite =
       test_winner_never_worse;
     Alcotest.test_case "winner identical at jobs 0 and 2" `Quick
       test_jobs_invariant;
-    Alcotest.test_case "share ablation preserves the winner" `Quick
-      test_share_ablation_invariant;
-    Alcotest.test_case "deadline zero still places" `Quick
-      test_deadline_zero_places;
-    Alcotest.test_case "single-strategy race degenerates" `Quick
-      test_single_strategy_degenerates;
+    Alcotest.test_case "non-finite runtime never wins" `Quick
+      test_non_finite_never_wins;
     Alcotest.test_case "place_batch equals sequential places" `Quick
       test_place_batch_identical;
-    Alcotest.test_case "strategy resolution" `Quick test_strategy_resolution;
     Alcotest.test_case "incumbent cell monotone min" `Quick
       test_incumbent_cell;
   ]

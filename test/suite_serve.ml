@@ -177,7 +177,7 @@ let test_key_hash_pinned () =
     place_of_line
       "{\"id\":\"r1\",\"op\":\"place\",\"env\":\"trans-crotonic\",\"circuit\":\"qft6\",\"options\":{\"threshold\":100}}"
   in
-  Alcotest.(check string) "request digest" "5d3fbc156a80754b"
+  Alcotest.(check string) "request digest" "fd6e83032817c14c"
     (Protocol.key_hash p.Protocol.key)
 
 let test_default_threshold () =
@@ -647,7 +647,8 @@ let test_request_validation () =
     "unknown option";
   (* The memo and the pruning are not options: the only exhaustive mode
      is the test oracle {!Qcp.Placer.place_reference}.  Nor is a learned
-     race bias: a response depends on its request alone. *)
+     bias, a strategy selection or a race deadline: a response depends on
+     its request alone. *)
   List.iter
     (fun field ->
       expect_error
@@ -655,7 +656,7 @@ let test_request_validation () =
            "{\"op\":\"place\",\"env\":\"chain:6\",\"circuit\":\"qft6\",\"options\":{%S:false}}"
            field)
         (Printf.sprintf "unknown option %S" field))
-    [ "score_cache"; "bounded_search"; "learn" ];
+    [ "score_cache"; "bounded_search"; "learn"; "deadline"; "strategies" ];
   expect_error "{\"op\":\"dance\"}" "unknown op";
   expect_error "not json" "bad JSON"
 
