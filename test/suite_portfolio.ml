@@ -35,15 +35,17 @@ let instance seed =
 type solo = { name : string; stages : Placer.stage list; runtime : float }
 
 let classic_solo name options env circuit =
-  match Placer.place options env circuit with
-  | Placer.Unplaceable _ -> None
-  | Placer.Placed p ->
-    let runtime = Placer.runtime p in
-    if Float.is_finite runtime then
-      Some { name; stages = p.Placer.stages; runtime }
-    else None
+  ( name,
+    match Placer.place options env circuit with
+    | Placer.Unplaceable _ -> None
+    | Placer.Placed p ->
+      let runtime = Placer.runtime p in
+      if Float.is_finite runtime then
+        Some { name; stages = p.Placer.stages; runtime }
+      else None )
 
-let solos options env circuit =
+(* Every entry run alone, in canonical order, paired with its name. *)
+let solo_runs options env circuit =
   let greedy =
     { options with Options.lookahead = false; balance_boundaries = false }
   in
@@ -72,23 +74,26 @@ let solos options env circuit =
         ~model:options.Options.model ?reuse_cap:options.Options.reuse_cap env
         circuit
     in
-    if Float.is_finite cost then
-      Some
-        {
-          name = "annealer";
-          stages = [ Placer.Compute { placement; circuit } ];
-          runtime = cost;
-        }
-    else None
+    ( "annealer",
+      if Float.is_finite cost then
+        Some
+          {
+            name = "annealer";
+            stages = [ Placer.Compute { placement; circuit } ];
+            runtime = cost;
+          }
+      else None )
   in
-  List.filter_map Fun.id
-    [
+  [
       classic_solo "greedy" greedy env circuit;
       classic_solo "lookahead" lookahead env circuit;
       classic_solo "boundary" boundary env circuit;
       annealer;
-      classic_solo "scale" scale env circuit;
-    ]
+    classic_solo "scale" scale env circuit;
+  ]
+
+let solos options env circuit =
+  List.filter_map snd (solo_runs options env circuit)
 
 (* The earliest solo achieving the strict minimum runtime. *)
 let best_solo solos =
@@ -198,6 +203,37 @@ let test_non_finite_never_wins () =
         check_against_solos ~label report (solos options env circuit))
     [ 8; 16 ]
 
+(* (d) Each entry of the reduce degenerates to running that strategy
+   alone: same name in canonical order, [Completed] at exactly its solo
+   runtime, or [Infeasible] exactly when the solo run places nothing at a
+   finite runtime. *)
+let test_single_strategy_degenerates () =
+  for seed = 1 to 25 do
+    let env, threshold, circuit = instance seed in
+    let options = portfolio_options ~seed ~jobs:0 threshold in
+    match Portfolio.run options env circuit with
+    | Error msg -> Alcotest.failf "seed %d: %s" seed msg
+    | Ok report ->
+      let runs = solo_runs options env circuit in
+      Alcotest.(check (list string))
+        (Printf.sprintf "seed %d: entries in canonical order" seed)
+        (List.map fst runs)
+        (List.map (fun e -> e.Portfolio.strategy) report.Portfolio.entries);
+      List.iter2
+        (fun e (name, solo) ->
+          match (e.Portfolio.status, solo) with
+          | Portfolio.Completed r, Some s ->
+            Alcotest.(check bool)
+              (Printf.sprintf "seed %d: %s entry equals its solo run" seed
+                 name)
+              true (r = s.runtime)
+          | Portfolio.Infeasible _, None -> ()
+          | Portfolio.Completed _, None | Portfolio.Infeasible _, Some _ ->
+            Alcotest.failf "seed %d: %s feasibility disagrees with its solo run"
+              seed name)
+        report.Portfolio.entries runs
+  done
+
 (* [Portfolio.place_batch] outcomes must equal per-spec [place] calls, in
    order, at any batch jobs value. *)
 let test_place_batch_identical () =
@@ -251,6 +287,8 @@ let suite =
       test_jobs_invariant;
     Alcotest.test_case "non-finite runtime never wins" `Quick
       test_non_finite_never_wins;
+    Alcotest.test_case "single-strategy race degenerates" `Quick
+      test_single_strategy_degenerates;
     Alcotest.test_case "place_batch equals sequential places" `Quick
       test_place_batch_identical;
     Alcotest.test_case "incumbent cell monotone min" `Quick
