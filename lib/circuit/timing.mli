@@ -14,7 +14,18 @@
     interaction, so the accumulated duration weight of an uninterrupted run of
     two-qubit gates on one pair is capped (the paper uses 3).  Single-qubit
     gates do not interrupt a run (local gates come for free in the [26]
-    decomposition); a two-qubit gate on an overlapping pair does. *)
+    decomposition); a two-qubit gate on an overlapping pair does.  A two-qubit
+    gate of effective duration 0 (a capped repeat, or a zero-duration
+    gate) costs nothing whatever its delay, so a capped run over an absent
+    coupling (delay [infinity]) finishes at [infinity], not NaN.
+
+    The module implements the recurrence once: one two-qubit step, one
+    ASAP gate loop, one loop over flat SWAP arrays and one sequential
+    fold.  The ASAP loops take a plain float limit and return a verdict;
+    an infinite limit is the unbounded sweep, since no clock exceeds it.
+    {!finish_times} runs the same gate loop over the circuit's own
+    (logical) register with [place] folded into the weights, so it
+    allocates its clock arrays once and nothing per gate. *)
 
 type weights = {
   single : int -> float;       (** delay of a weight-1 single-qubit gate on a vertex *)
@@ -58,20 +69,6 @@ val identity_place : int -> int
     is ever materialized; the float operations execute in the same order as
     timing the remapped circuit, making results bit-identical. *)
 
-val finish_times_placed :
-  ?model:model ->
-  ?reuse_cap:float ->
-  start:float array ->
-  weights:weights ->
-  place:(int -> int) ->
-  Circuit.t ->
-  float array
-(** Physical finish times of a logical circuit whose qubit [q] executes on
-    vertex [place q].  [start] gives the per-vertex ready clocks and defines
-    the register size; the circuit's qubit count must not exceed it.
-    Equivalent to [finish_times ~start ~place:identity_place] on
-    [Circuit.map_qubits place ~qubits:(Array.length start) circuit]. *)
-
 type scratch
 (** Reusable physical-clock buffers, so the candidate-scoring inner loop
     allocates nothing per evaluation.  A scoring pass loads the current
@@ -99,17 +96,17 @@ val stage_advance :
     state (the [reuse_cap] accounting) is fresh per call, exactly as in a
     separate {!finish_times} call per stage.
 
-    Without [cutoff] the sweep always completes and returns [true].  With
-    [cutoff], the sweep aborts and returns [false] the moment any clock
-    strictly exceeds it.  This refutation is admissible because the
-    recurrence is monotone: durations and weights are nonnegative and a
-    two-qubit finish is the max of its operand clocks plus a nonnegative
-    delay, so clocks never decrease and the final makespan is at least any
-    intermediate clock.  Hence [false] proves the stage makespan would
-    strictly exceed [cutoff], while [true] leaves clocks bit-identical to
-    the unbounded sweep.  After [false] the scratch clocks are partially
-    advanced and unspecified; reload them with {!stage_start} before the
-    next evaluation. *)
+    [cutoff] defaults to [infinity]; there is no separate unbounded
+    path.  The sweep aborts and returns [false] the moment any clock
+    strictly exceeds [cutoff] (never, for the default).  This refutation
+    is admissible because the recurrence is monotone: durations and
+    weights are nonnegative and a two-qubit finish is the max of its
+    operand clocks plus a nonnegative delay, so clocks never decrease and
+    the final makespan is at least any intermediate clock.  Hence [false]
+    proves the stage makespan would strictly exceed [cutoff], while [true]
+    leaves clocks bit-identical to the unbounded sweep.  After [false] the
+    scratch clocks are partially advanced and unspecified; reload them
+    with {!stage_start} before the next evaluation. *)
 
 val stage_advance_swaps :
   ?model:model ->

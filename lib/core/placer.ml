@@ -320,11 +320,6 @@ let router_of options env adjacency =
           Swap_network.flatten (Qcp_route.Oes_router.route adjacency ~perm) )
     | None -> (Options.Bisect, fun memo -> bisect memo))
 
-let time_placed ctx start place circuit =
-  Timing.finish_times_placed ~model:ctx.c_options.Options.model
-    ?reuse_cap:ctx.c_options.Options.reuse_cap ~start ~weights:ctx.c_weights
-    ~place circuit
-
 (* Load a partial monomorphism (active qubits only) into [placement],
    marking its vertices in [taken]; every other qubit reads -1. *)
 let place_active ctx ~placement ~taken mapping =
@@ -461,24 +456,25 @@ let connecting_perm ctx ~previous placement =
    updated clock and the makespan. *)
 let score_candidate ctx ~phys_start ~prev ~subcircuit placement =
   Telemetry.incr ctx.c_scored;
+  let model = ctx.c_options.Options.model in
+  let reuse_cap = ctx.c_options.Options.reuse_cap in
   let entry = connecting_stage ctx ~prev placement in
-  let after_swaps =
-    match entry with
-    | None -> phys_start
+  let scratch = ctx.c_scratch in
+  Timing.stage_start scratch phys_start;
+  let completed =
+    (match entry with
+    | None -> true
     | Some entry ->
-      let scratch = ctx.c_scratch in
-      Timing.stage_start scratch phys_start;
-      let completed =
-        Timing.stage_advance_swaps ~model:ctx.c_options.Options.model
-          ?reuse_cap:ctx.c_options.Options.reuse_cap ~weights:ctx.c_weights
-          scratch entry.Swap_network.swaps
-      in
-      assert completed;
-      Timing.stage_clocks scratch
+      Timing.stage_advance_swaps ~model ?reuse_cap ~weights:ctx.c_weights
+        scratch entry.Swap_network.swaps)
+    && Timing.stage_advance ~model ?reuse_cap ~weights:ctx.c_weights
+         ~place:(fun q -> placement.(q))
+         scratch subcircuit
   in
-  let finish = time_placed ctx after_swaps (fun q -> placement.(q)) subcircuit in
-  let makespan = Array.fold_left Float.max 0.0 finish in
-  (Option.map Swap_network.of_flat entry, finish, makespan)
+  assert completed;
+  ( Option.map Swap_network.of_flat entry,
+    Timing.stage_clocks scratch,
+    Timing.stage_makespan scratch )
 
 (* Same recurrence as {!score_candidate} restricted to the makespan, run
    through reusable clock buffers so the argmin sweeps allocate nothing per
@@ -508,11 +504,9 @@ let score_makespan ?(cutoff = infinity) ?(prebound = true) ctx ~scratch
   let reuse_cap = ctx.c_options.Options.reuse_cap in
   let place q = placement.(q) in
   let cutoff = cutoff_of ctx cutoff in
-  let bounded = cutoff < infinity in
-  let copt = if bounded then Some cutoff else None in
-  let advance ?cutoff ~place circuit =
-    Timing.stage_advance ~model ?reuse_cap ?cutoff ~weights:ctx.c_weights
-      ~place scratch circuit
+  let advance_subcircuit () =
+    Timing.stage_advance ~model ?reuse_cap ~cutoff ~weights:ctx.c_weights
+      ~place scratch subcircuit
   in
   let refute () =
     Telemetry.incr ctx.c_early_exits;
@@ -520,7 +514,7 @@ let score_makespan ?(cutoff = infinity) ?(prebound = true) ctx ~scratch
   in
   let swap_free () =
     Timing.stage_start scratch phys_start;
-    if advance ?cutoff:copt ~place subcircuit then Timing.stage_makespan scratch
+    if advance_subcircuit () then Timing.stage_makespan scratch
     else refute ()
   in
   match prev with
@@ -530,13 +524,13 @@ let score_makespan ?(cutoff = infinity) ?(prebound = true) ctx ~scratch
     if Perm.is_identity perm then swap_free ()
     else begin
       let prebound_refuted =
-        bounded && prebound
+        cutoff < infinity && prebound
         && begin
              Timing.stage_start scratch phys_start;
              (* A lifted clock above the cutoff already refutes the
                 candidate even if no gate ever touches that vertex. *)
              lift_displaced ctx scratch ~phys_start perm > cutoff
-             || not (advance ~cutoff ~place subcircuit)
+             || not (advance_subcircuit ())
            end
       in
       if prebound_refuted then refute ()
@@ -544,9 +538,9 @@ let score_makespan ?(cutoff = infinity) ?(prebound = true) ctx ~scratch
         let entry = route_network ctx perm in
         Timing.stage_start scratch phys_start;
         if
-          Timing.stage_advance_swaps ~model ?reuse_cap ?cutoff:copt
+          Timing.stage_advance_swaps ~model ?reuse_cap ~cutoff
             ~weights:ctx.c_weights scratch entry.Swap_network.swaps
-          && advance ?cutoff:copt ~place subcircuit
+          && advance_subcircuit ()
         then Timing.stage_makespan scratch
         else refute ()
       end

@@ -16,9 +16,13 @@ type event = {
 
 type t = { env : Environment.t; all_events : event list; total : float }
 
-(* Mirror of Timing.asap_times that reports every gate with its start and
-   finish times; the reuse-cap bookkeeping matches the timing model so that
-   the schedule's makespan equals Placer.runtime. *)
+(* An independent copy of Timing's ASAP recurrence that reports every gate
+   with its start and finish times; the reuse-cap bookkeeping matches the
+   timing model so that the schedule's makespan equals Placer.runtime.  It
+   shares no loop with Timing, so the schedule suite's "makespan = runtime"
+   cases compare two implementations.  A capped repeat (effective duration
+   0) adds nothing, as in Timing: a repeat over an absent coupling stays
+   [infinity] instead of NaN. *)
 let asap_stage ~env ~reuse_cap ~emit ~clock circuit =
   let current_pair = Array.make (Environment.size env) None in
   let run_acc = Array.make (Environment.size env) 0.0 in
@@ -56,9 +60,10 @@ let asap_stage ~env ~reuse_cap ~emit ~clock circuit =
             capped t
           end
         in
-        let duration = Environment.coupling_delay env a b *. effective in
         let start = Float.max clock.(a) clock.(b) in
-        clock.(a) <- start +. duration;
+        clock.(a) <-
+          (if effective = 0.0 then start
+           else start +. (Environment.coupling_delay env a b *. effective));
         clock.(b) <- clock.(a);
         emit gate [ a; b ] start clock.(a))
     (Circuit.gates circuit)
@@ -69,7 +74,9 @@ let sequential_stage ~env ~reuse_cap ~emit ~clock circuit =
     match gate with
     | Gate.G1 (_, v) -> Environment.single_delay env v *. Gate.duration gate
     | Gate.G2 (_, a, b) ->
-      Environment.coupling_delay env a b *. capped (Gate.duration gate)
+      let effective = capped (Gate.duration gate) in
+      if effective = 0.0 then 0.0
+      else Environment.coupling_delay env a b *. effective
   in
   let level_start = ref (Array.fold_left Float.max 0.0 clock) in
   List.iter

@@ -233,7 +233,7 @@ let test_swap_lift_admissible () =
           (fun (name, route) ->
             let circuit = Swap_network.to_circuit ~qubits:m (route perm) in
             let finish =
-              Timing.finish_times_placed ~model ?reuse_cap ~start
+              Timing.finish_times ~model ?reuse_cap ~start
                 ~weights:(Environment.weights env) ~place:Fun.id circuit
             in
             Array.iteri

@@ -6,6 +6,7 @@ let () =
       ("graph", Suite_graph.suite);
       ("monomorph", Suite_monomorph.suite);
       ("circuit", Suite_circuit.suite);
+      ("timing", Suite_timing.suite);
       ("transform", Suite_transform.suite);
       ("dag", Suite_dag.suite);
       ("decompose", Suite_decompose.suite);
