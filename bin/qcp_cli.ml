@@ -562,6 +562,13 @@ let gen_cmd =
 (* report                                                              *)
 (* ------------------------------------------------------------------ *)
 
+let report_targets =
+  [
+    "table1"; "table2"; "table3"; "table4"; "tables234"; "figure1"; "figure2";
+    "figure3"; "figure4"; "npc"; "ablation"; "fidelity"; "arch"; "schedule";
+    "all";
+  ]
+
 let report_run target full jobs phases portfolio =
   let module E = Qcp_report.Experiments in
   (* The placer's phase clocks only run when telemetry is armed. *)
@@ -569,8 +576,8 @@ let report_run target full jobs phases portfolio =
   let jobs =
     match jobs with Some j -> j | None -> Qcp_util.Task_pool.env_jobs ()
   in
-  let text =
-    match target with
+  print_string
+    (match target with
     | "table1" -> E.table1 ()
     | "table2" -> E.table2 ~jobs ~phases ~portfolio ()
     | "table3" -> E.table3 ~jobs ~phases ~portfolio ()
@@ -583,21 +590,21 @@ let report_run target full jobs phases portfolio =
     | "npc" -> E.npc ()
     | "ablation" -> E.ablation ()
     | "fidelity" -> E.fidelity ()
+    | "arch" -> E.architectures ()
+    | "schedule" -> E.schedule_demo ()
     | "all" -> E.all ()
-    | other -> Printf.sprintf "unknown report target %S\n" other
-  in
-  print_string text;
+    | other -> invalid_arg ("report target " ^ other));
   0
 
 let report_cmd =
+  (* An enum, so cmdliner rejects an unknown target (usage error on
+     stderr, exit 124) and the help lists every target. *)
   let target =
     Arg.(
       value
-      & pos 0 string "all"
+      & pos 0 (enum (List.map (fun t -> (t, t)) report_targets)) "all"
       & info [] ~docv:"TARGET"
-          ~doc:
-            "table1..table4, tables234, figure1..figure4, npc, ablation, \
-             fidelity or all.")
+          ~doc:("The report to print: " ^ Arg.doc_alts report_targets ^ "."))
   in
   let full =
     Arg.(value & flag & info [ "full" ] ~doc:"Full Table-4 sweep (N up to 1024).")

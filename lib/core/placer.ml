@@ -1432,7 +1432,7 @@ let vcycle_refine ctx stage_list =
 
 (* Stamp the derived instruments into the per-run registry, snapshot it,
    and merge it into the process-global registry so cross-run tooling
-   ([--metrics], bench snapshots) sees the accumulated totals.  The
+   ([--metrics], the serve daemon's stats) sees the accumulated totals.  The
    {!stats} record is the thin compatibility view over the same registry
    reads. *)
 let finalize_metrics ctx =

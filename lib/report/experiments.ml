@@ -333,14 +333,13 @@ let table4 ?(full = false) ?(seed = 2007) ?(jobs = Qcp_util.Task_pool.env_jobs (
   phase_section buf pbuf;
   Buffer.contents buf
 
-(* One driver for the bench harness: Tables 2-4 back to back, sharing the
-   pool and the cross-run registries. *)
-let tables234 ?monomorphism_limit ?(jobs = Qcp_util.Task_pool.env_jobs ())
-    ?phases ?portfolio () =
+(* Tables 2-4 back to back, sharing the pool and the cross-run
+   registries. *)
+let tables234 ?(jobs = Qcp_util.Task_pool.env_jobs ()) ?phases ?portfolio () =
   String.concat "\n"
     [
       table2 ~jobs ?phases ?portfolio ();
-      table3 ?monomorphism_limit ~jobs ?phases ?portfolio ();
+      table3 ~jobs ?phases ?portfolio ();
       table4 ~jobs ?phases ?portfolio ();
     ]
 

@@ -1,6 +1,6 @@
 (** Drivers regenerating every table and figure of the paper's evaluation
-    (Section 6), shared by the bench harness and the CLI.  Each driver
-    returns a rendered report; EXPERIMENTS.md records paper-vs-measured. *)
+    (Section 6), printed by [qcp report].  Each driver returns a rendered
+    report; EXPERIMENTS.md records paper-vs-measured. *)
 
 val table1 : unit -> string
 (** The worked Example 3 / Table 1: per-gate finish times of the bad
@@ -41,15 +41,9 @@ val table4 :
     every column except the wall-clock one is byte-identical at any
     value. *)
 
-val tables234 :
-  ?monomorphism_limit:int ->
-  ?jobs:int ->
-  ?phases:bool ->
-  ?portfolio:bool ->
-  unit ->
-  string
-(** Tables 2, 3 and 4 back to back over one shared pool — the batch
-    regeneration workload benchmarked as [batch/tables234].
+val tables234 : ?jobs:int -> ?phases:bool -> ?portfolio:bool -> unit -> string
+(** Tables 2, 3 and 4 back to back over one shared pool ([qcp report
+    tables234]).
 
     For all of tables 2-4, [phases] (default [false]) appends a
     per-placed-row pipeline phase breakdown (wall seconds per phase, from
