@@ -562,38 +562,39 @@ let gen_cmd =
 (* report                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* Every target, with the generator it prints. *)
 let report_targets =
+  let module E = Qcp_report.Experiments in
+  let plain f ~full:_ ~jobs:_ ~phases:_ ~portfolio:_ = f () in
   [
-    "table1"; "table2"; "table3"; "table4"; "tables234"; "figure1"; "figure2";
-    "figure3"; "figure4"; "npc"; "ablation"; "fidelity"; "arch"; "schedule";
-    "all";
+    ("table1", plain E.table1);
+    ( "table2",
+      fun ~full:_ ~jobs ~phases ~portfolio -> E.table2 ~jobs ~phases ~portfolio () );
+    ( "table3",
+      fun ~full:_ ~jobs ~phases ~portfolio -> E.table3 ~jobs ~phases ~portfolio () );
+    ( "table4",
+      fun ~full ~jobs ~phases ~portfolio -> E.table4 ~full ~jobs ~phases ~portfolio () );
+    ( "tables234",
+      fun ~full:_ ~jobs ~phases ~portfolio -> E.tables234 ~jobs ~phases ~portfolio () );
+    ("figure1", plain E.figure1);
+    ("figure2", plain E.figure2);
+    ("figure3", plain E.figure3);
+    ("figure4", plain E.figure4);
+    ("npc", plain E.npc);
+    ("ablation", plain E.ablation);
+    ("fidelity", plain E.fidelity);
+    ("arch", plain E.architectures);
+    ("schedule", plain E.schedule_demo);
+    ("all", plain E.all);
   ]
 
 let report_run target full jobs phases portfolio =
-  let module E = Qcp_report.Experiments in
   (* The placer's phase clocks only run when telemetry is armed. *)
   if phases then Qcp_obs.Metrics.set_enabled true;
   let jobs =
     match jobs with Some j -> j | None -> Qcp_util.Task_pool.env_jobs ()
   in
-  print_string
-    (match target with
-    | "table1" -> E.table1 ()
-    | "table2" -> E.table2 ~jobs ~phases ~portfolio ()
-    | "table3" -> E.table3 ~jobs ~phases ~portfolio ()
-    | "table4" -> E.table4 ~full ~jobs ~phases ~portfolio ()
-    | "tables234" -> E.tables234 ~jobs ~phases ~portfolio ()
-    | "figure1" -> E.figure1 ()
-    | "figure2" -> E.figure2 ()
-    | "figure3" -> E.figure3 ()
-    | "figure4" -> E.figure4 ()
-    | "npc" -> E.npc ()
-    | "ablation" -> E.ablation ()
-    | "fidelity" -> E.fidelity ()
-    | "arch" -> E.architectures ()
-    | "schedule" -> E.schedule_demo ()
-    | "all" -> E.all ()
-    | other -> invalid_arg ("report target " ^ other));
+  print_string ((List.assoc target report_targets) ~full ~jobs ~phases ~portfolio);
   0
 
 let report_cmd =
@@ -602,9 +603,10 @@ let report_cmd =
   let target =
     Arg.(
       value
-      & pos 0 (enum (List.map (fun t -> (t, t)) report_targets)) "all"
+      & pos 0 (enum (List.map (fun (t, _) -> (t, t)) report_targets)) "all"
       & info [] ~docv:"TARGET"
-          ~doc:("The report to print: " ^ Arg.doc_alts report_targets ^ "."))
+          ~doc:
+            ("The report to print: " ^ Arg.doc_alts (List.map fst report_targets) ^ "."))
   in
   let full =
     Arg.(value & flag & info [ "full" ] ~doc:"Full Table-4 sweep (N up to 1024).")
