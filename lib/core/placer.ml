@@ -662,7 +662,9 @@ let scale_enum_max_active = 64
    on a 180-vertex region, every slot searched to exhaustion); a slot that
    runs out ends the list with what was found, and an empty list takes the
    witness fallback.  The largest slot any of the 128 vetted 16x16
-   scale-grid circuits needs is 14,329 nodes, so none of them is cut. *)
+   scale-grid circuits needs is 14,329 nodes, so none of them is cut.
+   The classic enumeration the scale path falls back to carries the same
+   budget under [root_cap]; none of those circuits takes that path. *)
 let scale_slot_budget = 100_000
 
 (* Power-of-two buckets for the scale histograms (window fill in gates,
@@ -755,14 +757,18 @@ let fine_tune ctx ~phys_start ~prev ~subcircuit placement =
   if local then observe_scale ctx "placer.scale.refine_moves" (float_of_int !moves);
   current
 
+(* The classic full-graph enumeration.  Under [root_cap] its slots carry
+   the region path's node budget too (the budget is only read with a
+   cap): the scale path lands here when a region declines, and on a 10x10
+   grid an unbudgeted slot here ran for more than 20 s. *)
 let enumerate_mappings ctx ~subcircuit =
   Telemetry.incr ctx.c_enumerations;
   Score_cache.mappings ctx.c_cache subcircuit ~enumerate:(fun subcircuit ->
       let pattern = Score_cache.interaction_graph ctx.c_cache subcircuit in
       Monomorph.enumerate ~limit:ctx.c_options.Options.monomorphism_limit
         ~jobs:ctx.c_options.Options.jobs
-        ?root_cap:ctx.c_options.Options.root_cap ~pattern
-        ~target:ctx.c_adjacency ())
+        ?root_cap:ctx.c_options.Options.root_cap
+        ~slot_budget:scale_slot_budget ~pattern ~target:ctx.c_adjacency ())
 
 (* The splitter's witness embedding restricted to the stage's active
    qubits, validated against the stage pattern (defensive: a stale or

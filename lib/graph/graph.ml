@@ -8,7 +8,6 @@ type t = {
   size : int;
   adj : int array array; (* sorted neighbor lists *)
   masks : int array array; (* bitset view of [adj]: bit v of masks.(u) *)
-  words : int; (* length of each mask *)
   degrees : int array; (* degrees.(v) = Array.length adj.(v) *)
   edge_list : (int * int) list; (* u < v, sorted, deduplicated *)
   nbr_degrees : int array array option Atomic.t;
@@ -145,7 +144,6 @@ let of_edges size pairs =
     size;
     adj;
     masks;
-    words = max 1 (mask_words size);
     degrees = counts;
     edge_list;
     nbr_degrees = Atomic.make None;
@@ -153,8 +151,6 @@ let of_edges size pairs =
   }
 
 let n t = t.size
-
-let words t = t.words
 
 let edge_count t = List.length t.edge_list
 

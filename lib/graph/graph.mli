@@ -21,10 +21,6 @@ val of_edges : int -> (int * int) list -> t
 val n : t -> int
 (** Number of vertices. *)
 
-val words : t -> int
-(** Number of integer words per adjacency bitset (= [mask_words (n t)],
-    at least 1). *)
-
 val edge_count : t -> int
 
 val edges : t -> (int * int) list

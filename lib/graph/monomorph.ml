@@ -4,13 +4,12 @@
    candidate set for non-seed vertices restricted to neighbors of an already
    mapped image, which is what makes the search fast on sparse patterns.
 
-   The search itself runs on the bitset kernel: the candidate set of a vertex
-   is the bitwise AND of the target neighbor masks of *all* already-mapped
-   pattern neighbors, minus the used-vertex mask, iterated in increasing
-   vertex order.  That iteration order is exactly the seed enumerator's
-   (sorted neighbor array of the first mapped image, filtered), so the result
-   list -- mappings and their order -- is unchanged; only dead branches are
-   cut earlier, by degree-sequence and neighborhood-degree pruning. *)
+   The search draws those candidates from the sorted target neighbor row of
+   the first earlier neighbor's image and keeps the ones adjacent to every
+   other earlier neighbor's image -- ascending, exactly the seed
+   enumerator's order -- so the result list (mappings and their order) is
+   unchanged; only dead branches are cut earlier, by degree-sequence,
+   neighborhood-degree and free-region packing refutations. *)
 
 (* [Metrics] unqualified is this library's placement-quality module
    (lib/graph/metrics.ml); telemetry goes through the alias. *)
@@ -25,6 +24,9 @@ let m_ref_signature =
 
 let m_ref_degseq =
   Telemetry.counter Telemetry.global "monomorph.refuted.degree_sequence"
+
+let m_ref_packing =
+  Telemetry.counter Telemetry.global "monomorph.refuted.packing"
 
 let m_enumerations = Telemetry.counter Telemetry.global "monomorph.enumerations"
 
@@ -104,31 +106,126 @@ let degree_sequence_ok pattern target =
   done;
   !ok
 
+(* Everything a search reads and never writes, built once per enumeration.
+   A step without earlier-ordered neighbors is a component seed; the
+   components are numbered in order of their seeds. *)
 type engine = {
-  pattern : Graph.t;
-  target : Graph.t;
-  nt : int;
   order : int array;
+  np : int;
+  nt : int;
+  target : Graph.t;
   deg_p : int array;
   deg_t : int array;
+  max_deg_t : int;
   sig_p : int array array;
       (* neighbor-degree signatures (sorted descending): if f(v) = c then
          v's signature must be dominated by a prefix of c's, so candidates
          failing the test head only dead branches -- pruning them cannot
          drop or reorder results *)
   sig_t : int array array;
+  back : int array;
+  back_at : int array;
+      (* back.(back_at.(step) .. back_at.(step + 1) - 1): the
+         earlier-ordered pattern neighbors of order.(step), ascending;
+         empty exactly at component seeds *)
+  seed_comp : int array; (* component number of a seed step, else -1 *)
+  comp_size : int array;
+  by_size : int array; (* component numbers, largest first *)
+  branches : int array array;
+      (* at a seed step, the sizes of the pieces its component falls into
+         once the seed is removed, largest first *)
 }
 
 let make_engine ~pattern ~target ~order =
+  let np = Graph.n pattern and len = Array.length order in
+  let pos = Array.make np (-1) in
+  for step = 0 to len - 1 do
+    pos.(order.(step)) <- step
+  done;
+  (* Each edge is an earlier neighbor of exactly one of its ends. *)
+  let back = Array.make (max 1 (Graph.edge_count pattern)) 0 in
+  let back_at = Array.make (len + 1) 0 and seed_comp = Array.make len (-1) in
+  let nback = ref 0 and ncomp = ref 0 in
+  for step = 0 to len - 1 do
+    back_at.(step) <- !nback;
+    let row = Graph.neighbors pattern order.(step) in
+    for i = 0 to Array.length row - 1 do
+      if pos.(row.(i)) < step then begin
+        back.(!nback) <- row.(i);
+        incr nback
+      end
+    done;
+    (* Components are BFS-contiguous in [order]: a seed opens one. *)
+    if !nback = back_at.(step) then begin
+      seed_comp.(step) <- !ncomp;
+      incr ncomp
+    end
+  done;
+  back_at.(len) <- !nback;
+  let comp_size = Array.make !ncomp 0 and current = ref 0 in
+  for step = 0 to len - 1 do
+    if seed_comp.(step) >= 0 then current := seed_comp.(step);
+    comp_size.(!current) <- comp_size.(!current) + 1
+  done;
+  let by_size = Array.init !ncomp Fun.id in
+  insertion_sort
+    (fun a b ->
+      match Int.compare comp_size.(b) comp_size.(a) with
+      | 0 -> Int.compare a b
+      | c -> c)
+    by_size 0 !ncomp;
+  (* A seed's branches: pattern BFS from each unvisited neighbor, never
+     through the seed.  Components are disjoint, so one [seen] serves all;
+     [pos] is reused as it, [-1] marking a visited vertex. *)
+  let queue = Array.make (max 1 np) 0 in
+  let branches = Array.make len [||] in
+  for step = 0 to len - 1 do
+    if seed_comp.(step) >= 0 then begin
+      let v = order.(step) in
+      pos.(v) <- -1;
+      let row = Graph.neighbors pattern v in
+      let sizes = Array.make (Array.length row) 0 and k = ref 0 in
+      for i = 0 to Array.length row - 1 do
+        let w = row.(i) in
+        if pos.(w) >= 0 then begin
+          pos.(w) <- -1;
+          queue.(0) <- w;
+          let head = ref 0 and tail = ref 1 in
+          while !head < !tail do
+            let r = Graph.neighbors pattern queue.(!head) in
+            incr head;
+            for j = 0 to Array.length r - 1 do
+              if pos.(r.(j)) >= 0 then begin
+                pos.(r.(j)) <- -1;
+                queue.(!tail) <- r.(j);
+                incr tail
+              end
+            done
+          done;
+          sizes.(!k) <- !tail;
+          incr k
+        end
+      done;
+      insertion_sort (fun a b -> Int.compare b a) sizes 0 !k;
+      branches.(step) <- (if !k = Array.length row then sizes else Array.sub sizes 0 !k)
+    end
+  done;
   {
-    pattern;
-    target;
-    nt = Graph.n target;
     order;
+    np;
+    nt = Graph.n target;
+    target;
     deg_p = Graph.degrees pattern;
     deg_t = Graph.degrees target;
+    max_deg_t = Array.length (Graph.degree_suffix target) - 2;
     sig_p = Graph.neighbor_degrees pattern;
     sig_t = Graph.neighbor_degrees target;
+    back;
+    back_at;
+    seed_comp;
+    comp_size;
+    by_size;
+    branches;
   }
 
 (* Same predicate as before, restructured so each refutation can be
@@ -148,14 +245,19 @@ let compatible e v c =
     !ok
   end
 
-(* Per-search mutable state; one per domain when fanning out.  The
-   single-word search path tracks the used set as a plain int argument, so
-   [used] and [cand] stay empty there.  [nodes] counts the nodes below the
-   first vertex against [budget]. *)
+(* Per-search mutable state; one per domain when fanning out.  [nodes]
+   counts the nodes below the first vertex against [budget].  [mark],
+   [queue], [hist] and [pieces] are the packing refutation's scratch: a
+   check fills and reads them before the search recurses, so a deeper
+   step overwriting them leaves nothing stale behind. *)
 type state = {
   mapping : int array;
-  used : int array; (* bitset over target vertices *)
-  cand : int array array; (* per-depth candidate-mask scratch *)
+  used : bool array; (* over target vertices *)
+  mark : int array; (* flood stamps, current when equal to [epoch] *)
+  queue : int array;
+  hist : int array; (* hist.(s): total size of the free regions of size s *)
+  pieces : int array;
+  mutable epoch : int;
   limit : int;
   budget : int;
   mutable results : int array list; (* reversed *)
@@ -163,19 +265,16 @@ type state = {
   mutable nodes : int;
 }
 
-let small e = Graph.words e.target = 1
-
 let make_state ?(budget = max_int) e limit =
-  let multiword = not (small e) in
+  let nt = e.nt in
   {
-    mapping = Array.make (Graph.n e.pattern) (-1);
-    used = (if multiword then Graph.mask_make e.nt else [||]);
-    cand =
-      (if multiword then
-         Array.init
-           (max 1 (Array.length e.order))
-           (fun _ -> Graph.mask_make e.nt)
-       else [||]);
+    mapping = Array.make e.np (-1);
+    used = Array.make nt false;
+    mark = Array.make nt 0;
+    queue = Array.make (max 1 nt) 0;
+    hist = Array.make (nt + 1) 0;
+    pieces = Array.make (max 1 e.max_deg_t) 0;
+    epoch = 0;
     limit;
     budget;
     results = [];
@@ -188,7 +287,116 @@ let clear_state st =
   st.count <- 0;
   st.nodes <- 0;
   Array.fill st.mapping 0 (Array.length st.mapping) (-1);
-  Array.fill st.used 0 (Array.length st.used) 0
+  Array.fill st.used 0 (Array.length st.used) false
+
+(* ------------------------------------------------------------------ *)
+(* Packing refutation                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* A connected pattern piece maps onto a connected set of unused target
+   vertices, so it lies inside one free region (a connected component of
+   the target over the unused vertices) at least its size.  Hence for
+   every size s, the pieces of size >= s must fit, by total size, into
+   the free regions of size >= s.  Both rules below apply this test; they
+   only drop branches that hold no mapping. *)
+
+(* BFS from [start] over unused vertices not yet stamped in this epoch,
+   stamping what it reaches; stops early once [cap] vertices are reached.
+   Returns the count reached (at least [cap] when it stopped early). *)
+let flood e st start cap =
+  let mark = st.mark and queue = st.queue and used = st.used in
+  let epoch = st.epoch in
+  mark.(start) <- epoch;
+  queue.(0) <- start;
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail && !tail < cap do
+    let row = Graph.neighbors e.target queue.(!head) in
+    incr head;
+    for i = 0 to Array.length row - 1 do
+      let w = row.(i) in
+      if (not used.(w)) && mark.(w) <> epoch then begin
+        mark.(w) <- epoch;
+        queue.(!tail) <- w;
+        incr tail
+      end
+    done
+  done;
+  !tail
+
+let refuted () =
+  if Telemetry.enabled () then Telemetry.incr m_ref_packing;
+  false
+
+(* Before the seed loop of component [k]: it and every later component
+   must pack into the free regions. *)
+let components_pack e st k =
+  st.epoch <- st.epoch + 1;
+  let hist = st.hist and largest = ref 0 in
+  for c = 0 to e.nt - 1 do
+    if (not st.used.(c)) && st.mark.(c) <> st.epoch then begin
+      let size = flood e st c max_int in
+      hist.(size) <- hist.(size) + size;
+      if size > !largest then largest := size
+    end
+  done;
+  (* Components largest first; [room] sums the regions of size >= [s]. *)
+  let ok = ref true and need = ref 0 and room = ref 0 and s = ref (!largest + 1) in
+  for i = 0 to Array.length e.by_size - 1 do
+    let j = e.by_size.(i) in
+    if j >= k then begin
+      let size = e.comp_size.(j) in
+      while !s > size do
+        decr s;
+        room := !room + hist.(!s)
+      done;
+      need := !need + size;
+      if !need > !room then ok := false
+    end
+  done;
+  Array.fill hist 0 (!largest + 1) 0;
+  !ok || refuted ()
+
+(* For seed candidate [c] at [step]: the seed's branches must pack into
+   the free regions next to [c], [c] itself removed.  A region that holds
+   every branch vertex settles it without measuring the others. *)
+let branches_pack e st step c =
+  let branches = e.branches.(step) in
+  let total = e.comp_size.(e.seed_comp.(step)) - 1 in
+  st.epoch <- st.epoch + 1;
+  st.mark.(c) <- st.epoch;
+  let row = Graph.neighbors e.target c and pieces = st.pieces in
+  let npieces = ref 0 and fits = ref false and i = ref 0 in
+  while (not !fits) && !i < Array.length row do
+    let w = row.(!i) in
+    if (not st.used.(w)) && st.mark.(w) <> st.epoch then begin
+      let size = flood e st w total in
+      if size >= total then fits := true
+      else begin
+        pieces.(!npieces) <- size;
+        incr npieces
+      end
+    end;
+    incr i
+  done;
+  !fits
+  || begin
+       insertion_sort (fun a b -> Int.compare b a) pieces 0 !npieces;
+       let ok = ref true and need = ref 0 and room = ref 0 and j = ref 0 in
+       for i = 0 to Array.length branches - 1 do
+         let size = branches.(i) in
+         while !j < !npieces && pieces.(!j) >= size do
+           room := !room + pieces.(!j);
+           incr j
+         done;
+         need := !need + size;
+         if !need > !room then ok := false
+       done;
+       !ok || refuted ()
+     end
+
+(* ------------------------------------------------------------------ *)
+(* Search                                                              *)
+(* ------------------------------------------------------------------ *)
 
 exception Limit_reached
 
@@ -204,90 +412,53 @@ let record st =
   st.count <- st.count + 1;
   if st.count >= st.limit then raise Limit_reached
 
+(* One node per tried candidate.  A step with earlier-ordered neighbors
+   walks the sorted row of the first one's image and keeps the unused
+   vertices adjacent to every other earlier neighbor's image; a seed step
+   walks every unused vertex, after the packing rules.  Both walks are
+   ascending, so the tree is the seed enumerator's, minus dead branches. *)
 let rec extend e st step =
   if step >= Array.length e.order then record st
   else begin
     let v = e.order.(step) in
-    let try_candidate c =
-      count_node st;
-      st.mapping.(v) <- c;
-      Graph.mask_set st.used c;
-      extend e st (step + 1);
-      Graph.mask_clear st.used c;
-      st.mapping.(v) <- -1
-    in
-    let mask = st.cand.(step) in
-    let constrained = ref false in
-    Array.iter
-      (fun u ->
-        let image = st.mapping.(u) in
-        if image >= 0 then begin
-          let nm = Graph.neighbor_mask e.target image in
-          if !constrained then Graph.mask_inter_into ~into:mask nm
-          else begin
-            Array.blit nm 0 mask 0 (Array.length nm);
-            constrained := true
-          end
-        end)
-      (Graph.neighbors e.pattern v);
-    if !constrained then begin
-      Graph.mask_diff_into ~into:mask st.used;
-      Graph.iter_mask (fun c -> if compatible e v c then try_candidate c) mask
+    let used = st.used and mapping = st.mapping and back = e.back in
+    let first = e.back_at.(step) and last = e.back_at.(step + 1) in
+    if first = last then begin
+      if components_pack e st e.seed_comp.(step) then
+        for c = 0 to e.nt - 1 do
+          if (not used.(c)) && compatible e v c && branches_pack e st step c
+          then try_candidate e st step v c
+        done
     end
-    else
-      for c = 0 to e.nt - 1 do
-        if (not (Graph.mask_mem st.used c)) && compatible e v c then
-          try_candidate c
+    else begin
+      let cands = Graph.neighbors e.target mapping.(back.(first)) in
+      for i = 0 to Array.length cands - 1 do
+        let c = cands.(i) in
+        if not used.(c) then begin
+          let j = ref (first + 1) in
+          while
+            !j < last
+            && Graph.mask_mem (Graph.neighbor_mask e.target mapping.(back.(!j))) c
+          do
+            incr j
+          done;
+          if !j = last && compatible e v c then try_candidate e st step v c
+        end
       done
+    end
   end
 
-(* Same search with every target vertex set packed in one int: candidate
-   words are intersected and popped in ascending order (identical
-   enumeration order), and the used set threads through the recursion as an
-   immutable argument — the search allocates nothing but results. *)
-let rec extend_small e st step used =
-  if step >= Array.length e.order then record st
-  else begin
-    let v = e.order.(step) in
-    let pn = Graph.neighbors e.pattern v in
-    let cw = ref 0 and constrained = ref false in
-    for i = 0 to Array.length pn - 1 do
-      let image = st.mapping.(pn.(i)) in
-      if image >= 0 then begin
-        let w = (Graph.neighbor_mask e.target image).(0) in
-        cw := (if !constrained then !cw land w else w);
-        constrained := true
-      end
-    done;
-    if !constrained then begin
-      let cand = ref (!cw land lnot used) in
-      while !cand <> 0 do
-        let b = !cand land (- !cand) in
-        cand := !cand lxor b;
-        let c = Graph.bit_index b in
-        if compatible e v c then begin
-          count_node st;
-          st.mapping.(v) <- c;
-          extend_small e st (step + 1) (used lor b);
-          st.mapping.(v) <- -1
-        end
-      done
-    end
-    else
-      for c = 0 to e.nt - 1 do
-        if used land (1 lsl c) = 0 && compatible e v c then begin
-          count_node st;
-          st.mapping.(v) <- c;
-          extend_small e st (step + 1) (used lor (1 lsl c));
-          st.mapping.(v) <- -1
-        end
-      done
-  end
+and try_candidate e st step v c =
+  count_node st;
+  st.mapping.(v) <- c;
+  st.used.(c) <- true;
+  extend e st (step + 1);
+  st.used.(c) <- false;
+  st.mapping.(v) <- -1
 
 let run_sequential e limit =
   let st = make_state e limit in
-  (try if small e then extend_small e st 0 0 else extend e st 0
-   with Limit_reached -> ());
+  (try extend e st 0 with Limit_reached -> ());
   List.rev st.results
 
 (* Candidate images of the first ordered vertex, ascending. *)
@@ -316,6 +487,16 @@ let cap_firsts e cap firsts =
     Array.sort Int.compare kept;
     kept
   end
+
+(* The sequential search's step-0 packing rules, applied to a ready list
+   of first images.  Under [root_cap] this runs on the capped list, so
+   the cap keeps the same images as without the rules. *)
+let pack_firsts e firsts =
+  let st = make_state e 1 in
+  if components_pack e st 0 then
+    Array.of_list
+      (List.filter (branches_pack e st 0) (Array.to_list firsts))
+  else [||]
 
 (* Pool fan-out over the first ordered vertex's candidate images: each
    first-vertex choice is one pool slot enumerated completely (capped at
@@ -352,13 +533,10 @@ let run_parallel ?budget e limit jobs firsts =
       let c = firsts.(i) in
       if Telemetry.enabled () then Telemetry.incr m_nodes;
       st.mapping.(v0) <- c;
+      st.used.(c) <- true;
       let exhausted =
         try
-          if small e then extend_small e st 1 (1 lsl c)
-          else begin
-            Graph.mask_set st.used c;
-            extend e st 1
-          end;
+          extend e st 1;
           false
         with
         | Limit_reached -> false
@@ -390,14 +568,17 @@ let enumerate ?(limit = 100) ?(jobs = 1) ?root_cap ?slot_budget ~pattern
       end
       else begin
         let e = make_engine ~pattern ~target ~order in
+        let fan_out ?budget firsts =
+          let firsts = pack_firsts e firsts in
+          if Array.length firsts = 0 then []
+          else run_parallel ?budget e limit (max 1 jobs) firsts
+        in
         match root_cap with
         | Some cap when Array.length order > 0 ->
-          let firsts = cap_firsts e (max 1 cap) (compute_firsts e) in
-          if Array.length firsts = 0 then []
-          else run_parallel ?budget:slot_budget e limit (max 1 jobs) firsts
+          fan_out ?budget:slot_budget (cap_firsts e (max 1 cap) (compute_firsts e))
         | _ ->
           if jobs > 1 && limit > 1 && Array.length order > 0 then
-            run_parallel e limit jobs (compute_firsts e)
+            fan_out (compute_firsts e)
           else run_sequential e limit
       end
     in

@@ -6,18 +6,25 @@
     environment), enumerate injective maps [f] with
     [pattern edge (u,v) => target edge (f u, f v)].
 
-    The search is a VF2-style backtracking enumeration over the bitset
-    adjacency kernel: candidate sets are the bitwise AND of the target
-    neighbor masks of every already-mapped pattern neighbor, with
-    degree-sequence and neighborhood-degree refutation up front.  Pattern
-    vertices of degree zero are assigned no image ([-1] in the result); the
-    placement layer positions such qubits separately.
+    The search is a VF2-style backtracking enumeration, one allocation-free
+    loop: pattern vertices in degree-descending BFS order, component by
+    component; a vertex's candidates are the sorted target neighbor row of
+    its first earlier neighbor's image, kept when unused and adjacent to
+    every other earlier neighbor's image.  Three refutations cut dead
+    branches: degree-sequence dominance up front, neighbor-degree
+    signatures per candidate, and a free-region packing test at each
+    component seed (the remaining components, and the seed's branches
+    around a candidate image, must fit into connected regions of unused
+    target vertices).  Pattern vertices of degree zero are assigned no
+    image ([-1] in the result); the placement layer positions such qubits
+    separately.
 
     Determinism guarantee: pruning only removes branches that contain no
     monomorphism, and candidates are tried in increasing target-vertex
     order, so the result list -- which mappings, and in which order -- is
     identical to the reference backtracking enumerator's (property-tested
-    in [test/suite_monomorph.ml]). *)
+    in [test/suite_monomorph.ml]).  Node counts are not part of the
+    contract: a stronger refutation visits fewer nodes. *)
 
 val enumerate :
   ?limit:int ->
@@ -51,7 +58,9 @@ val enumerate :
     keeps the mappings it found and ends the enumeration there, so the
     result is a prefix of the unbudgeted capped one -- still a
     subsequence of the uncapped enumeration, and identical at any
-    [jobs]. *)
+    [jobs].  Pruned branches hold no mapping, so refutations can only
+    lengthen that prefix.  The packing test on first images runs on the
+    capped list, so it never changes which images the cap keeps. *)
 
 val exists : pattern:Graph.t -> target:Graph.t -> bool
 (** Whether at least one monomorphism exists. *)

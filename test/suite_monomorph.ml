@@ -383,7 +383,7 @@ let test_enumerate_matches_reference () =
   done
 
 let test_enumerate_matches_reference_multiword () =
-  (* Targets above 63 vertices exercise the multi-word search path. *)
+  (* Targets above 63 vertices: adjacency tests read two-word masks. *)
   for seed = 0 to 9 do
     let rng = Rng.create (2000 + seed) in
     let nt = 64 + Rng.int rng 16 in
@@ -419,6 +419,243 @@ let test_parallel_matches_sequential () =
           [ 2; 3 ])
       [ 2; 100 ]
   done
+
+(* ------------------------------------------------------------------ *)
+(* Multi-component patterns: the packing refutation's ground           *)
+(* ------------------------------------------------------------------ *)
+
+(* Disjoint components over one vertex range, relabeled by a random
+   permutation (the search order depends on the labels), plus [isolated]
+   vertices of degree zero. *)
+let forest rng ?(isolated = 0) components =
+  let sizes = List.map Graph.n components in
+  let np = List.fold_left ( + ) isolated sizes in
+  let perm = Rng.permutation rng np in
+  let edges, _ =
+    List.fold_left
+      (fun (acc, base) g ->
+        ( List.map (fun (u, v) -> (perm.(base + u), perm.(base + v))) (Graph.edges g)
+          @ acc,
+          base + Graph.n g ))
+      ([], 0) components
+  in
+  Graph.of_edges np edges
+
+(* [g] without every [gap]-th vertex: a chain falls apart into runs of
+   [gap - 1], a row-major grid [gap] wide loses its last column. *)
+let cut_target g ~gap =
+  fst
+    (Graph.induced g
+       (List.filter (fun v -> v mod gap <> gap - 1) (Graph.vertices g)))
+
+let forest_cases () =
+  let rng = Rng.create 8100 in
+  let paths lens = forest rng (List.map Gen.path_graph lens) in
+  let random_trees sizes =
+    forest rng (List.map (fun k -> Gen.random_tree rng k) sizes)
+  in
+  let heavy_hex = Gen.heavy_hex ~rows:3 ~cols:9 in
+  [
+    (* Tight fits: the components fill the target or nearly. *)
+    ("chain-12 paths 6+6", Gen.path_graph 12, paths [ 6; 6 ]);
+    ("chain-12 paths 7+4", Gen.path_graph 12, paths [ 7; 4 ]);
+    ("chain-14 paths 5+5+3", Gen.path_graph 14, paths [ 5; 5; 3 ]);
+    ("chain-9 path 9", Gen.path_graph 9, paths [ 9 ]);
+    ("chain-10 paths 6+5", Gen.path_graph 10, paths [ 6; 5 ]);
+    ("chain-16 paths 2x4 + isolated",
+      Gen.path_graph 16,
+      forest rng ~isolated:2 [ Gen.path_graph 4; Gen.path_graph 4 ]);
+    ("cycle-12 paths 5+6", Gen.cycle_graph 12, paths [ 5; 6 ]);
+    ("grid-3x4 paths 5+4+2", Gen.grid 3 4, paths [ 5; 4; 2 ]);
+    ("grid-3x4 paths 6+6", Gen.grid 3 4, paths [ 6; 6 ]);
+    ("grid-3x4 trees 5+4", Gen.grid 3 4, random_trees [ 5; 4 ]);
+    ("grid-3x3 cycle 4 + path 5", Gen.grid 3 3,
+      forest rng [ Gen.cycle_graph 4; Gen.path_graph 5 ]);
+    ("grid-3x4 cycle 4 + paths 3+3", Gen.grid 3 4,
+      forest rng [ Gen.cycle_graph 4; Gen.path_graph 3; Gen.path_graph 3 ]);
+    ("grid-3x4 cycles 4+4", Gen.grid 3 4,
+      forest rng [ Gen.cycle_graph 4; Gen.cycle_graph 4 ]);
+    ("heavy-hex trees 6+4", heavy_hex, random_trees [ 6; 4 ]);
+    ("heavy-hex cycle 12 + path 3", heavy_hex,
+      forest rng [ Gen.cycle_graph 12; Gen.path_graph 3 ]);
+    ("heavy-hex paths 12+10", heavy_hex, paths [ 12; 10 ]);
+    (* Disconnected targets: free regions exist before anything is placed. *)
+    ("cut chain-15 paths 4+4", cut_target (Gen.path_graph 15) ~gap:5, paths [ 4; 4 ]);
+    ("cut chain-15 paths 4+4+4", cut_target (Gen.path_graph 15) ~gap:5,
+      paths [ 4; 4; 4 ]);
+    ("cut chain-15 paths 5+2", cut_target (Gen.path_graph 15) ~gap:5, paths [ 5; 2 ]);
+    ("cut grid-4x5 trees 4+3", cut_target (Gen.grid 4 5) ~gap:5, random_trees [ 4; 3 ]);
+    ("cut grid-4x5 cycle 4 + path 4", cut_target (Gen.grid 4 5) ~gap:5,
+      forest rng [ Gen.cycle_graph 4; Gen.path_graph 4 ]);
+    (* Over 63 vertices: two-word neighbor masks. *)
+    ("chain-70 paths 36+34", Gen.path_graph 70, paths [ 36; 34 ]);
+    ("chain-70 paths 30+20+19", Gen.path_graph 70, paths [ 30; 20; 19 ]);
+    ("cycle-72 paths 40+30", Gen.cycle_graph 72, paths [ 40; 30 ]);
+  ]
+
+(* The capped enumeration from the reference: its unbounded list [all] kept to
+   mappings whose first-ordered vertex lands on a kept first image, cut to
+   [limit].  The kept images are the [cap] degree- and signature-compatible
+   targets closest in degree to that vertex, ties toward the smallest. *)
+let reference_capped ~all ~limit ~cap ~pattern ~target =
+  let order = Reference.ordering pattern in
+  if Array.length order = 0 then Qcp_util.Listx.take limit all
+  else begin
+    let v0 = order.(0) in
+    let sig_p = (Graph.neighbor_degrees pattern).(v0)
+    and sig_t = Graph.neighbor_degrees target in
+    let dp = Graph.degree pattern v0 in
+    let firsts =
+      List.filter
+        (fun c ->
+          Graph.degree target c >= dp
+          && Array.for_all2 (fun p t -> p <= t) sig_p
+               (Array.sub sig_t.(c) 0 (Array.length sig_p)))
+        (Graph.vertices target)
+    in
+    let kept =
+      List.map (fun c -> (abs (Graph.degree target c - dp), c)) firsts
+      |> List.sort compare |> Qcp_util.Listx.take cap |> List.map snd
+    in
+    List.filter (fun m -> List.mem m.(v0) kept) all |> Qcp_util.Listx.take limit
+  end
+
+let limit_label limit = if limit = max_int then "unbounded" else string_of_int limit
+
+let test_forests_match_reference () =
+  List.iter
+    (fun (name, target, pattern) ->
+      let all = Reference.enumerate ~limit:max_int ~pattern ~target () in
+      List.iter
+        (fun limit ->
+          let expected = Reference.enumerate ~limit ~pattern ~target () in
+          List.iter
+            (fun jobs ->
+              Alcotest.check mapping_list
+                (Printf.sprintf "%s limit %s jobs %d" name (limit_label limit) jobs)
+                expected
+                (Monomorph.enumerate ~limit ~jobs ~pattern ~target ()))
+            [ 1; 2 ];
+          List.iter
+            (fun cap ->
+              let expected = reference_capped ~all ~limit ~cap ~pattern ~target in
+              List.iter
+                (fun jobs ->
+                  Alcotest.check mapping_list
+                    (Printf.sprintf "%s limit %s root_cap %d jobs %d" name
+                       (limit_label limit) cap jobs)
+                    expected
+                    (Monomorph.enumerate ~limit ~jobs ~root_cap:cap ~pattern
+                       ~target ()))
+                [ 1; 2 ])
+            [ 1; 2; 3; 8 ])
+        [ 1; 8; 100; max_int ])
+    (forest_cases ())
+
+(* A slot budget only ever cuts the capped list: whatever it keeps is a
+   prefix of the unbudgeted capped list, the same at any jobs. *)
+let test_slot_budget_prefix () =
+  let rec is_prefix l full =
+    match (l, full) with
+    | [], _ -> true
+    | x :: l, y :: full -> x = y && is_prefix l full
+    | _ :: _, [] -> false
+  in
+  let cut = ref 0 in
+  List.iter
+    (fun (name, target, pattern) ->
+      List.iter
+        (fun cap ->
+          let capped =
+            Monomorph.enumerate ~limit:max_int ~root_cap:cap ~pattern ~target ()
+          in
+          List.iter
+            (fun slot_budget ->
+              let label jobs =
+                Printf.sprintf "%s root_cap %d slot budget %d jobs %d" name cap
+                  slot_budget jobs
+              in
+              List.iter
+                (fun jobs ->
+                  let budgeted =
+                    Monomorph.enumerate ~limit:max_int ~jobs ~root_cap:cap
+                      ~slot_budget ~pattern ~target ()
+                  in
+                  if jobs = 1 && List.length budgeted < List.length capped then
+                    incr cut;
+                  Alcotest.(check bool) (label jobs) true
+                    (is_prefix budgeted capped))
+                [ 1; 2 ])
+            [ 0; 1; 4; 16; 64; 1_000 ])
+        [ 1; 3; 8 ])
+    (forest_cases ());
+  Alcotest.(check bool) "some budgets cut the list" true (!cut > 0)
+
+let monomorph_nodes f =
+  let counter =
+    Qcp_obs.Metrics.counter Qcp_obs.Metrics.global "monomorph.nodes"
+  in
+  let armed = Qcp_obs.Metrics.enabled () in
+  Qcp_obs.Metrics.set_enabled true;
+  let before = Qcp_obs.Metrics.count counter in
+  let result =
+    Fun.protect ~finally:(fun () -> Qcp_obs.Metrics.set_enabled armed) f
+  in
+  (result, Qcp_obs.Metrics.count counter - before)
+
+(* The search allocates its results and nothing per node: between a
+   one-result and a 2,000-result run of the same search on a multi-word
+   target, the allocation grows by exactly the extra results -- the
+   mapping copy (np + 1 words), its cons cell and the cell of the reversed
+   list (3 words each) -- however many nodes lie between them. *)
+let test_enumerate_allocation () =
+  let target = Gen.grid 8 9 in
+  let pattern = forest (Rng.create 8200) [ Gen.path_graph 6; Gen.path_graph 5 ] in
+  let words limit =
+    let before = Gc.minor_words () in
+    let results = Monomorph.enumerate ~limit ~pattern ~target () in
+    let words = int_of_float (Gc.minor_words () -. before) in
+    Alcotest.(check int) (Printf.sprintf "limit %d results" limit) limit
+      (List.length results);
+    words
+  in
+  let nodes limit =
+    snd (monomorph_nodes (fun () -> Monomorph.enumerate ~limit ~pattern ~target ()))
+  in
+  let apart = nodes 2_000 - nodes 1 in
+  Alcotest.(check bool) (Printf.sprintf "%d nodes apart" apart) true (apart > 1_000);
+  let one = words 1 and many = words 2_000 in
+  Alcotest.(check int) "words beyond the first result"
+    (1_999 * (Graph.n pattern + 7))
+    (many - one)
+
+(* Table 4's N = 128 chain, as the report places it.  Its stages' patterns
+   are paths that nearly fill the chain; without the packing refutation
+   the search placed each path at every offset before finding no room for
+   the next one (404,536 nodes).  The runtime pins the placement. *)
+let test_chain128_nodes () =
+  let n = 128 in
+  let circuit, _ =
+    Qcp_circuit.Random_circuit.hidden_stages (Rng.create (2007 + n)) ~n
+  in
+  let options = { (Qcp.Options.fast ~threshold:50.0) with Qcp.Options.jobs = 0 } in
+  let packing =
+    Qcp_obs.Metrics.counter Qcp_obs.Metrics.global "monomorph.refuted.packing"
+  in
+  let refuted_before = Qcp_obs.Metrics.count packing in
+  let outcome, nodes =
+    monomorph_nodes (fun () ->
+        Qcp.Placer.place options (Qcp_env.Environment.chain n) circuit)
+  in
+  match outcome with
+  | Qcp.Placer.Placed p ->
+    Alcotest.(check (float 0.0)) "runtime units" 26_550.0 (Qcp.Placer.runtime p);
+    Alcotest.(check bool)
+      (Printf.sprintf "%d monomorph.nodes <= 20000" nodes)
+      true (nodes <= 20_000);
+    Alcotest.(check bool) "monomorph.refuted.packing counts the rule" true
+      (Qcp_obs.Metrics.count packing > refuted_before)
+  | Qcp.Placer.Unplaceable msg -> Alcotest.fail msg
 
 let hamilton_fixtures () =
   [
@@ -687,6 +924,13 @@ let suite =
       test_enumerate_matches_reference_multiword;
     Alcotest.test_case "parallel enumeration matches sequential" `Quick
       test_parallel_matches_sequential;
+    Alcotest.test_case "multi-component patterns match the seed enumerator"
+      `Quick test_forests_match_reference;
+    Alcotest.test_case "budgeted slots are prefixes" `Quick
+      test_slot_budget_prefix;
+    Alcotest.test_case "enumerate allocates only its results" `Quick
+      test_enumerate_allocation;
+    Alcotest.test_case "table 4 chain128 node pin" `Quick test_chain128_nodes;
     Alcotest.test_case "hamilton pruning matches seed search" `Quick
       test_hamilton_matches_reference;
     Alcotest.test_case "incremental oracle matches enumerator" `Quick

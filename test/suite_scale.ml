@@ -347,6 +347,28 @@ let test_enumeration_tail () =
     "oracle cut-offs counted" true
     (counter "placer.oracle_exhausted" > 0)
 
+(* The same budget holds on the classic full-graph enumeration that the
+   scale path falls back to when a region declines.  The 10x10 circuit of
+   seed 4242 + 104729 * 107 (the benchmark pool's entry 107 at smoke size)
+   lands there, and unbudgeted it did not finish in 20 s; budgeted,
+   it places in about 0.1 s.  The wall-clock bound only catches the tail
+   coming back. *)
+let test_fallback_budget () =
+  let circuit =
+    Random_circuit.hidden_stages_custom
+      (Rng.create (4242 + (104729 * 107)))
+      ~n:100 ~stages:4 ~gates_per_stage:2_500
+  in
+  let env = Environment.grid 10 10 in
+  let options = { (Options.scale ~threshold:50.0) with Options.jobs = 0 } in
+  let t0 = Unix.gettimeofday () in
+  let p = place_exn options env circuit in
+  let wall = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "placed in %.2f s" wall)
+    true (wall < 30.0);
+  check_structure circuit p
+
 let test_embeds_with_budget () =
   let target = Generators.petersen () in
   let inc = Monomorph.Incremental.create ~qubits:4 ~target in
@@ -618,6 +640,8 @@ let suite =
     Alcotest.test_case "root-cap slot budget" `Quick test_root_cap_slot_budget;
     Alcotest.test_case "enumeration tail places in seconds" `Quick
       test_enumeration_tail;
+    Alcotest.test_case "classic fallback is budgeted" `Quick
+      test_fallback_budget;
     Alcotest.test_case "embeds-with budget" `Quick test_embeds_with_budget;
     Alcotest.test_case "coarsen grid" `Quick test_coarsen_grid;
     Alcotest.test_case "spill matches windowed" `Quick
