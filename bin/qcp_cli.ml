@@ -114,8 +114,8 @@ let int_at_least low =
 
 let options_term =
   let make threshold no_lookahead fine_tune no_override router no_cap
-      sequential limit commute balance window coarsen root_cap spill vcycle
-      jobs portfolio env =
+      sequential limit commute balance window coarsen root_cap spill jobs
+      portfolio env =
     let threshold =
       match threshold with
       | Some th -> th
@@ -142,7 +142,6 @@ let options_term =
         | None -> Qcp.Options.No_spill
         | Some "" -> Qcp.Options.Spill_drop
         | Some path -> Qcp.Options.Spill_file path);
-      vcycle;
       jobs = Option.value jobs ~default:(Qcp_util.Task_pool.env_jobs ());
       portfolio;
     }
@@ -213,16 +212,7 @@ let options_term =
                of gate count.  With no $(docv) the stages are summarized \
                and dropped; with one, each stage is appended to $(docv) as \
                one JSON line.  Placements are identical to the same run \
-               without spilling ($(b,--balance) and $(b,--vcycle) are \
-               skipped).")
-    $ Arg.(
-        value & opt (int_at_least 0) 0
-        & info [ "vcycle" ] ~docv:"PASSES"
-            ~doc:
-              "Run this many V-cycle refinement passes after placement: \
-               adjacency-restricted single-qubit re-assignments over \
-               adjacent stage pairs, committed only on strict end-to-end \
-               improvement (never regresses; 0 disables).")
+               without spilling ($(b,--balance) is skipped).")
     $ Arg.(
         value & opt (some int) None
         & info [ "j"; "jobs" ] ~docv:"N" ~env:(Cmd.Env.info "QCP_JOBS")

@@ -17,7 +17,6 @@ type t = {
   coarsen : bool;
   root_cap : int option;
   spill : spill;
-  vcycle : int;
   jobs : int;
   portfolio : bool;
 }
@@ -38,7 +37,6 @@ let default ~threshold =
     coarsen = false;
     root_cap = None;
     spill = No_spill;
-    vcycle = 0;
     jobs = Qcp_util.Task_pool.env_jobs ();
     portfolio = false;
   }
@@ -99,7 +97,6 @@ let canonical t =
     Buffer.add_string b "file:";
     Buffer.add_string b path;
     close_field ());
-  int_field "vcycle" t.vcycle;
   (* [jobs] is deliberately excluded: placements are bit-identical at any
      jobs value (the library's determinism contract), so a server may
      answer a jobs=4 request from a jobs=0 solve and vice versa. *)

@@ -84,20 +84,9 @@ type t = {
           stage and SWAP counts, boundary placements) instead of
           materialized stages, so stage-replaying accessors
           ({!Placer.placements}, {!Placer.to_physical_circuit}) return
-          empty, and [balance_boundaries] and [vcycle] are skipped.  Placed
-          stages and the reported makespan are bit-identical to the same
-          run without spilling when neither of those is set.  [No_spill]
-          (default). *)
-  vcycle : int;
-      (** Number of LONGPATH-style V-cycle refinement passes run after
-          placement: each pass sweeps adjacent stage pairs, probing
-          adjacency-restricted single-qubit re-assignments (guided through
-          the {!Qcp_graph.Coarsen} hierarchy when [coarsen] is on) and
-          keeping a move only when the full replayed runtime strictly
-          improves — the result never regresses below the unrefined
-          placement.  Skipped when stages were spilled (refinement needs
-          materialized stages).  [0] (default) disables; output is then
-          bit-identical to previous releases. *)
+          empty, and [balance_boundaries] is skipped.  Placed stages and
+          the reported makespan are bit-identical to the same run without
+          spilling when it is not set.  [No_spill] (default). *)
   jobs : int;
       (** Domain budget for every parallel layer of a placement run —
           candidate-scoring sweeps, monomorphism enumeration fan-out,

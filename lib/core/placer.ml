@@ -476,6 +476,12 @@ let score_candidate ctx ~phys_start ~prev ~subcircuit placement =
     Timing.stage_clocks scratch,
     Timing.stage_makespan scratch )
 
+(* One placed stage from the loaded clocks, under [cutoff]. *)
+let advance_placed ctx ~cutoff ~place scratch subcircuit =
+  Timing.stage_advance ~model:ctx.c_options.Options.model
+    ?reuse_cap:ctx.c_options.Options.reuse_cap ~cutoff ~weights:ctx.c_weights
+    ~place scratch subcircuit
+
 (* Same recurrence as {!score_candidate} restricted to the makespan, run
    through reusable clock buffers so the argmin sweeps allocate nothing per
    evaluation.  A finite [cutoff] is threaded into the timing sweeps,
@@ -500,51 +506,43 @@ let score_candidate ctx ~phys_start ~prev ~subcircuit placement =
 let score_makespan ?(cutoff = infinity) ?(prebound = true) ctx ~scratch
     ~phys_start ~prev ~subcircuit placement =
   Telemetry.incr ctx.c_scored;
-  let model = ctx.c_options.Options.model in
-  let reuse_cap = ctx.c_options.Options.reuse_cap in
   let place q = placement.(q) in
   let cutoff = cutoff_of ctx cutoff in
-  let advance_subcircuit () =
-    Timing.stage_advance ~model ?reuse_cap ~cutoff ~weights:ctx.c_weights
-      ~place scratch subcircuit
-  in
-  let refute () =
-    Telemetry.incr ctx.c_early_exits;
-    infinity
-  in
-  let swap_free () =
-    Timing.stage_start scratch phys_start;
-    if advance_subcircuit () then Timing.stage_makespan scratch
-    else refute ()
-  in
-  match prev with
-  | None -> swap_free ()
-  | Some previous ->
-    let perm = connecting_perm ctx ~previous placement in
-    if Perm.is_identity perm then swap_free ()
-    else begin
-      let prebound_refuted =
+  let completed =
+    match prev with
+    | None ->
+      Timing.stage_start scratch phys_start;
+      advance_placed ctx ~cutoff ~place scratch subcircuit
+    | Some previous ->
+      let perm = connecting_perm ctx ~previous placement in
+      if Perm.is_identity perm then begin
+        Timing.stage_start scratch phys_start;
+        advance_placed ctx ~cutoff ~place scratch subcircuit
+      end
+      else if
         cutoff < infinity && prebound
         && begin
              Timing.stage_start scratch phys_start;
              (* A lifted clock above the cutoff already refutes the
                 candidate even if no gate ever touches that vertex. *)
              lift_displaced ctx scratch ~phys_start perm > cutoff
-             || not (advance_subcircuit ())
+             || not (advance_placed ctx ~cutoff ~place scratch subcircuit)
            end
-      in
-      if prebound_refuted then refute ()
+      then false
       else begin
         let entry = route_network ctx perm in
         Timing.stage_start scratch phys_start;
-        if
-          Timing.stage_advance_swaps ~model ?reuse_cap ~cutoff
-            ~weights:ctx.c_weights scratch entry.Swap_network.swaps
-          && advance_subcircuit ()
-        then Timing.stage_makespan scratch
-        else refute ()
+        Timing.stage_advance_swaps ~model:ctx.c_options.Options.model
+          ?reuse_cap:ctx.c_options.Options.reuse_cap ~cutoff
+          ~weights:ctx.c_weights scratch entry.Swap_network.swaps
+        && advance_placed ctx ~cutoff ~place scratch subcircuit
       end
-    end
+  in
+  if completed then Timing.stage_makespan scratch
+  else begin
+    Telemetry.incr ctx.c_early_exits;
+    infinity
+  end
 
 (* The routing-free admissible lower bound of {!score_makespan}'s
    prebound, computed in full so it can order a lower-bound-first sweep:
@@ -663,8 +661,9 @@ let scale_enum_max_active = 64
    runs out ends the list with what was found, and an empty list takes the
    witness fallback.  The largest slot any of the 128 vetted 16x16
    scale-grid circuits needs is 14,329 nodes, so none of them is cut.
-   The classic enumeration the scale path falls back to carries the same
-   budget under [root_cap]; none of those circuits takes that path. *)
+   The classic enumeration the scale path falls back to, and the search
+   over every first image a capped run falls back to last, carry the same
+   budget under [root_cap]; none of those circuits takes either path. *)
 let scale_slot_budget = 100_000
 
 (* Power-of-two buckets for the scale histograms (window fill in gates,
@@ -846,6 +845,21 @@ let scale_mappings ctx ~prev ~hint ~subcircuit =
       end
     end
 
+(* A capped search can come back empty on a stage the splitter proved
+   alignable: none of the kept first images holds an embedding, and on a
+   path target the oracle decides without a witness.  Such a stage takes
+   the witness, else every first image under the same slot budget (a cap
+   of [m] keeps them all, in ascending order) -- never an unbudgeted
+   search, which did not finish in 20 s on a 10x10 grid. *)
+let uncapped_fallback ctx ~hint ~subcircuit =
+  match witness_mapping ctx ~subcircuit hint with
+  | Some m -> [ m ]
+  | None ->
+    let pattern = Score_cache.interaction_graph ctx.c_cache subcircuit in
+    Monomorph.enumerate ~limit:ctx.c_options.Options.monomorphism_limit
+      ~jobs:ctx.c_options.Options.jobs ~root_cap:ctx.c_m
+      ~slot_budget:scale_slot_budget ~pattern ~target:ctx.c_adjacency ()
+
 let enumerate_candidates ?hint ctx ~prev ~subcircuit =
   let mappings =
     if ctx.c_options.Options.coarsen then
@@ -853,6 +867,11 @@ let enumerate_candidates ?hint ctx ~prev ~subcircuit =
       | Some mappings -> mappings
       | None -> enumerate_mappings ctx ~subcircuit
     else enumerate_mappings ctx ~subcircuit
+  in
+  let mappings =
+    match (mappings, ctx.c_options.Options.root_cap) with
+    | [], Some _ -> uncapped_fallback ctx ~hint ~subcircuit
+    | _ -> mappings
   in
   List.map (complete_placement ctx ~prev ~subcircuit) mappings
 
@@ -1280,162 +1299,6 @@ let balance_boundaries ctx subcircuits =
   let subs = Array.of_list subcircuits in
   Array.to_list (refine subs (evaluate subs) 0 max_donations_per_boundary)
 
-(* LONGPATH-style V-cycle refinement over the committed stage list
-   ([Options.vcycle] passes, opt-in): sweep the computation stages in
-   order, probing single-qubit re-assignments restricted to the adjacency
-   neighborhood of the qubit's current vertex — widened through a small
-   {!Coarsen.select_region} neighborhood when the hierarchy is in hand —
-   and commit a move only when the exact re-timed end-to-end makespan
-   strictly improves.  The refined program therefore never regresses below
-   the unrefined one, and with [vcycle = 0] this code never runs, keeping
-   knobs-off output bit-identical.
-
-   A move is judged in two steps.  The cheap local filter re-times only
-   the two-stage window the move influences directly (the connecting
-   network into the moved stage, the stage itself, and the following
-   network + stage); only window-improving moves are promoted to the exact
-   suffix re-time — sound regardless of what the filter passes, since the
-   suffix re-time alone decides.  Clocks are monotone across stages, so
-   the last stage's re-timed makespan {e is} the end-to-end makespan, and
-   a move at stage [j] cannot change clocks before [j] — the prefix
-   [f.(0..j)] stays valid across commits. *)
-let vcycle_refine ctx stage_list =
-  Qcp_obs.Trace.with_span ~cat:"placer" "placer/vcycle" @@ fun () ->
-  let computes =
-    Array.of_list
-      (List.filter_map
-         (function
-           | Compute { placement; circuit } -> Some (placement, circuit)
-           | Permute _ -> None)
-         stage_list)
-  in
-  let k = Array.length computes in
-  if k = 0 then stage_list
-  else begin
-    let p = Array.map (fun (pl, _) -> Array.copy pl) computes in
-    let c = Array.map snd computes in
-    let prev_of j = if j = 0 then None else Some p.(j - 1) in
-    (* f.(j): physical clocks entering stage [j]'s connecting network. *)
-    let f = Array.make (k + 1) (Array.make ctx.c_m 0.0) in
-    let retime_from j0 =
-      let total = ref 0.0 in
-      for j = j0 to k - 1 do
-        let _, finish, makespan =
-          score_candidate ctx ~phys_start:f.(j) ~prev:(prev_of j)
-            ~subcircuit:c.(j) p.(j)
-        in
-        f.(j + 1) <- finish;
-        total := makespan
-      done;
-      !total
-    in
-    let initial = retime_from 0 in
-    let total = ref initial in
-    let moves = ref 0 in
-    let passes = ref 0 in
-    let eps = 1e-9 in
-    let improved = ref true in
-    while !improved && !passes < ctx.c_options.Options.vcycle do
-      incr passes;
-      improved := false;
-      for j = 0 to k - 1 do
-        let pattern = Score_cache.interaction_graph ctx.c_cache c.(j) in
-        let occupied = Array.make ctx.c_m false in
-        Array.iter (fun v -> occupied.(v) <- true) p.(j);
-        let window_score placement =
-          let _, fin, m1 =
-            score_candidate ctx ~phys_start:f.(j) ~prev:(prev_of j)
-              ~subcircuit:c.(j) placement
-          in
-          if j + 1 < k then
-            let _, _, m2 =
-              score_candidate ctx ~phys_start:fin ~prev:(Some placement)
-                ~subcircuit:c.(j + 1)
-                p.(j + 1)
-            in
-            m2
-          else m1
-        in
-        let baseline = ref (window_score p.(j)) in
-        for q = 0 to ctx.c_n - 1 do
-          let partners = Graph.neighbors pattern q in
-          if Array.length partners > 0 then begin
-            let u = p.(j).(q) in
-            let pool = Array.to_list (Graph.neighbors ctx.c_adjacency u) in
-            let pool =
-              match Lazy.force ctx.c_hier with
-              | Some hier ->
-                List.rev_append
-                  (Coarsen.select_region hier ~seeds:[ u ] ~capacity:8)
-                  pool
-              | None -> pool
-            in
-            (* One committed move per qubit per stage per pass: [u], the
-               probe pool and [occupied] all describe the pre-move
-               placement, so further probes for this qubit would judge
-               against stale state. *)
-            let qdone = ref false in
-            List.iter
-              (fun v ->
-                let feasible =
-                  (not !qdone)
-                  && (not occupied.(v))
-                  && Array.for_all
-                       (fun r -> Graph.mem_edge ctx.c_adjacency v p.(j).(r))
-                       partners
-                in
-                if feasible then begin
-                  let candidate = Array.copy p.(j) in
-                  candidate.(q) <- v;
-                  if window_score candidate < !baseline -. eps then begin
-                    (* Promote: exact suffix re-time decides. *)
-                    let old = p.(j) in
-                    p.(j) <- candidate;
-                    let t = retime_from j in
-                    if t < !total -. eps then begin
-                      total := t;
-                      incr moves;
-                      improved := true;
-                      qdone := true;
-                      occupied.(u) <- false;
-                      occupied.(v) <- true;
-                      baseline := window_score candidate
-                    end
-                    else begin
-                      (* Restore the placement and the suffix clocks the
-                         trial re-time overwrote. *)
-                      p.(j) <- old;
-                      ignore (retime_from j : float)
-                    end
-                  end
-                end)
-              (List.sort_uniq Int.compare pool)
-          end
-        done
-      done
-    done;
-    observe_scale ctx "placer.scale.vcycle_moves" (float_of_int !moves);
-    Telemetry.set
-      (Telemetry.gauge ctx.c_metrics "placer.scale.vcycle_passes")
-      (float_of_int !passes);
-    Telemetry.set
-      (Telemetry.gauge ctx.c_metrics "placer.scale.vcycle_gain")
-      (initial -. !total);
-    if !moves = 0 then stage_list
-    else begin
-      let stages = ref [] in
-      for j = k - 1 downto 0 do
-        stages := Compute { placement = p.(j); circuit = c.(j) } :: !stages;
-        if j > 0 then
-          match connecting_network ctx ~prev:(Some p.(j - 1)) p.(j) with
-          | Some network when network <> [] ->
-            stages := Permute network :: !stages
-          | Some _ | None -> ()
-      done;
-      !stages
-    end
-  end
-
 (* Stamp the derived instruments into the per-run registry, snapshot it,
    and merge it into the process-global registry so cross-run tooling
    ([--metrics], the serve daemon's stats) sees the accumulated totals.  The
@@ -1621,13 +1484,7 @@ let run ~reference ?(deadline = infinity) ?spill options env circuit =
           let sink, collected = collect () in
           match run_stages ctx ~sink (feed_list stages) with
           | Error msg -> Unplaceable msg
-          | Ok _ ->
-            let stage_list = collected () in
-            let stage_list =
-              if options.Options.vcycle > 0 then vcycle_refine ctx stage_list
-              else stage_list
-            in
-            placed stage_list None)))
+          | Ok _ -> placed (collected ()) None)))
 
 let place ?deadline ?spill options env circuit =
   run ~reference:false ?deadline ?spill options env circuit

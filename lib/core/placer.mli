@@ -158,7 +158,7 @@ val place :
     through the sink as it is placed, and the returned program carries a
     {!summary} instead of stages.  Placed stages and the reported
     makespan are bit-identical to the same run without spilling (spill
-    runs skip [balance_boundaries] and [vcycle]).  An explicit [?spill]
+    runs skip [balance_boundaries]).  An explicit [?spill]
     sink takes precedence over the options knob.
 
     [deadline] (absolute {!Qcp_util.Clock} instant, default [infinity]) is

@@ -25,9 +25,9 @@ let classic tweak options env circuit =
   | Placer.Unplaceable msg -> Error msg
 
 (* The scale-wall pipeline: windowed stage formation, coarsen-place-refine
-   and sparse candidate roots, plus one V-cycle refinement pass.  Caller-set
-   knobs win (a window above the default 1, a root cap, V-cycles).
-   Spilling stays off: the reduce replays the program. *)
+   and sparse candidate roots.  Caller-set knobs win (a window above the
+   default 1, a root cap).  Spilling stays off: the reduce replays the
+   program. *)
 let scale_options o =
   {
     o with
@@ -37,7 +37,6 @@ let scale_options o =
     coarsen = true;
     root_cap = (match o.Options.root_cap with None -> Some 32 | c -> c);
     spill = Options.No_spill;
-    vcycle = Int.max 1 o.Options.vcycle;
   }
 
 (* Fixed annealing budget: modest restarts because the portfolio already

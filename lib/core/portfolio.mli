@@ -6,8 +6,8 @@
     (lookahead plus boundary balancing), [annealer] (whole-circuit
     simulated annealing as one computation stage, the paper's no-SWAP
     column) and [scale] (windowed stage formation, coarsen-place-refine,
-    sparse candidate roots and one V-cycle pass).  Entries may fan out over
-    the {!Qcp_util.Task_pool}; none reads another's state.
+    sparse candidate roots).  Entries may fan out over the
+    {!Qcp_util.Task_pool}; none reads another's state.
 
     The reduce keeps the earliest entry in canonical order achieving the
     strict minimum replayed runtime ({!Placer.runtime}).  Every entry is a

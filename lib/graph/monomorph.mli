@@ -60,7 +60,9 @@ val enumerate :
     subsequence of the uncapped enumeration, and identical at any
     [jobs].  Pruned branches hold no mapping, so refutations can only
     lengthen that prefix.  The packing test on first images runs on the
-    capped list, so it never changes which images the cap keeps. *)
+    capped list, so it never changes which images the cap keeps.  A
+    [root_cap] of at least [Graph.n target] keeps every first image in
+    ascending order: every image, budgeted. *)
 
 val exists : pattern:Graph.t -> target:Graph.t -> bool
 (** Whether at least one monomorphism exists. *)

@@ -196,7 +196,7 @@ let options_of_json env json =
     [
       "threshold"; "monomorphisms"; "lookahead"; "fine_tune"; "leaf_override";
       "router"; "reuse_cap"; "sequential"; "commute"; "balance"; "window";
-      "coarsen"; "root_cap"; "vcycle"; "portfolio";
+      "coarsen"; "root_cap"; "portfolio";
     ]
   in
   let* fields =
@@ -286,7 +286,6 @@ let options_of_json env json =
     | Some cap when cap < 1 -> Error (below_range "root_cap" 1)
     | Some _ | None -> Ok ()
   in
-  let* vcycle = int_member "vcycle" json ~low:0 ~default:base.Options.vcycle in
   let* portfolio =
     opt_member "portfolio" json Json.to_bool ~default:base.Options.portfolio
   in
@@ -308,7 +307,6 @@ let options_of_json env json =
       window;
       coarsen;
       root_cap;
-      vcycle;
       jobs = 0;
       portfolio;
     }

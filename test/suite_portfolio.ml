@@ -65,7 +65,6 @@ let solo_runs options env circuit =
       root_cap =
         (match options.Options.root_cap with None -> Some 32 | c -> c);
       spill = Options.No_spill;
-      vcycle = Int.max 1 options.Options.vcycle;
     }
   in
   let annealer =

@@ -109,7 +109,6 @@ let test_classic_bit_identity () =
       coarsen = false;
       root_cap = None;
       spill = Options.No_spill;
-      vcycle = 0;
     }
   in
   let p1 = place_exn defaults env circuit in
@@ -369,6 +368,55 @@ let test_fallback_budget () =
     true (wall < 30.0);
   check_structure circuit p
 
+(* Table 4's N = 128 chain (seed 2007 + 128).  Its stages are paths that
+   nearly fill the chain, so no embedding starts at any of the 32
+   degree-similar first images the scale options keep, and the path-target
+   oracle proves each stage alignable without a witness.  The capped
+   search must fall back to a budgeted search over every first image
+   rather than refuse the stage.  The runtime pins the placement. *)
+let test_capped_chain128 () =
+  let n = 128 in
+  let circuit, _ = Random_circuit.hidden_stages (Rng.create (2007 + n)) ~n in
+  let env = Environment.chain n in
+  let p =
+    place_exn { (Options.scale ~threshold:50.0) with Options.jobs = 0 } env
+      circuit
+  in
+  check_structure circuit p;
+  Alcotest.(check (float 0.0)) "runtime units" 27_480.0 (Placer.runtime p)
+
+(* Whatever places uncapped also places capped, on chains (paths fill the
+   target, the case above) and grids, under the classic and the windowed
+   coarsened path, at the smallest caps. *)
+let test_capped_places_what_uncapped_places () =
+  for seed = 0 to 29 do
+    let rng = Rng.create (500 + seed) in
+    let n = [| 8; 12; 16; 24; 32 |].(seed mod 5) in
+    let circuit, _ = Random_circuit.hidden_stages rng ~n in
+    let env =
+      if seed mod 2 = 0 then Environment.chain n
+      else Environment.grid 4 (n / 4)
+    in
+    let fast = { (Options.fast ~threshold:50.0) with Options.jobs = 0 } in
+    match Placer.place fast env circuit with
+    | Placer.Unplaceable _ -> ()
+    | Placer.Placed _ ->
+      let root_cap = Some (1 + (seed mod 3)) in
+      List.iter
+        (fun (label, options) ->
+          match Placer.place options env circuit with
+          | Placer.Placed p -> check_structure circuit p
+          | Placer.Unplaceable msg ->
+            Alcotest.failf "seed %d, %s, root_cap %d: %s" seed label
+              (Option.get root_cap) msg)
+        [
+          ("fast", { fast with Options.root_cap });
+          ( "scale",
+            { (Options.scale ~threshold:50.0) with Options.jobs = 0; root_cap }
+          );
+        ]
+  done
+
 let test_embeds_with_budget () =
   let target = Generators.petersen () in
   let inc = Monomorph.Incremental.create ~qubits:4 ~target in
@@ -578,56 +626,6 @@ let test_spill_file () =
     (Placer.subcircuit_count p + Placer.swap_stage_count p)
     !lines
 
-(* ------------------------------------------------------------------ *)
-(* V-cycle refinement: never regresses, stays semantically equivalent,
-   and is jobs-independent.                                             *)
-(* ------------------------------------------------------------------ *)
-
-let test_vcycle_improves_or_matches () =
-  for seed = 0 to 9 do
-    let rng = Rng.create (300 + seed) in
-    let env = Random_env.molecule rng ~n:(8 + (seed mod 4)) in
-    let threshold = Random_env.interesting_threshold rng env in
-    let circuit = random_simulable_circuit rng ~n:4 ~gates:24 in
-    let base = Options.default ~threshold in
-    match Placer.place base env circuit with
-    | Placer.Unplaceable _ -> ()
-    | Placer.Placed reference ->
-      let refined =
-        place_exn { base with Options.vcycle = 2 } env circuit
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "seed %d: vcycle never regresses" seed)
-        true
-        (Placer.runtime refined <= Placer.runtime reference +. 1e-9);
-      Alcotest.(check bool)
-        (Printf.sprintf "seed %d: vcycle equivalent" seed)
-        true
-        (Verify.equivalent refined)
-  done
-
-let test_vcycle_jobs_identity () =
-  let env = Environment.grid 5 5 in
-  let rng = Rng.create 23 in
-  let circuit =
-    Random_circuit.hidden_stages_custom rng ~n:10 ~stages:3 ~gates_per_stage:25
-  in
-  let base = { (Options.scale ~threshold:50.0) with Options.vcycle = 2 } in
-  let p0 = place_exn { base with Options.jobs = 0 } env circuit in
-  let p2 = place_exn { base with Options.jobs = 2 } env circuit in
-  check_structure circuit p0;
-  Alcotest.(check (list (array int)))
-    "vcycle jobs-independent placements"
-    (Placer.placements p0) (Placer.placements p2);
-  Alcotest.(check bool)
-    "vcycle jobs-independent runtime" true
-    (Float.equal (Placer.runtime p0) (Placer.runtime p2));
-  (* The refinement telemetry rides in the per-run registry. *)
-  Alcotest.(check bool)
-    "vcycle passes gauge recorded" true
-    (Qcp_obs.Metrics.find (Placer.metrics p0) "placer.scale.vcycle_passes"
-    <> None)
-
 let suite =
   [
     Alcotest.test_case "random instances equivalent" `Slow
@@ -642,6 +640,10 @@ let suite =
       test_enumeration_tail;
     Alcotest.test_case "classic fallback is budgeted" `Quick
       test_fallback_budget;
+    Alcotest.test_case "capped search places table 4 chain128" `Quick
+      test_capped_chain128;
+    Alcotest.test_case "capped places what uncapped places" `Quick
+      test_capped_places_what_uncapped_places;
     Alcotest.test_case "embeds-with budget" `Quick test_embeds_with_budget;
     Alcotest.test_case "coarsen grid" `Quick test_coarsen_grid;
     Alcotest.test_case "spill matches windowed" `Quick
@@ -651,7 +653,4 @@ let suite =
     Alcotest.test_case "spill split phase timed" `Quick test_spill_split_phase;
     Alcotest.test_case "spill jobs identity" `Quick test_spill_jobs_identity;
     Alcotest.test_case "spill file sink" `Quick test_spill_file;
-    Alcotest.test_case "vcycle improves or matches" `Slow
-      test_vcycle_improves_or_matches;
-    Alcotest.test_case "vcycle jobs identity" `Quick test_vcycle_jobs_identity;
   ]

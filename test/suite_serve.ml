@@ -88,11 +88,11 @@ let request_line rng ~mutate =
   let fine_tune = if mutate = 6 then 1 else 3 in
   let router = pick_with 7 "bisect" [ "weighted"; "token"; "odd-even" ] in
   let commute = mutate = 8 in
-  let vcycle = if mutate = 9 then 2 else 0 in
+  let balance = mutate = 9 in
   let window = if mutate = 10 then ",\"window\":64" else "" in
   Printf.sprintf
-    "{\"op\":\"place\",\"env\":\"%s\",\"circuit\":\"%s\",\"options\":{\"threshold\":%g,\"monomorphisms\":%d,\"lookahead\":%b,\"fine_tune\":%d,\"router\":\"%s\",\"commute\":%b,\"vcycle\":%d%s}}"
-    env circuit threshold k lookahead fine_tune router commute vcycle window
+    "{\"op\":\"place\",\"env\":\"%s\",\"circuit\":\"%s\",\"options\":{\"threshold\":%g,\"monomorphisms\":%d,\"lookahead\":%b,\"fine_tune\":%d,\"router\":\"%s\",\"commute\":%b,\"balance\":%b%s}}"
+    env circuit threshold k lookahead fine_tune router commute balance window
 
 let test_keys_collide_iff_equal () =
   for seed = 1 to 50 do
@@ -177,7 +177,7 @@ let test_key_hash_pinned () =
     place_of_line
       "{\"id\":\"r1\",\"op\":\"place\",\"env\":\"trans-crotonic\",\"circuit\":\"qft6\",\"options\":{\"threshold\":100}}"
   in
-  Alcotest.(check string) "request digest" "fd6e83032817c14c"
+  Alcotest.(check string) "request digest" "68cce89f90c0ffb2"
     (Protocol.key_hash p.Protocol.key)
 
 let test_default_threshold () =
@@ -648,7 +648,8 @@ let test_request_validation () =
   (* The memo and the pruning are not options: the only exhaustive mode
      is the test oracle {!Qcp.Placer.place_reference}.  Nor is a learned
      bias, a strategy selection or a race deadline: a response depends on
-     its request alone. *)
+     its request alone.  The deleted cross-stage refinement pass count is
+     rejected by name too. *)
   List.iter
     (fun field ->
       expect_error
@@ -656,7 +657,10 @@ let test_request_validation () =
            "{\"op\":\"place\",\"env\":\"chain:6\",\"circuit\":\"qft6\",\"options\":{%S:false}}"
            field)
         (Printf.sprintf "unknown option %S" field))
-    [ "score_cache"; "bounded_search"; "learn"; "deadline"; "strategies" ];
+    [
+      "score_cache"; "bounded_search"; "learn"; "deadline"; "strategies";
+      "vcycle";
+    ];
   expect_error "{\"op\":\"dance\"}" "unknown op";
   expect_error "not json" "bad JSON"
 
@@ -689,7 +693,6 @@ let test_window_validation () =
       ("monomorphisms", [ 0; -1 ]);
       ("root_cap", [ 0; -2 ]);
       ("fine_tune", [ -1 ]);
-      ("vcycle", [ -2 ]);
     ];
   Alcotest.(check string) "window 1 is the default key"
     (place_of_line (line "")).Protocol.key
