@@ -12,7 +12,7 @@ let capped reuse_cap t =
 
 (* ------------------------------------------------------------------ *)
 (* The recurrence, once: one two-qubit step, one ASAP gate loop, one
-   flat-SWAP loop and one sequential fold.  Every entry point below runs
+   packed-SWAP loop and one sequential fold.  Every entry point below runs
    these over clock arrays indexed by [register] slots: physical vertices
    for the placer's stage timing, logical qubits (with the placement
    folded into the weights) for {!finish_times}. *)
@@ -106,17 +106,18 @@ let asap_gates ?reuse_cap ~limit ~register ~time ~pair_code ~run_acc ~weights
   go (Circuit.gates circuit)
 
 (* {!asap_gates} over SWAP gates on physical vertices (identity
-   placement), read from a flat [u0; v0; u1; v1; ...] array. *)
+   placement), read from an array of {!Swap_word}s. *)
 let swap_duration = Gate.duration (Gate.swap 0 1)
 
 let asap_swaps ?reuse_cap ~limit ~register ~time ~pair_code ~run_acc ~weights
     swaps =
-  let count = Array.length swaps / 2 in
+  let count = Array.length swaps in
   let i = ref 0 in
   let ok = ref true in
   while !ok && !i < count do
-    let pa = swaps.(2 * !i) and pb = swaps.((2 * !i) + 1) in
-    if pa < 0 || pa >= register || pb < 0 || pb >= register then
+    let w = swaps.(!i) in
+    let pa = Swap_word.u w and pb = Swap_word.v w in
+    if pa >= register || pb >= register then
       invalid_arg "Timing: swap vertex outside the physical register";
     let finish =
       pair_finish ?reuse_cap ~register ~time ~pair_code ~run_acc ~weights pa pb
@@ -196,8 +197,9 @@ let stage_advance_swaps ?(model = Asap) ?reuse_cap ?(cutoff = infinity)
       ~pair_code:scratch.s_pair ~run_acc:scratch.s_acc ~weights swaps
   | Sequential ->
     let gates =
-      List.init (Array.length swaps / 2) (fun i ->
-          Gate.swap swaps.(2 * i) swaps.((2 * i) + 1))
+      Array.fold_right
+        (fun w acc -> Gate.swap (Swap_word.u w) (Swap_word.v w) :: acc)
+        swaps []
     in
     let circuit =
       try Circuit.make ~qubits:register gates

@@ -20,7 +20,7 @@
     coupling (delay [infinity]) finishes at [infinity], not NaN.
 
     The module implements the recurrence once: one two-qubit step, one
-    ASAP gate loop, one loop over flat SWAP arrays and one sequential
+    ASAP gate loop, one loop over packed SWAP arrays and one sequential
     fold.  The ASAP loops take a plain float limit and return a verdict;
     an infinite limit is the unbounded sweep, since no clock exceeds it.
     {!finish_times} runs the same gate loop over the circuit's own
@@ -118,11 +118,16 @@ val stage_advance_swaps :
   bool
 (** [stage_advance_swaps scratch swaps] is {!stage_advance} with the
     identity placement over the circuit of SWAP gates
-    [Gate.swap swaps.(2i) swaps.(2i+1)], in order, on physical vertices —
-    without building that circuit under {!Asap}: the float operations run
-    in the same order, so the verdict and the clocks are bit-identical.
-    {!Sequential} builds the circuit (it needs the levelization).  Raises
-    [Invalid_argument] on a vertex outside the loaded register. *)
+    [Gate.swap (Swap_word.u w) (Swap_word.v w)] for each word [w] of
+    [swaps], in order, on physical vertices -- without building that
+    circuit under {!Asap}: the float operations run in the same order, so
+    the verdict and the clocks are bit-identical.  The words' levels are
+    not read.  Under either model only each vertex's own order of swaps
+    matters (the {!Sequential} levelization is per-vertex ASAP too), so
+    any order that keeps it -- a router's generation order, or its
+    network level by level -- times the same.  {!Sequential} builds the
+    circuit (it needs the levelization).  Raises [Invalid_argument] on a
+    vertex outside the loaded register. *)
 
 val stage_makespan : scratch -> float
 (** [max 0] of the loaded clocks. *)

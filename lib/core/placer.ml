@@ -210,8 +210,15 @@ type ctx = {
          private copy, trimmed after every stage, for spill runs
          ({!run_stages}); uncached for {!place_reference}. *)
   c_router :
-    Qcp_route.Bisect_router.memo option -> Perm.t -> Swap_network.flat;
+    Qcp_route.Bisect_router.memo option -> Perm.t -> Score_cache.route_entry;
       (* The run's router, chosen once in {!run}. *)
+  c_network : Score_cache.route_entry -> Swap_network.t;
+      (* The router's list network for one of its entries, for the stages
+         a program keeps. *)
+  c_table_ns : int Atomic.t;
+  c_router_ns : int Atomic.t;
+      (* Wall nanoseconds in route-table lookups (misses included) and in
+         router runs; only ticking while {!phases_armed}. *)
   c_scratch : Timing.scratch; (* main-domain scoring buffers *)
   c_scoring_time : float ref; (* wall seconds spent scoring candidates *)
   c_dist : int array array Lazy.t;
@@ -290,35 +297,54 @@ let in_phase cell ~name f =
   end
   else f ()
 
+let add_elapsed cell t0 =
+  ignore
+    (Atomic.fetch_and_add cell
+       (int_of_float ((Unix.gettimeofday () -. t0) *. 1e9))
+      : int)
+
+let timed_router ctx memo perm =
+  let t0 = Unix.gettimeofday () in
+  let entry = ctx.c_router memo perm in
+  add_elapsed ctx.c_router_ns t0;
+  entry
+
 let route_network ctx perm =
   Telemetry.incr ctx.c_routed;
-  Score_cache.route ctx.c_cache ~route:ctx.c_router perm
+  if phases_armed () then begin
+    let t0 = Unix.gettimeofday () in
+    let entry = Score_cache.route ctx.c_cache ~route:(timed_router ctx) perm in
+    add_elapsed ctx.c_table_ns t0;
+    entry
+  end
+  else Score_cache.route ctx.c_cache ~route:ctx.c_router perm
 
-(* The run's router and the registry key its routes are shared under.
-   Odd-even off a chain is exactly the unweighted bisection, so it routes
-   and shares as one.  Every router answers with a flat schedule. *)
+(* The run's router, the registry key its routes are shared under, and
+   its list network for an entry.  Odd-even off a chain is exactly the
+   unweighted bisection, so it routes and shares as one.  Every router
+   answers with a swap sequence; the bisection routers' levels are
+   uncompressed, the others' final. *)
 let router_of options env adjacency =
-  let leaf_override = options.Options.leaf_override in
+  (* Boxed once here rather than at every call. *)
+  let leaf_override = Some options.Options.leaf_override in
   let bisect ?edge_cost memo perm =
-    Qcp_route.Bisect_router.route_flat ~leaf_override ?edge_cost ?memo
+    Qcp_route.Bisect_router.route_sequence ?leaf_override ?edge_cost ?memo
       adjacency ~perm
   in
+  let listed route _memo perm = Swap_network.of_levels (route adjacency ~perm) in
   match options.Options.router with
-  | Options.Bisect -> (Options.Bisect, fun memo -> bisect memo)
+  | Options.Bisect -> (Options.Bisect, (fun memo -> bisect memo), Swap_network.compressed)
   | Options.Bisect_weighted ->
     ( Options.Bisect_weighted,
-      bisect ~edge_cost:(fun u v -> Environment.coupling_delay env u v) )
+      bisect ~edge_cost:(fun u v -> Environment.coupling_delay env u v),
+      Swap_network.compressed )
   | Options.Token ->
-    ( Options.Token,
-      fun _ perm ->
-        Swap_network.flatten (Qcp_route.Token_router.route adjacency ~perm) )
+    (Options.Token, listed Qcp_route.Token_router.route, Swap_network.levels)
   | Options.Odd_even -> (
     match Qcp_route.Oes_router.path_order adjacency with
     | Some _ ->
-      ( Options.Odd_even,
-        fun _ perm ->
-          Swap_network.flatten (Qcp_route.Oes_router.route adjacency ~perm) )
-    | None -> (Options.Bisect, fun memo -> bisect memo))
+      (Options.Odd_even, listed Qcp_route.Oes_router.route, Swap_network.levels)
+    | None -> (Options.Bisect, (fun memo -> bisect memo), Swap_network.compressed))
 
 (* Load a partial monomorphism (active qubits only) into [placement],
    marking its vertices in [taken]; every other qubit reads -1. *)
@@ -418,7 +444,7 @@ let connecting_stage ctx ~prev placement =
 
 (* A connecting stage's list network, for the stages a program keeps. *)
 let connecting_network ctx ~prev placement =
-  Option.map Swap_network.of_flat (connecting_stage ctx ~prev placement)
+  Option.map ctx.c_network (connecting_stage ctx ~prev placement)
 
 (* The swap-displacement lift shared by {!score_makespan}'s prebound and
    {!candidate_bound}: raise each displaced token's destination clock in
@@ -466,13 +492,13 @@ let score_candidate ctx ~phys_start ~prev ~subcircuit placement =
     | None -> true
     | Some entry ->
       Timing.stage_advance_swaps ~model ?reuse_cap ~weights:ctx.c_weights
-        scratch entry.Swap_network.swaps)
+        scratch entry)
     && Timing.stage_advance ~model ?reuse_cap ~weights:ctx.c_weights
          ~place:(fun q -> placement.(q))
          scratch subcircuit
   in
   assert completed;
-  ( Option.map Swap_network.of_flat entry,
+  ( Option.map ctx.c_network entry,
     Timing.stage_clocks scratch,
     Timing.stage_makespan scratch )
 
@@ -534,7 +560,7 @@ let score_makespan ?(cutoff = infinity) ?(prebound = true) ctx ~scratch
         Timing.stage_start scratch phys_start;
         Timing.stage_advance_swaps ~model:ctx.c_options.Options.model
           ?reuse_cap:ctx.c_options.Options.reuse_cap ~cutoff
-          ~weights:ctx.c_weights scratch entry.Swap_network.swaps
+          ~weights:ctx.c_weights scratch entry
         && advance_placed ctx ~cutoff ~place scratch subcircuit
       end
   in
@@ -1235,10 +1261,12 @@ let balance_boundaries ctx subcircuits =
           Options.lookahead = false;
           fine_tune_passes = 0;
         };
-      (* Trial pipelines keep their own phase clocks: their time is the
-         balance phase's, not enumerate/greedy/route time of the real
-         pipeline.  Search counters intentionally stay shared. *)
+      (* Trial pipelines keep their own phase and route clocks: their
+         time is the balance phase's, not enumerate/greedy/route time of
+         the real pipeline.  Search counters intentionally stay shared. *)
       c_phases = make_phase_times ();
+      c_table_ns = Atomic.make 0;
+      c_router_ns = Atomic.make 0;
     }
   in
   let evaluate ?cutoff subs =
@@ -1341,7 +1369,12 @@ let finalize_metrics ctx =
     phase "placer.phase.lookahead.seconds" p.ph_lookahead;
     phase "placer.phase.fine_tune.seconds" p.ph_fine_tune;
     phase "placer.phase.route.seconds" p.ph_route;
-    phase "placer.phase.balance.seconds" p.ph_balance
+    phase "placer.phase.balance.seconds" p.ph_balance;
+    let nanos name cell =
+      Telemetry.set (Telemetry.gauge t name) (float_of_int (Atomic.get cell) /. 1e9)
+    in
+    nanos "placer.route_table.seconds" ctx.c_table_ns;
+    nanos "placer.router.seconds" ctx.c_router_ns
   end;
   let stats =
     {
@@ -1390,7 +1423,7 @@ let run ~reference ?(deadline = infinity) ?spill options env circuit =
         | None, Options.Spill_drop -> Some Spill.null
         | None, Options.No_spill -> None
       in
-      let router, c_router = router_of options env adjacency in
+      let router, c_router, c_network = router_of options env adjacency in
       let table =
         if reference then Score_cache.uncached ()
         else
@@ -1426,6 +1459,9 @@ let run ~reference ?(deadline = infinity) ?spill options env circuit =
           c_reference = reference;
           c_cache = Score_cache.create table;
           c_router;
+          c_network;
+          c_table_ns = Atomic.make 0;
+          c_router_ns = Atomic.make 0;
           c_scratch = Timing.make_scratch ();
           c_scoring_time = ref 0.0;
           c_dist = lazy (bfs_table adjacency);

@@ -4,31 +4,39 @@ module Perm = Qcp_route.Perm
 module Swap_network = Qcp_route.Swap_network
 module Bisect_router = Qcp_route.Bisect_router
 
-(* Permutations are int arrays; the default polymorphic hash truncates long
-   arrays, which would collapse all large-register perms into few buckets. *)
-module Perm_tbl = Hashtbl.Make (struct
-  type t = int array
+(* FNV-1a over a permutation's entries: the polymorphic hash truncates
+   long arrays, which would collapse all large-register perms into few
+   buckets.  Non-negative. *)
+let hash_perm (a : int array) =
+  let h = ref 0x811c9dc5 in
+  for i = 0 to Array.length a - 1 do
+    h := (!h lxor a.(i)) * 0x01000193 land max_int
+  done;
+  !h
 
-  let equal = Stdlib.( = )
+let rec same_perm (a : int array) (b : int array) i =
+  i < 0 || (a.(i) = b.(i) && same_perm a b (i - 1))
 
-  let hash a =
-    (* FNV-1a over the entries *)
-    let h = ref 0x811c9dc5 in
-    Array.iter (fun x -> h := (!h lxor x) * 0x01000193 land max_int) a;
-    !h
-end)
+type route_entry = Swap_network.sequence
 
-type route_entry = Swap_network.flat
-
+(* Route entries sit in a ring of slots in insertion order (the oldest at
+   [first], so the FIFO eviction victim is always [first]), found through
+   an open-addressing index with linear probing.  Neither a lookup nor an
+   insertion into a table at its cap allocates: a miss stores only its
+   key and its entry.  Every mutable field is guarded by [lock]. *)
 type table = {
-  entries : route_entry Perm_tbl.t;
-  order : int array Queue.t;
-      (* insertion order; [Queue.length order = Perm_tbl.length entries]
-         outside the lock, the FIFO eviction victim is the queue's head *)
   cap : int;
   memo : Bisect_router.memo option;
   is_private : bool; (* made by [private_copy]: the only kind [trim] clears *)
   lock : Mutex.t;
+  mutable keys : int array array; (* slot -> key *)
+  mutable entries : route_entry array; (* slot -> entry *)
+  mutable hashes : int array; (* slot -> [hash_perm] of its key *)
+  mutable first : int; (* the oldest live slot *)
+  mutable size : int; (* live slots: [first] and the [size - 1] after it *)
+  mutable index : int array;
+      (* power-of-two length, at least twice the slot count; a cell holds
+         a live slot + 1, or 0 when empty *)
 }
 
 type t = {
@@ -55,17 +63,39 @@ let memo_cap = 32
    (every entry is a pure function of its key). *)
 let route_capacity = 1024
 
-let make_table ~cap ~memo =
-  {
-    entries = Perm_tbl.create (min cap 64);
-    order = Queue.create ();
-    cap;
-    memo;
-    is_private = false;
-    lock = Mutex.create ();
-  }
+let initial_slots = 64
 
-let uncached () = make_table ~cap:0 ~memo:None
+let index_size slots =
+  let rec up k = if k >= 2 * slots then k else up (2 * k) in
+  up 1
+
+(* Empty storage for up to [slots] entries.  Storage of that size
+   already is cleared in place: a spill run trims its table after every
+   stage, and fresh arrays each time would outlive minor collections. *)
+let reset_storage table slots =
+  if Array.length table.keys = slots && Array.length table.index > 0 then begin
+    Array.fill table.keys 0 slots [||];
+    Array.fill table.entries 0 slots [||];
+    Array.fill table.index 0 (Array.length table.index) 0
+  end
+  else begin
+    table.keys <- Array.make slots [||];
+    table.entries <- Array.make slots [||];
+    table.hashes <- Array.make slots 0;
+    table.index <- Array.make (index_size slots) 0
+  end;
+  table.first <- 0;
+  table.size <- 0
+
+let make_table ?(is_private = false) ~cap memo =
+  let table =
+    { cap; memo; is_private; lock = Mutex.create (); keys = [||];
+      entries = [||]; hashes = [||]; first = 0; size = 0; index = [||] }
+  in
+  reset_storage table (min cap initial_slots);
+  table
+
+let uncached () = make_table ~cap:0 None
 
 (* Why graph identity is a sound key: see [shared] in the interface.  The
    ephemeron key lets the cached state die with its graph. *)
@@ -99,15 +129,12 @@ let shared graph ~router ~leaf_override =
       | Some table -> table
       | None ->
         let table =
-          make_table ~cap:route_capacity
-            ~memo:(Some (Bisect_router.make_memo ()))
+          make_table ~cap:route_capacity (Some (Bisect_router.make_memo ()))
         in
         tables := (key, table) :: !tables;
         table)
 
-let private_copy table =
-  { table with entries = Perm_tbl.create 64; order = Queue.create ();
-               is_private = true; lock = Mutex.create () }
+let private_copy table = make_table ~is_private:true ~cap:table.cap table.memo
 
 let create table =
   { table; hits = Atomic.make 0; misses = Atomic.make 0; graphs = [];
@@ -141,34 +168,133 @@ let trim t =
   let table = t.table in
   if table.is_private then begin
     Mutex.protect table.lock (fun () ->
-        Perm_tbl.reset table.entries;
-        Queue.clear table.order);
+        reset_storage table (min table.cap initial_slots));
     t.graphs <- [];
     t.mappings <- []
   end
 
+(* The slot holding [key] (of hash [h]), probing from index cell [i], or
+   -1.  Top level, so a lookup builds no closure. *)
+let rec find_from table key h i =
+  let cell = table.index.(i) in
+  if cell = 0 then -1
+  else
+    let slot = cell - 1 in
+    let k = table.keys.(slot) in
+    if
+      table.hashes.(slot) = h
+      && Array.length k = Array.length key
+      && same_perm k key (Array.length key - 1)
+    then slot
+    else find_from table key h ((i + 1) land (Array.length table.index - 1))
+
+let find table key h = find_from table key h (h land (Array.length table.index - 1))
+
+(* Point the first free index cell from [i] on at [slot]. *)
+let rec index_from index slot i =
+  if index.(i) = 0 then index.(i) <- slot + 1
+  else index_from index slot ((i + 1) land (Array.length index - 1))
+
+let index_slot table slot =
+  index_from table.index slot
+    (table.hashes.(slot) land (Array.length table.index - 1))
+
+let rec cell_of index slot i =
+  if index.(i) = slot + 1 then i
+  else cell_of index slot ((i + 1) land (Array.length index - 1))
+
+(* Close the index hole at [hole], scanning the probe run after it from
+   [j]: a cell may move back into the hole unless its home lies
+   cyclically in (hole, j] (linear-probing deletion, Knuth's
+   Algorithm R), so every live key stays reachable from its home. *)
+let rec shift table hole j =
+  let index = table.index in
+  let mask = Array.length index - 1 in
+  let j = (j + 1) land mask in
+  let cell = index.(j) in
+  if cell = 0 then index.(hole) <- 0
+  else
+    let home = table.hashes.(cell - 1) land mask in
+    let stays =
+      if hole <= j then hole < home && home <= j else hole < home || home <= j
+    in
+    if stays then shift table hole j
+    else begin
+      index.(hole) <- cell;
+      shift table j j
+    end
+
+let unindex_slot table slot =
+  let index = table.index in
+  let hole =
+    cell_of index slot (table.hashes.(slot) land (Array.length index - 1))
+  in
+  shift table hole hole
+
+(* Double the slot ring (up to the cap), laid out oldest first. *)
+let grow table =
+  let slots = Array.length table.keys in
+  let keys = table.keys and entries = table.entries and hashes = table.hashes in
+  let first = table.first and size = table.size in
+  reset_storage table (min table.cap (2 * slots));
+  for i = 0 to size - 1 do
+    let from = (first + i) mod slots in
+    table.keys.(i) <- keys.(from);
+    table.entries.(i) <- entries.(from);
+    table.hashes.(i) <- hashes.(from);
+    index_slot table i
+  done;
+  table.size <- size
+
+let insert table key h entry =
+  if table.size = Array.length table.keys && table.size < table.cap then grow table;
+  let slots = Array.length table.keys in
+  let slot =
+    if table.size = table.cap then begin
+      (* At the cap: the oldest entry's slot takes the new one. *)
+      let victim = table.first in
+      unindex_slot table victim;
+      table.first <- (victim + 1) mod slots;
+      victim
+    end
+    else begin
+      table.size <- table.size + 1;
+      (table.first + table.size - 1) mod slots
+    end
+  in
+  table.keys.(slot) <- key;
+  table.entries.(slot) <- entry;
+  table.hashes.(slot) <- h;
+  index_slot table slot
+
+(* Lock and unlock by hand rather than through [Mutex.protect]'s closure:
+   nothing between them can raise, and a hit then allocates nothing. *)
 let route t ~route perm =
   let table = t.table in
-  match Mutex.protect table.lock (fun () -> Perm_tbl.find_opt table.entries perm) with
-  | Some entry ->
+  let h = hash_perm perm in
+  Mutex.lock table.lock;
+  let slot = find table perm h in
+  if slot >= 0 then begin
+    let entry = table.entries.(slot) in
+    Mutex.unlock table.lock;
     count_hit t;
     entry
-  | None ->
+  end
+  else begin
+    Mutex.unlock table.lock;
     count_miss t;
     (* Routing runs outside the lock; concurrent scorers of the same perm
        may race to insert, but the router is deterministic so both compute
        the same entry. *)
     let entry = route table.memo perm in
-    if table.cap > 0 then
-      Mutex.protect table.lock (fun () ->
-          if not (Perm_tbl.mem table.entries perm) then begin
-            if Perm_tbl.length table.entries >= table.cap then
-              Perm_tbl.remove table.entries (Queue.pop table.order);
-            let key = Array.copy perm in
-            Queue.push key table.order;
-            Perm_tbl.add table.entries key entry
-          end);
+    if table.cap > 0 then begin
+      let key = Array.copy perm in
+      Mutex.lock table.lock;
+      if find table key h < 0 then insert table key h entry;
+      Mutex.unlock table.lock
+    end;
     entry
+  end
 
 (* The per-subcircuit memos are keyed by physical identity: the placer
    threads the same circuit values through stage formation, lookahead and

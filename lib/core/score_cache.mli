@@ -5,7 +5,7 @@
     stage's winner all revisit [before -> after] placements already routed
     earlier in the same placement run, and repeated runs over one
     environment revisit each other's.  A {!table} stores routed SWAP
-    networks keyed by their connecting permutation, as flat schedules,
+    networks keyed by their connecting permutation, as swap sequences,
     plus the bisection router's compiled split tree
     ({!Qcp_route.Bisect_router.memo}).  Tables are shared across placement
     runs per (adjacency graph, router, leaf-override flag); a cache {!t}
@@ -22,17 +22,22 @@
 
 type table
 (** Permutation-keyed route entries in FIFO insertion order under a hard
-    entry cap, plus the router memo handed to every route it computes. *)
+    entry cap, plus the router memo handed to every route it computes.
+    Lookups and insertions at the cap allocate nothing. *)
 
 type t
 
-type route_entry = Qcp_route.Swap_network.flat
-(** A routed network as its flat schedule: two [int array]s, the swaps in
-    execution order and the level starts.  Scoring times it directly
-    ({!Qcp_circuit.Timing.stage_advance_swaps}), so a miss builds neither
-    the level list nor a SWAP circuit; the placer converts an entry to a
-    list network ({!Qcp_route.Swap_network.of_flat}) only for the stages
-    it keeps. *)
+type route_entry = Qcp_route.Swap_network.sequence
+(** A routed network as the router's swaps in generation order, one word
+    per swap ({!Qcp_circuit.Swap_word}: both vertices and the swap's level
+    in the router's network).  Scoring times it directly
+    ({!Qcp_circuit.Timing.stage_advance_swaps}): each vertex meets its
+    swaps in the network's order, so clocks and verdicts are those of the
+    network, and a miss builds neither the level list, nor the compressed
+    levels, nor a SWAP circuit.  The placer converts an entry to a list
+    network ({!Qcp_route.Swap_network.compressed} for the bisection
+    routers, {!Qcp_route.Swap_network.levels} for the others) only for
+    the stages it keeps. *)
 
 val shared :
   Qcp_graph.Graph.t -> router:Options.router -> leaf_override:bool -> table
@@ -42,7 +47,9 @@ val shared :
     output — the weighted router's included — is a pure function of
     [(graph, router, leaf_override, perm)]:
     {!Qcp_env.Environment.connected_adjacency} memoizes each graph inside
-    the environment that owns it, whose delays never change.  The table
+    the environment that owns it, whose delays never change (it hands one
+    graph to several thresholds of that environment, never to two
+    environments).  The table
     holds at most {!route_capacity} entries; at the cap, inserting a new
     entry evicts the {e oldest inserted} one (FIFO), so the surviving set
     is a deterministic function of the insertion sequence and a daemon
@@ -75,7 +82,9 @@ val route :
 (** The routed network for a permutation from the table, or by calling
     [route] with the table's memo and storing the result under a copy of
     [perm] (so [perm] may be a reused scratch array).  Hits and misses
-    count into this cache's counters. *)
+    count into this cache's counters.  A hit allocates nothing; a miss
+    allocates what [route] does plus the stored key (and, while the table
+    is still below its cap, an occasional doubling of its slots). *)
 
 val interaction_graph : t -> Qcp_circuit.Circuit.t -> Qcp_graph.Graph.t
 (** Memoized {!Qcp_circuit.Circuit.interaction_graph} (physical identity

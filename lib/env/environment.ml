@@ -8,10 +8,12 @@ type t = {
   decoherence : float array; (* T2 per nucleus, in delay units *)
   mutable adj_cache : (float * Qcp_graph.Graph.t option) list;
       (* Memoized [connected_adjacency] per threshold (newest first, small
-         cap).  The graph depends only on [delay], which never changes, so
-         entries stay valid for the record's lifetime; returning the same
-         physical graph also lets downstream per-graph memos (the bisection
-         router's subset structure) survive across placement runs.  Guarded
+         cap), one physical graph per distinct edge set.  The graph depends
+         only on [delay], which never changes, so entries stay valid for
+         the record's lifetime; returning the same physical graph also lets
+         downstream per-graph memos (the bisection router's subset
+         structure, the cross-run route tables) survive across placement
+         runs and across thresholds with equal fast graphs.  Guarded
          by [adj_lock] so concurrent [Placer.place_batch] jobs agree on one
          physical graph per threshold — that identity is what keys the
          cross-run route registry they share. *)
@@ -148,7 +150,9 @@ let connected_adjacency_uncached t ~threshold =
     if Paths.is_connected closed then Some closed else None
   end
 
-let adj_cache_cap = 4
+(* Table 3 sweeps six thresholds per circuit: all six survive to the
+   next circuit. *)
+let adj_cache_cap = 8
 
 let connected_adjacency t ~threshold =
   (* The whole lookup-or-compute runs under the lock: the compute is cheap
@@ -161,7 +165,23 @@ let connected_adjacency t ~threshold =
       with
       | Some (_, cached) -> cached
       | None ->
-        let graph = connected_adjacency_uncached t ~threshold in
+        let graph =
+          match connected_adjacency_uncached t ~threshold with
+          | None -> None
+          | Some g -> (
+            (* Graphs are canonical (sorted neighbours), so an equal edge
+               set is an interchangeable graph: hand back the one already
+               held, and with it its routes. *)
+            match
+              List.find_map
+                (function
+                  | _, Some held when Graph.equal held g -> Some held
+                  | _ -> None)
+                t.adj_cache
+            with
+            | Some held -> Some held
+            | None -> Some g)
+        in
         t.adj_cache <-
           Qcp_util.Listx.take adj_cache_cap ((threshold, graph) :: t.adj_cache);
         graph)

@@ -73,9 +73,14 @@ val connected_adjacency : t -> threshold:float -> Qcp_graph.Graph.t option
     the threshold is too low; the extra edges carry their true (slow) delays
     in the timing model.
 
-    Memoized per threshold: repeated calls return the same physical graph,
-    so per-graph derived structure (e.g. the bisection router's subset
-    memo) stays warm across placement runs over one environment. *)
+    Memoized per threshold (the eight most recent): repeated calls return
+    the same physical graph, and so does a new threshold whose graph has
+    the same edges as one this environment already holds (histidine at 50
+    and 100, say), so per-graph derived structure (the bisection router's
+    subset memo, the cross-run route tables) stays warm across placement
+    runs and thresholds over one environment.  Graphs are never shared
+    between environments, even equal ones: the weighted router's routes
+    depend on the delays too. *)
 
 val min_threshold_connected : t -> float
 (** The smallest threshold whose adjacency graph is connected (paper: "the

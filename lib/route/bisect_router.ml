@@ -1,6 +1,7 @@
 module Graph = Qcp_graph.Graph
 module Paths = Qcp_graph.Paths
 module Separator = Qcp_graph.Separator
+module Swap_word = Qcp_circuit.Swap_word
 
 exception Routing_failure of string
 
@@ -119,25 +120,20 @@ let compile g edge_cost vertices =
 
 (* Per-domain routing state, grown on demand and reused by every route on
    the domain: a route allocates only its result.  Levels are built in
-   generation order (depth-first, small half first), each swap tagged with
-   its level in the uncompressed network; {!flat_of_buffer} turns that into
-   the compressed network. *)
+   generation order (depth-first, small half first), each swap a
+   {!Swap_word} tagged with its level in the uncompressed network; the
+   result is that buffer as is ({!Swap_network.compressed} turns it into
+   the compressed network). *)
 type scratch = {
   mutable config : int array; (* config.(v) = token currently at v *)
   mutable active : bool array; (* not frozen by the leaf pre-pass *)
   mutable mark : int array; (* mark.(v) = stamp: v is in the level being built *)
   mutable stamp : int;
   mutable side : bool array; (* v in the large half of the split in progress *)
-  mutable ready : int array;
   mutable verts : int array; (* pre-pass freezes, then the root subset *)
   mutable key : int array;
-  mutable su : int array; (* swap i is (su.(i), sv.(i)) at level sl.(i) *)
-  mutable sv : int array;
-  mutable sl : int array;
+  mutable swaps : int array; (* swap i is the {!Swap_word} swaps.(i) *)
   mutable count : int;
-  mutable order : int array; (* swap indices by level, stable *)
-  mutable cl : int array; (* compressed level of each swap *)
-  mutable hist : int array;
 }
 
 let scratch_key =
@@ -148,16 +144,10 @@ let scratch_key =
         mark = [||];
         stamp = 0;
         side = [||];
-        ready = [||];
         verts = [||];
         key = [||];
-        su = Array.make 64 0;
-        sv = Array.make 64 0;
-        sl = Array.make 64 0;
+        swaps = Array.make 64 0;
         count = 0;
-        order = [||];
-        cl = [||];
-        hist = [||];
       })
 
 let prepare s n =
@@ -166,7 +156,6 @@ let prepare s n =
     s.active <- Array.make n true;
     s.mark <- Array.make n 0;
     s.side <- Array.make n false;
-    s.ready <- Array.make n 0;
     s.verts <- Array.make n 0
   end;
   let words = (n + bits_per_word - 1) / bits_per_word in
@@ -180,14 +169,8 @@ let prepare s n =
 let grow a = Array.append a (Array.make (Array.length a) 0)
 
 let push s u v level =
-  if s.count = Array.length s.su then begin
-    s.su <- grow s.su;
-    s.sv <- grow s.sv;
-    s.sl <- grow s.sl
-  end;
-  s.su.(s.count) <- u;
-  s.sv.(s.count) <- v;
-  s.sl.(s.count) <- level;
+  if s.count = Array.length s.swaps then s.swaps <- grow s.swaps;
+  s.swaps.(s.count) <- Swap_word.make u v ~level;
   s.count <- s.count + 1
 
 let take s stamp u v level =
@@ -199,19 +182,17 @@ let take s stamp u v level =
    the same configuration; the level list of the network holds them in
    reverse discovery order, which [close_level] restores. *)
 let close_level s start =
-  let config = s.config and su = s.su and sv = s.sv in
+  let config = s.config and swaps = s.swaps in
   let i = ref start and j = ref (s.count - 1) in
   while !i < !j do
-    let u = su.(!i) and v = sv.(!i) in
-    su.(!i) <- su.(!j);
-    sv.(!i) <- sv.(!j);
-    su.(!j) <- u;
-    sv.(!j) <- v;
+    let w = swaps.(!i) in
+    swaps.(!i) <- swaps.(!j);
+    swaps.(!j) <- w;
     incr i;
     decr j
   done;
   for k = start to s.count - 1 do
-    let u = su.(k) and v = sv.(k) in
+    let u = Swap_word.u swaps.(k) and v = Swap_word.v swaps.(k) in
     let t = config.(u) in
     config.(u) <- config.(v);
     config.(v) <- t
@@ -333,11 +314,12 @@ let find_node s memo g edge_cost vertices len =
     key.(w) <- key.(w) lor (1 lsl (v mod bits_per_word))
   done;
   Mutex.lock memo.lock;
-  let found = Key_tbl.find_opt memo.table key in
-  Mutex.unlock memo.lock;
-  match found with
-  | Some node -> node
-  | None ->
+  match Key_tbl.find memo.table key with
+  | node ->
+    Mutex.unlock memo.lock;
+    node
+  | exception Not_found ->
+    Mutex.unlock memo.lock;
     Mutex.protect memo.lock (fun () ->
         match Key_tbl.find_opt memo.table key with
         | Some node -> node
@@ -381,69 +363,6 @@ and solve_half s memo g edge_cost perm sp side half base =
     in
     solve s memo g edge_cost perm child base
 
-let ensure a size = if Array.length a < size then Array.make size 0 else a
-
-(* The uncompressed network lists its levels in order, the swaps of one
-   level in generation order (halves are interleaved level by level, the
-   small half's first) — a stable sort of the buffer by level.  ASAP
-   re-levelization over that sequence ({!Swap_network.compress}) then
-   buckets every swap at the earliest level where both its vertices are
-   free, keeping sequence order within a bucket: a second stable sort. *)
-let flat_of_buffer s n =
-  let count = s.count in
-  if count = 0 then Swap_network.empty_flat
-  else begin
-    let top = ref 0 in
-    for i = 0 to count - 1 do
-      if s.sl.(i) > !top then top := s.sl.(i)
-    done;
-    s.order <- ensure s.order count;
-    s.cl <- ensure s.cl count;
-    s.hist <- ensure s.hist (!top + 2);
-    let order = s.order and cl = s.cl and hist = s.hist in
-    Array.fill hist 0 (!top + 2) 0;
-    for i = 0 to count - 1 do
-      hist.(s.sl.(i) + 1) <- hist.(s.sl.(i) + 1) + 1
-    done;
-    for l = 1 to !top + 1 do
-      hist.(l) <- hist.(l) + hist.(l - 1)
-    done;
-    for i = 0 to count - 1 do
-      let l = s.sl.(i) in
-      order.(hist.(l)) <- i;
-      hist.(l) <- hist.(l) + 1
-    done;
-    let ready = s.ready in
-    Array.fill ready 0 n 0;
-    let depth = ref 0 in
-    for j = 0 to count - 1 do
-      let i = order.(j) in
-      let u = s.su.(i) and v = s.sv.(i) in
-      let c = max ready.(u) ready.(v) in
-      ready.(u) <- c + 1;
-      ready.(v) <- c + 1;
-      cl.(i) <- c;
-      if c + 1 > !depth then depth := c + 1
-    done;
-    let level_starts = Array.make (!depth + 1) 0 in
-    for i = 0 to count - 1 do
-      level_starts.(cl.(i) + 1) <- level_starts.(cl.(i) + 1) + 1
-    done;
-    for l = 1 to !depth do
-      level_starts.(l) <- level_starts.(l) + level_starts.(l - 1)
-    done;
-    Array.blit level_starts 0 hist 0 !depth;
-    let swaps = Array.make (2 * count) 0 in
-    for j = 0 to count - 1 do
-      let i = order.(j) in
-      let at = hist.(cl.(i)) in
-      hist.(cl.(i)) <- at + 1;
-      swaps.(2 * at) <- s.su.(i);
-      swaps.((2 * at) + 1) <- s.sv.(i)
-    done;
-    { Swap_network.swaps; level_starts }
-  end
-
 (* A memo is bound to its graph on first use, once the graph is known to be
    connected, so later routes skip the connectivity check.  Concurrent
    first routes may both check; the lock makes the binding itself
@@ -461,16 +380,28 @@ let bind memo g =
         | Some _ ->
           invalid_arg "Bisect_router.route: memo built for a different graph")
 
+(* [Perm.is_valid] without its allocation, over the mark stamps. *)
+let is_permutation s perm n =
+  s.stamp <- s.stamp + 1;
+  let stamp = s.stamp in
+  let ok = ref true in
+  for v = 0 to n - 1 do
+    let dst = perm.(v) in
+    if dst < 0 || dst >= n || s.mark.(dst) = stamp then ok := false
+    else s.mark.(dst) <- stamp
+  done;
+  !ok
+
 let route_impl ?(leaf_override = true) ?edge_cost ?memo g ~perm =
   let n = Graph.n g in
   if Array.length perm <> n then
     invalid_arg "Bisect_router.route: permutation size mismatch";
-  if not (Perm.is_valid perm) then
+  let s = Domain.DLS.get scratch_key in
+  prepare s n;
+  if not (is_permutation s perm n) then
     invalid_arg "Bisect_router.route: not a permutation";
   let memo = match memo with Some memo -> memo | None -> make_memo () in
   bind memo g;
-  let s = Domain.DLS.get scratch_key in
-  prepare s n;
   let base = if leaf_override then prepass s g perm n else 0 in
   let remaining = ref 0 in
   for v = 0 to n - 1 do
@@ -486,13 +417,13 @@ let route_impl ?(leaf_override = true) ?edge_cost ?memo g ~perm =
   for v = 0 to n - 1 do
     assert (dest s perm v = v)
   done;
-  flat_of_buffer s n
+  Array.sub s.swaps 0 s.count
 
 module Telemetry = Qcp_obs.Metrics
 
 let m_routes = Telemetry.counter Telemetry.global "router.routes"
 
-let route_flat ?leaf_override ?edge_cost ?memo g ~perm =
+let route_sequence ?leaf_override ?edge_cost ?memo g ~perm =
   if Telemetry.enabled () then Telemetry.incr m_routes;
   if Qcp_obs.Trace.enabled () then
     Qcp_obs.Trace.with_span ~cat:"route" "router/bisect" (fun () ->
@@ -500,4 +431,4 @@ let route_flat ?leaf_override ?edge_cost ?memo g ~perm =
   else route_impl ?leaf_override ?edge_cost ?memo g ~perm
 
 let route ?leaf_override ?edge_cost ?memo g ~perm =
-  Swap_network.of_flat (route_flat ?leaf_override ?edge_cost ?memo g ~perm)
+  Swap_network.compressed (route_sequence ?leaf_override ?edge_cost ?memo g ~perm)

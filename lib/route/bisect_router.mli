@@ -34,16 +34,20 @@ val make_memo : unit -> memo
     graph raise [Invalid_argument]), but a differing [edge_cost] cannot be
     detected and silently yields the channels of the first one. *)
 
-val route_flat :
+val route_sequence :
   ?leaf_override:bool ->
   ?edge_cost:(int -> int -> float) ->
   ?memo:memo ->
   Qcp_graph.Graph.t ->
   perm:Perm.t ->
-  Swap_network.flat
-(** {!route} as a flat schedule: the same swaps, level by level in the same
-    order.  Routing runs in per-domain scratch buffers, so with a warm
-    [memo] a call allocates little beyond its result. *)
+  Swap_network.sequence
+(** The swaps of {!route} in the order the recursion generates them, each
+    tagged with its level in the uncompressed network (pre-pass levels,
+    then each bisection's phase levels, then its halves' levels, the two
+    halves sharing level numbers): {!Swap_network.compressed} of the
+    result is {!route}'s network, and it times the same.  Routing runs in
+    per-domain scratch buffers, so with a warm [memo] a call allocates only
+    its result. *)
 
 val route :
   ?leaf_override:bool ->

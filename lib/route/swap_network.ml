@@ -4,35 +4,32 @@ type t = level list
 
 let depth t = List.length t
 
-type flat = { swaps : int array; level_starts : int array }
+type sequence = int array
 
-let empty_flat = { swaps = [||]; level_starts = [| 0 |] }
+module Swap_word = Qcp_circuit.Swap_word
 
-let flat_depth f = Array.length f.level_starts - 1
-
-let flatten t =
-  let swaps = Array.make (2 * List.fold_left (fun acc l -> acc + List.length l) 0 t) 0 in
-  let level_starts = Array.make (List.length t + 1) 0 in
+let of_levels t =
+  let s = Array.make (List.fold_left (fun acc l -> acc + List.length l) 0 t) 0 in
   let next = ref 0 in
   List.iteri
-    (fun l level ->
+    (fun level swaps ->
       List.iter
         (fun (u, v) ->
-          swaps.(2 * !next) <- u;
-          swaps.((2 * !next) + 1) <- v;
+          s.(!next) <- Swap_word.make u v ~level;
           incr next)
-        level;
-      level_starts.(l + 1) <- !next)
+        swaps)
     t;
-  { swaps; level_starts }
+  s
 
-let of_flat f =
-  List.init (flat_depth f) (fun l ->
-      List.init
-        (f.level_starts.(l + 1) - f.level_starts.(l))
-        (fun i ->
-          let k = f.level_starts.(l) + i in
-          (f.swaps.(2 * k), f.swaps.((2 * k) + 1))))
+let levels s =
+  let depth = Array.fold_left (fun d w -> max d (Swap_word.level w + 1)) 0 s in
+  let buckets = Array.make depth [] in
+  for i = Array.length s - 1 downto 0 do
+    let w = s.(i) in
+    let l = Swap_word.level w in
+    buckets.(l) <- (Swap_word.u w, Swap_word.v w) :: buckets.(l)
+  done;
+  List.filter (fun level -> level <> []) (Array.to_list buckets)
 
 let swap_count t = List.fold_left (fun acc level -> acc + List.length level) 0 t
 
@@ -73,32 +70,73 @@ let pp ppf t =
       Format.fprintf ppf "@.")
     t
 
-let compress t =
-  (* One counting pass in place of [List.concat] + [List.length]: the
-     bucketing below visits swaps in the same order the concatenation
-     would, so the result is unchanged. *)
-  let count = ref 0 in
-  let top = ref 0 in
-  List.iter
-    (List.iter (fun (u, v) ->
-         incr count;
-         if u > !top then top := u;
-         if v > !top then top := v))
-    t;
-  if !count = 0 then []
+(* Per-domain work arrays of {!compressed}, grown on demand: a kept stage
+   of a large register converts thousands of swaps, and fresh arrays of
+   that size would go straight to the major heap each time. *)
+type scratch = {
+  mutable starts : int array; (* per uncompressed level: next order slot *)
+  mutable order : int array; (* swap indices stable-sorted by level *)
+  mutable assigned : int array; (* compressed level of each swap *)
+  mutable ready : int array; (* earliest free level per vertex *)
+}
+
+let scratch_key =
+  Domain.DLS.new_key (fun () ->
+      { starts = [||]; order = [||]; assigned = [||]; ready = [||] })
+
+let zeroed a size = if Array.length a < size then Array.make size 0 else a
+
+(* The swaps stable-sorted by level (a counting sort: the order of
+   [levels s] concatenated), then bucketed ASAP in that order: each swap
+   at the earliest level where both its vertices are free, sequence order
+   kept within a bucket.  Only the result's tuples and lists are
+   allocated. *)
+let compressed s =
+  let count = Array.length s in
+  if count = 0 then []
   else begin
-    (* ready.(v) is the earliest level where vertex v is free; assigned
-       levels are contiguous, so plain arrays replace the hashtables. *)
-    let ready = Array.make (!top + 1) 0 in
-    let buckets = Array.make !count [] in
-    let max_level = ref (-1) in
-    List.iter
-      (List.iter (fun ((u, v) as swap) ->
-           let level = max ready.(u) ready.(v) in
-           ready.(u) <- level + 1;
-           ready.(v) <- level + 1;
-           if level > !max_level then max_level := level;
-           buckets.(level) <- swap :: buckets.(level)))
-      t;
-    List.init (!max_level + 1) (fun i -> List.rev buckets.(i))
+    let top_level = ref 0 and top_vertex = ref 0 in
+    Array.iter
+      (fun w ->
+        top_level := max !top_level (Swap_word.level w);
+        top_vertex := max !top_vertex (max (Swap_word.u w) (Swap_word.v w)))
+      s;
+    let k = Domain.DLS.get scratch_key in
+    k.starts <- zeroed k.starts (!top_level + 2);
+    k.order <- zeroed k.order count;
+    k.assigned <- zeroed k.assigned count;
+    k.ready <- zeroed k.ready (!top_vertex + 1);
+    let starts = k.starts and order = k.order and assigned = k.assigned in
+    let ready = k.ready in
+    Array.fill starts 0 (!top_level + 2) 0;
+    Array.fill ready 0 (!top_vertex + 1) 0;
+    Array.iter (fun w -> starts.(Swap_word.level w + 1) <- starts.(Swap_word.level w + 1) + 1) s;
+    for l = 1 to !top_level + 1 do
+      starts.(l) <- starts.(l) + starts.(l - 1)
+    done;
+    Array.iteri
+      (fun i w ->
+        let l = Swap_word.level w in
+        order.(starts.(l)) <- i;
+        starts.(l) <- starts.(l) + 1)
+      s;
+    let depth = ref 0 in
+    for j = 0 to count - 1 do
+      let i = order.(j) in
+      let u = Swap_word.u s.(i) and v = Swap_word.v s.(i) in
+      let level = max ready.(u) ready.(v) in
+      ready.(u) <- level + 1;
+      ready.(v) <- level + 1;
+      assigned.(i) <- level;
+      depth := max !depth (level + 1)
+    done;
+    let buckets = Array.make !depth [] in
+    for j = count - 1 downto 0 do
+      let i = order.(j) in
+      let w = s.(i) in
+      buckets.(assigned.(i)) <- (Swap_word.u w, Swap_word.v w) :: buckets.(assigned.(i))
+    done;
+    Array.to_list buckets
   end
+
+let compress t = compressed (of_levels t)

@@ -12,24 +12,25 @@ type t = level list
 
 val depth : t -> int
 
-type flat = {
-  swaps : int array;
-      (** Swap [i] is [(swaps.(2i), swaps.(2i+1))]; swaps are listed level
-          by level, in execution order. *)
-  level_starts : int array;
-      (** [depth + 1] swap indices: level [l] holds swaps
-          [level_starts.(l)] to [level_starts.(l+1) - 1]. *)
-}
-(** The same network as two flat arrays: what the placer stores per routed
-    permutation and times directly ({!Qcp_circuit.Timing.stage_advance_swaps}),
-    so scoring never builds the level list or its SWAP circuit. *)
+type sequence = int array
+(** A network as its swaps in the order a router generated them, one
+    {!Qcp_circuit.Swap_word} per swap carrying both vertices and the
+    swap's level in the router's own network.  Each vertex meets its swaps
+    in level order, so the sequence times exactly like the network
+    ({!Qcp_circuit.Timing.stage_advance_swaps}) without being sorted into
+    levels: the placer stores one per routed permutation and builds a list
+    network ({!levels}, {!compressed}) only for the stages it keeps. *)
 
-val empty_flat : flat
+val of_levels : t -> sequence
+(** Level by level, in order, each swap tagged with its level index. *)
 
-val flatten : t -> flat
+val levels : sequence -> t
+(** The swaps grouped by their level, in sequence order within a level
+    (levels no swap names are dropped): the inverse of {!of_levels}. *)
 
-val of_flat : flat -> t
-(** Inverse of {!flatten}. *)
+val compressed : sequence -> t
+(** [compress (levels s)], built straight from the sequence: the network
+    the bisection router returns from its uncompressed levels. *)
 
 val swap_count : t -> int
 

@@ -1,6 +1,6 @@
-(* The array bisection router, the flat SWAP timing and the scratch-built
-   connecting permutations against the list-based implementations they
-   replaced, kept verbatim below as references. *)
+(* The array bisection router, the packed SWAP-sequence timing and the
+   scratch-built connecting permutations against the list-based
+   implementations they replaced, kept verbatim below as references. *)
 
 module Graph = Qcp_graph.Graph
 module Gen = Qcp_graph.Generators
@@ -25,6 +25,38 @@ module Reference = struct
   exception Routing_failure of string
 
   let depth_upper_bound g = (8 * Graph.n g) + 8
+
+  (* [Swap_network.compress] over level lists, verbatim, so the reference
+     does not share the library's compression. *)
+  let compress t =
+    (* One counting pass in place of [List.concat] + [List.length]: the
+       bucketing below visits swaps in the same order the concatenation
+       would, so the result is unchanged. *)
+    let count = ref 0 in
+    let top = ref 0 in
+    List.iter
+      (List.iter (fun (u, v) ->
+           incr count;
+           if u > !top then top := u;
+           if v > !top then top := v))
+      t;
+    if !count = 0 then []
+    else begin
+      (* ready.(v) is the earliest level where vertex v is free; assigned
+         levels are contiguous, so plain arrays replace the hashtables. *)
+      let ready = Array.make (!top + 1) 0 in
+      let buckets = Array.make !count [] in
+      let max_level = ref (-1) in
+      List.iter
+        (List.iter (fun ((u, v) as swap) ->
+             let level = max ready.(u) ready.(v) in
+             ready.(u) <- level + 1;
+             ready.(v) <- level + 1;
+             if level > !max_level then max_level := level;
+             buckets.(level) <- swap :: buckets.(level)))
+        t;
+      List.init (!max_level + 1) (fun i -> List.rev buckets.(i))
+    end
 
   (* Everything the divide-and-conquer recursion derives from a vertex subset
      alone — the bisection, the channel edge and the per-half BFS structure —
@@ -303,7 +335,7 @@ module Reference = struct
     let network = List.rev_append !prepass_levels main_levels in
     assert (Array.for_all (fun v -> settled v) (Array.init n (fun v -> v)));
     (* ASAP re-levelization: sparse pre-pass and phase levels pack together. *)
-    Swap_network.compress network
+    compress network
 
 
   (* [Perm.of_placements] before its scratch-built variant, verbatim. *)
@@ -378,7 +410,7 @@ let sparse_perm rng n =
 (* Routes [perms] over [g] through both routers under every setting: both
    leaf-override values, with and without edge costs, one memo per
    setting reused across all calls, the reference at jobs 0 and 2.  The
-   flat schedule must equal the flattened reference network too. *)
+   compressed swap sequence must equal the reference network too. *)
 let compare_on ~label ?edge_cost g perms =
   let checked = ref 0 in
   List.iter
@@ -389,7 +421,8 @@ let compare_on ~label ?edge_cost g perms =
         (fun perm ->
           let got =
             outcome (fun () ->
-                Bisect_router.route_flat ~leaf_override ?edge_cost ~memo g ~perm)
+                Bisect_router.route_sequence ~leaf_override ?edge_cost ~memo g
+                  ~perm)
           in
           let fresh =
             outcome (fun () -> Bisect_router.route ~leaf_override ?edge_cost g ~perm)
@@ -401,13 +434,12 @@ let compare_on ~label ?edge_cost g perms =
                     Reference.route_impl ~leaf_override ?edge_cost ~memo:ref_memo
                       ~jobs g ~perm)
               in
-              let flat_of = Result.map Swap_network.flatten in
-              if flat_of expected <> got || expected <> fresh then
+              let kept = Result.map Swap_network.compressed got in
+              if expected <> kept || expected <> fresh then
                 Alcotest.failf
                   "%s (leaf_override %b, cost %b, jobs %d):@.expected %s@.got %s"
                   label leaf_override (edge_cost <> None) jobs
-                  (pp_outcome expected)
-                  (pp_outcome (Result.map Swap_network.of_flat got));
+                  (pp_outcome expected) (pp_outcome kept);
               incr checked)
             [ 0; 2 ])
         perms)
@@ -468,7 +500,8 @@ let test_router_rejects_like_reference () =
     (fun (label, g, perm) ->
       let expected = outcome (fun () -> Reference.route_impl g ~perm) in
       let got =
-        outcome (fun () -> Swap_network.of_flat (Bisect_router.route_flat g ~perm))
+        outcome (fun () ->
+            Swap_network.compressed (Bisect_router.route_sequence g ~perm))
       in
       Alcotest.(check bool) (label ^ " fails") true (Result.is_error expected);
       Alcotest.(check string) label (pp_outcome expected) (pp_outcome got))
@@ -477,13 +510,14 @@ let test_router_rejects_like_reference () =
   let memo = Bisect_router.make_memo () and ref_memo = Reference.make_memo () in
   let other = Gen.grid 3 3 in
   let perm = Perm.identity 9 in
-  ignore (Bisect_router.route_flat ~memo g ~perm : Swap_network.flat);
+  ignore (Bisect_router.route_sequence ~memo g ~perm : Swap_network.sequence);
   ignore (Reference.route_impl ~memo:ref_memo g ~perm : Swap_network.t);
   Alcotest.(check string) "memo of another graph"
     (pp_outcome (outcome (fun () -> Reference.route_impl ~memo:ref_memo other ~perm)))
     (pp_outcome
        (outcome (fun () ->
-            Swap_network.of_flat (Bisect_router.route_flat ~memo other ~perm))))
+            Swap_network.compressed
+              (Bisect_router.route_sequence ~memo other ~perm))))
 
 (* ------------------------------------------------------------------ *)
 (* Flat SWAP timing                                                    *)
@@ -527,7 +561,7 @@ let test_flat_timing_matches_circuit () =
                 List.init (1 + Rng.int rng 3) (fun _ -> swap))
             |> List.concat_map (List.map (fun swap -> [ swap ]))
           in
-          let flat = Swap_network.flatten levels in
+          let sequence = Swap_network.of_levels levels in
           let circuit = Swap_network.to_circuit ~qubits:m levels in
           let start = Array.init m (fun _ -> Rng.float rng 300.0) in
           List.iter
@@ -543,7 +577,7 @@ let test_flat_timing_matches_circuit () =
                   Timing.stage_start circuit_scratch start;
                   let got =
                     Timing.stage_advance_swaps ~model ?reuse_cap ?cutoff ~weights
-                      flat_scratch flat.Swap_network.swaps
+                      flat_scratch sequence
                   in
                   let expected =
                     Timing.stage_advance ~model ?reuse_cap ?cutoff ~weights
@@ -574,6 +608,163 @@ let test_flat_timing_matches_circuit () =
     Qcp_env.Molecules.all;
   Alcotest.(check bool) "compared" true (!compared > 1000);
   Alcotest.(check bool) "some cutoffs refute" true (!refuted > 100)
+
+(* ------------------------------------------------------------------ *)
+(* Swap sequences                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* A routed swap sequence times bit for bit like the compressed network
+   the placer keeps: each vertex meets its swaps in the same order.  The
+   sequence (generation order) and the network level by level are timed
+   by the same loop from the same random start clocks, under every reuse
+   cap, unbounded and under random cutoffs on either side of the
+   makespan: clocks agree in their bits and verdicts agree. *)
+let test_sequence_timing_matches_network () =
+  let rng = Rng.create 448 in
+  let compared = ref 0 and refuted = ref 0 in
+  let seq_scratch = Timing.make_scratch () and net_scratch = Timing.make_scratch () in
+  let run ~label env g count =
+    let m = Graph.n g in
+    let base = Environment.weights env in
+    (* Asymmetric delays: the orientation of a swap matters. *)
+    let weights =
+      {
+        base with
+        Timing.coupled =
+          (fun u v -> base.Timing.coupled u v *. if u < v then 1.0 else 1.375);
+      }
+    in
+    let memo = Some (Bisect_router.make_memo ()) in
+    List.iter
+      (fun perm ->
+        let sequence = Bisect_router.route_sequence ?memo g ~perm in
+        let network = Swap_network.of_levels (Swap_network.compressed sequence) in
+        let start = Array.init m (fun _ -> Rng.float rng 300.0) in
+        List.iter
+          (fun (model, reuse_cap) ->
+            Timing.stage_start net_scratch start;
+            assert (Timing.stage_advance_swaps ~model ?reuse_cap ~weights net_scratch network);
+            let makespan = Timing.stage_makespan net_scratch in
+            List.iter
+              (fun cutoff ->
+                Timing.stage_start seq_scratch start;
+                Timing.stage_start net_scratch start;
+                let got =
+                  Timing.stage_advance_swaps ~model ?reuse_cap ?cutoff ~weights
+                    seq_scratch sequence
+                in
+                let expected =
+                  Timing.stage_advance_swaps ~model ?reuse_cap ?cutoff ~weights
+                    net_scratch network
+                in
+                if got <> expected then Alcotest.failf "%s: verdicts differ" label;
+                if not got then incr refuted
+                else if
+                  bits (Timing.stage_clocks seq_scratch)
+                  <> bits (Timing.stage_clocks net_scratch)
+                then Alcotest.failf "%s: clocks differ" label;
+                incr compared)
+              [
+                None;
+                Some makespan;
+                Some (makespan *. 0.999);
+                Some (Rng.float rng makespan);
+                Some (Rng.float rng makespan);
+              ])
+          [
+            (Timing.Asap, None);
+            (Timing.Asap, Some 1.0);
+            (Timing.Asap, Some 2.5);
+            (Timing.Asap, Some 3.0);
+            (Timing.Sequential, None);
+          ])
+      (random_perms rng m count)
+  in
+  List.iter
+    (fun env ->
+      List.iter
+        (fun threshold ->
+          match Environment.connected_adjacency env ~threshold with
+          | Some g ->
+            run ~label:(Printf.sprintf "%s@%g" (Environment.name env) threshold) env g 12
+          | None -> ())
+        [ 50.0; 100.0; 200.0; 500.0; 1000.0; 10000.0 ])
+    Qcp_env.Molecules.all;
+  List.iter
+    (fun (label, env) ->
+      run ~label env (Option.get (Environment.connected_adjacency env ~threshold:50.0)) 8)
+    [
+      ("chain 64", Environment.chain 64);
+      ("grid 8x8", Environment.grid 8 8);
+      ("heavy-hex", Environment.heavy_hex 2 3);
+    ];
+  Alcotest.(check bool) "compared" true (!compared > 5000);
+  Alcotest.(check bool) "some cutoffs refute" true (!refuted > 500)
+
+(* The networks a placement keeps equal the list routers' networks: for
+   every router, each kept SWAP stage is re-routed from the permutation it
+   realizes by the list reference (the verbatim bisection router, with the
+   environment's delays as edge costs for the weighted one; the token and
+   odd-even routers are list routers themselves). *)
+let test_kept_networks_match_list_routers () =
+  let module Placer = Qcp.Placer in
+  let module Options = Qcp.Options in
+  let realized m net =
+    let final = Swap_network.apply net (Array.init m Fun.id) in
+    let perm = Array.make m 0 in
+    Array.iteri (fun vertex token -> perm.(token) <- vertex) final;
+    perm
+  in
+  let checked = ref 0 in
+  let check ~label env router circuit =
+    let options =
+      { (Options.default ~threshold:100.0) with Options.router; jobs = 0 }
+    in
+    match Placer.place options env circuit with
+    | Placer.Unplaceable msg -> Alcotest.failf "%s: %s" label msg
+    | Placer.Placed p ->
+      let g = p.Placer.adjacency in
+      let m = Graph.n g in
+      let reference perm =
+        match router with
+        | Options.Bisect -> Reference.route_impl g ~perm
+        | Options.Bisect_weighted ->
+          Reference.route_impl ~edge_cost:(Environment.coupling_delay env) g ~perm
+        | Options.Token -> Qcp_route.Token_router.route g ~perm
+        | Options.Odd_even -> Qcp_route.Oes_router.route g ~perm
+      in
+      List.iter
+        (function
+          | Placer.Permute net ->
+            let expected = reference (realized m net) in
+            if expected <> net then
+              Alcotest.failf "%s: kept network@.%a@.list router@.%a" label
+                Swap_network.pp net Swap_network.pp expected;
+            incr checked
+          | Placer.Compute _ -> ())
+        p.Placer.stages
+  in
+  List.iter
+    (fun (name, router) ->
+      List.iter
+        (fun (env, circuit) ->
+          check ~label:(name ^ "@" ^ Environment.name env) env router circuit)
+        [
+          (Qcp_env.Molecules.trans_crotonic_acid, Qcp_circuit.Catalog.qft 6);
+          (Qcp_env.Molecules.histidine, Qcp_circuit.Catalog.phase_estimation 4);
+          (Environment.chain 8, Qcp_circuit.Catalog.qft 6);
+        ])
+    [
+      ("bisect", Options.Bisect);
+      ("weighted", Options.Bisect_weighted);
+      ("token", Options.Token);
+    ];
+  List.iter
+    (fun n ->
+      check ~label:(Printf.sprintf "odd-even@chain %d" n) (Environment.chain n)
+        Options.Odd_even (Qcp_circuit.Catalog.qft 6))
+    [ 6; 8; 12 ];
+  Alcotest.(check bool) "kept networks compared" true (!checked > 20)
 
 (* ------------------------------------------------------------------ *)
 (* Scratch-built connecting permutations                               *)
@@ -633,11 +824,14 @@ let words_allocated f =
   f ();
   Gc.minor_words () -. before
 
-(* A warm-memo route miss on histidine at threshold 1000 allocates its
-   flat result and little else: 74 words per route on OCaml 5.1 x86-64,
-   against 1,794 for the list router plus its SWAP circuit. *)
-let route_miss_ceiling = 100.0
+(* The words a block of [len] fields takes on the minor heap (an empty
+   array is a preallocated atom). *)
+let block_words len = if len = 0 then 0 else len + 1
 
+(* A warm-memo route on histidine at threshold 1000 allocates its result
+   and nothing else: the swap sequence, one word per swap plus a header.
+   (The list router plus its SWAP circuit took 1,794 words a route; the
+   flat schedule before the sequence, 74.) *)
 let test_route_miss_allocation () =
   let env = Qcp_env.Molecules.histidine in
   let g = Option.get (Environment.connected_adjacency env ~threshold:1000.0) in
@@ -645,18 +839,20 @@ let test_route_miss_allocation () =
   let perms = Array.init 64 (fun i ->
       if i mod 2 = 0 then Perm.random rng (Graph.n g) else sparse_perm rng (Graph.n g))
   in
-  let memo = Bisect_router.make_memo () in
+  let memo = Some (Bisect_router.make_memo ()) in
+  let results = Array.make (Array.length perms) [||] in
   let route () =
-    Array.iter
-      (fun perm ->
-        ignore (Bisect_router.route_flat ~memo g ~perm : Swap_network.flat))
-      perms
+    for i = 0 to Array.length perms - 1 do
+      results.(i) <- Bisect_router.route_sequence ?memo g ~perm:perms.(i)
+    done
   in
   route ();
-  let words = words_allocated route /. float_of_int (Array.length perms) in
-  if words > route_miss_ceiling then
-    Alcotest.failf "a warm route allocates %.1f words (ceiling %.0f)" words
-      route_miss_ceiling
+  let words = words_allocated route -. words_allocated ignore in
+  let expected =
+    Array.fold_left (fun acc r -> acc + block_words (Array.length r)) 0 results
+  in
+  Alcotest.(check int) "a warm route allocates only its sequence" expected
+    (int_of_float words)
 
 let suite =
   [
@@ -665,6 +861,10 @@ let suite =
       test_router_rejects_like_reference;
     Alcotest.test_case "flat timing = circuit timing" `Quick
       test_flat_timing_matches_circuit;
+    Alcotest.test_case "sequence timing = compressed network timing" `Quick
+      test_sequence_timing_matches_network;
+    Alcotest.test_case "kept networks = list routers" `Quick
+      test_kept_networks_match_list_routers;
     Alcotest.test_case "of_placements_into = of_placements" `Quick
       test_of_placements_into_matches;
     Alcotest.test_case "warm route miss allocation" `Quick

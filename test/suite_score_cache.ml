@@ -268,7 +268,7 @@ let test_route_fifo_eviction () =
     Qcp.Score_cache.create
       (Qcp.Score_cache.shared graph ~router:Options.Bisect ~leaf_override:false)
   in
-  let route _memo _perm = Qcp_route.Swap_network.empty_flat in
+  let route _memo _perm = [||] in
   (* Lehmer-code unranking: a distinct permutation of [register] elements
      per rank (all ranks used stay far below 8! = 40320). *)
   let fact = Array.make register 1 in
@@ -412,6 +412,80 @@ let test_spill_leaves_no_routes () =
     (misses (Environment.grid 6 6))
     (misses spilled_env)
 
+(* One physical graph per distinct fast graph inside an environment:
+   histidine's thresholds 50 and 100 admit the same edges, 200 more.  A
+   placement at 100 right after one at 50 then finds every route it needs
+   in the table the first filled, and still places exactly like the
+   oracle.  Equal delay matrices in two environments never share a graph
+   (the weighted router's routes read the delays). *)
+let test_equal_graphs_interned () =
+  let env = fresh_copy Qcp_env.Molecules.histidine in
+  let graph threshold = Option.get (Environment.connected_adjacency env ~threshold) in
+  let g50 = graph 50.0 and g100 = graph 100.0 and g200 = graph 200.0 in
+  Alcotest.(check bool) "50 and 100: one graph" true (g50 == g100);
+  Alcotest.(check bool) "200: another graph" true (g200 != g100);
+  Alcotest.(check bool) "a repeat returns the same graph" true (graph 100.0 == g50);
+  let twin = fresh_copy Qcp_env.Molecules.histidine in
+  Alcotest.(check bool) "equal environments share no graph" true
+    (Option.get (Environment.connected_adjacency twin ~threshold:50.0) != g50);
+  let circuit = Qcp_circuit.Catalog.phase_estimation 4 in
+  let options threshold = { (Options.default ~threshold) with Options.jobs = 0 } in
+  let first = place_exn (options 50.0) env circuit in
+  Alcotest.(check bool) "50 routes" true
+    (first.Placer.stats.Placer.route_cache_misses > 0);
+  let second = place_exn (options 100.0) env circuit in
+  Alcotest.(check int) "100 right after 50 routes nothing" 0
+    second.Placer.stats.Placer.route_cache_misses;
+  check_identical ~seed:0
+    (reference (options 100.0) (fresh_copy Qcp_env.Molecules.histidine) circuit)
+    ("histidine/100 after /50", Placer.Placed second)
+
+(* The route table's hit path allocates nothing, and a miss only its
+   stored key and the router's entry (a warm-memo bisection route
+   allocates only its result).  Measured at the table's cap, where an
+   insertion evicts rather than grows. *)
+let test_route_table_allocation () =
+  let env = fresh_copy Qcp_env.Molecules.histidine in
+  let g = Option.get (Environment.connected_adjacency env ~threshold:1000.0) in
+  let m = Qcp_graph.Graph.n g in
+  let table = Qcp.Score_cache.shared g ~router:Options.Bisect ~leaf_override:true in
+  let cache = Qcp.Score_cache.create table in
+  let route memo perm = Qcp_route.Bisect_router.route_sequence ?memo g ~perm in
+  let rng = Qcp_util.Rng.create 31 in
+  let cap = Qcp.Score_cache.route_capacity in
+  let perms = Array.init (2 * cap) (fun _ -> Qcp_route.Perm.random rng m) in
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let query lo hi () =
+    for i = lo to hi - 1 do
+      ignore (Qcp.Score_cache.route cache ~route perms.(i) : Qcp.Score_cache.route_entry)
+    done
+  in
+  let overhead = words ignore in
+  (* Fill to the cap (the memo warms up on the way), then hit. *)
+  query 0 cap ();
+  let hits = words (query 0 cap) -. overhead in
+  Alcotest.(check int) "cap hits" cap (Qcp.Score_cache.hits cache);
+  Alcotest.(check int) "a hit allocates nothing" 0 (int_of_float hits);
+  (* Misses at the cap: each evicts the oldest entry. *)
+  let misses = words (query cap (2 * cap)) -. overhead in
+  Alcotest.(check int) "misses" (2 * cap) (Qcp.Score_cache.misses cache);
+  let entry_words = ref 0 in
+  for i = cap to (2 * cap) - 1 do
+    let len = Array.length (route (Some (Qcp_route.Bisect_router.make_memo ())) perms.(i)) in
+    entry_words := !entry_words + (if len = 0 then 0 else len + 1) + m + 1
+  done;
+  Alcotest.(check int) "a miss allocates its entry and key" !entry_words
+    (int_of_float misses);
+  (* A full turnover of evictions left every newer key reachable. *)
+  let h0 = Qcp.Score_cache.hits cache in
+  query cap (2 * cap) ();
+  Alcotest.(check int) "the newest cap entries hit" cap
+    (Qcp.Score_cache.hits cache - h0)
+
 let suite =
   [
     Alcotest.test_case "engine variants identical over 50 seeds" `Quick
@@ -432,4 +506,8 @@ let suite =
       test_edge_costs_isolated;
     Alcotest.test_case "spilled runs leave no shared routes" `Quick
       test_spill_leaves_no_routes;
+    Alcotest.test_case "equal fast graphs share one graph and its routes" `Quick
+      test_equal_graphs_interned;
+    Alcotest.test_case "route table hit allocates nothing" `Quick
+      test_route_table_allocation;
   ]
