@@ -112,10 +112,19 @@ let int_at_least low =
   in
   Arg.conv (parse, Format.pp_print_int)
 
+let portfolio_flag =
+  Arg.(
+    value & flag
+    & info [ "portfolio" ]
+        ~doc:
+          "Run five placement strategies (greedy, lookahead, boundary, \
+           annealer, scale) and keep the earliest one achieving the lowest \
+           replayed runtime.")
+
 let options_term =
   let make threshold no_lookahead fine_tune no_override router no_cap
-      sequential limit commute balance window coarsen root_cap spill jobs
-      portfolio env =
+      sequential limit commute balance window coarsen root_cap jobs portfolio
+      env =
     let threshold =
       match threshold with
       | Some th -> th
@@ -137,11 +146,6 @@ let options_term =
       window;
       coarsen;
       root_cap;
-      spill =
-        (match spill with
-        | None -> Qcp.Options.No_spill
-        | Some "" -> Qcp.Options.Spill_drop
-        | Some path -> Qcp.Options.Spill_file path);
       jobs = Option.value jobs ~default:(Qcp_util.Task_pool.env_jobs ());
       portfolio;
     }
@@ -203,17 +207,6 @@ let options_term =
                enumeration (sparse candidate generation on dense \
                environments).")
     $ Arg.(
-        value
-        & opt ~vopt:(Some "") (some string) None
-        & info [ "spill" ] ~docv:"FILE"
-            ~doc:
-              "Stream per-stage placements out of the hot loop instead of \
-               materializing the stage list: peak heap becomes independent \
-               of gate count.  With no $(docv) the stages are summarized \
-               and dropped; with one, each stage is appended to $(docv) as \
-               one JSON line.  Placements are identical to the same run \
-               without spilling ($(b,--balance) is skipped).")
-    $ Arg.(
         value & opt (some int) None
         & info [ "j"; "jobs" ] ~docv:"N" ~env:(Cmd.Env.info "QCP_JOBS")
             ~doc:
@@ -221,20 +214,14 @@ let options_term =
                enumeration, portfolio entries) on this many domains of the \
                shared pool (0 or 1 = sequential).  Placements are identical \
                at any value.  Defaults to $(b,QCP_JOBS), else 0.")
-    $ Arg.(
-        value & flag
-        & info [ "portfolio" ]
-            ~doc:
-              "Run five placement strategies (greedy, lookahead, boundary, \
-               annealer, scale) and keep the earliest one achieving the \
-               lowest replayed runtime."))
+    $ portfolio_flag)
 
 (* ------------------------------------------------------------------ *)
 (* place                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let place_run env circuit options_of_env auto verbose trace_file metrics_flag
-    metrics_json_file =
+let place_run env circuit options_of_env auto spill verbose trace_file
+    metrics_flag metrics_json_file =
   let options = options_of_env env in
   (* Enable the gated hot-path instruments (pool, monomorphism, router,
      cache) before the run when any telemetry output was requested. *)
@@ -243,46 +230,17 @@ let place_run env circuit options_of_env auto verbose trace_file metrics_flag
   if trace_file <> None then Qcp_obs.Trace.start ();
   let t0 = Unix.gettimeofday () in
   let race = ref None in
-  let race_run options =
-    match Qcp.Portfolio.run options env circuit with
-    | Ok report ->
-      race := Some report;
-      Qcp.Placer.Placed report.Qcp.Portfolio.program
-    | Error msg -> Qcp.Placer.Unplaceable msg
-  in
   let outcome =
-    match (options.Qcp.Options.portfolio, auto) with
-    | false, false -> Qcp.Placer.place options env circuit
-    | false, true ->
+    match spill with
+    | Some sink -> Qcp.Placer.place ~spill:sink options env circuit
+    | None when auto ->
       Qcp.Tuner.auto_place
         ~options:(fun ~threshold -> { options with Qcp.Options.threshold })
         env circuit
-    | true, false -> race_run options
-    | true, true ->
-      (* Auto-threshold under the portfolio: run it at every candidate
-         threshold and keep the earliest one attaining the best runtime,
-         mirroring {!Qcp.Tuner.auto_place}'s tie-break. *)
-      let best =
-        List.fold_left
-          (fun acc threshold ->
-            let outcome = race_run { options with Qcp.Options.threshold } in
-            match (outcome, !race, acc) with
-            | Qcp.Placer.Placed p, Some report, Some (best, _)
-              when Qcp.Placer.runtime p < Qcp.Placer.runtime best ->
-              Some (p, report)
-            | Qcp.Placer.Placed _, _, Some _ -> acc
-            | Qcp.Placer.Placed p, Some report, None -> Some (p, report)
-            | _, _, acc -> acc)
-          None
-          (Qcp.Tuner.candidate_thresholds env)
-      in
-      (match best with
-      | Some (p, report) ->
-        race := Some report;
-        Qcp.Placer.Placed p
-      | None ->
-        race := None;
-        Qcp.Placer.Unplaceable "no candidate threshold admits a placement")
+    | None ->
+      Qcp.Portfolio.place
+        ~on_report:(fun report -> race := Some report)
+        options env circuit
   in
   let wall = Unix.gettimeofday () -. t0 in
   (match trace_file with
@@ -325,7 +283,7 @@ let place_run env circuit options_of_env auto verbose trace_file metrics_flag
       (Qcp.Placer.swap_depth_total p);
     Printf.printf "runtime    : %.4f sec (%.0f units of 1/10000 s)\n"
       (Qcp.Placer.runtime_seconds p) (Qcp.Placer.runtime p);
-    (match Qcp.Placer.spilled p with
+    (match p.Qcp.Placer.spilled with
     | Some s ->
       Printf.printf "spill      : stages streamed out of core (%d swaps total)\n"
         s.Qcp.Placer.sm_swap_count
@@ -357,10 +315,9 @@ let place_run env circuit options_of_env auto verbose trace_file metrics_flag
         *. float_of_int s.Qcp.Placer.candidates_pruned
         /. float_of_int (max 1 s.Qcp.Placer.candidates_scored))
         s.Qcp.Placer.lower_bound_skips s.Qcp.Placer.timing_early_exits;
-    (match !race with
-    | Some report when report.Qcp.Portfolio.program == p ->
-      Format.printf "portfolio  : %a@." Qcp.Portfolio.pp_report report
-    | Some _ | None -> ());
+    Option.iter
+      (Format.printf "portfolio  : %a@." Qcp.Portfolio.pp_report)
+      !race;
     if verbose then Format.printf "%a" Qcp.Placer.pp p;
     0
 
@@ -401,12 +358,46 @@ let place_cmd =
       & info [ "metrics-json" ] ~docv:"FILE"
           ~doc:"Like $(b,--metrics) but written to $(docv) as JSON.")
   in
+  let spill =
+    (* Only a single classic run spills: the portfolio and the threshold
+       sweep replay every placement they compare.  The conflict is a
+       usage error, raised before any file is opened. *)
+    let sink spill portfolio auto =
+      match spill with
+      | Some _ when portfolio || auto ->
+        `Error
+          ( true,
+            "--spill cannot be combined with --portfolio or \
+             --auto-threshold" )
+      | None -> `Ok None
+      | Some "" -> `Ok (Some Qcp.Placer.Spill.null)
+      | Some path -> (
+        match Qcp.Placer.Spill.file path with
+        | sink -> `Ok (Some sink)
+        | exception Sys_error msg -> `Error (false, msg))
+    in
+    Term.(
+      ret
+        (const sink
+        $ Arg.(
+            value
+            & opt ~vopt:(Some "") (some string) None
+            & info [ "spill" ] ~docv:"FILE"
+                ~doc:
+                  "Stream per-stage placements out of the hot loop instead \
+                   of materializing the stage list: peak heap becomes \
+                   independent of gate count.  With no $(docv) the stages \
+                   are summarized and dropped; with one, each stage is \
+                   appended to $(docv) as one JSON line.  Placements are \
+                   identical to the same run without spilling \
+                   ($(b,--balance) is skipped).  Not with $(b,--portfolio) \
+                   or $(b,--auto-threshold).")
+        $ portfolio_flag $ auto))
+  in
   let term =
     Term.(
-      const (fun env circuit options auto verbose trace metrics metrics_json ->
-          place_run env circuit options auto verbose trace metrics metrics_json)
-      $ env_arg $ circuit_arg $ options_term $ auto $ verbose $ trace $ metrics
-      $ metrics_json)
+      const place_run $ env_arg $ circuit_arg $ options_term $ auto $ spill
+      $ verbose $ trace $ metrics $ metrics_json)
   in
   Cmd.v (Cmd.info "place" ~doc:"Place a circuit onto a physical environment.") term
 
@@ -655,7 +646,7 @@ let tune_run env circuit jobs =
           (Qcp.Placer.subcircuit_count p)
           (Qcp.Placer.swap_depth_total p))
     results;
-  match Qcp.Tuner.auto_place ~jobs env circuit with
+  match Qcp.Tuner.best results with
   | Qcp.Placer.Placed p ->
     Printf.printf "\nbest: threshold %g -> %.4f sec\n"
       p.Qcp.Placer.options.Qcp.Options.threshold
@@ -686,7 +677,7 @@ let tune_cmd =
 
 let schedule_run env circuit options_of_env =
   let options = options_of_env env in
-  match Qcp.Placer.place options env circuit with
+  match Qcp.Portfolio.place options env circuit with
   | Qcp.Placer.Unplaceable msg ->
     Printf.printf "N/A: %s\n" msg;
     1

@@ -1,7 +1,5 @@
 type router = Bisect | Bisect_weighted | Token | Odd_even
 
-type spill = No_spill | Spill_drop | Spill_file of string
-
 type t = {
   threshold : float;
   monomorphism_limit : int;
@@ -16,7 +14,6 @@ type t = {
   window : int;
   coarsen : bool;
   root_cap : int option;
-  spill : spill;
   jobs : int;
   portfolio : bool;
 }
@@ -36,7 +33,6 @@ let default ~threshold =
     window = 1;
     coarsen = false;
     root_cap = None;
-    spill = No_spill;
     jobs = Qcp_util.Task_pool.env_jobs ();
     portfolio = false;
   }
@@ -89,14 +85,6 @@ let canonical t =
   int_field "window" t.window;
   flag "coarsen" t.coarsen;
   option_field "root_cap" int_field t.root_cap;
-  (match t.spill with
-  | No_spill -> field "spill" "none"
-  | Spill_drop -> field "spill" "drop"
-  | Spill_file path ->
-    open_field "spill";
-    Buffer.add_string b "file:";
-    Buffer.add_string b path;
-    close_field ());
   (* [jobs] is deliberately excluded: placements are bit-identical at any
      jobs value (the library's determinism contract), so a server may
      answer a jobs=4 request from a jobs=0 solve and vice versa. *)

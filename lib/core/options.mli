@@ -7,12 +7,6 @@ type router = Bisect | Bisect_weighted | Token | Odd_even
     reference on chain architectures; falls back to [Bisect] on non-path
     adjacency graphs). *)
 
-type spill = No_spill | Spill_drop | Spill_file of string
-(** Destination of spilled per-stage placements (see the [spill] field):
-    [Spill_drop] streams stages through the placer and discards the
-    payloads after summarizing (pure memory-bound mode); [Spill_file f]
-    additionally appends one JSON line per stage to [f]. *)
-
 type t = {
   threshold : float;
       (** Interactions with delay strictly below this are "fast" and usable
@@ -45,7 +39,8 @@ type t = {
           ("finding a good balance between the depth of a useful computation
           and the depth of the following swapping stage; right now, our
           method is greedy").  Runs only on the greedy split ([window =
-          1]) of a run that does not spill.  Off by default. *)
+          1]) of a run that does not spill ({!Placer.place}'s [?spill]).
+          Off by default. *)
   window : int;
       (** Deferral window of subcircuit formation
           ({!Workspace.fold_windowed}): gates stream out of the dependency
@@ -75,18 +70,6 @@ type t = {
           of each monomorphism enumeration at this many images, preferring
           degree-similar targets ({!Qcp_graph.Monomorph.enumerate}).
           [None] (default) enumerates uncapped. *)
-  spill : spill;
-      (** [Spill_drop] / [Spill_file _]: stream per-stage placements out of
-          the hot loop through a {!Placer.Spill} sink instead of
-          accumulating the stage list in the program — peak heap becomes
-          O(window + environment) beyond the input circuit, independent of
-          gate count.  The resulting program carries a summary (makespan,
-          stage and SWAP counts, boundary placements) instead of
-          materialized stages, so stage-replaying accessors
-          ({!Placer.placements}, {!Placer.to_physical_circuit}) return
-          empty, and [balance_boundaries] is skipped.  Placed stages and
-          the reported makespan are bit-identical to the same run without
-          spilling when it is not set.  [No_spill] (default). *)
   jobs : int;
       (** Domain budget for every parallel layer of a placement run —
           candidate-scoring sweeps, monomorphism enumeration fan-out,
@@ -100,8 +83,10 @@ type t = {
   portfolio : bool;
       (** Run the five {!Portfolio} entries instead of the single classic
           pipeline; the earliest entry achieving the minimum replayed
-          runtime becomes the placement.  Off by default: with it off,
-          output is bit-identical to previous releases. *)
+          runtime becomes the placement.  {!Portfolio.place} and
+          {!Portfolio.place_batch}, the entry points of every front end,
+          read it; {!Placer.place} ignores it.  Off by default: with it
+          off, output is bit-identical to previous releases. *)
 }
 
 val default : threshold:float -> t

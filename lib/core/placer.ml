@@ -185,10 +185,10 @@ let swap_lift options env adjacency =
    per-run {!Qcp_obs.Metrics} registry (each handle is one atomic cell, so
    parallel candidate evaluation shares them exactly like the plain atomics
    they replaced); the remaining refs are only touched by sequential
-   orchestration code.  Per-run registries keep concurrent {!place_batch}
-   jobs from contaminating each other's {!stats}; every run's registry is
-   merged into {!Qcp_obs.Metrics.global} when the run finishes while
-   telemetry is armed. *)
+   orchestration code.  Per-run registries keep concurrent batch jobs
+   ({!Portfolio.place_batch}) from contaminating each other's {!stats};
+   every run's registry is merged into {!Qcp_obs.Metrics.global} when the
+   run finishes while telemetry is armed. *)
 type ctx = {
   c_env : Environment.t;
   c_adjacency : Graph.t;
@@ -247,7 +247,7 @@ let cutoff_of ctx cutoff = if ctx.c_reference then infinity else cutoff
    every [place]: registry construction and handle interning cost more
    than a micro placement's whole pipeline, while a reset is ~ten atomic
    stores.  Safe because [place] runs to completion on its calling domain
-   and never re-enters — concurrent [place_batch] jobs run whole jobs on
+   and never re-enters — concurrent batch jobs run whole jobs on
    distinct pool participants, and nested parallel regions serialize
    inline rather than migrating work mid-run. *)
 type run_metrics = {
@@ -1174,7 +1174,6 @@ let run_stages ?cutoff ctx ~sink feed =
       Score_cache.trim ctx.c_cache
   in
   let outcome =
-    Fun.protect ~finally:sink.Spill.close @@ fun () ->
     try
       Result.map
         (fun () -> flush ~next_subcircuit:None)
@@ -1416,13 +1415,6 @@ let run ~reference ?(deadline = infinity) ?spill options env circuit =
     | Some adjacency -> (
       let rm = Domain.DLS.get run_metrics_key in
       Telemetry.reset rm.rm_registry;
-      let sink =
-        match (spill, options.Options.spill) with
-        | Some sink, _ -> Some sink
-        | None, Options.Spill_file path -> Some (Spill.file path)
-        | None, Options.Spill_drop -> Some Spill.null
-        | None, Options.No_spill -> None
-      in
       let router, c_router, c_network = router_of options env adjacency in
       let table =
         if reference then Score_cache.uncached ()
@@ -1435,7 +1427,7 @@ let run ~reference ?(deadline = infinity) ?spill options env circuit =
              multi-thousand-stage run feeding the
              process-lifetime table would grow the heap with gate count —
              exactly what spill mode promises not to do. *)
-          if Option.is_some sink then Score_cache.private_copy shared
+          if Option.is_some spill then Score_cache.private_copy shared
           else shared
       in
       let ctx =
@@ -1487,7 +1479,7 @@ let run ~reference ?(deadline = infinity) ?spill options env circuit =
           { env; source = circuit; options; adjacency; stages; spilled; stats;
             metrics = snapshot }
       in
-      match sink with
+      match spill with
       | Some sink -> (
         (* Spill mode: stages stream out of the splitter straight through
            the sink and the program keeps only the summary. *)
@@ -1522,39 +1514,17 @@ let run ~reference ?(deadline = infinity) ?spill options env circuit =
           | Error msg -> Unplaceable msg
           | Ok _ -> placed (collected ()) None)))
 
+(* The sink closes here, once, whichever way the run ends: the early
+   [Unplaceable] returns and an exception out of [emit] included. *)
 let place ?deadline ?spill options env circuit =
-  run ~reference:false ?deadline ?spill options env circuit
+  match spill with
+  | None -> run ~reference:false ?deadline options env circuit
+  | Some sink ->
+    Fun.protect ~finally:sink.Spill.close @@ fun () ->
+    run ~reference:false ?deadline ~spill:sink options env circuit
 
 let place_reference options env circuit =
   run ~reference:true options env circuit
-
-(* Jobs run as pool tasks, so their internal parallel layers (scoring
-   sweeps, enumeration) serialize via the pool's nested-use
-   guard; each job is exactly the sequential engine.  Cross-run state is
-   thread-safe: jobs with equal environment and threshold resolve to the
-   same physical adjacency graph ({!Environment.connected_adjacency},
-   mutex-protected) and therefore to the same {!Score_cache} route table
-   per router (mutex-protected entries, internally locked memo). *)
-let place_batch ?(jobs = 0) ?(deadline_of = fun _ -> infinity) specs =
-  let arr = Array.of_list specs in
-  let total = Array.length arr in
-  if jobs <= 1 || total <= 1 then
-    List.mapi
-      (fun i (options, env, circuit) ->
-        place ~deadline:(deadline_of i) options env circuit)
-      specs
-  else begin
-    let out = Array.make total None in
-    Qcp_util.Task_pool.parallel_for
-      (Qcp_util.Task_pool.get ())
-      ~jobs
-      ~body:(fun ~worker:_ i ->
-        let options, env, circuit = arr.(i) in
-        out.(i) <- Some (place ~deadline:(deadline_of i) options env circuit))
-      total;
-    Array.to_list
-      (Array.map (function Some o -> o | None -> assert false) out)
-  end
 
 let stage_circuits program =
   let m = Environment.size program.env in
@@ -1585,8 +1555,6 @@ let runtime program =
     Array.fold_left Float.max 0.0 finish
 
 let runtime_seconds program = runtime program /. units_per_second
-
-let spilled program = program.spilled
 
 let subcircuit_count program =
   match program.spilled with
@@ -1650,8 +1618,6 @@ let to_physical_circuit program =
   List.fold_left Circuit.append
     (Circuit.make ~qubits:m [])
     (stage_circuits program)
-
-let metrics program = program.metrics
 
 (* The phase gauges of {!finalize_metrics}, by bare phase name. *)
 let phase_seconds program =

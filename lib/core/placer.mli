@@ -16,11 +16,10 @@ type stage =
       (** SWAP levels over physical vertices. *)
 
 (** Streaming destination for per-stage placements (spill mode): with
-    {!Options.t.spill} (or the [?spill] argument of {!place}) set, each
-    placed stage leaves the pipeline through a sink the moment it is ready
-    instead of accumulating in the program — peak heap becomes
-    O(window + environment) beyond the input circuit, independent of gate
-    count. *)
+    the [?spill] argument of {!place} set, each placed stage leaves the
+    pipeline through a sink the moment it is ready instead of
+    accumulating in the program — peak heap becomes O(window +
+    environment) beyond the input circuit, independent of gate count. *)
 module Spill : sig
   type event =
     | Stage of {
@@ -33,14 +32,15 @@ module Spill : sig
 
   type sink = { emit : event -> unit; close : unit -> unit }
   (** [emit] receives events strictly in stage order; [close] is called
-      exactly once when the run ends (normally or aborted).  An exception
-      raised by [emit] aborts the placement. *)
+      exactly once when the run ends: placed, [Unplaceable] (before any
+      stage too) or aborted.  An exception raised by [emit] aborts the
+      placement. *)
 
   val callback : (event -> unit) -> sink
   (** A sink from a plain callback ([close] is a no-op). *)
 
   val null : sink
-  (** Discards every event — pure memory-bound mode ([Spill_drop]). *)
+  (** Discards every event — pure memory-bound mode. *)
 
   val file : string -> sink
   (** Appends one JSON object per event to the file (truncating it first):
@@ -153,13 +153,14 @@ val place :
     first (the ["split"] phase), optionally balances the boundaries, and
     collects the placed stages into [stages].
 
-    [spill] (or [options.spill <> No_spill]) arms spill mode at any
-    window: the splitter feeds the stage loop directly, each stage leaves
-    through the sink as it is placed, and the returned program carries a
-    {!summary} instead of stages.  Placed stages and the reported
-    makespan are bit-identical to the same run without spilling (spill
-    runs skip [balance_boundaries]).  An explicit [?spill]
-    sink takes precedence over the options knob.
+    [spill] arms spill mode at any window: the splitter feeds the stage
+    loop directly, each stage leaves through the sink as it is placed,
+    and the returned program carries a {!summary} instead of stages.
+    Placed stages and the reported makespan are bit-identical to the
+    same run without spilling (spill runs skip [balance_boundaries]).
+
+    [options.portfolio] is ignored here: {!Portfolio.place} is the entry
+    point that honours it.
 
     [deadline] (absolute {!Qcp_util.Clock} instant, default [infinity]) is
     an anytime cutoff checked between stages: once it passes, the run
@@ -179,29 +180,6 @@ val place_reference :
 
 val msg_deadline : string
 (** [Unplaceable] payload of a deadline abort (exact-match classifier). *)
-
-val place_batch :
-  ?jobs:int ->
-  ?deadline_of:(int -> float) ->
-  (Options.t * Qcp_env.Environment.t * Qcp_circuit.Circuit.t) list ->
-  outcome list
-(** [place_batch ~jobs specs] places every [(options, env, circuit)] job,
-    mapping the jobs over the shared {!Qcp_util.Task_pool} with at most
-    [jobs] domains ([0], the default, runs sequentially).  Outcomes are
-    returned in input order and are bit-identical to calling {!place} on
-    each spec in turn: concurrent jobs serialize their own inner parallel
-    layers through the pool's nested-use guard, and the only cross-job
-    state — the per-threshold adjacency memo and the cross-run route
-    tables of {!Score_cache} — is mutex-protected and deterministic.
-    Jobs sharing an environment, threshold, router and leaf-override flag
-    share one physical adjacency graph and hence one route table, so batch
-    runs reuse routed SWAP networks across jobs exactly like repeated
-    sequential {!place} calls do, whichever the router.
-
-    [deadline_of i] (default: [infinity] for every job) is job [i]'s
-    absolute anytime deadline, forwarded to {!place}'s [?deadline] — the
-    serving layer batches requests with per-request timeout budgets
-    through this. *)
 
 val swap_lift :
   Options.t ->
@@ -225,9 +203,6 @@ val runtime : program -> float
     stages through the timing model in the physical frame; for a spilled
     program, the summary's recorded final makespan (same value — the
     pipeline computes it from the same finish clocks a replay rebuilds). *)
-
-val spilled : program -> summary option
-(** The [spilled] field, for callers that prefer an accessor. *)
 
 val runtime_seconds : program -> float
 
@@ -254,9 +229,6 @@ val to_physical_circuit : program -> Qcp_circuit.Circuit.t
 (** The whole program flattened to one circuit over the environment's
     vertices (computation gates relabeled by their stage placements, SWAP
     stages inlined as SWAP gates). *)
-
-val metrics : program -> Qcp_obs.Metrics.snapshot
-(** The [metrics] field, for callers that prefer an accessor. *)
 
 val phase_seconds : program -> (string * float) list
 (** Wall seconds per pipeline phase, from the snapshot's phase gauges:

@@ -19,15 +19,14 @@ type report = {
 
 (* A classic-pipeline entry: [tweak] fixes the pick flavor; the rest of the
    caller's options pass through untouched. *)
-let classic tweak options env circuit =
-  match Placer.place (tweak options) env circuit with
+let classic tweak ~deadline options env circuit =
+  match Placer.place ~deadline (tweak options) env circuit with
   | Placer.Placed program -> Ok program
   | Placer.Unplaceable msg -> Error msg
 
 (* The scale-wall pipeline: windowed stage formation, coarsen-place-refine
    and sparse candidate roots.  Caller-set knobs win (a window above the
-   default 1, a root cap).  Spilling stays off: the reduce replays the
-   program. *)
+   default 1, a root cap). *)
 let scale_options o =
   {
     o with
@@ -36,7 +35,6 @@ let scale_options o =
     window = (if o.Options.window = 1 then 64 else o.Options.window);
     coarsen = true;
     root_cap = (match o.Options.root_cap with None -> Some 32 | c -> c);
-    spill = Options.No_spill;
   }
 
 (* Fixed annealing budget: modest restarts because the portfolio already
@@ -48,9 +46,12 @@ let annealer_iterations = 10_000
    the full delay matrix: the paper's "optimal placement when placed
    without insertion of SWAPs" column.  [adjacency] keeps the
    fast-interaction graph for reporting, but the placement may use slow
-   couplings; the replay charges them at their true cost. *)
-let annealer options env circuit =
-  if Circuit.qubits circuit > Environment.size env then
+   couplings; the replay charges them at their true cost.  Its budget is
+   a fixed iteration count, so it reads the deadline once, before it
+   starts. *)
+let annealer ~deadline options env circuit =
+  if Clock.expired deadline then Error Placer.msg_deadline
+  else if Circuit.qubits circuit > Environment.size env then
     Error
       (Printf.sprintf "circuit needs %d qubits but the environment has %d"
          (Circuit.qubits circuit) (Environment.size env))
@@ -110,9 +111,9 @@ let entries_in_order =
     ("scale", classic scale_options);
   ]
 
-let run ?jobs options env circuit =
+let run ?(deadline = infinity) options env circuit =
   Qcp_obs.Trace.with_span ~cat:"portfolio" "portfolio/race" @@ fun () ->
-  let jobs = Option.value jobs ~default:options.Options.jobs in
+  let jobs = options.Options.jobs in
   let arr = Array.of_list entries_in_order in
   let total = Array.length arr in
   let results = Array.make total (Error "") in
@@ -125,7 +126,7 @@ let run ?jobs options env circuit =
       results.(i) <-
         Qcp_obs.Trace.with_span ~cat:"portfolio" ("portfolio/" ^ name)
           (fun () ->
-            match solve options env circuit with
+            match solve ~deadline options env circuit with
             | Error msg -> Error msg
             | Ok program ->
               (* A placement over an absent coupling replays to [inf] or
@@ -158,7 +159,14 @@ let run ?jobs options env circuit =
           wall_seconds = walls.(i);
         })
   in
+  (* A deadline abort anywhere aborts the reduce: a winner picked from
+     the entries that beat the clock would depend on machine load. *)
+  let aborted = function
+    | Error msg -> msg = Placer.msg_deadline
+    | Ok _ -> false
+  in
   match !best with
+  | _ when Array.exists aborted results -> Error Placer.msg_deadline
   | None ->
     (* Every entry failed: report the first reason in canonical order. *)
     let detail =
@@ -181,22 +189,36 @@ let run ?jobs options env circuit =
     let gap = if lower_bound > 0.0 then runtime /. lower_bound else 1.0 in
     Ok { program; winner; runtime; lower_bound; gap; entries }
 
-let place ?jobs options env circuit =
-  match run ?jobs options env circuit with
-  | Ok report -> Placer.Placed report.program
-  | Error msg -> Placer.Unplaceable msg
+let place ?deadline ?on_report options env circuit =
+  if not options.Options.portfolio then
+    Placer.place ?deadline options env circuit
+  else
+    match run ?deadline options env circuit with
+    | Ok report ->
+      Option.iter (fun f -> f report) on_report;
+      Placer.Placed report.program
+    | Error msg -> Placer.Unplaceable msg
 
-let place_batch ?(jobs = 0) specs =
+(* Jobs run as pool tasks, so their internal parallel layers (scoring
+   sweeps, enumeration, a portfolio's entries) serialize via the pool's
+   nested-use guard; each job is exactly the sequential engine.  Cross-run
+   state is thread-safe: jobs with equal environment and threshold resolve
+   to the same physical adjacency graph
+   ({!Qcp_env.Environment.connected_adjacency}, mutex-protected) and
+   therefore to the same {!Score_cache} route table per router
+   (mutex-protected entries, internally locked memo). *)
+let place_batch ?(jobs = 0) ?(deadline_of = fun _ -> infinity) specs =
   let arr = Array.of_list specs in
   let total = Array.length arr in
-  if jobs <= 1 || total <= 1 then
-    List.map (fun (options, env, circuit) -> place options env circuit) specs
+  let place_one i =
+    let options, env, circuit = arr.(i) in
+    place ~deadline:(deadline_of i) options env circuit
+  in
+  if jobs <= 1 || total <= 1 then List.init total place_one
   else begin
     let out = Array.make total None in
     Task_pool.parallel_for (Task_pool.get ()) ~jobs
-      ~body:(fun ~worker:_ i ->
-        let options, env, circuit = arr.(i) in
-        out.(i) <- Some (place options env circuit))
+      ~body:(fun ~worker:_ i -> out.(i) <- Some (place_one i))
       total;
     Array.to_list
       (Array.map (function Some o -> o | None -> assert false) out)

@@ -14,18 +14,17 @@ let candidate_thresholds env =
 let sweep ?(jobs = Qcp_util.Task_pool.env_jobs ())
     ?(options = fun ~threshold -> Options.default ~threshold) env circuit =
   let thresholds = candidate_thresholds env in
-  (* The whole sweep rides {!Placer.place_batch}: outcome order follows the
-     threshold order and each job is bit-identical to a sequential
-     {!Placer.place} call, so parallelizing the sweep cannot change which
-     threshold {!auto_place} selects. *)
+  (* The whole sweep rides {!Portfolio.place_batch}: outcome order follows
+     the threshold order and each job is bit-identical to a sequential
+     {!Portfolio.place} call, so parallelizing the sweep cannot change
+     which threshold {!best} selects. *)
   let outcomes =
-    Placer.place_batch ~jobs
+    Portfolio.place_batch ~jobs
       (List.map (fun threshold -> (options ~threshold, env, circuit)) thresholds)
   in
   List.combine thresholds outcomes
 
-let auto_place ?jobs ?options env circuit =
-  let results = sweep ?jobs ?options env circuit in
+let best results =
   let best =
     List.fold_left
       (fun acc (_, outcome) ->
@@ -42,3 +41,6 @@ let auto_place ?jobs ?options env circuit =
   | Some (p, _) -> Placer.Placed p
   | None ->
     Placer.Unplaceable "no candidate threshold admits a placement"
+
+let auto_place ?jobs ?options env circuit =
+  best (sweep ?jobs ?options env circuit)

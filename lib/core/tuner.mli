@@ -19,10 +19,16 @@ val sweep :
   Qcp_circuit.Circuit.t ->
   (float * Placer.outcome) list
 (** Place at every candidate threshold.  [options] builds the option record
-    per threshold (default {!Options.default}).  The sweep maps over
-    {!Placer.place_batch} with at most [jobs] pool domains (default
+    per threshold (default {!Options.default}); with [portfolio] set in it,
+    every threshold runs the {!Portfolio} reduce.  The sweep is one
+    {!Portfolio.place_batch} over at most [jobs] pool domains (default
     {!Qcp_util.Task_pool.env_jobs}; [0] runs sequentially); outcomes keep
     threshold order and are bit-identical at any [jobs] value. *)
+
+val best : (float * Placer.outcome) list -> Placer.outcome
+(** The best-runtime placement of a {!sweep} ([Unplaceable] only if every
+    candidate is): the earliest (lowest) candidate threshold attaining the
+    minimum runtime. *)
 
 val auto_place :
   ?jobs:int ->
@@ -30,6 +36,4 @@ val auto_place :
   Qcp_env.Environment.t ->
   Qcp_circuit.Circuit.t ->
   Placer.outcome
-(** The best-runtime placement over the sweep ([Unplaceable] only if every
-    candidate is): the earliest (lowest) candidate threshold attaining the
-    minimum runtime, independent of [jobs]. *)
+(** [best (sweep ?jobs ?options env circuit)]: independent of [jobs]. *)

@@ -14,8 +14,8 @@ type t = {
          downstream per-graph memos (the bisection router's subset
          structure, the cross-run route tables) survive across placement
          runs and across thresholds with equal fast graphs.  Guarded
-         by [adj_lock] so concurrent [Placer.place_batch] jobs agree on one
-         physical graph per threshold — that identity is what keys the
+         by [adj_lock] so concurrent [Portfolio.place_batch] jobs agree on
+         one physical graph per threshold — that identity is what keys the
          cross-run route registry they share. *)
   adj_lock : Mutex.t;
 }

@@ -7,7 +7,7 @@
       refutation counters, the routers) writes here, but only when
       {!enabled} — the disabled path is a single atomic load and branch.
     - per-run registries made with {!create}.  The placer allocates one
-      per placement run so concurrent [Placer.place_batch] jobs never mix
+      per placement run so concurrent [Portfolio.place_batch] jobs never mix
       their counts; at the end of the run the registry is snapshotted into
       the program's [metrics] field and, when {!enabled}, {!merge_into}
       the global registry.

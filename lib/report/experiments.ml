@@ -98,17 +98,13 @@ let phase_section buf pbuf =
     Buffer.add_char buf '\n'
   end
 
-(* Tables 2-4 run their placements through [Placer.place_batch]: the job
-   list is built in row order, mapped over the pool, and the rendering
-   consumes the outcomes in the same order — so the rendered text is
-   byte-identical at any [jobs] value (outcomes are bit-identical and the
-   formatting is order-preserving). *)
-(* [portfolio] swaps the batch engine for {!Qcp.Portfolio.place_batch}:
-   every cell runs the five-entry reduce instead of a single classic
-   pipeline (same outcome order, still deterministic). *)
-let batch ~portfolio ~jobs specs =
-  if portfolio then Qcp.Portfolio.place_batch ~jobs specs
-  else Placer.place_batch ~jobs specs
+(* Tables 2-4 run their placements through {!Qcp.Portfolio.place_batch}:
+   the job list is built in row order, mapped over the pool, and the
+   rendering consumes the outcomes in the same order — so the rendered
+   text is byte-identical at any [jobs] value (outcomes are bit-identical
+   and the formatting is order-preserving).  [portfolio] goes into every
+   cell's options, so each cell runs the five-entry reduce instead of a
+   single classic pipeline. *)
 
 let table2 ?(jobs = Qcp_util.Task_pool.env_jobs ()) ?(phases = false)
     ?(portfolio = false) () =
@@ -128,10 +124,10 @@ let table2 ?(jobs = Qcp_util.Task_pool.env_jobs ()) ?(phases = false)
           | Some th -> th
           | None -> Environment.min_threshold_connected env
         in
-        (Options.default ~threshold, env, circuit))
+        ({ (Options.default ~threshold) with Options.portfolio }, env, circuit))
       table2_rows
   in
-  let outcomes = batch ~portfolio ~jobs specs in
+  let outcomes = Qcp.Portfolio.place_batch ~jobs specs in
   let pbuf = Buffer.create 256 in
   List.iter2
     (fun (name, circuit, env, _) outcome ->
@@ -200,14 +196,14 @@ let table3 ?(monomorphism_limit = 100) ?(jobs = Qcp_util.Task_pool.env_jobs ())
               (fun threshold ->
                 let options =
                   { (Options.default ~threshold) with
-                    Options.monomorphism_limit }
+                    Options.monomorphism_limit; portfolio }
                 in
                 (options, env, circuit))
               thresholds)
           rows)
       sections
   in
-  let outcomes = ref (batch ~portfolio ~jobs specs) in
+  let outcomes = ref (Qcp.Portfolio.place_batch ~jobs specs) in
   let next_outcome () =
     match !outcomes with
     | [] -> assert false
@@ -300,12 +296,9 @@ let table4 ?(full = false) ?(seed = 2007) ?(jobs = Qcp_util.Task_pool.env_jobs (
     ~jobs
     ~body:(fun ~worker:_ i ->
       let _, circuit, _, env = rows.(i) in
-      let options = Options.fast ~threshold:50.0 in
+      let options = { (Options.fast ~threshold:50.0) with Options.portfolio } in
       let t0 = Unix.gettimeofday () in
-      let outcome =
-        if portfolio then Qcp.Portfolio.place options env circuit
-        else Placer.place options env circuit
-      in
+      let outcome = Qcp.Portfolio.place options env circuit in
       results.(i) <- Some (outcome, Unix.gettimeofday () -. t0))
     (Array.length rows);
   let pbuf = Buffer.create 256 in

@@ -11,7 +11,7 @@ val table2 : ?jobs:int -> ?phases:bool -> ?portfolio:bool -> unit -> string
 (** Mapping experimentally constructed circuits into their environments:
     circuit, environment, estimated runtime, search-space size.  [jobs]
     (default {!Qcp_util.Task_pool.env_jobs}) maps the rows over the shared
-    pool via {!Qcp.Placer.place_batch}; the rendered text is byte-identical
+    pool via {!Qcp.Portfolio.place_batch}; the rendered text is byte-identical
     at any value. *)
 
 val table3 :
@@ -24,7 +24,7 @@ val table3 :
 (** The Threshold sweep over molecules and circuits; cells are
     "runtime (subcircuits)" or N/A.  [monomorphism_limit] defaults to the
     paper's 100.  [jobs] as in {!table2}: all cells of all sections form
-    one {!Qcp.Placer.place_batch} job list. *)
+    one {!Qcp.Portfolio.place_batch} job list. *)
 
 val table4 :
   ?full:bool ->
@@ -50,10 +50,10 @@ val tables234 : ?jobs:int -> ?phases:bool -> ?portfolio:bool -> unit -> string
     {!Qcp.Placer.phase_seconds}) after each table; the tables themselves
     are unchanged.
 
-    [portfolio] (default [false]) places every cell through
-    {!Qcp.Portfolio.place} — the deterministic five-entry reduce —
-    instead of a single classic pipeline.  Row order and determinism
-    guarantees are unchanged. *)
+    [portfolio] (default [false]) sets [Options.portfolio] in every
+    cell's options, so {!Qcp.Portfolio.place} runs the deterministic
+    five-entry reduce instead of a single classic pipeline.  Row order
+    and determinism guarantees are unchanged. *)
 
 val figure1 : unit -> string
 (** Acetyl chloride interaction graph (DOT + delay listing). *)

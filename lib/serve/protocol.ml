@@ -188,9 +188,8 @@ let int_member name json ~low ~default =
 
 (* Decode the "options" object onto {!Options.default}.  Unknown names are
    rejected (a typo silently falling back to a default would cache-key the
-   request differently than the client intended), as are the two fields
-   the server owns: [jobs] (execution detail, excluded from keys) and
-   [spill] (writes server-side files). *)
+   request differently than the client intended), as is [jobs], which the
+   server owns (execution detail, excluded from keys). *)
 let options_of_json env json =
   let known =
     [
@@ -212,7 +211,6 @@ let options_of_json env json =
         if List.mem name known then Ok ()
         else if name = "jobs" then
           Error "option \"jobs\" is server-side (qcp serve --jobs)"
-        else if name = "spill" then Error "option \"spill\" is not servable"
         else Error (Printf.sprintf "unknown option %S" name))
       (Ok ()) fields
   in
@@ -291,7 +289,6 @@ let options_of_json env json =
   in
   let options =
     {
-      base with
       Options.threshold;
       monomorphism_limit;
       lookahead;
@@ -399,7 +396,7 @@ let result_of_program ~telemetry program =
     if not telemetry then []
     else begin
       let b = Buffer.create 512 in
-      Qcp_obs.Export.metrics_json b (Placer.metrics program);
+      Qcp_obs.Export.metrics_json b program.Placer.metrics;
       match Json.parse (Buffer.contents b) with
       | Ok json -> [ ("metrics", json) ]
       | Error _ -> []

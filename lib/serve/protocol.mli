@@ -39,7 +39,8 @@ type place = {
           (the top-level ["deadline"] field).  Enforced out-of-band by the
           server — it is {e not} part of the content key, so one cached
           solve answers the same instance under any budget.  Portfolio
-          requests are exempt: the server runs every entry to the end. *)
+          requests honour it too: a portfolio entry's deadline abort
+          aborts the whole reduce ({!Qcp.Portfolio.run}). *)
   telemetry : bool;
       (** Include the run's full metrics snapshot in the result. *)
   key : string;  (** Canonical content key (see above). *)

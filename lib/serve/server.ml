@@ -185,18 +185,15 @@ module Engine = struct
     if p.Protocol.telemetry then p.Protocol.key ^ "\n+telemetry"
     else p.Protocol.key
 
-  (* A request's absolute timeout budget.  Portfolio requests are exempt
-     (the portfolio takes no deadline); everything else counts its own
-     deadline — or the server default — from arrival. *)
+  (* A request's absolute timeout budget: its own deadline, or the server
+     default, counted from arrival. *)
   let budget config j =
-    if j.j_place.Protocol.options.Options.portfolio then infinity
-    else
-      match j.j_place.Protocol.deadline with
+    match j.j_place.Protocol.deadline with
+    | Some b -> j.j_arrival +. b
+    | None -> (
+      match config.default_deadline with
       | Some b -> j.j_arrival +. b
-      | None -> (
-        match config.default_deadline with
-        | Some b -> j.j_arrival +. b
-        | None -> infinity)
+      | None -> infinity)
 
   type assignment =
     | Shed  (* budget expired before dispatch: answered without solving *)
@@ -253,39 +250,20 @@ module Engine = struct
       Trace.start ~capacity:4096 ();
       trace_abs := Clock.now ()
     end;
-    (* Classic requests solve in one placer batch with per-job absolute
-       deadlines, portfolio requests in one portfolio batch. *)
-    let outcomes = Array.make (Array.length unique) (Placer.Unplaceable "") in
-    let classic = ref [] and races = ref [] in
-    Array.iteri
-      (fun u j ->
-        if j.j_place.Protocol.options.Options.portfolio then
-          races := (u, j) :: !races
-        else classic := (u, j) :: !classic)
-      unique;
-    let classic = List.rev !classic and races = List.rev !races in
-    let spec j =
-      ( j.j_place.Protocol.options,
-        j.j_place.Protocol.env,
-        j.j_place.Protocol.circuit )
+    (* Every miss solves in one batch with per-job absolute deadlines;
+       portfolio requests run the reduce inside it. *)
+    let outcomes =
+      Array.of_list
+        (Qcp.Portfolio.place_batch ~jobs:t.config.jobs
+           ~deadline_of:(fun u -> budget t.config unique.(u))
+           (Array.to_list
+              (Array.map
+                 (fun j ->
+                   ( j.j_place.Protocol.options,
+                     j.j_place.Protocol.env,
+                     j.j_place.Protocol.circuit ))
+                 unique)))
     in
-    let budgets =
-      Array.of_list (List.map (fun (_, j) -> budget t.config j) classic)
-    in
-    let classic_outcomes =
-      Placer.place_batch ~jobs:t.config.jobs
-        ~deadline_of:(fun i -> budgets.(i))
-        (List.map (fun (_, j) -> spec j) classic)
-    in
-    List.iter2 (fun (u, _) o -> outcomes.(u) <- o) classic classic_outcomes;
-    let race_outcomes =
-      match races with
-      | [] -> []
-      | _ ->
-        Qcp.Portfolio.place_batch ~jobs:t.config.jobs
-          (List.map (fun (_, j) -> spec j) races)
-    in
-    List.iter2 (fun (u, _) o -> outcomes.(u) <- o) races race_outcomes;
     let t_solve = Clock.now () in
     let spans =
       if capture then begin

@@ -12,8 +12,8 @@
     feeds complete requests through admission control into a FIFO queue.
     Each loop turn drains up to [max_batch] queued requests into one
     {!Engine.dispatch} call, which runs cache lookups, dedupes identical
-    keys, and solves the misses through {!Qcp.Placer.place_batch} /
-    {!Qcp.Portfolio.place_batch} on the shared pool — so concurrency
+    keys, and solves the misses through one {!Qcp.Portfolio.place_batch}
+    call on the shared pool — so concurrency
     comes from batching inside the engine, never from racing threads over
     shared placement state (which is what keeps responses deterministic).
 
@@ -113,14 +113,14 @@ module Engine : sig
   val dispatch : t -> now:float -> job list -> string list
   (** Solve one batch, returning response lines in job order.  Jobs whose
       timeout budget (own deadline or the config default, counted from
-      arrival; portfolio requests are exempt) expired before [now] are shed:
+      arrival; portfolio requests included) expired before [now] are shed:
       answered ["timeout"] without solving, counted in both [timeouts]
       and [shed].  Cache hits answer immediately (the stored bytes);
       misses dedupe by cache key (duplicate jobs in one batch solve once
-      and share the result), then solve through
-      {!Qcp.Placer.place_batch} — classic requests with per-job absolute
-      deadlines ([arrival + budget]) via [deadline_of] — and
-      {!Qcp.Portfolio.place_batch} for portfolio requests.  Successful
+      and share the result), then solve in one
+      {!Qcp.Portfolio.place_batch} call, classic and portfolio requests
+      alike, with per-job absolute deadlines ([arrival + budget]) via
+      [deadline_of].  Successful
       results are rendered once and stored; [status] maps
       deadline aborts to ["timeout"] and placement failures to
       ["unplaceable"].  Each response also emits one ["request"] access

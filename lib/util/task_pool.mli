@@ -24,7 +24,7 @@
     task would deadlock a fixed-size pool, so every entry point detects
     (via domain-local state) that it is running inside a pool task and
     falls back to inline sequential execution.  Outer parallelism therefore
-    silently serializes inner layers — e.g. a [Placer.place_batch] job runs
+    silently serializes inner layers — e.g. a [Portfolio.place_batch] job runs
     its candidate sweeps sequentially — which preserves both progress and
     bit-identical results. *)
 

@@ -64,7 +64,6 @@ let solo_runs options env circuit =
       coarsen = true;
       root_cap =
         (match options.Options.root_cap with None -> Some 32 | c -> c);
-      spill = Options.No_spill;
     }
   in
   let annealer =
@@ -233,40 +232,75 @@ let test_single_strategy_degenerates () =
         report.Portfolio.entries runs
   done
 
-(* [Portfolio.place_batch] outcomes must equal per-spec [place] calls, in
-   order, at any batch jobs value. *)
+(* [Portfolio.place_batch] is the one batch loop.  Classic and portfolio
+   specs mixed in one batch must come out in input order, equal to
+   per-spec [Portfolio.place] calls at batch jobs 0 and 2, and a classic
+   spec's [Portfolio.place] must equal [Placer.place] stage for stage.
+   Specs' own [jobs] 0 and 2 exercise the pool's nested-use guard under a
+   parallel batch.  Each pass builds its specs afresh, so no pass hits
+   routes an earlier one inserted; within a pass, a seed's specs share one
+   environment, so a parallel batch races runs over one empty route
+   table. *)
 let test_place_batch_identical () =
-  let specs =
-    List.map
+  let specs () =
+    List.concat_map
       (fun seed ->
         let env, threshold, circuit = instance (400 + seed) in
-        (portfolio_options ~seed ~jobs:0 threshold, env, circuit))
+        let classic = options_for ~seed threshold in
+        [
+          ({ classic with Options.jobs = 0 }, env, circuit);
+          ({ classic with Options.jobs = 2 }, env, circuit);
+          ( portfolio_options ~seed ~jobs:(2 * (seed mod 2)) threshold,
+            env,
+            circuit );
+        ])
       [ 1; 2; 3; 4 ]
   in
-  let sequential =
-    List.map (fun (o, e, c) -> Portfolio.place o e c) specs
+  let same label a b =
+    match (a, b) with
+    | Placer.Placed a, Placer.Placed b ->
+      Alcotest.(check bool) (label ^ ": identical stages") true
+        (a.Placer.stages = b.Placer.stages);
+      Alcotest.(check bool) (label ^ ": identical runtime") true
+        (Placer.runtime a = Placer.runtime b)
+    | Placer.Unplaceable a, Placer.Unplaceable b ->
+      Alcotest.(check string) (label ^ ": same failure") a b
+    | _ -> Alcotest.failf "%s: placeability disagrees" label
   in
+  let sequential =
+    List.map (fun (o, e, c) -> Portfolio.place o e c) (specs ())
+  in
+  List.iteri
+    (fun i ((o, e, c), outcome) ->
+      if not o.Options.portfolio then
+        same (Printf.sprintf "spec %d against Placer.place" i)
+          (Placer.place o e c) outcome)
+    (List.combine (specs ()) sequential);
   List.iter
     (fun batch_jobs ->
-      let batch = Portfolio.place_batch ~jobs:batch_jobs specs in
+      let batch = Portfolio.place_batch ~jobs:batch_jobs (specs ()) in
+      Alcotest.(check int)
+        (Printf.sprintf "jobs %d: one outcome per spec" batch_jobs)
+        (List.length sequential) (List.length batch);
       List.iteri
         (fun i (reference, outcome) ->
-          match (reference, outcome) with
-          | Placer.Placed a, Placer.Placed b ->
-            Alcotest.(check bool)
-              (Printf.sprintf "jobs %d, spec %d: identical" batch_jobs i)
-              true
-              (a.Placer.stages = b.Placer.stages)
-          | Placer.Unplaceable a, Placer.Unplaceable b ->
-            Alcotest.(check string)
-              (Printf.sprintf "jobs %d, spec %d: same failure" batch_jobs i)
-              a b
-          | _ ->
-            Alcotest.fail
-              (Printf.sprintf "jobs %d, spec %d: placeability disagrees"
-                 batch_jobs i))
+          same (Printf.sprintf "batch jobs %d, spec %d" batch_jobs i)
+            reference outcome)
         (List.combine sequential batch))
-    [ 0; 3 ]
+    [ 0; 2 ]
+
+(* An expired deadline aborts the reduce with exactly the placer's
+   deadline message. *)
+let test_expired_deadline () =
+  let env, threshold, circuit = instance 7 in
+  match
+    Portfolio.place ~deadline:neg_infinity
+      (portfolio_options ~seed:7 ~jobs:0 threshold)
+      env circuit
+  with
+  | Placer.Unplaceable msg ->
+    Alcotest.(check string) "deadline message" Placer.msg_deadline msg
+  | Placer.Placed _ -> Alcotest.fail "placed past an expired deadline"
 
 let test_incumbent_cell () =
   let cell = Incumbent.make infinity in
@@ -290,6 +324,8 @@ let suite =
       test_single_strategy_degenerates;
     Alcotest.test_case "place_batch equals sequential places" `Quick
       test_place_batch_identical;
+    Alcotest.test_case "expired deadline aborts the reduce" `Quick
+      test_expired_deadline;
     Alcotest.test_case "incumbent cell monotone min" `Quick
       test_incumbent_cell;
   ]

@@ -21,8 +21,8 @@ module Monomorph = Qcp_graph.Monomorph
 module Coarsen = Qcp_graph.Coarsen
 module Rng = Qcp_util.Rng
 
-let place_exn options env circuit =
-  match Placer.place options env circuit with
+let place_exn ?spill options env circuit =
+  match Placer.place ?spill options env circuit with
   | Placer.Placed p -> p
   | Placer.Unplaceable msg -> Alcotest.failf "unexpectedly unplaceable: %s" msg
 
@@ -108,7 +108,6 @@ let test_classic_bit_identity () =
       Options.window = 1;
       coarsen = false;
       root_cap = None;
-      spill = Options.No_spill;
     }
   in
   let p1 = place_exn defaults env circuit in
@@ -234,7 +233,7 @@ let test_grid_scale_structure () =
   (* Scale-phase telemetry rides along in the per-run registry. *)
   Alcotest.(check bool)
     "window-fill histogram recorded" true
-    (Qcp_obs.Metrics.find (Placer.metrics p) "placer.scale.window_fill" <> None)
+    (Qcp_obs.Metrics.find p.Placer.metrics "placer.scale.window_fill" <> None)
 
 (* ------------------------------------------------------------------ *)
 (* Sparse candidate generation: root_cap results are subsequences.      *)
@@ -335,7 +334,7 @@ let test_enumeration_tail () =
   Alcotest.(check (list (array int)))
     "jobs-independent placements" (Placer.placements p) (Placer.placements p2);
   let counter name =
-    match Qcp_obs.Metrics.find (Placer.metrics p) name with
+    match Qcp_obs.Metrics.find p.Placer.metrics name with
     | Some (Qcp_obs.Metrics.Counter n) -> n
     | _ -> Alcotest.failf "%s missing from the run registry" name
   in
@@ -506,7 +505,7 @@ let check_spill_matches options =
   (* The program itself carries only the summary... *)
   Alcotest.(check (list (array int))) "no materialized placements" []
     (Placer.placements spilled);
-  Alcotest.(check bool) "summary present" true (Placer.spilled spilled <> None);
+  Alcotest.(check bool) "summary present" true (spilled.Placer.spilled <> None);
   (* ...and the summary-backed accessors agree with the reference. *)
   Alcotest.(check int) "subcircuit count"
     (Placer.subcircuit_count reference)
@@ -532,13 +531,7 @@ let check_spill_matches options =
      back and check semantic equivalence against the source. *)
   let reconstructed = { reference with Placer.stages = streamed } in
   Alcotest.(check bool) "reconstruction equivalent" true
-    (Verify.equivalent reconstructed);
-  (* The options knob (Spill_drop) takes the same path as the sink. *)
-  let dropped =
-    place_exn { options with Options.spill = Options.Spill_drop } env circuit
-  in
-  Alcotest.(check bool) "drop-mode runtime matches" true
-    (Float.equal (Placer.runtime reference) (Placer.runtime dropped))
+    (Verify.equivalent reconstructed)
 
 let test_spill_matches_windowed () =
   check_spill_matches { (Options.fast ~threshold:100.0) with Options.window = 8 }
@@ -555,17 +548,15 @@ let test_spill_split_phase () =
     Random_circuit.hidden_stages_custom (Rng.create 11) ~n:10 ~stages:3
       ~gates_per_stage:200
   in
-  let options =
-    { (Options.fast ~threshold:50.0) with Options.spill = Options.Spill_drop }
-  in
+  let options = Options.fast ~threshold:50.0 in
   let armed = Qcp_obs.Metrics.enabled () in
   Qcp_obs.Metrics.set_enabled true;
   let p =
     Fun.protect
       ~finally:(fun () -> Qcp_obs.Metrics.set_enabled armed)
-      (fun () -> place_exn options env circuit)
+      (fun () -> place_exn ~spill:Placer.Spill.null options env circuit)
   in
-  Alcotest.(check bool) "stages were spilled" true (Placer.spilled p <> None);
+  Alcotest.(check bool) "stages were spilled" true (p.Placer.spilled <> None);
   match List.assoc_opt "split" (Placer.phase_seconds p) with
   | Some seconds ->
     Alcotest.(check bool) "split phase above zero" true (seconds > 0.0)
@@ -577,9 +568,7 @@ let test_spill_jobs_identity () =
   let circuit =
     Random_circuit.hidden_stages_custom rng ~n:10 ~stages:2 ~gates_per_stage:30
   in
-  let base =
-    { (Options.scale ~threshold:50.0) with Options.spill = Options.Spill_drop }
-  in
+  let base = Options.scale ~threshold:50.0 in
   let run jobs =
     let sink, stages = collect_spill () in
     match Placer.place ~spill:sink { base with Options.jobs = jobs } env circuit with
@@ -605,14 +594,8 @@ let test_spill_file () =
   let env = Molecules.trans_crotonic_acid in
   let circuit = Catalog.qft 5 in
   let path = Filename.temp_file "qcp_spill" ".jsonl" in
-  let options =
-    {
-      (Options.fast ~threshold:100.0) with
-      Options.window = 8;
-      spill = Options.Spill_file path;
-    }
-  in
-  let p = place_exn options env circuit in
+  let options = { (Options.fast ~threshold:100.0) with Options.window = 8 } in
+  let p = place_exn ~spill:(Placer.Spill.file path) options env circuit in
   let lines = ref 0 in
   let ic = open_in path in
   (try
@@ -625,6 +608,47 @@ let test_spill_file () =
   Alcotest.(check int) "one JSON line per stage"
     (Placer.subcircuit_count p + Placer.swap_stage_count p)
     !lines
+
+(* A sink is closed exactly once whichever way the run ends: placed,
+   refused before any stage (too wide, no fast interaction), aborted by
+   its deadline, or aborted by an exception out of [emit]. *)
+let test_spill_close_once () =
+  let env = Molecules.trans_crotonic_acid in
+  let circuit = Catalog.phase_estimation 4 in
+  let closes_after ?deadline options env circuit =
+    let closes = ref 0 in
+    let sink =
+      { Placer.Spill.emit = ignore; close = (fun () -> incr closes) }
+    in
+    ignore
+      (Placer.place ?deadline ~spill:sink options env circuit : Placer.outcome);
+    !closes
+  in
+  let check label expected actual =
+    Alcotest.(check int) (label ^ ": closed once") expected actual
+  in
+  check "placed" 1
+    (closes_after (Options.default ~threshold:100.0) env circuit);
+  check "circuit wider than the environment" 1
+    (closes_after (Options.default ~threshold:100.0) env (Catalog.qft 8));
+  check "no fast interaction" 1
+    (closes_after (Options.default ~threshold:1.0) env circuit);
+  check "deadline abort" 1
+    (closes_after ~deadline:neg_infinity (Options.default ~threshold:100.0)
+       env circuit);
+  let closes = ref 0 in
+  let sink =
+    {
+      Placer.Spill.emit = (fun _ -> failwith "sink full");
+      close = (fun () -> incr closes);
+    }
+  in
+  (match
+     Placer.place ~spill:sink (Options.default ~threshold:100.0) env circuit
+   with
+  | _ -> Alcotest.fail "the emit exception did not abort the run"
+  | exception Failure _ -> ());
+  check "emit exception" 1 !closes
 
 let suite =
   [
@@ -653,4 +677,5 @@ let suite =
     Alcotest.test_case "spill split phase timed" `Quick test_spill_split_phase;
     Alcotest.test_case "spill jobs identity" `Quick test_spill_jobs_identity;
     Alcotest.test_case "spill file sink" `Quick test_spill_file;
+    Alcotest.test_case "spill sink closes once" `Quick test_spill_close_once;
   ]

@@ -4,10 +4,11 @@
    list, the end-to-end runtime, the swap counts -- must be bit-identical to
    the exhaustive oracle {!Placer.place_reference} (cache off, every
    candidate scored in full).  The same invariance is asserted for the
-   annealer's parallel restarts and for [Placer.place_batch]. *)
+   annealer's parallel restarts and for [Portfolio.place_batch]. *)
 
 module Placer = Qcp.Placer
 module Options = Qcp.Options
+module Portfolio = Qcp.Portfolio
 module Environment = Qcp_env.Environment
 
 (* [jobs] is pinned explicitly so the sweep is the same under any ambient
@@ -142,7 +143,7 @@ let test_engine_identical () =
       Alcotest.(check bool)
         (Printf.sprintf "seed %d: region path taken" (500 + seed))
         true
-        (Qcp_obs.Metrics.find (Placer.metrics p) "placer.scale.region_size"
+        (Qcp_obs.Metrics.find p.Placer.metrics "placer.scale.region_size"
         <> None)
     | _ -> Alcotest.fail "scale grid instance unplaceable"
   done
@@ -212,12 +213,13 @@ let test_annealer_identical () =
       true (cost0 = cost4)
   done
 
-(* [place_batch] outcomes must equal per-spec [place] calls, in order, at
-   any batch jobs value — including specs whose own [Options.jobs] exercise
-   the pool's nested-use guard under a parallel batch.  Each pass builds
-   its specs afresh, so no pass hits routes an earlier one inserted; within
-   a pass, a seed's two specs share one environment, so a parallel batch
-   races two runs over one empty route table. *)
+(* [Portfolio.place_batch] outcomes for classic specs must equal per-spec
+   [Placer.place] calls, in order, at any batch jobs value — including
+   specs whose own [Options.jobs] exercise the pool's nested-use guard
+   under a parallel batch.  Each pass builds its specs afresh, so no pass
+   hits routes an earlier one inserted; within a pass, a seed's two specs
+   share one environment, so a parallel batch races two runs over one
+   empty route table. *)
 let test_place_batch_identical () =
   let specs () =
     List.concat_map
@@ -239,7 +241,7 @@ let test_place_batch_identical () =
   in
   List.iter
     (fun batch_jobs ->
-      let batch = Placer.place_batch ~jobs:batch_jobs (specs ()) in
+      let batch = Portfolio.place_batch ~jobs:batch_jobs (specs ()) in
       Alcotest.(check int)
         (Printf.sprintf "jobs %d: one outcome per spec" batch_jobs)
         (List.length sequential) (List.length batch);
@@ -320,8 +322,8 @@ let test_route_fifo_eviction () =
   Alcotest.(check int) "eviction follows insertion order" 16
     (Qcp.Score_cache.misses cache - m1)
 
-let place_exn options env circuit =
-  match Placer.place options env circuit with
+let place_exn ?spill options env circuit =
+  match Placer.place ?spill options env circuit with
   | Placer.Placed p -> p
   | Placer.Unplaceable msg -> Alcotest.fail msg
 
@@ -403,8 +405,7 @@ let test_spill_leaves_no_routes () =
   in
   let spilled_env = Environment.grid 6 6 in
   let spilled =
-    place_exn { in_core with Options.spill = Options.Spill_drop } spilled_env
-      circuit
+    place_exn ~spill:Placer.Spill.null in_core spilled_env circuit
   in
   Alcotest.(check bool) "the spilled run routed" true
     (spilled.Placer.stats.Placer.route_cache_misses > 0);

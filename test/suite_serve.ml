@@ -177,7 +177,7 @@ let test_key_hash_pinned () =
     place_of_line
       "{\"id\":\"r1\",\"op\":\"place\",\"env\":\"trans-crotonic\",\"circuit\":\"qft6\",\"options\":{\"threshold\":100}}"
   in
-  Alcotest.(check string) "request digest" "68cce89f90c0ffb2"
+  Alcotest.(check string) "request digest" "523314a175ba8dc6"
     (Protocol.key_hash p.Protocol.key)
 
 let test_default_threshold () =
@@ -622,6 +622,26 @@ let test_timeout_response () =
       (member_exn "status" ok = Json.Str "ok")
   | rs -> Alcotest.failf "expected 1 response, got %d" (List.length rs)
 
+(* A portfolio request honours its deadline like any other request: an
+   expired budget is shed to "timeout" and nothing is cached. *)
+let test_portfolio_timeout () =
+  let eng = engine ~jobs:0 () in
+  let line =
+    "{\"id\":\"p\",\"op\":\"place\",\"env\":\"trans-crotonic\",\"circuit\":\"phaseest\",\"deadline\":0,\"options\":{\"threshold\":100,\"portfolio\":true}}"
+  in
+  match
+    Engine.dispatch eng ~now:(Qcp_util.Clock.now ()) [ job_of_line eng line ]
+  with
+  | [ r ] ->
+    Alcotest.(check bool) "status timeout" true
+      (member_exn "status" r = Json.Str "timeout");
+    let stats = Result.get_ok (Json.parse (Engine.stats_json eng)) in
+    Alcotest.(check bool) "counted as shed" true
+      (Json.member "shed" stats = Some (Json.Num 1.0));
+    Alcotest.(check int) "nothing cached" 0
+      (Result_cache.length (Engine.cache eng))
+  | rs -> Alcotest.failf "expected 1 response, got %d" (List.length rs)
+
 let test_request_validation () =
   let eng = engine ~jobs:0 () in
   let expect_error line needle =
@@ -780,4 +800,6 @@ let suite =
       test_memo_bounded;
     Alcotest.test_case "result cache LRU matches tick scan" `Quick
       test_result_cache_lockstep;
+    Alcotest.test_case "portfolio deadline expiry yields timeout" `Quick
+      test_portfolio_timeout;
   ]

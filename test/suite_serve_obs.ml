@@ -477,22 +477,6 @@ let test_shed_mixed_batch () =
     Alcotest.(check int) "one placed" 1 (int_member "placed" s)
   | rs -> Alcotest.failf "expected 2 responses, got %d" (List.length rs)
 
-let test_portfolio_never_sheds () =
-  (* Portfolio races ignore the out-of-band budget: even an "expired"
-     arrival must still race and answer. *)
-  let eng = engine () in
-  let now = Qcp_util.Clock.now () in
-  let line =
-    "{\"op\":\"place\",\"env\":\"trans-crotonic\",\"circuit\":\"phaseest\",\"deadline\":0.05,\"options\":{\"threshold\":100,\"portfolio\":true}}"
-  in
-  let j = job eng ~id:"race" ~arrival:(now -. 1.0) line in
-  match Engine.dispatch eng ~now [ j ] with
-  | [ r ] ->
-    Alcotest.(check string) "race still answers ok" "ok"
-      (str_exn "status" (parse_exn r));
-    Alcotest.(check int) "nothing shed" 0 (int_member "shed" (stats eng))
-  | rs -> Alcotest.failf "expected 1 response, got %d" (List.length rs)
-
 let suite =
   [
     Alcotest.test_case "log lines round-trip through Json" `Quick
@@ -519,6 +503,4 @@ let suite =
       test_prometheus_from_engine;
     Alcotest.test_case "expired budgets shed at dispatch" `Quick
       test_shed_mixed_batch;
-    Alcotest.test_case "portfolio races never shed" `Quick
-      test_portfolio_never_sheds;
   ]

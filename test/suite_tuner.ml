@@ -70,6 +70,36 @@ let test_auto_place_impossible () =
   | Placer.Unplaceable _ -> ()
   | Placer.Placed _ -> Alcotest.fail "expected Unplaceable"
 
+(* [auto_place] is [best] over [sweep]: same threshold, stages and
+   runtime, or the same failure; with [portfolio] set too, which is what
+   [qcp place --auto-threshold --portfolio] runs. *)
+let test_best_of_sweep () =
+  List.iter
+    (fun (env, circuit, portfolio) ->
+      let options ~threshold =
+        { (Options.default ~threshold) with Options.portfolio; jobs = 0 }
+      in
+      match
+        ( Tuner.best (Tuner.sweep ~jobs:0 ~options env circuit),
+          Tuner.auto_place ~jobs:0 ~options env circuit )
+      with
+      | Placer.Placed a, Placer.Placed b ->
+        Alcotest.(check (float 0.0)) "same threshold"
+          a.Placer.options.Options.threshold b.Placer.options.Options.threshold;
+        Alcotest.(check bool) "same stages" true
+          (a.Placer.stages = b.Placer.stages);
+        Alcotest.(check bool) "same runtime" true
+          (Placer.runtime a = Placer.runtime b)
+      | Placer.Unplaceable a, Placer.Unplaceable b ->
+        Alcotest.(check string) "same failure" a b
+      | _ -> Alcotest.fail "best of the sweep and auto_place disagree")
+    [
+      (Molecules.trans_crotonic_acid, Catalog.qft 6, false);
+      (Molecules.iron_complex, Catalog.phase_estimation 4, false);
+      (Molecules.acetyl_chloride, Catalog.qft 6, false);
+      (Molecules.acetyl_chloride, Catalog.qec3_encode, true);
+    ]
+
 (* --------------------------- compression -------------------------- *)
 
 let test_compress_identity_cases () =
@@ -127,6 +157,7 @@ let suite =
     Alcotest.test_case "auto >= any fixed threshold" `Quick test_auto_place_at_least_as_good;
     Alcotest.test_case "auto on iron complex" `Quick test_auto_place_iron;
     Alcotest.test_case "auto impossible" `Quick test_auto_place_impossible;
+    Alcotest.test_case "auto = best of sweep" `Quick test_best_of_sweep;
     Alcotest.test_case "compress identity cases" `Quick test_compress_identity_cases;
     Alcotest.test_case "compress packs sparse" `Quick test_compress_packs_sparse_levels;
     Alcotest.test_case "compress keeps conflicts ordered" `Quick

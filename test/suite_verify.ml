@@ -10,8 +10,8 @@ module Catalog = Qcp_circuit.Catalog
 module Circuit = Qcp_circuit.Circuit
 module Gate = Qcp_circuit.Gate
 
-let place_exn options env circuit =
-  match Placer.place options env circuit with
+let place_exn ?spill options env circuit =
+  match Placer.place ?spill options env circuit with
   | Placer.Placed p -> p
   | Placer.Unplaceable msg -> Alcotest.failf "unplaceable: %s" msg
 
@@ -159,15 +159,13 @@ let test_stream_matches_spilled_summary () =
       let env = Molecules.trans_crotonic_acid in
       let circuit = Catalog.qft 6 in
       let options =
-        {
-          (Options.default ~threshold:100.0) with
-          Options.window = 4;
-          spill = Options.Spill_file path;
-        }
+        { (Options.default ~threshold:100.0) with Options.window = 4 }
       in
-      let p = place_exn options env circuit in
+      let p =
+        place_exn ~spill:(Placer.Spill.file path) options env circuit
+      in
       let s =
-        match Placer.spilled p with
+        match p.Placer.spilled with
         | Some s -> s
         | None -> Alcotest.fail "windowed spill run carries no summary"
       in

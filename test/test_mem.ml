@@ -11,8 +11,8 @@
 
    - dag-stream: a [Dag.Stream] drain tops at 1,388,469 words,
      [Dag.build] at 2,356,719; budget 1,850,000;
-   - place-spill: a windowed placement under [Spill_drop] tops at
-     4,895,832 words, under [No_spill] at 6,226,192; budget 5,550,000.
+   - place-spill: a windowed placement into [Spill.null] tops at
+     4,895,832 words, without a sink at 6,226,192; budget 5,550,000.
 
    So a change that goes back to building the offline DAG's edge lists or
    keeping the full stage list in the spilled path fails here.
@@ -64,13 +64,11 @@ let () =
   let spill_ok =
     probe "scale/place-spill" ~budget:(budget 5_550_000) (fun () ->
         let options =
-          {
-            (Qcp.Options.scale ~threshold:50.0) with
-            Qcp.Options.spill = Qcp.Options.Spill_drop;
-            jobs = 0;
-          }
+          { (Qcp.Options.scale ~threshold:50.0) with Qcp.Options.jobs = 0 }
         in
-        match Qcp.Placer.place options env circuit with
+        match
+          Qcp.Placer.place ~spill:Qcp.Placer.Spill.null options env circuit
+        with
         | Qcp.Placer.Placed p -> Qcp.Placer.runtime p
         | Qcp.Placer.Unplaceable _ -> nan)
   in
