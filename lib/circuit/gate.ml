@@ -16,7 +16,9 @@ type t =
   | G1 of kind1 * int
   | G2 of kind2 * int * int
 
-let duration = function
+(* Inlined into both readers below, so [write_duration] stores the weight
+   without boxing it. *)
+let[@inline] weight = function
   | G1 (Rotation (Z, _), _) -> 0.0
   | G1 (Rotation ((X | Y), angle), _) -> Float.abs angle /. 90.0
   | G1 (Hadamard, _) -> 1.0
@@ -26,6 +28,10 @@ let duration = function
   | G2 (Cphase angle, _, _) -> Float.abs angle /. 180.0
   | G2 (Swap, _, _) -> 3.0
   | G2 (Custom2 (_, weight), _, _) -> weight
+
+let duration gate = weight gate
+
+let write_duration dst i gate = dst.(i) <- weight gate
 
 let qubits = function
   | G1 (_, q) -> [ q ]

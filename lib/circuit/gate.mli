@@ -31,6 +31,11 @@ val duration : t -> float
     [|angle|/180] for controlled phases (which reduce to [ZZ(angle/2)] up to
     free z-rotations), 3.0 for SWAP, and the explicit weight for customs. *)
 
+val write_duration : float array -> int -> t -> unit
+(** [write_duration dst i gate] stores {!duration}[ gate] into [dst.(i)]
+    without allocating: {!duration} returns a freshly boxed float for an
+    angle gate, since it is not inlined across modules. *)
+
 val qubits : t -> int list
 (** The one or two (distinct) qubits the gate acts on. *)
 

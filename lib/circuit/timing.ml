@@ -1,7 +1,4 @@
-type weights = {
-  single : int -> float;
-  coupled : int -> int -> float;
-}
+type weights = float array array
 
 type model = Asap | Sequential
 
@@ -11,20 +8,71 @@ let capped reuse_cap t =
   match reuse_cap with None -> t | Some cap -> Float.min cap t
 
 (* ------------------------------------------------------------------ *)
-(* The recurrence, once: one two-qubit step, one ASAP gate loop, one
-   packed-SWAP loop and one sequential fold.  Every entry point below runs
-   these over clock arrays indexed by [register] slots: physical vertices
-   for the placer's stage timing, logical qubits (with the placement
-   folded into the weights) for {!finish_times}. *)
+(* Compiled gate lists: qubit a, qubit b (-1 for a one-qubit gate) and
+   the duration weight of each gate, in circuit order.  A compiled stage
+   holds one for its whole circuit; {!finish_times} compiles into a
+   per-domain buffer a chunk at a time. *)
+
+type ops = {
+  o_a : int array;
+  o_b : int array;
+  o_t : float array;
+  mutable o_len : int;
+}
+
+let make_ops size =
+  { o_a = Array.make size 0; o_b = Array.make size (-1);
+    o_t = Array.make size 0.0; o_len = 0 }
+
+(* Compile gates from [i] on until [ops] is full; returns the rest.  Top
+   level, so a chunk builds no closure. *)
+let rec fill_from ops i gates =
+  match gates with
+  | gate :: rest when i < Array.length ops.o_a ->
+    (match gate with
+    | Gate.G1 (_, q) ->
+      ops.o_a.(i) <- q;
+      ops.o_b.(i) <- -1
+    | Gate.G2 (_, a, b) ->
+      ops.o_a.(i) <- a;
+      ops.o_b.(i) <- b);
+    Gate.write_duration ops.o_t i gate;
+    fill_from ops (i + 1) rest
+  | _ ->
+    ops.o_len <- i;
+    gates
+
+type stage = { circuit : Circuit.t; ops : ops }
+
+let compile circuit =
+  let ops = make_ops (Circuit.gate_count circuit) in
+  ignore (fill_from ops 0 (Circuit.gates circuit) : Gate.t list);
+  { circuit; ops }
+
+(* ------------------------------------------------------------------ *)
+(* The recurrence, once: one two-qubit step, one ASAP loop over compiled
+   gates, one packed-SWAP loop and one sequential fold.  The ASAP loops
+   keep clocks in [slot] order -- physical vertices for the placer's stage
+   timing, logical qubits for {!finish_times} -- and read delays from the
+   matrix rows and columns [place] names.  No closure, no option match and
+   no polymorphic compare per gate: for the nonnegative, non-NaN clocks
+   and weights the recurrence sees, [if a >= b then a else b] and
+   [if a <= b then a else b] give the bits of [Float.max] and
+   [Float.min]. *)
 
 type scratch = {
   mutable s_time : float array;
-  mutable s_pair : int array; (* current run's pair, encoded lo*reg+hi; -1 none *)
+  mutable s_pair : int array; (* pair code of the slot's current run *)
   mutable s_acc : float array;
   mutable s_len : int; (* register size of the clocks currently loaded *)
+  mutable s_base : int;
+      (* Pair codes below this belong to earlier sweeps: each sweep takes
+         the next [register * register] codes, so the run state needs no
+         clearing between sweeps. *)
 }
 
-let make_scratch () = { s_time = [||]; s_pair = [||]; s_acc = [||]; s_len = 0 }
+let make_scratch () =
+  { s_time = [||]; s_pair = [||]; s_acc = [||]; s_len = 0; s_base = 0 }
 
 let scratch_ready scratch register =
   if Array.length scratch.s_time < register then begin
@@ -33,116 +81,133 @@ let scratch_ready scratch register =
     scratch.s_acc <- Array.make register 0.0
   end
 
-(* The two-qubit step: a gate of duration [t] on slots [pa], [pb] updates
-   the interaction-run state (the [reuse_cap] accounting) and returns its
-   finish clock, which the caller stores into both clocks.  A gate whose
-   effective duration is 0 (a capped repeat) adds nothing: multiplying
-   the pair's delay by 0 would turn an absent coupling ([infinity]) into
-   NaN.  Inlined into both loops below. *)
-let[@inline] pair_finish ?reuse_cap ~register ~time ~pair_code ~run_acc
-    ~weights pa pb t =
-  let lo = min pa pb and hi = max pa pb in
-  let code = (lo * register) + hi in
-  let effective =
-    if pair_code.(pa) = code && pair_code.(pb) = code then begin
-      match reuse_cap with
-      | None ->
-        run_acc.(pa) <- run_acc.(pa) +. t;
-        run_acc.(pb) <- run_acc.(pa);
-        t
-      | Some cap ->
-        let acc = run_acc.(pa) in
-        let eff = Float.min cap (acc +. t) -. Float.min cap acc in
-        run_acc.(pa) <- acc +. t;
-        run_acc.(pb) <- run_acc.(pa);
-        eff
-    end
-    else begin
-      (* A new run on this pair; runs on other pairs through pa or pb end. *)
-      pair_code.(pa) <- code;
-      pair_code.(pb) <- code;
-      run_acc.(pa) <- t;
-      run_acc.(pb) <- t;
-      capped reuse_cap t
-    end
-  in
-  let ready = Float.max time.(pa) time.(pb) in
-  if effective = 0.0 then ready else ready +. (weights.coupled pa pb *. effective)
+let next_base scratch register =
+  let base = scratch.s_base in
+  scratch.s_base <- base + (register * register);
+  base
 
-(* The ASAP gate loop.  [time] must be pre-loaded with the start clocks,
-   [pair_code] with -1 and [run_acc] with 0; qubit [q] runs on slot
-   [place q].  Returns [false] the moment a finish strictly exceeds
-   [limit], before storing it (the clocks are then partially advanced).
-   Sound as an early refutation because the recurrence is monotone -- a
-   gate only ever raises the clocks it touches -- so the final makespan
-   would exceed [limit] too.  No clock exceeds an infinite limit, so the
-   same loop is the unbounded sweep. *)
-let asap_gates ?reuse_cap ~limit ~register ~time ~pair_code ~run_acc ~weights
-    ~place circuit =
-  let rec go = function
-    | [] -> true
-    | (Gate.G1 (_, q) as gate) :: rest ->
+(* The two-qubit step's run accounting: a gate of duration [t] on slots
+   [pa], [pb] whose pair code is [code] updates the interaction-run state
+   (the [reuse_cap] accounting; [capped] false means no cap and [cap] is
+   then [infinity]) and returns its effective duration.  A capped repeat's
+   effective duration is 0, and the callers then add nothing: multiplying
+   the pair's delay by 0 would turn an absent coupling ([infinity]) into
+   NaN.  Inlined into both loops below; the annotations keep the pair
+   codes' compare and store monomorphic. *)
+let[@inline] run_effective capped cap (pair_code : int array) run_acc (code : int)
+    pa pb t =
+  if pair_code.(pa) = code && pair_code.(pb) = code then begin
+    let acc = run_acc.(pa) in
+    let total = acc +. t in
+    run_acc.(pa) <- total;
+    run_acc.(pb) <- total;
+    if capped then
+      (if total <= cap then total else cap) -. (if acc <= cap then acc else cap)
+    else t
+  end
+  else begin
+    (* A new run on this pair; runs on other pairs through pa or pb end. *)
+    pair_code.(pa) <- code;
+    pair_code.(pb) <- code;
+    run_acc.(pa) <- t;
+    run_acc.(pb) <- t;
+    if t <= cap then t else cap
+  end
+
+(* The ASAP loop over [ops].  [time] holds the start clocks; pair codes
+   below [base] are stale.  Returns [false] the moment a finish strictly
+   exceeds [limit], before storing it (the clocks are then partially
+   advanced).  Sound as an early refutation because the recurrence is
+   monotone -- a gate only ever raises the clocks it touches -- so the
+   final makespan would exceed [limit] too.  No clock exceeds an infinite
+   limit, so the same loop is the unbounded sweep. *)
+let asap_ops reuse_cap limit base register time pair_code run_acc delay slot
+    place ops =
+  let capped = match reuse_cap with Some _ -> true | None -> false in
+  let cap = match reuse_cap with Some cap -> cap | None -> infinity in
+  let qa = ops.o_a and qb = ops.o_b and dur = ops.o_t in
+  let count = ops.o_len in
+  let i = ref 0 in
+  while !i < count do
+    let a = qa.(!i) and b = qb.(!i) and t = dur.(!i) in
+    if b < 0 then begin
       (* Local gates do not break an interaction run (see interface note). *)
-      let p = place q in
-      let finish = time.(p) +. (weights.single p *. Gate.duration gate) in
-      if finish > limit then false
+      let p = slot.(a) and d = place.(a) in
+      let finish = time.(p) +. (delay.(d).(d) *. t) in
+      if finish > limit then i := max_int
       else begin
         time.(p) <- finish;
-        go rest
+        incr i
       end
-    | (Gate.G2 (_, a, b) as gate) :: rest ->
-      let pa = place a and pb = place b in
-      let finish =
-        pair_finish ?reuse_cap ~register ~time ~pair_code ~run_acc ~weights pa
-          pb (Gate.duration gate)
+    end
+    else begin
+      let pa = slot.(a) and pb = slot.(b) in
+      let code =
+        if pa < pb then base + (pa * register) + pb
+        else base + (pb * register) + pa
       in
-      if finish > limit then false
+      let effective = run_effective capped cap pair_code run_acc code pa pb t in
+      let ta = time.(pa) and tb = time.(pb) in
+      let ready = if ta >= tb then ta else tb in
+      let finish =
+        if effective = 0.0 then ready
+        else ready +. (delay.(place.(a)).(place.(b)) *. effective)
+      in
+      if finish > limit then i := max_int
       else begin
         time.(pa) <- finish;
         time.(pb) <- finish;
-        go rest
+        incr i
       end
-  in
-  go (Circuit.gates circuit)
+    end
+  done;
+  !i = count
 
-(* {!asap_gates} over SWAP gates on physical vertices (identity
-   placement), read from an array of {!Swap_word}s. *)
+(* {!asap_ops} over SWAP gates on physical vertices (identity placement),
+   read from an array of {!Swap_word}s. *)
 let swap_duration = Gate.duration (Gate.swap 0 1)
 
-let asap_swaps ?reuse_cap ~limit ~register ~time ~pair_code ~run_acc ~weights
-    swaps =
+let asap_swaps reuse_cap limit base register time pair_code run_acc delay swaps =
+  let capped = match reuse_cap with Some _ -> true | None -> false in
+  let cap = match reuse_cap with Some cap -> cap | None -> infinity in
+  let t = swap_duration in
   let count = Array.length swaps in
   let i = ref 0 in
-  let ok = ref true in
-  while !ok && !i < count do
+  while !i < count do
     let w = swaps.(!i) in
     let pa = Swap_word.u w and pb = Swap_word.v w in
     if pa >= register || pb >= register then
       invalid_arg "Timing: swap vertex outside the physical register";
-    let finish =
-      pair_finish ?reuse_cap ~register ~time ~pair_code ~run_acc ~weights pa pb
-        swap_duration
+    let code =
+      if pa < pb then base + (pa * register) + pb else base + (pb * register) + pa
     in
-    if finish > limit then ok := false
+    let effective = run_effective capped cap pair_code run_acc code pa pb t in
+    let ta = time.(pa) and tb = time.(pb) in
+    let ready = if ta >= tb then ta else tb in
+    let finish =
+      if effective = 0.0 then ready else ready +. (delay.(pa).(pb) *. effective)
+    in
+    if finish > limit then i := max_int
     else begin
       time.(pa) <- finish;
       time.(pb) <- finish;
       incr i
     end
   done;
-  !ok
+  !i = count
 
 (* The sequential fold: logic levels run back to back from [ready], each
    as long as its slowest gate.  A zero-duration two-qubit gate costs 0
-   whatever its delay, as in {!pair_finish}. *)
-let sequential_total ?reuse_cap ~ready ~weights ~place circuit =
+   whatever its delay, as in {!run_effective}. *)
+let sequential_total ?reuse_cap ~ready ~delay ~place circuit =
   let gate_cost gate =
     match gate with
-    | Gate.G1 (_, q) -> weights.single (place q) *. Gate.duration gate
+    | Gate.G1 (_, q) ->
+      let p = place q in
+      delay.(p).(p) *. Gate.duration gate
     | Gate.G2 (_, a, b) ->
       let effective = capped reuse_cap (Gate.duration gate) in
-      if effective = 0.0 then 0.0
-      else weights.coupled (place a) (place b) *. effective
+      if effective = 0.0 then 0.0 else delay.(place a).(place b) *. effective
   in
   List.fold_left
     (fun acc level ->
@@ -154,47 +219,61 @@ let check_placed ~register circuit =
   if Circuit.qubits circuit > register then
     invalid_arg "Timing: circuit does not fit the physical register"
 
-let stage_start scratch start =
-  let register = Array.length start in
-  scratch_ready scratch register;
-  scratch.s_len <- register;
-  Array.blit start 0 scratch.s_time 0 register
+(* A loop, not [Array.blit]: registers are a few dozen clocks, where the
+   C call costs more than the copy. *)
+let stage_load scratch src ~pos ~len =
+  if pos < 0 || len < 0 || pos > Array.length src - len then
+    invalid_arg "Timing.stage_load";
+  scratch_ready scratch len;
+  scratch.s_len <- len;
+  let time = scratch.s_time in
+  for v = 0 to len - 1 do
+    Array.unsafe_set time v (Array.unsafe_get src (pos + v))
+  done
 
-let stage_advance ?(model = Asap) ?reuse_cap ?(cutoff = infinity) ~weights
-    ~place scratch circuit =
+let stage_start scratch start =
+  stage_load scratch start ~pos:0 ~len:(Array.length start)
+
+let clocks scratch = scratch.s_time
+
+(* A sequential stage is one fold from the latest loaded clock. *)
+let sequential_advance ?reuse_cap ~cutoff ~weights ~place scratch circuit =
   let register = scratch.s_len in
-  check_placed ~register circuit;
+  let ready = ref 0.0 in
+  for v = 0 to register - 1 do
+    ready := Float.max !ready scratch.s_time.(v)
+  done;
+  let total =
+    sequential_total ?reuse_cap ~ready:!ready ~delay:weights ~place circuit
+  in
+  (* The sequential total is a running sum of nonnegative level widths, so
+     comparing the final value is equivalent to aborting mid-fold. *)
+  if total > cutoff then false
+  else begin
+    Array.fill scratch.s_time 0 register total;
+    true
+  end
+
+let stage_advance ~model ~reuse_cap ~cutoff ~weights ~place scratch stage =
+  let register = scratch.s_len in
+  check_placed ~register stage.circuit;
   match model with
   | Asap ->
     (* Fresh interaction-run state per stage, exactly like a separate
        [finish_times] call on the stage's circuit. *)
-    Array.fill scratch.s_pair 0 register (-1);
-    Array.fill scratch.s_acc 0 register 0.0;
-    asap_gates ?reuse_cap ~limit:cutoff ~register ~time:scratch.s_time
-      ~pair_code:scratch.s_pair ~run_acc:scratch.s_acc ~weights ~place circuit
+    asap_ops reuse_cap cutoff (next_base scratch register) register
+      scratch.s_time scratch.s_pair scratch.s_acc weights place place stage.ops
   | Sequential ->
-    let ready = ref 0.0 in
-    for v = 0 to register - 1 do
-      ready := Float.max !ready scratch.s_time.(v)
-    done;
-    let total = sequential_total ?reuse_cap ~ready:!ready ~weights ~place circuit in
-    (* The sequential total is a running sum of nonnegative level widths, so
-       comparing the final value is equivalent to aborting mid-fold. *)
-    if total > cutoff then false
-    else begin
-      Array.fill scratch.s_time 0 register total;
-      true
-    end
+    sequential_advance ?reuse_cap ~cutoff ~weights
+      ~place:(fun q -> place.(q))
+      scratch stage.circuit
 
-let stage_advance_swaps ?(model = Asap) ?reuse_cap ?(cutoff = infinity)
-    ~weights scratch swaps =
+let stage_advance_swaps ~model ~reuse_cap ~cutoff ~weights scratch swaps =
   let register = scratch.s_len in
   match model with
   | Asap ->
-    Array.fill scratch.s_pair 0 register (-1);
-    Array.fill scratch.s_acc 0 register 0.0;
-    asap_swaps ?reuse_cap ~limit:cutoff ~register ~time:scratch.s_time
-      ~pair_code:scratch.s_pair ~run_acc:scratch.s_acc ~weights swaps
+    asap_swaps reuse_cap cutoff (next_base scratch register) register
+      scratch.s_time scratch.s_pair scratch.s_acc weights swaps
   | Sequential ->
     let gates =
       Array.fold_right
@@ -206,11 +285,8 @@ let stage_advance_swaps ?(model = Asap) ?reuse_cap ?(cutoff = infinity)
       with Invalid_argument _ ->
         invalid_arg "Timing: swap vertex outside the physical register"
     in
-    stage_advance ~model ?reuse_cap ~cutoff ~weights ~place:identity_place
+    sequential_advance ?reuse_cap ~cutoff ~weights ~place:identity_place
       scratch circuit
-
-let stage_lift scratch v t =
-  if t > scratch.s_time.(v) then scratch.s_time.(v) <- t
 
 let stage_clocks scratch = Array.sub scratch.s_time 0 scratch.s_len
 
@@ -221,9 +297,13 @@ let stage_makespan scratch =
   done;
   !best
 
-(* Logical clocks: the loops run over the circuit's own register with the
-   placement folded into the weights, so a non-injective [place] (two
-   qubits on one vertex) still gives each qubit its own clock. *)
+(* Logical clocks: the gate loop runs over the circuit's own register
+   ([slot] is the identity) with delays read through the placement, so a
+   non-injective [place] (two qubits on one vertex) still gives each qubit
+   its own clock.  The circuit is compiled a chunk at a time into this
+   domain's buffer, so a call allocates nothing per gate. *)
+let chunk = Domain.DLS.new_key (fun () -> make_ops 512)
+
 let finish_times ?(model = Asap) ?reuse_cap ?start ~weights ~place circuit =
   let n = Circuit.qubits circuit in
   let time =
@@ -234,23 +314,26 @@ let finish_times ?(model = Asap) ?reuse_cap ?start ~weights ~place circuit =
       Array.copy arr
     | None -> Array.make n 0.0
   in
-  let weights =
-    {
-      single = (fun q -> weights.single (place q));
-      coupled = (fun a b -> weights.coupled (place a) (place b));
-    }
-  in
   (match model with
   | Asap ->
-    ignore
-      (asap_gates ?reuse_cap ~limit:infinity ~register:n ~time
-         ~pair_code:(Array.make n (-1)) ~run_acc:(Array.make n 0.0) ~weights
-         ~place:identity_place circuit
-        : bool)
+    let slot = Array.init n Fun.id and placed = Array.init n place in
+    let pair_code = Array.make n (-1) and run_acc = Array.make n 0.0 in
+    let ops = Domain.DLS.get chunk in
+    let rec go = function
+      | [] -> ()
+      | gates ->
+        let rest = fill_from ops 0 gates in
+        ignore
+          (asap_ops reuse_cap infinity 0 n time pair_code run_acc weights slot
+             placed ops
+            : bool);
+        go rest
+    in
+    go (Circuit.gates circuit)
   | Sequential ->
     let ready = Array.fold_left Float.max 0.0 time in
     Array.fill time 0 n
-      (sequential_total ?reuse_cap ~ready ~weights ~place:identity_place circuit));
+      (sequential_total ?reuse_cap ~ready ~delay:weights ~place circuit));
   time
 
 let runtime ?model ?reuse_cap ?start ~weights ~place circuit =

@@ -20,17 +20,19 @@
     coupling (delay [infinity]) finishes at [infinity], not NaN.
 
     The module implements the recurrence once: one two-qubit step, one
-    ASAP gate loop, one loop over packed SWAP arrays and one sequential
-    fold.  The ASAP loops take a plain float limit and return a verdict;
-    an infinite limit is the unbounded sweep, since no clock exceeds it.
-    {!finish_times} runs the same gate loop over the circuit's own
-    (logical) register with [place] folded into the weights, so it
-    allocates its clock arrays once and nothing per gate. *)
+    ASAP loop over a compiled gate list, one loop over packed SWAP arrays
+    and one sequential fold.  The ASAP loops take a plain float limit and
+    return a verdict; an infinite limit is the unbounded sweep, since no
+    clock exceeds it.  {!finish_times} runs the same gate loop over the
+    circuit's own (logical) register, reading delays through [place] and
+    compiling the circuit a chunk at a time into a per-domain buffer, so
+    it allocates its clock arrays once and nothing per gate. *)
 
-type weights = {
-  single : int -> float;       (** delay of a weight-1 single-qubit gate on a vertex *)
-  coupled : int -> int -> float;  (** delay of a weight-1 two-qubit gate on a vertex pair *)
-}
+type weights = float array array
+(** The delay matrix of the physical register, as
+    {!Qcp_env.Environment.weights} stores it: [w.(v).(v)] is the delay of
+    a weight-1 single-qubit gate on vertex [v], [w.(u).(v)] that of a
+    weight-1 two-qubit gate on the pair.  Read, never written. *)
 
 type model = Asap | Sequential
 
@@ -44,7 +46,8 @@ val finish_times :
   float array
 (** Per-qubit finish times.  [start] (default all zeros, length = circuit
     qubits) gives each qubit's ready time, enabling incremental evaluation of
-    concatenated stages. *)
+    concatenated stages.  [place] is called once per circuit qubit, each
+    must land inside [weights]. *)
 
 val runtime :
   ?model:model ->
@@ -60,22 +63,36 @@ val identity_place : int -> int
 (** Convenience placement for circuits already expressed over physical
     vertices. *)
 
+(** {1 Compiled stages} *)
+
+type stage
+(** A circuit compiled once into flat arrays -- qubit a, qubit b (-1 for
+    a one-qubit gate) and the precomputed {!Gate.duration} of each gate,
+    in circuit order -- so a timing sweep reads no gate variant and calls
+    no duration function.  Immutable once built. *)
+
+val compile : Circuit.t -> stage
+
 (** {1 Placed timing}
 
     The placer's hot loop times a *logical* subcircuit under a candidate
     placement against the physical register's clocks.  These entry points
-    run the recurrence directly through the [place] callback with
-    physical-indexed state, so no remapped circuit ([Circuit.map_qubits])
-    is ever materialized; the float operations execute in the same order as
-    timing the remapped circuit, making results bit-identical. *)
+    run the recurrence over the compiled stage with physical-indexed
+    state, reading the clock of qubit [q] at vertex [place.(q)] and its
+    delays from the matrix at that vertex, so no remapped circuit
+    ([Circuit.map_qubits]) is ever materialized; the float operations
+    execute in the same order as timing the remapped circuit, making
+    results bit-identical.  Every argument is plain (no optional
+    argument, no closure), so a call allocates nothing under {!Asap}. *)
 
 type scratch
 (** Reusable physical-clock buffers, so the candidate-scoring inner loop
     allocates nothing per evaluation.  A scoring pass loads the current
-    clocks with {!stage_start}, advances them through one or more stages
-    ({!stage_advance} — e.g. a connecting SWAP stage then the subcircuit),
-    and reads the makespan off with {!stage_makespan}.  Not thread-safe:
-    use one scratch per domain. *)
+    clocks with {!stage_start} or {!stage_load}, advances them through one
+    or more stages ({!stage_advance} — e.g. a connecting SWAP stage then
+    the subcircuit), and reads the makespan off with {!stage_makespan}.
+    Interaction-run state is never cleared: each sweep takes fresh pair
+    codes.  Not thread-safe: use one scratch per domain. *)
 
 val make_scratch : unit -> scratch
 (** An empty scratch; buffers grow on demand to the largest register seen. *)
@@ -83,22 +100,35 @@ val make_scratch : unit -> scratch
 val stage_start : scratch -> float array -> unit
 (** Load per-vertex ready clocks (defines the register size). *)
 
-val stage_advance :
-  ?model:model ->
-  ?reuse_cap:float ->
-  ?cutoff:float ->
-  weights:weights ->
-  place:(int -> int) ->
-  scratch ->
-  Circuit.t ->
-  bool
-(** Advance the loaded clocks across one placed stage.  Interaction-run
-    state (the [reuse_cap] accounting) is fresh per call, exactly as in a
-    separate {!finish_times} call per stage.
+val stage_load : scratch -> float array -> pos:int -> len:int -> unit
+(** [stage_load scratch src ~pos ~len] loads the [len] clocks
+    [src.(pos) .. src.(pos + len - 1)] (a row of a clock matrix, say),
+    defining the register size as [len]. *)
 
-    [cutoff] defaults to [infinity]; there is no separate unbounded
+val clocks : scratch -> float array
+(** The live clock buffer: its first [len] cells are the loaded clocks
+    (for the [len] of the last load).  A caller may raise a clock in place
+    -- e.g. to fold a per-vertex lower bound on an elided stage into the
+    start clocks before advancing the next stage -- or read the clocks
+    without copying them.  Overwritten by the next load or advance. *)
+
+val stage_advance :
+  model:model ->
+  reuse_cap:float option ->
+  cutoff:float ->
+  weights:weights ->
+  place:int array ->
+  scratch ->
+  stage ->
+  bool
+(** Advance the loaded clocks across one placed stage, qubit [q] on
+    vertex [place.(q)].  Interaction-run state (the [reuse_cap]
+    accounting) is fresh per call, exactly as in a separate
+    {!finish_times} call per stage.
+
+    [cutoff] [infinity] is the unbounded sweep; there is no separate
     path.  The sweep aborts and returns [false] the moment any clock
-    strictly exceeds [cutoff] (never, for the default).  This refutation
+    strictly exceeds [cutoff].  This refutation
     is admissible because the recurrence is monotone: durations and
     weights are nonnegative and a two-qubit finish is the max of its
     operand clocks plus a nonnegative delay, so clocks never decrease and
@@ -106,12 +136,12 @@ val stage_advance :
     proves the stage makespan would strictly exceed [cutoff], while [true]
     leaves clocks bit-identical to the unbounded sweep.  After [false] the
     scratch clocks are partially advanced and unspecified; reload them
-    with {!stage_start} before the next evaluation. *)
+    before the next evaluation. *)
 
 val stage_advance_swaps :
-  ?model:model ->
-  ?reuse_cap:float ->
-  ?cutoff:float ->
+  model:model ->
+  reuse_cap:float option ->
+  cutoff:float ->
   weights:weights ->
   scratch ->
   int array ->
@@ -131,12 +161,6 @@ val stage_advance_swaps :
 
 val stage_makespan : scratch -> float
 (** [max 0] of the loaded clocks. *)
-
-val stage_lift : scratch -> int -> float -> unit
-(** [stage_lift scratch v t] raises vertex [v]'s loaded clock to at least
-    [t] (no-op when it is already larger) -- e.g. to fold a per-vertex
-    lower bound on an elided stage into the start clocks before advancing
-    the next stage. *)
 
 val stage_clocks : scratch -> float array
 (** A fresh copy of the loaded clocks (length = the register size loaded by

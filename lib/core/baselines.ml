@@ -92,11 +92,10 @@ let lower_bound ?reuse_cap env circuit =
     done
   done;
   if m < 2 then best_coupling := 0.0;
+  let n = Circuit.qubits circuit in
   let weights =
-    {
-      Qcp_circuit.Timing.single = (fun _ -> !best_single);
-      coupled = (fun _ _ -> !best_coupling);
-    }
+    Array.init n (fun u ->
+        Array.init n (fun v -> if u = v then !best_single else !best_coupling))
   in
   Timing.runtime ?reuse_cap ~weights ~place:Timing.identity_place circuit
 

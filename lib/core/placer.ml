@@ -118,69 +118,6 @@ let make_phase_times () =
     ph_balance = ref 0.0;
   }
 
-(* The cost of moving a token along the adjacency graph by SWAPs, for the
-   routing-free swap-displacement bound (DESIGN §9).  Edge [(u, v)] costs
-   one capped SWAP at its cheaper orientation,
-   [min (delay u v) (delay v u) *. min reuse_cap 3]: every maximal same-pair
-   swap run costs at least that while moving a token at most one edge, so
-   a token displaced from [src] to [dst] cannot reach [dst] before
-   [start.(src)] plus the cheapest such path. *)
-type swap_metric =
-  | Uniform of float
-      (* Every adjacency edge costs this step (grids, chains, heavy-hex):
-         the distance is exactly hops times the step, read off the BFS
-         table, so no second m x m table is built. *)
-  | Weighted of float array array Lazy.t
-      (* All-pairs weighted shortest paths ({!Paths.all_pairs_weighted}),
-         built on first use. *)
-
-let swap_metric options env adjacency =
-  let weights = Environment.weights env in
-  let capped_swap =
-    match options.Options.reuse_cap with
-    | None -> 3.0
-    | Some cap -> Float.min cap 3.0
-  in
-  let cost u v =
-    Float.min (weights.Timing.coupled u v) (weights.Timing.coupled v u)
-    *. capped_swap
-  in
-  let cheapest, dearest =
-    List.fold_left
-      (fun (lo, hi) (u, v) ->
-        let c = cost u v in
-        (Float.min lo c, Float.max hi c))
-      (infinity, 0.0) (Graph.edges adjacency)
-  in
-  if dearest <= cheapest then Uniform cheapest
-  else Weighted (lazy (Paths.all_pairs_weighted ~cost adjacency))
-
-(* [swap_arrival metric dist start src dst] is the clock a token displaced
-   from [src] to [dst <> src] lifts [dst] to ([neg_infinity]: no lift),
-   forcing the distance table [metric] reads ([dist] is the BFS one).  A
-   weighted distance is a float sum in Dijkstra's order while the swap
-   stage sums its delays gate by gate, so a weighted lift is shaded down by
-   2^-40 of itself -- far above any rounding gap, far below any delay -- so
-   that rounding never puts it above a clock the swap stage really
-   reaches.  Inlined, so the scoring loop boxes no float. *)
-let[@inline] swap_arrival metric dist start src dst =
-  match metric with
-  | Uniform step ->
-    let d = (Lazy.force dist).(src).(dst) in
-    if d > 0 then start.(src) +. (float_of_int d *. step) else neg_infinity
-  | Weighted table ->
-    let t = start.(src) +. (Lazy.force table).(src).(dst) in
-    t -. (t *. 0x1p-40)
-
-let bfs_table adjacency =
-  Array.init (Graph.n adjacency) (fun v -> Paths.bfs_dist adjacency v)
-
-let swap_lift options env adjacency =
-  let metric = swap_metric options env adjacency in
-  let dist = lazy (bfs_table adjacency) in
-  fun ~start src dst ->
-    if src = dst then neg_infinity else swap_arrival metric dist start src dst
-
 (* Internal context shared by the pipeline.  Search counters live in a
    per-run {!Qcp_obs.Metrics} registry (each handle is one atomic cell, so
    parallel candidate evaluation shares them exactly like the plain atomics
@@ -193,7 +130,6 @@ type ctx = {
   c_env : Environment.t;
   c_adjacency : Graph.t;
   c_options : Options.t;
-  c_weights : Timing.weights;
   c_m : int; (* environment size *)
   c_n : int; (* circuit qubits *)
   c_metrics : Telemetry.t;
@@ -219,12 +155,12 @@ type ctx = {
   c_router_ns : int Atomic.t;
       (* Wall nanoseconds in route-table lookups (misses included) and in
          router runs; only ticking while {!phases_armed}. *)
-  c_scratch : Timing.scratch; (* main-domain scoring buffers *)
   c_scoring_time : float ref; (* wall seconds spent scoring candidates *)
-  c_dist : int array array Lazy.t;
-      (* All-pairs BFS distances over the adjacency graph. *)
-  c_swap : swap_metric;
-      (* SWAP distances for the swap-displacement lower bound. *)
+  c_clocks : float array ref;
+      (* The picks' finish-clock matrix, a row of [m] per candidate: grown
+         on demand and reused by every sweep of the run. *)
+  c_scoring : Scoring.t;
+      (* The candidate scoring kernel, routing through this run's table. *)
   c_hier : Coarsen.t option Lazy.t;
       (* Coarsening hierarchy of the adjacency graph for the
          coarsen-place-refine path; [None] when [Options.coarsen] is off,
@@ -233,15 +169,13 @@ type ctx = {
   c_deadline : float;
       (* Absolute {!Qcp_util.Clock} instant after which the pipeline
          aborts between stages ([infinity]: never, and no clock reads). *)
-  c_reference : bool;
-      (* Set for {!place_reference}: every cutoff is read as [infinity]
-         ({!cutoff_of}), so no sweep prunes, skips or exits early and each
-         argmin scores every candidate in full. *)
 }
 
 (* The cutoff a bounded evaluation actually applies: [infinity] in the
-   exhaustive reference run. *)
-let cutoff_of ctx cutoff = if ctx.c_reference then infinity else cutoff
+   exhaustive reference run ({!place_reference}), so no sweep prunes,
+   skips or exits early and each argmin scores every candidate in
+   full. *)
+let cutoff_of ctx cutoff = Scoring.cutoff_of ctx.c_scoring cutoff
 
 (* The "per-run" registry is cached per domain and zeroed at the start of
    every [place]: registry construction and handle interning cost more
@@ -303,21 +237,29 @@ let add_elapsed cell t0 =
        (int_of_float ((Unix.gettimeofday () -. t0) *. 1e9))
       : int)
 
-let timed_router ctx memo perm =
-  let t0 = Unix.gettimeofday () in
-  let entry = ctx.c_router memo perm in
-  add_elapsed ctx.c_router_ns t0;
-  entry
-
-let route_network ctx perm =
-  Telemetry.incr ctx.c_routed;
+(* A connecting permutation's route through [cache], by [router] on a
+   miss, with the lookup and router clocks ticking while {!phases_armed}.
+   The scoring kernel holds it partially applied to one run's table and
+   clocks. *)
+let route_via ~routed ~cache ~router ~table_ns ~router_ns perm =
+  Telemetry.incr routed;
   if phases_armed () then begin
     let t0 = Unix.gettimeofday () in
-    let entry = Score_cache.route ctx.c_cache ~route:(timed_router ctx) perm in
-    add_elapsed ctx.c_table_ns t0;
+    let timed memo perm =
+      let t0 = Unix.gettimeofday () in
+      let entry = router memo perm in
+      add_elapsed router_ns t0;
+      entry
+    in
+    let entry = Score_cache.route cache ~route:timed perm in
+    add_elapsed table_ns t0;
     entry
   end
-  else Score_cache.route ctx.c_cache ~route:ctx.c_router perm
+  else Score_cache.route cache ~route:router perm
+
+let route_network ctx perm =
+  route_via ~routed:ctx.c_routed ~cache:ctx.c_cache ~router:ctx.c_router
+    ~table_ns:ctx.c_table_ns ~router_ns:ctx.c_router_ns perm
 
 (* The run's router, the registry key its routes are shared under, and
    its list network for an entry.  Odd-even off a chain is exactly the
@@ -346,64 +288,24 @@ let router_of options env adjacency =
       (Options.Odd_even, listed Qcp_route.Oes_router.route, Swap_network.levels)
     | None -> (Options.Bisect, (fun memo -> bisect memo), Swap_network.compressed))
 
-(* Load a partial monomorphism (active qubits only) into [placement],
-   marking its vertices in [taken]; every other qubit reads -1. *)
-let place_active ctx ~placement ~taken mapping =
-  Array.fill placement 0 ctx.c_n (-1);
-  Array.fill taken 0 ctx.c_m false;
-  for q = 0 to Array.length mapping - 1 do
-    let v = mapping.(q) in
-    if v >= 0 then begin
-      placement.(q) <- v;
-      taken.(v) <- true
-    end
-  done
-
-(* Extend a partial monomorphism to a full injective placement of every
-   logical qubit, given the previous stage's placement, into [placement]
-   ([taken] is scratch of environment size): inactive qubits keep their
-   previous vertex when it is free, then, in qubit order, fall to the
-   nearest free vertex.  Allocates nothing. *)
-let complete_after ctx ~previous ~placement ~taken mapping =
-  place_active ctx ~placement ~taken mapping;
-  (* Previous vertices are distinct, so no inactive qubit can take another
-     one's: the order of this pass does not matter. *)
-  for q = 0 to ctx.c_n - 1 do
-    if placement.(q) < 0 && not taken.(previous.(q)) then begin
-      placement.(q) <- previous.(q);
-      taken.(previous.(q)) <- true
-    end
-  done;
-  (* Displaced inactive qubits move to the nearest free vertex. *)
-  let dist_table = Lazy.force ctx.c_dist in
-  for q = 0 to ctx.c_n - 1 do
-    if placement.(q) < 0 then begin
-      let dist = dist_table.(previous.(q)) in
-      let best = ref (-1) in
-      for v = 0 to ctx.c_m - 1 do
-        if not taken.(v) then
-          match !best with
-          | -1 -> best := v
-          | b ->
-            let dv = if dist.(v) < 0 then max_int else dist.(v) in
-            let db = if dist.(b) < 0 then max_int else dist.(b) in
-            if dv < db then best := v
-      done;
-      assert (!best >= 0);
-      placement.(q) <- !best;
-      taken.(!best) <- true
-    end
-  done
-
-(* {!complete_after} into fresh arrays; in the first stage qubits with the
-   heaviest single-qubit workload get the fastest nuclei. *)
+(* {!Scoring.complete} into a fresh array; in the first stage qubits with
+   the heaviest single-qubit workload get the fastest nuclei. *)
 let complete_placement ctx ~prev ~subcircuit mapping =
-  let placement = Array.make ctx.c_n (-1) in
-  let taken = Array.make ctx.c_m false in
-  (match prev with
-  | Some previous -> complete_after ctx ~previous ~placement ~taken mapping
+  match prev with
+  | Some previous ->
+    let lane = Scoring.lane ctx.c_scoring in
+    Scoring.complete ctx.c_scoring lane ~previous mapping;
+    Array.sub (Scoring.next lane) 0 ctx.c_n
   | None ->
-    place_active ctx ~placement ~taken mapping;
+    let placement = Array.make ctx.c_n (-1) in
+    let taken = Array.make ctx.c_m false in
+    Array.iteri
+      (fun q v ->
+        if v >= 0 then begin
+          placement.(q) <- v;
+          taken.(v) <- true
+        end)
+      mapping;
     let inactive =
       List.filter (fun q -> placement.(q) < 0) (Qcp_util.Listx.range ctx.c_n)
     in
@@ -429,8 +331,8 @@ let complete_placement ctx ~prev ~subcircuit mapping =
         placement.(q) <- v;
         taken.(v) <- true)
       by_workload
-      (Qcp_util.Listx.take (List.length by_workload) free));
-  placement
+      (Qcp_util.Listx.take (List.length by_workload) free);
+    placement
 
 (* The connecting SWAP stage for a candidate, via the route cache. *)
 let connecting_stage ctx ~prev placement =
@@ -446,179 +348,48 @@ let connecting_stage ctx ~prev placement =
 let connecting_network ctx ~prev placement =
   Option.map ctx.c_network (connecting_stage ctx ~prev placement)
 
-(* The swap-displacement lift shared by {!score_makespan}'s prebound and
-   {!candidate_bound}: raise each displaced token's destination clock in
-   [scratch] (already loaded with [phys_start]) to its {!swap_arrival}
-   and return the largest lift (0 when nothing moves). *)
-let lift_displaced ctx scratch ~phys_start perm =
-  let lifted = ref 0.0 in
-  for src = 0 to Array.length perm - 1 do
-    let dst = perm.(src) in
-    if src <> dst then begin
-      let t = swap_arrival ctx.c_swap ctx.c_dist phys_start src dst in
-      Timing.stage_lift scratch dst t;
-      if t > !lifted then lifted := t
-    end
-  done;
-  !lifted
-
-(* Per-domain connecting-permutation and completion buffers: the scoring
-   loops build each candidate's permutation, and each lookahead completion,
-   in place.  A domain runs one sweep slot at a time and a slot finishes
-   with a buffer before it is refilled. *)
-let perm_builder = Domain.DLS.new_key Perm.builder
-
-type completion = { mutable c_placement : int array; mutable c_taken : bool array }
-
-let completion_key =
-  Domain.DLS.new_key (fun () -> { c_placement = [||]; c_taken = [||] })
-
-let connecting_perm ctx ~previous placement =
-  Perm.of_placements_into (Domain.DLS.get perm_builder) ~size:ctx.c_m
-    ~before:previous ~after:placement
-
 (* Score one candidate placement from the current physical clock: optional
    connecting SWAP stage, then the subcircuit.  Returns the network, the
    updated clock and the makespan. *)
-let score_candidate ctx ~phys_start ~prev ~subcircuit placement =
+let score_candidate ctx ~phys_start ~prev ~stage placement =
   Telemetry.incr ctx.c_scored;
-  let model = ctx.c_options.Options.model in
-  let reuse_cap = ctx.c_options.Options.reuse_cap in
   let entry = connecting_stage ctx ~prev placement in
-  let scratch = ctx.c_scratch in
+  let scratch = Scoring.scratch (Scoring.lane ctx.c_scoring) in
   Timing.stage_start scratch phys_start;
   let completed =
     (match entry with
     | None -> true
-    | Some entry ->
-      Timing.stage_advance_swaps ~model ?reuse_cap ~weights:ctx.c_weights
-        scratch entry)
-    && Timing.stage_advance ~model ?reuse_cap ~weights:ctx.c_weights
-         ~place:(fun q -> placement.(q))
-         scratch subcircuit
+    | Some entry -> Scoring.advance_swaps ctx.c_scoring scratch ~cutoff:infinity entry)
+    && Scoring.advance ctx.c_scoring scratch ~cutoff:infinity placement stage
   in
   assert completed;
   ( Option.map ctx.c_network entry,
     Timing.stage_clocks scratch,
     Timing.stage_makespan scratch )
 
-(* One placed stage from the loaded clocks, under [cutoff]. *)
-let advance_placed ctx ~cutoff ~place scratch subcircuit =
-  Timing.stage_advance ~model:ctx.c_options.Options.model
-    ?reuse_cap:ctx.c_options.Options.reuse_cap ~cutoff ~weights:ctx.c_weights
-    ~place scratch subcircuit
-
-(* Same recurrence as {!score_candidate} restricted to the makespan, run
-   through reusable clock buffers so the argmin sweeps allocate nothing per
-   evaluation.  A finite [cutoff] is threaded into the timing sweeps,
-   which abort -- returning [infinity] here -- as soon as any physical
-   clock strictly exceeds it (sound because the ASAP clocks are monotone
-   nondecreasing; see {!Timing.stage_advance}).
-
-   When the candidate needs a (non-identity) connecting SWAP stage, a
-   bounded evaluation first times the subcircuit *alone* under the cutoff,
-   from the previous clocks lifted by the swap-displacement bound (each
-   displaced token's destination clock rises to at least its start clock
-   plus its SWAP distance, {!lift_displaced}) -- a routing-free admissible
-   lower bound:
-   the swap stage raises each start clock by at least the lift, and the
-   recurrence is monotone in its start clocks, so the real score is at
-   least this makespan.  An abort there refutes the candidate before the
-   router ever runs; candidates at or below the cutoff are never refuted
-   (their lifted clocks cannot exceed it), so the argmin tie-break is
-   unaffected.  Callers that already compared that bound against the
-   cutoff pass [~prebound:false] to skip the redundant sweep.  The result
-   is exact whenever it is [<= cutoff]. *)
-let score_makespan ?(cutoff = infinity) ?(prebound = true) ctx ~scratch
-    ~phys_start ~prev ~subcircuit placement =
-  Telemetry.incr ctx.c_scored;
-  let place q = placement.(q) in
-  let cutoff = cutoff_of ctx cutoff in
-  let completed =
-    match prev with
-    | None ->
-      Timing.stage_start scratch phys_start;
-      advance_placed ctx ~cutoff ~place scratch subcircuit
-    | Some previous ->
-      let perm = connecting_perm ctx ~previous placement in
-      if Perm.is_identity perm then begin
-        Timing.stage_start scratch phys_start;
-        advance_placed ctx ~cutoff ~place scratch subcircuit
-      end
-      else if
-        cutoff < infinity && prebound
-        && begin
-             Timing.stage_start scratch phys_start;
-             (* A lifted clock above the cutoff already refutes the
-                candidate even if no gate ever touches that vertex. *)
-             lift_displaced ctx scratch ~phys_start perm > cutoff
-             || not (advance_placed ctx ~cutoff ~place scratch subcircuit)
-           end
-      then false
-      else begin
-        let entry = route_network ctx perm in
-        Timing.stage_start scratch phys_start;
-        Timing.stage_advance_swaps ~model:ctx.c_options.Options.model
-          ?reuse_cap:ctx.c_options.Options.reuse_cap ~cutoff
-          ~weights:ctx.c_weights scratch entry
-        && advance_placed ctx ~cutoff ~place scratch subcircuit
-      end
-  in
-  if completed then Timing.stage_makespan scratch
-  else begin
-    Telemetry.incr ctx.c_early_exits;
-    infinity
-  end
-
-(* The routing-free admissible lower bound of {!score_makespan}'s
-   prebound, computed in full so it can order a lower-bound-first sweep:
-   the previous clocks lifted by each displaced token's swap-displacement
-   delay, advanced through the subcircuit alone. *)
-let candidate_bound ctx ~scratch ~phys_start ~prev ~subcircuit placement =
-  Timing.stage_start scratch phys_start;
-  (match prev with
-  | None -> ()
-  | Some previous ->
-    let perm = connecting_perm ctx ~previous placement in
-    ignore (lift_displaced ctx scratch ~phys_start perm : float));
-  let completed =
-    Timing.stage_advance ~model:ctx.c_options.Options.model
-      ?reuse_cap:ctx.c_options.Options.reuse_cap ~weights:ctx.c_weights
-      ~place:(fun q -> placement.(q))
-      scratch subcircuit
-  in
-  assert completed;
-  Timing.stage_makespan scratch
-
-(* One timing scratch per domain: pool helpers are persistent, so each
-   lazily allocates a scratch on first sweep and reuses it for every
-   subsequent placement.  A domain runs one sweep slot at a time and each
-   slot's scratch use is self-contained, so sharing per-domain is safe. *)
-let domain_scratch = Domain.DLS.new_key Timing.make_scratch
-
-(* Evaluate [eval scratch i] for every slot, fanning the independent
+(* Evaluate [eval lane i] for every slot, fanning the independent
    evaluations across [Options.jobs] domains of the shared
-   {!Qcp_util.Task_pool}.  Each slot writes only its own cell, so the
-   result array is schedule-independent up to the monotonicity argument in
+   {!Qcp_util.Task_pool}; each domain scores in its own {!Scoring.lane}.  Each
+   slot writes only its own cell, so the result array is
+   schedule-independent up to the monotonicity argument in
    {!lower_bound_first}. *)
 let sweep_scores ctx total eval =
   let jobs = Int.min ctx.c_options.Options.jobs total in
   let out = Array.make total infinity in
-  if jobs <= 1 then
+  if jobs <= 1 then begin
+    let lane = Scoring.lane ctx.c_scoring in
     for i = 0 to total - 1 do
-      out.(i) <- eval ctx.c_scratch i
+      out.(i) <- eval lane i
     done
+  end
   else begin
     (* Slots read the distance tables; forcing a lazy value from two
        domains at once raises [CamlinternalLazy.Undefined]. *)
-    ignore (Lazy.force ctx.c_dist : int array array);
-    (match ctx.c_swap with
-    | Weighted table -> ignore (Lazy.force table : float array array)
-    | Uniform _ -> ());
+    Scoring.force ctx.c_scoring;
     Qcp_util.Task_pool.parallel_for
       (Qcp_util.Task_pool.get ())
       ~jobs
-      ~body:(fun ~worker:_ i -> out.(i) <- eval (Domain.DLS.get domain_scratch) i)
+      ~body:(fun ~worker:_ i -> out.(i) <- eval (Scoring.lane ctx.c_scoring) i)
       total
   end;
   out
@@ -627,7 +398,7 @@ let sweep_scores ctx total eval =
    admissible lower bound on candidate [i]'s score.  Candidates are
    evaluated in ascending order of it (original index breaking ties); one
    whose bound already exceeds the incumbent (seeded with [cutoff]) is
-   skipped outright, and survivors run [exact scratch ~cutoff i] under the
+   skipped outright, and survivors run [exact lane ~cutoff i] under the
    incumbent as cutoff, which must return the exact score when it is at
    most that cutoff and [infinity] otherwise.  A skipped or aborted score
    is strictly above some incumbent value, every incumbent value is at
@@ -648,7 +419,7 @@ let lower_bound_first ~cutoff ctx ~bounds ~exact =
     order;
   let scores = Array.make total infinity in
   let incumbent = Incumbent.make cutoff in
-  let eval scratch k =
+  let eval lane k =
     let i = order.(k) in
     let limit = cutoff_of ctx (Incumbent.get incumbent) in
     let s =
@@ -656,7 +427,7 @@ let lower_bound_first ~cutoff ctx ~bounds ~exact =
         Telemetry.incr ctx.c_bound_skips;
         infinity
       end
-      else exact scratch ~cutoff:limit i
+      else exact lane ~cutoff:limit i
     in
     if s = infinity then Telemetry.incr ctx.c_pruned
     else Incumbent.submit incumbent s;
@@ -709,7 +480,7 @@ let observe_scale ctx name v =
    makespan.  On the coarsen-place-refine path the probe set per qubit is
    its current vertex's adjacency neighborhood instead of all [m] vertices
    — local uncoarsening refinement, O(degree) instead of O(m) probes. *)
-let fine_tune ctx ~phys_start ~prev ~subcircuit placement =
+let fine_tune ctx ~phys_start ~prev ~subcircuit ~stage placement =
   let pattern = Score_cache.interaction_graph ctx.c_cache subcircuit in
   let pattern_edges = Graph.edges pattern in
   let active =
@@ -721,8 +492,9 @@ let fine_tune ctx ~phys_start ~prev ~subcircuit placement =
       pattern_edges
   in
   let score ?cutoff candidate =
-    score_makespan ?cutoff ctx ~scratch:ctx.c_scratch ~phys_start ~prev
-      ~subcircuit candidate
+    Scoring.score_makespan ?cutoff ctx.c_scoring
+      (Scoring.lane ctx.c_scoring)
+      ~phys_start ~prev ~stage candidate
   in
   (* One scratch candidate array, refreshed by blit per probed move, and
      every move scored under the current best as cutoff: a losing move's
@@ -901,75 +673,55 @@ let enumerate_candidates ?hint ctx ~prev ~subcircuit =
   in
   List.map (complete_placement ctx ~prev ~subcircuit) mappings
 
+(* The run's finish-clock matrix with room for [rows] candidates.  Only
+   the sequential picks call this, and a row is read only after its
+   candidate wrote it. *)
+let clock_rows ctx rows =
+  if Array.length !(ctx.c_clocks) < rows * ctx.c_m then
+    ctx.c_clocks := Array.make (rows * ctx.c_m) 0.0;
+  !(ctx.c_clocks)
+
 (* Best single-stage candidate by makespan, through {!lower_bound_first}.
    Picks return the winner and its stage finish clocks when the sweep
    already computed them exactly (so the pipeline can skip re-timing the
-   winner; [None] means replay).  With a previous placement the
-   bound is {!candidate_bound}, so a candidate is skipped before the router
-   ever runs; the first stage routes nothing and has no bound cheaper than
+   winner; [None] means replay).  Finish clocks go into one matrix per
+   sweep, a row per candidate.  With a previous placement the bound is
+   {!candidate_bound}, so a candidate is skipped before the router ever
+   runs; the first stage routes nothing and has no bound cheaper than
    its score, so there every candidate evaluates under the incumbent. *)
-let pick_greedy ~cutoff ctx ~phys_start ~prev ~subcircuit candidates =
+let pick_greedy ~cutoff ctx ~phys_start ~prev ~stage candidates =
   match candidates with
   | [] -> None
   | _ ->
     let arr = Array.of_list candidates in
-    let total = Array.length arr in
+    let total = Array.length arr and m = ctx.c_m in
     let bounds =
       match prev with
       | None -> Array.make total neg_infinity
       | Some _ ->
-        sweep_scores ctx total (fun scratch i ->
-            candidate_bound ctx ~scratch ~phys_start ~prev ~subcircuit arr.(i))
+        sweep_scores ctx total (fun lane i ->
+            Scoring.candidate_bound ctx.c_scoring lane ~phys_start ~prev ~stage
+              arr.(i))
     in
-    let clocks = Array.make total [||] in
+    let finish = clock_rows ctx total in
+    let timed = Array.make total false in
     let best =
-      lower_bound_first ~cutoff ctx ~bounds ~exact:(fun scratch ~cutoff i ->
+      lower_bound_first ~cutoff ctx ~bounds ~exact:(fun lane ~cutoff i ->
           let s =
-            score_makespan ~cutoff ~prebound:false ctx ~scratch ~phys_start
-              ~prev ~subcircuit arr.(i)
+            Scoring.score_makespan ~cutoff ~prebound:false ctx.c_scoring lane
+              ~phys_start ~prev ~stage arr.(i)
           in
           (* A completed sweep leaves the exact finish clocks loaded
              (bit-identical to a fresh replay). *)
-          if s < infinity then clocks.(i) <- Timing.stage_clocks scratch;
+          if s < infinity then begin
+            Array.blit (Timing.clocks (Scoring.scratch lane)) 0 finish (i * m) m;
+            timed.(i) <- true
+          end;
           s)
     in
-    let finish =
-      if Array.length clocks.(best) = 0 then None else Some clocks.(best)
-    in
-    Some (arr.(best), finish)
-
-(* The next-stage half of a depth-2 lookahead score, starting from the
-   current candidate's stage-1 [finish] clocks: the best completion of the
-   next subcircuit (including its connecting swaps) over [next_mappings].
-   Each completion is timed under the running inner minimum capped by
-   [cutoff] -- an aborted completion is strictly worse than one of those,
-   so the returned minimum is exact whenever it is [<= cutoff] and is
-   reported as [infinity] (provably above [cutoff]) otherwise.  Each
-   completion is built into this domain's buffer just before it is
-   scored. *)
-let deep_tail ctx ~scratch ~cutoff ~finish ~stage1 ~placement ~next_subcircuit
-    ~next_mappings =
-  if Array.length next_mappings = 0 then stage1
-  else begin
-    let buffers = Domain.DLS.get completion_key in
-    if Array.length buffers.c_placement <> ctx.c_n then
-      buffers.c_placement <- Array.make ctx.c_n (-1);
-    if Array.length buffers.c_taken <> ctx.c_m then
-      buffers.c_taken <- Array.make ctx.c_m false;
-    let next_placement = buffers.c_placement in
-    let prev = Some placement in
-    let best = ref infinity in
-    for i = 0 to Array.length next_mappings - 1 do
-      complete_after ctx ~previous:placement ~placement:next_placement
-        ~taken:buffers.c_taken next_mappings.(i);
-      let s =
-        score_makespan ~cutoff:(Float.min !best cutoff) ctx ~scratch
-          ~phys_start:finish ~prev ~subcircuit:next_subcircuit next_placement
-      in
-      if s < !best then best := s
-    done;
-    !best
-  end
+    Some
+      ( arr.(best),
+        if timed.(best) then Some (Array.sub finish (best * m) m) else None )
 
 (* Depth-2 lookahead score (paper Section 5.3): the best achievable makespan
    after also placing the *next* subcircuit with its own connecting swaps.
@@ -978,45 +730,50 @@ let deep_tail ctx ~scratch ~cutoff ~finish ~stage1 ~placement ~next_subcircuit
    equal" remark), so they are enumerated once and passed in; only their
    completion over inactive qubits depends on the current placement.
    Exact whenever the result is [<= cutoff]; [infinity] otherwise. *)
-let deep_score ?(cutoff = infinity) ctx ~scratch ~phys_start ~prev ~subcircuit
-    ~next_subcircuit ~next_mappings placement =
+let deep_score ?(cutoff = infinity) ctx ~phys_start ~prev ~stage ~next_stage
+    ~next_mappings placement =
+  let scoring = ctx.c_scoring in
+  let lane = Scoring.lane scoring in
   let stage1 =
-    score_makespan ~cutoff ctx ~scratch ~phys_start ~prev ~subcircuit placement
+    Scoring.score_makespan ~cutoff scoring lane ~phys_start ~prev ~stage placement
   in
   if stage1 = infinity then infinity
   else
-    let finish = Timing.stage_clocks scratch in
-    deep_tail ctx ~scratch ~cutoff ~finish ~stage1 ~placement ~next_subcircuit
-      ~next_mappings
+    Scoring.deep_tail scoring lane ~cutoff
+      ~start:(Timing.stage_clocks (Scoring.scratch lane))
+      ~pos:0 ~stage1 ~placement ~next_stage ~next_mappings
 
 (* Depth-2 lookahead selection through {!lower_bound_first}: the clocks
    are monotone, so a candidate's stage-1 makespan is an admissible lower
    bound on its two-stage score.  Stage-1 makespans are computed exactly
    for every candidate first (they also yield the stage-1 finish clocks,
-   reused by the next-stage completions and returned for the winner), and
-   survivors' completions run under the incumbent as cutoff. *)
-let pick_lookahead ~cutoff ctx ~phys_start ~prev ~subcircuit ~next_subcircuit
+   kept in one matrix per sweep, reused by the next-stage completions and
+   returned for the winner), and survivors' completions run under the
+   incumbent as cutoff. *)
+let pick_lookahead ~cutoff ctx ~phys_start ~prev ~stage ~next_stage
     ~next_mappings candidates =
   match candidates with
   | [] -> None
   | _ ->
     let arr = Array.of_list candidates in
-    let total = Array.length arr in
-    let clocks = Array.make total [||] in
+    let total = Array.length arr and m = ctx.c_m in
+    let finish = clock_rows ctx total in
     let bounds =
-      sweep_scores ctx total (fun scratch i ->
+      sweep_scores ctx total (fun lane i ->
           let b =
-            score_makespan ctx ~scratch ~phys_start ~prev ~subcircuit arr.(i)
+            Scoring.score_makespan ctx.c_scoring lane ~phys_start ~prev ~stage
+              arr.(i)
           in
-          clocks.(i) <- Timing.stage_clocks scratch;
+          Array.blit (Timing.clocks (Scoring.scratch lane)) 0 finish (i * m) m;
           b)
     in
     let best =
-      lower_bound_first ~cutoff ctx ~bounds ~exact:(fun scratch ~cutoff i ->
-          deep_tail ctx ~scratch ~cutoff ~finish:clocks.(i) ~stage1:bounds.(i)
-            ~placement:arr.(i) ~next_subcircuit ~next_mappings)
+      lower_bound_first ~cutoff ctx ~bounds ~exact:(fun lane ~cutoff i ->
+          Scoring.deep_tail ctx.c_scoring lane ~cutoff ~start:finish
+            ~pos:(i * m) ~stage1:bounds.(i) ~placement:arr.(i) ~next_stage
+            ~next_mappings)
     in
-    Some (arr.(best), Some clocks.(best))
+    Some (arr.(best), Some (Array.sub finish (best * m) m))
 
 (* Exported so the serving layer can tell a deadline abort (a "timeout")
    from an unplaceable instance by exact match. *)
@@ -1049,22 +806,23 @@ let place_one ?(cutoff = infinity) ctx ~phys_start ~prev ~hint ~subcircuit
     match next_subcircuit with
     | Some next when options.Options.lookahead ->
       Some
-        ( next,
+        ( Score_cache.compiled ctx.c_cache next,
           in_phase ctx.c_phases.ph_enumerate ~name:"placer/enumerate"
             (fun () -> Array.of_list (enumerate_mappings ctx ~subcircuit:next)) )
     | Some _ | None -> None
   in
+  let stage = Score_cache.compiled ctx.c_cache subcircuit in
   let chosen =
     timed ctx (fun () ->
         match next_mappings with
-        | Some (next_subcircuit, next_mappings) ->
+        | Some (next_stage, next_mappings) ->
           in_phase ctx.c_phases.ph_lookahead ~name:"placer/lookahead"
             (fun () ->
-              pick_lookahead ~cutoff ctx ~phys_start ~prev ~subcircuit
-                ~next_subcircuit ~next_mappings candidates)
+              pick_lookahead ~cutoff ctx ~phys_start ~prev ~stage ~next_stage
+                ~next_mappings candidates)
         | None ->
           in_phase ctx.c_phases.ph_greedy ~name:"placer/greedy" (fun () ->
-              pick_greedy ~cutoff ctx ~phys_start ~prev ~subcircuit candidates))
+              pick_greedy ~cutoff ctx ~phys_start ~prev ~stage candidates))
   in
   match chosen with
   | None ->
@@ -1076,12 +834,14 @@ let place_one ?(cutoff = infinity) ctx ~phys_start ~prev ~hint ~subcircuit
        keep the tuned candidate, and an aborted challenger is strictly
        worse, so the decision matches the unbounded comparison. *)
     let tune () =
-      let candidate = fine_tune ctx ~phys_start ~prev ~subcircuit placement in
+      let candidate =
+        fine_tune ctx ~phys_start ~prev ~subcircuit ~stage placement
+      in
       match next_mappings with
-      | Some (next_subcircuit, next_mappings) when candidate <> placement ->
+      | Some (next_stage, next_mappings) when candidate <> placement ->
         let judge ?cutoff p =
-          deep_score ?cutoff ctx ~scratch:ctx.c_scratch ~phys_start ~prev
-            ~subcircuit ~next_subcircuit ~next_mappings p
+          deep_score ?cutoff ctx ~phys_start ~prev ~stage ~next_stage
+            ~next_mappings p
         in
         let baseline = judge placement in
         if judge ~cutoff:baseline candidate <= baseline then candidate
@@ -1106,7 +866,7 @@ let place_one ?(cutoff = infinity) ctx ~phys_start ~prev ~hint ~subcircuit
                 ( connecting_network ctx ~prev tuned,
                   finish,
                   Array.fold_left Float.max 0.0 finish )
-              | _ -> score_candidate ctx ~phys_start ~prev ~subcircuit tuned))
+              | _ -> score_candidate ctx ~phys_start ~prev ~stage tuned))
     in
     if makespan > cutoff_of ctx cutoff then
       raise (Pipeline_failure "makespan exceeds the evaluation cutoff");
@@ -1251,6 +1011,7 @@ let stream_feed ctx circuit stage =
    donation is O(stages), not the O(stages^2) of repeated
    [List.nth_opt]/[List.mapi] bookkeeping. *)
 let balance_boundaries ctx subcircuits =
+  let table_ns = Atomic.make 0 and router_ns = Atomic.make 0 in
   let cheap_ctx =
     {
       ctx with
@@ -1264,8 +1025,12 @@ let balance_boundaries ctx subcircuits =
          time is the balance phase's, not enumerate/greedy/route time of
          the real pipeline.  Search counters intentionally stay shared. *)
       c_phases = make_phase_times ();
-      c_table_ns = Atomic.make 0;
-      c_router_ns = Atomic.make 0;
+      c_table_ns = table_ns;
+      c_router_ns = router_ns;
+      c_scoring =
+        Scoring.with_route ctx.c_scoring
+          (route_via ~routed:ctx.c_routed ~cache:ctx.c_cache
+             ~router:ctx.c_router ~table_ns ~router_ns);
     }
   in
   let evaluate ?cutoff subs =
@@ -1430,12 +1195,20 @@ let run ~reference ?(deadline = infinity) ?spill options env circuit =
           if Option.is_some spill then Score_cache.private_copy shared
           else shared
       in
+      let cache = Score_cache.create table in
+      let table_ns = Atomic.make 0 and router_ns = Atomic.make 0 in
+      let scoring =
+        Scoring.create ~reference options env adjacency ~n
+          ~scored:rm.rm_scored ~early_exits:rm.rm_early_exits
+          ~route:
+            (route_via ~routed:rm.rm_routed ~cache ~router:c_router ~table_ns
+               ~router_ns)
+      in
       let ctx =
         {
           c_env = env;
           c_adjacency = adjacency;
           c_options = options;
-          c_weights = Environment.weights env;
           c_m = m;
           c_n = n;
           c_metrics = rm.rm_registry;
@@ -1448,16 +1221,14 @@ let run ~reference ?(deadline = infinity) ?spill options env circuit =
           c_routed = rm.rm_routed;
           c_phases = make_phase_times ();
           c_deadline = deadline;
-          c_reference = reference;
-          c_cache = Score_cache.create table;
+          c_cache = cache;
           c_router;
           c_network;
-          c_table_ns = Atomic.make 0;
-          c_router_ns = Atomic.make 0;
-          c_scratch = Timing.make_scratch ();
+          c_table_ns = table_ns;
+          c_router_ns = router_ns;
           c_scoring_time = ref 0.0;
-          c_dist = lazy (bfs_table adjacency);
-          c_swap = swap_metric options env adjacency;
+          c_clocks = ref [||];
+          c_scoring = scoring;
           c_hier =
             lazy
               (if options.Options.coarsen && m >= coarsen_min_env then begin

@@ -181,23 +181,6 @@ val place_reference :
 val msg_deadline : string
 (** [Unplaceable] payload of a deadline abort (exact-match classifier). *)
 
-val swap_lift :
-  Options.t ->
-  Qcp_env.Environment.t ->
-  Qcp_graph.Graph.t ->
-  start:float array ->
-  int ->
-  int ->
-  float
-(** [swap_lift options env adjacency ~start src dst] is the clock the
-    routing-free prebound lifts vertex [dst] to when the token at [src]
-    must reach [dst] ([neg_infinity] when [src = dst]): [start.(src)] plus
-    the cheapest SWAP path from [src] to [dst] over [adjacency], each edge
-    priced at one capped SWAP at its cheaper orientation.  Admissible: no
-    SWAP network on [adjacency], timed from [start] under [options]' model
-    and reuse cap, finishes [dst] earlier (DESIGN §9).  Partially apply to
-    the first three arguments to build the distance table once. *)
-
 val runtime : program -> float
 (** End-to-end runtime in delay units (1/10000 s), computed by replaying all
     stages through the timing model in the physical frame; for a spilled

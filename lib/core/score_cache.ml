@@ -45,6 +45,7 @@ type t = {
   misses : int Atomic.t;
   mutable graphs : (Circuit.t * Graph.t) list;
   mutable mappings : (Circuit.t * int array list) list;
+  mutable stages : (Circuit.t * Qcp_circuit.Timing.stage) list;
 }
 
 let memo_cap = 32
@@ -138,7 +139,7 @@ let private_copy table = make_table ~is_private:true ~cap:table.cap table.memo
 
 let create table =
   { table; hits = Atomic.make 0; misses = Atomic.make 0; graphs = [];
-    mappings = [] }
+    mappings = []; stages = [] }
 
 let hits t = Atomic.get t.hits
 
@@ -170,7 +171,8 @@ let trim t =
     Mutex.protect table.lock (fun () ->
         reset_storage table (min table.cap initial_slots));
     t.graphs <- [];
-    t.mappings <- []
+    t.mappings <- [];
+    t.stages <- []
   end
 
 (* The slot holding [key] (of hash [h]), probing from index cell [i], or
@@ -324,3 +326,11 @@ let mappings t ~enumerate circuit =
       (fun t -> t.mappings)
       (fun t v -> t.mappings <- v)
       memo_cap circuit enumerate t
+
+let compiled t circuit =
+  if not (memoizes t) then Qcp_circuit.Timing.compile circuit
+  else
+    assoc_memo
+      (fun t -> t.stages)
+      (fun t v -> t.stages <- v)
+      memo_cap circuit Qcp_circuit.Timing.compile t

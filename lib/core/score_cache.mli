@@ -10,8 +10,8 @@
     ({!Qcp_route.Bisect_router.memo}).  Tables are shared across placement
     runs per (adjacency graph, router, leaf-override flag); a cache {!t}
     adds one run's hit/miss counters and its per-subcircuit memos
-    (interaction graphs and monomorphism enumerations, keyed by physical
-    identity).
+    (interaction graphs, monomorphism enumerations and compiled timing
+    stages, keyed by physical identity).
 
     Everything cached is a deterministic function of its key, so placements
     computed with the cache enabled are bit-identical to placements computed
@@ -98,6 +98,11 @@ val mappings :
 (** Memoized monomorphism enumeration per subcircuit (physical identity
     key); assumes [enumerate] is fixed for the cache's lifetime, as it is
     within one placement run.  Sequential callers only. *)
+
+val compiled : t -> Qcp_circuit.Circuit.t -> Qcp_circuit.Timing.stage
+(** Memoized {!Qcp_circuit.Timing.compile} (physical identity key), so
+    each subcircuit is compiled once for every timing sweep over it.
+    Sequential callers only. *)
 
 val trim : t -> unit
 (** For a cache over a {!private_copy}: drop the table's route entries and

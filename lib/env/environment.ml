@@ -86,11 +86,7 @@ let with_t2 t values =
 
 let coupling_delay t i j = t.delay.(i).(j)
 
-let weights t =
-  {
-    Qcp_circuit.Timing.single = (fun v -> t.delay.(v).(v));
-    coupled = (fun u v -> t.delay.(u).(v));
-  }
+let weights t = t.delay
 
 let fast_pairs t ~threshold =
   let m = size t in

@@ -56,7 +56,8 @@ val coupling_delay : t -> int -> int -> float
 (** Symmetric; [coupling_delay t v v] equals [single_delay t v]. *)
 
 val weights : t -> Qcp_circuit.Timing.weights
-(** Adapter for the timing model. *)
+(** The delay matrix itself, for the timing model (single-qubit delays on
+    the diagonal); shared, not copied, so callers must not write it. *)
 
 val adjacency : t -> threshold:float -> Qcp_graph.Graph.t
 (** Graph with an edge for every pair of distinct nuclei whose coupling

@@ -96,7 +96,10 @@ let test_levelize_parallelism () =
   Alcotest.(check int) "two levels" 2 (List.length levels);
   Alcotest.(check int) "first level width" 3 (List.length (List.hd levels))
 
-let uniform_weights = { Timing.single = (fun _ -> 1.0); coupled = (fun _ _ -> 10.0) }
+(* Single-qubit delay 1 and coupling delay 10 on every vertex of a
+   16-vertex register. *)
+let uniform_weights =
+  Array.init 16 (fun u -> Array.init 16 (fun v -> if u = v then 1.0 else 10.0))
 
 let test_timing_asap_chain () =
   (* Gates chained on shared qubits serialize. *)
@@ -112,8 +115,7 @@ let test_timing_asap_parallel () =
 let acetyl_weights =
   (* Delay matrix of acetyl chloride (paper Figure 1 / Example 3), vertices
      M=0, C1=1, C2=2. *)
-  let d = [| [| 8.; 38.; 672. |]; [| 38.; 8.; 89. |]; [| 672.; 89.; 1. |] |] in
-  { Timing.single = (fun v -> d.(v).(v)); coupled = (fun u v -> d.(u).(v)) }
+  [| [| 8.; 38.; 672. |]; [| 38.; 8.; 89. |]; [| 672.; 89.; 1. |] |]
 
 let test_timing_table1 () =
   (* Paper Table 1: mapping a->M, b->C2, c->C1 costs 770. *)
@@ -209,14 +211,15 @@ let test_timing_sequential () =
 let test_timing_bounded_stage_advance () =
   (* A bounded sweep that completes must leave clocks bit-identical to the
      unbounded sweep; one whose cutoff lies below the makespan must abort. *)
-  let place = function 0 -> 0 | 1 -> 2 | 2 -> 1 | _ -> assert false in
+  let place = [| 0; 2; 1 |] in
   let start = [| 3.0; 0.0; 7.0 |] in
-  let advance ?cutoff ?model () =
+  let stage = Timing.compile Catalog.qec3_encode in
+  let advance ?(cutoff = infinity) ?(model = Timing.Asap) () =
     let scratch = Timing.make_scratch () in
     Timing.stage_start scratch start;
     let completed =
-      Timing.stage_advance ?model ?cutoff ~reuse_cap:3.0
-        ~weights:acetyl_weights ~place scratch Catalog.qec3_encode
+      Timing.stage_advance ~model ~cutoff ~reuse_cap:(Some 3.0)
+        ~weights:acetyl_weights ~place scratch stage
     in
     (completed, Timing.stage_clocks scratch)
   in

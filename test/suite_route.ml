@@ -190,7 +190,7 @@ let qcheck_network_swaps_on_edges =
 
 (* The placer's routing-free prebound lifts a displaced token's
    destination clock to [start.(src)] plus its SWAP distance
-   ({!Qcp.Placer.swap_lift}).  That lift must be admissible for every SWAP
+   ({!Qcp.Scoring.swap_lift}).  That lift must be admissible for every SWAP
    network the placer can time: whatever router built it, under either
    timing model and with or without a reuse cap, the network's finish
    clock at [dst] is never below the lift.  Environments are random
@@ -228,7 +228,7 @@ let test_swap_lift_admissible () =
         let options =
           { (Options.default ~threshold:infinity) with Options.model; reuse_cap }
         in
-        let lift = Qcp.Placer.swap_lift options env adjacency ~start in
+        let lift = Qcp.Scoring.swap_lift options env adjacency ~start in
         List.iter
           (fun (name, route) ->
             let circuit = Swap_network.to_circuit ~qubits:m (route perm) in

@@ -525,6 +525,17 @@ let test_router_rejects_like_reference () =
 
 let bits a = Array.map Int64.bits_of_float a
 
+(* The environment's delays with one orientation of every pair slower:
+   the orientation of a swap matters. *)
+let asymmetric env =
+  let base = Environment.weights env in
+  Array.mapi
+    (fun u row ->
+      Array.mapi
+        (fun v d -> if u = v then d else d *. if u < v then 1.0 else 1.375)
+        row)
+    base
+
 (* Random SWAP sequences over a molecule's adjacency edges, in both
    orientations and with repeated same-pair runs (the reuse-cap
    accounting), timed through [stage_advance_swaps] and through
@@ -542,16 +553,8 @@ let test_flat_timing_matches_circuit () =
       | None -> ()
       | Some g ->
         let m = Graph.n g in
-        let base = Environment.weights env in
-        (* Asymmetric delays: the orientation of a swap matters. *)
-        let weights =
-          {
-            base with
-            Timing.coupled =
-              (fun u v ->
-                base.Timing.coupled u v *. if u < v then 1.0 else 1.375);
-          }
-        in
+        let weights = asymmetric env in
+        let identity = Array.init m Fun.id in
         let edges = Array.of_list (Graph.edges g) in
         for _ = 1 to 30 do
           let levels =
@@ -562,26 +565,28 @@ let test_flat_timing_matches_circuit () =
             |> List.concat_map (List.map (fun swap -> [ swap ]))
           in
           let sequence = Swap_network.of_levels levels in
-          let circuit = Swap_network.to_circuit ~qubits:m levels in
+          let circuit =
+            Timing.compile (Swap_network.to_circuit ~qubits:m levels)
+          in
           let start = Array.init m (fun _ -> Rng.float rng 300.0) in
           List.iter
             (fun (model, reuse_cap) ->
               Timing.stage_start circuit_scratch start;
               assert (
-                Timing.stage_advance ~model ?reuse_cap ~weights
-                  ~place:Timing.identity_place circuit_scratch circuit);
+                Timing.stage_advance ~model ~reuse_cap ~cutoff:infinity ~weights
+                  ~place:identity circuit_scratch circuit);
               let makespan = Timing.stage_makespan circuit_scratch in
               List.iter
                 (fun cutoff ->
                   Timing.stage_start flat_scratch start;
                   Timing.stage_start circuit_scratch start;
                   let got =
-                    Timing.stage_advance_swaps ~model ?reuse_cap ?cutoff ~weights
+                    Timing.stage_advance_swaps ~model ~reuse_cap ~cutoff ~weights
                       flat_scratch sequence
                   in
                   let expected =
-                    Timing.stage_advance ~model ?reuse_cap ?cutoff ~weights
-                      ~place:Timing.identity_place circuit_scratch circuit
+                    Timing.stage_advance ~model ~reuse_cap ~cutoff ~weights
+                      ~place:identity circuit_scratch circuit
                   in
                   Alcotest.(check bool) "verdict" expected got;
                   if not got then incr refuted;
@@ -591,11 +596,11 @@ let test_flat_timing_matches_circuit () =
                   then Alcotest.fail "clocks differ";
                   incr compared)
                 [
-                  None;
-                  Some makespan;
-                  Some (makespan *. 0.999);
-                  Some (makespan *. 0.5);
-                  Some (Rng.float rng makespan);
+                  infinity;
+                  makespan;
+                  makespan *. 0.999;
+                  makespan *. 0.5;
+                  Rng.float rng makespan;
                 ])
             [
               (Timing.Asap, None);
@@ -625,15 +630,7 @@ let test_sequence_timing_matches_network () =
   let seq_scratch = Timing.make_scratch () and net_scratch = Timing.make_scratch () in
   let run ~label env g count =
     let m = Graph.n g in
-    let base = Environment.weights env in
-    (* Asymmetric delays: the orientation of a swap matters. *)
-    let weights =
-      {
-        base with
-        Timing.coupled =
-          (fun u v -> base.Timing.coupled u v *. if u < v then 1.0 else 1.375);
-      }
-    in
+    let weights = asymmetric env in
     let memo = Some (Bisect_router.make_memo ()) in
     List.iter
       (fun perm ->
@@ -643,18 +640,20 @@ let test_sequence_timing_matches_network () =
         List.iter
           (fun (model, reuse_cap) ->
             Timing.stage_start net_scratch start;
-            assert (Timing.stage_advance_swaps ~model ?reuse_cap ~weights net_scratch network);
+            assert (
+              Timing.stage_advance_swaps ~model ~reuse_cap ~cutoff:infinity
+                ~weights net_scratch network);
             let makespan = Timing.stage_makespan net_scratch in
             List.iter
               (fun cutoff ->
                 Timing.stage_start seq_scratch start;
                 Timing.stage_start net_scratch start;
                 let got =
-                  Timing.stage_advance_swaps ~model ?reuse_cap ?cutoff ~weights
+                  Timing.stage_advance_swaps ~model ~reuse_cap ~cutoff ~weights
                     seq_scratch sequence
                 in
                 let expected =
-                  Timing.stage_advance_swaps ~model ?reuse_cap ?cutoff ~weights
+                  Timing.stage_advance_swaps ~model ~reuse_cap ~cutoff ~weights
                     net_scratch network
                 in
                 if got <> expected then Alcotest.failf "%s: verdicts differ" label;
@@ -665,11 +664,11 @@ let test_sequence_timing_matches_network () =
                 then Alcotest.failf "%s: clocks differ" label;
                 incr compared)
               [
-                None;
-                Some makespan;
-                Some (makespan *. 0.999);
-                Some (Rng.float rng makespan);
-                Some (Rng.float rng makespan);
+                infinity;
+                makespan;
+                makespan *. 0.999;
+                Rng.float rng makespan;
+                Rng.float rng makespan;
               ])
           [
             (Timing.Asap, None);
