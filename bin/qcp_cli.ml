@@ -429,6 +429,12 @@ let route_run env threshold perm token_router =
         (Environment.size env);
       1
     end
+    else if not (Qcp_route.Perm.is_valid perm) then begin
+      Printf.printf
+        "error: permutation must list each vertex 0..%d exactly once\n"
+        (Environment.size env - 1);
+      1
+    end
     else begin
       let network =
         if token_router then Qcp_route.Token_router.route adjacency ~perm

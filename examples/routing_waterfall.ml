@@ -29,10 +29,10 @@ let () =
 
   (* The divide step: a balanced connected bisection (the paper's "cut 1"
      splits the molecule 4 + 3). *)
-  (match Separator.bisect bonds with
+  (match Separator.bisect bonds (Array.init (Graph.n bonds) Fun.id) with
   | Some (small, large) ->
     let names side =
-      String.concat " " (List.map (Environment.nucleus env) side)
+      String.concat " " (Array.to_list (Array.map (Environment.nucleus env) side))
     in
     Format.printf "@.cut 1: {%s} | {%s}  (s = %.2f; molecules achieve s = 1/2)@."
       (names small) (names large)

@@ -19,14 +19,15 @@ type memo
 (** The permutation-independent routing structure of one adjacency graph,
     compiled on demand into a split tree: one node per routed vertex
     subset (keyed by a vertex bitset, one word per 62 vertices), holding
-    its two bisection halves, its channel edge, each half's BFS order
-    toward the channel with the matching BFS parents as [int array]s, and
-    pointers to its halves' nodes.  The separator and BFS work, which
-    dominates routing cost, is paid once per subset; a route below the
-    root only follows pointers.  The graph's connectivity is checked once,
-    when the memo binds to it.  Networks produced with and without a memo
-    are identical.  A memo is internally locked and safe to share across
-    domains. *)
+    its two bisection halves ({!Qcp_graph.Separator.bisect}), its channel
+    edge, each half's BFS order toward the channel with the matching BFS
+    parents as [int array]s, and pointers to its halves' nodes.  The
+    separator and BFS work is paid once per subset; a route looks up only
+    its root (none when the leaf pre-pass froze nothing) and below it
+    follows pointers.  The graph's connectivity is checked once, when the
+    memo binds to it.  Networks produced with and without a memo are
+    identical.  A memo is safe to share across domains: lookups read it
+    without locking, and compiling a new subset takes its lock. *)
 
 val make_memo : unit -> memo
 (** A fresh, empty memo.  Use one memo per (graph, [edge_cost]) combination:

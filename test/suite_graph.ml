@@ -112,30 +112,35 @@ let test_spanning_tree () =
   let tree = Paths.spanning_tree g ~root:0 in
   Alcotest.(check int) "n-1 edges" 8 (List.length tree)
 
+(* Every vertex of [g], the subset [Separator.bisect] splits whole. *)
+let all_vertices g = Array.init (Graph.n g) Fun.id
+
+let connected_side g side = Paths.is_connected_subset g (Array.to_list side)
+
 let test_bisect_balanced () =
   let g = Gen.path_graph 10 in
-  match Separator.bisect g with
+  match Separator.bisect g (all_vertices g) with
   | None -> Alcotest.fail "expected a bisection"
   | Some (a, b) ->
-    Alcotest.(check int) "balanced small side" 5 (List.length a);
-    Alcotest.(check int) "covers all" 10 (List.length a + List.length b);
-    Alcotest.(check bool) "side a connected" true (Paths.is_connected_subset g a);
-    Alcotest.(check bool) "side b connected" true (Paths.is_connected_subset g b)
+    Alcotest.(check int) "balanced small side" 5 (Array.length a);
+    Alcotest.(check int) "covers all" 10 (Array.length a + Array.length b);
+    Alcotest.(check bool) "side a connected" true (connected_side g a);
+    Alcotest.(check bool) "side b connected" true (connected_side g b)
 
 let test_bisect_star () =
   (* A star can only split 1 : n-1 through the hub... actually removing a
      spoke splits 1 vs n-1; the best split is as balanced as trees allow. *)
   let g = Gen.star 7 in
-  match Separator.bisect g with
+  match Separator.bisect g (all_vertices g) with
   | None -> Alcotest.fail "expected a bisection"
   | Some (a, b) ->
-    Alcotest.(check bool) "both nonempty" true (a <> [] && b <> []);
+    Alcotest.(check bool) "both nonempty" true (a <> [||] && b <> [||]);
     Alcotest.(check bool) "connected sides" true
-      (Paths.is_connected_subset g a && Paths.is_connected_subset g b)
+      (connected_side g a && connected_side g b)
 
 let test_bisect_disconnected () =
   Alcotest.(check bool) "no bisection" true
-    (Separator.bisect (Graph.of_edges 4 [ (0, 1) ]) = None)
+    (Separator.bisect (Graph.of_edges 4 [ (0, 1) ]) [| 0; 1; 2; 3 |] = None)
 
 let test_separability_chain () =
   (* Paper: linear nearest neighbor has s = 1/2 (for even splits). *)
@@ -240,13 +245,13 @@ let qcheck_bisect_sides_connected =
     (fun (seed, n) ->
       let rng = Qcp_util.Rng.create seed in
       let g = Gen.random_connected rng ~n ~extra_edges:(n / 3) in
-      match Separator.bisect g with
+      match Separator.bisect g (all_vertices g) with
       | None -> false
       | Some (a, b) ->
-        List.length a + List.length b = n
-        && List.length a <= List.length b
-        && Paths.is_connected_subset g a
-        && Paths.is_connected_subset g b)
+        Array.length a + Array.length b = n
+        && Array.length a <= Array.length b
+        && connected_side g a
+        && connected_side g b)
 
 let qcheck_separability_theorem1 =
   QCheck.Test.make

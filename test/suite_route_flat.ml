@@ -1,6 +1,8 @@
-(* The array bisection router, the packed SWAP-sequence timing and the
-   scratch-built connecting permutations against the list-based
-   implementations they replaced, kept verbatim below as references. *)
+(* The array bisection router, the array bisection, the packed
+   SWAP-sequence timing and the scratch-built connecting permutations
+   against the implementations they replaced (the list router and list
+   bisection, and the array router before its flat kernel), kept verbatim
+   below as references. *)
 
 module Graph = Qcp_graph.Graph
 module Gen = Qcp_graph.Generators
@@ -12,13 +14,528 @@ module Environment = Qcp_env.Environment
 module Rng = Qcp_util.Rng
 
 (* ------------------------------------------------------------------ *)
+(* Reference bisection: the list [Separator.bisect], verbatim.         *)
+(* ------------------------------------------------------------------ *)
+
+module List_separator = struct
+  module Graph = Qcp_graph.Graph
+  module Paths = Qcp_graph.Paths
+
+  (* Subtree sizes by an explicit-stack post-order over the children lists —
+     children are accumulated into their parent before the parent is popped,
+     so no per-root sort by BFS depth is needed. *)
+  let subtree_sizes parent =
+    let n = Array.length parent in
+    let size = Array.make n 1 in
+    let children = Array.make n [] in
+    let roots = ref [] in
+    Array.iteri
+      (fun v p ->
+        if p >= 0 && p <> v then children.(p) <- v :: children.(p)
+        else roots := v :: !roots)
+      parent;
+    let stack = Stack.create () in
+    List.iter (fun r -> Stack.push (r, false) stack) !roots;
+    while not (Stack.is_empty stack) do
+      let v, expanded = Stack.pop stack in
+      if expanded then begin
+        let p = parent.(v) in
+        if p >= 0 && p <> v then size.(p) <- size.(p) + size.(v)
+      end
+      else begin
+        Stack.push (v, true) stack;
+        List.iter (fun c -> Stack.push (c, false) stack) children.(v)
+      end
+    done;
+    size
+
+  let candidate_roots g =
+    let size = Graph.n g in
+    if size <= 64 then Qcp_util.Listx.range size
+    else begin
+      let step = size / 16 in
+      List.init 16 (fun i -> i * step)
+    end
+
+  let bisect g =
+    let size = Graph.n g in
+    if size < 2 || not (Paths.is_connected g) then None
+    else begin
+      let best = ref None in
+      let consider root =
+        let parent = Paths.bfs_parents g root in
+        let sizes = subtree_sizes parent in
+        for v = 0 to size - 1 do
+          if v <> root && parent.(v) >= 0 then begin
+            let small = min sizes.(v) (size - sizes.(v)) in
+            let better =
+              match !best with
+              | None -> true
+              | Some (best_small, _, _) -> small > best_small
+            in
+            if better then best := Some (small, v, parent)
+          end
+        done
+      in
+      List.iter consider (candidate_roots g);
+      match !best with
+      | None -> None
+      | Some (_, cut_vertex, parent) ->
+        (* Subtree of [cut_vertex] in the chosen BFS tree. *)
+        let children = Array.make size [] in
+        Array.iteri
+          (fun v p -> if p >= 0 && p <> v then children.(p) <- v :: children.(p))
+          parent;
+        let in_subtree = Array.make size false in
+        let rec mark v =
+          in_subtree.(v) <- true;
+          List.iter mark children.(v)
+        in
+        mark cut_vertex;
+        let side_a = List.filter (fun v -> in_subtree.(v)) (Qcp_util.Listx.range size) in
+        let side_b = List.filter (fun v -> not in_subtree.(v)) (Qcp_util.Listx.range size) in
+        if List.length side_a <= List.length side_b then Some (side_a, side_b)
+        else Some (side_b, side_a)
+    end
+end
+
+(* ------------------------------------------------------------------ *)
+(* Reference array router: the split-tree router before the flat        *)
+(* kernel and the array compile, verbatim ([route_impl] is its          *)
+(* [route_sequence] without the telemetry wrapper).                     *)
+(* ------------------------------------------------------------------ *)
+
+module Flat_reference = struct
+  module Graph = Qcp_graph.Graph
+  module Paths = Qcp_graph.Paths
+  module Separator = List_separator
+  module Swap_word = Qcp_circuit.Swap_word
+
+  exception Routing_failure of string
+
+  let depth_upper_bound g = (8 * Graph.n g) + 8
+
+  (* Everything the divide-and-conquer recursion derives from a vertex subset
+     alone — the bisection, the channel edge and the per-half BFS structure —
+     is independent of the permutation being routed.  A memo compiles it once
+     per subset into a split tree whose nodes point at their halves' nodes,
+     so a route walks the tree without hashing below its root. *)
+  type node =
+    | Unsplittable
+    | No_channel
+    | Split of split
+
+  and split = {
+    sa : int array; (* small half, ascending vertex ids *)
+    sb : int array; (* large half *)
+    u1 : int; (* channel edge: u1 in sa, u2 in sb *)
+    u2 : int;
+    order_a : int array; (* sa by BFS distance to u1, ties in vertex order *)
+    up_a : int array; (* up_a.(i): BFS parent of order_a.(i) inside sa *)
+    order_b : int array;
+    up_b : int array;
+    guard_cap : int;
+    children : node option array;
+        (* the nodes of sa and sb, once met; halves of three or more
+           vertices only *)
+  }
+
+  (* Subset keys: vertex bitsets, [bits_per_word] vertices per word. *)
+  let bits_per_word = 62
+
+  let rec words_equal (a : int array) b i =
+    i < 0 || (a.(i) = b.(i) && words_equal a b (i - 1))
+
+  module Key_tbl = Hashtbl.Make (struct
+    type t = int array
+
+    let equal a b =
+      Array.length a = Array.length b && words_equal a b (Array.length a - 1)
+
+    let hash a =
+      let h = ref 0x811c9dc5 in
+      for i = 0 to Array.length a - 1 do
+        h := (!h lxor a.(i)) * 0x01000193 land max_int
+      done;
+      !h
+  end)
+
+  type memo = {
+    table : node Key_tbl.t;
+    lock : Mutex.t;
+    mutable owner : Graph.t option;
+        (* the graph this memo was built against, checked connected once *)
+  }
+
+  let make_memo () =
+    { table = Key_tbl.create 16; lock = Mutex.create (); owner = None }
+
+  let compile g edge_cost vertices =
+    let n = Graph.n g in
+    let sub, back = Graph.induced g vertices in
+    match Separator.bisect sub with
+    | None -> Unsplittable
+    | Some (small, large) ->
+      let sa = List.map (fun i -> back.(i)) small in
+      let sb = List.map (fun i -> back.(i)) large in
+      let in_sa = Array.make n false in
+      let in_sb = Array.make n false in
+      List.iter (fun v -> in_sa.(v) <- true) sa;
+      List.iter (fun v -> in_sb.(v) <- true) sb;
+      let channel =
+        (* All crossing edges; with an edge-cost oracle (the paper notes the
+           algorithm extends to weighted SWAPs) pick the cheapest channel. *)
+        let crossing =
+          List.concat_map
+            (fun v ->
+              Array.to_list (Graph.neighbors g v)
+              |> List.filter_map (fun u -> if in_sb.(u) then Some (v, u) else None))
+            sa
+        in
+        match (edge_cost, crossing) with
+        | _, [] -> None
+        | None, first :: _ -> Some first
+        | Some cost, candidates ->
+          Qcp_util.Listx.min_by (fun (u, v) -> cost u v) candidates
+      in
+      (match channel with
+      | None -> No_channel
+      | Some (u1, u2) ->
+        let half side inside root =
+          let restrict v = inside.(v) in
+          let dist = Paths.bfs_dist ~restrict g root in
+          let parent = Paths.bfs_parents ~restrict g root in
+          let order =
+            Array.of_list (List.sort (fun a b -> Int.compare dist.(a) dist.(b)) side)
+          in
+          (order, Array.map (fun v -> parent.(v)) order)
+        in
+        let order_a, up_a = half sa in_sa u1 in
+        let order_b, up_b = half sb in_sb u2 in
+        Split
+          {
+            sa = Array.of_list sa;
+            sb = Array.of_list sb;
+            u1;
+            u2;
+            order_a;
+            up_a;
+            order_b;
+            up_b;
+            guard_cap = (8 * (List.length sa + List.length sb)) + 16;
+            children = [| None; None |];
+          })
+
+  (* Per-domain routing state, grown on demand and reused by every route on
+     the domain: a route allocates only its result.  Levels are built in
+     generation order (depth-first, small half first), each swap a
+     {!Swap_word} tagged with its level in the uncompressed network; the
+     result is that buffer as is ({!Swap_network.compressed} turns it into
+     the compressed network). *)
+  type scratch = {
+    mutable config : int array; (* config.(v) = token currently at v *)
+    mutable active : bool array; (* not frozen by the leaf pre-pass *)
+    mutable mark : int array; (* mark.(v) = stamp: v is in the level being built *)
+    mutable stamp : int;
+    mutable side : bool array; (* v in the large half of the split in progress *)
+    mutable verts : int array; (* pre-pass freezes, then the root subset *)
+    mutable key : int array;
+    mutable swaps : int array; (* swap i is the {!Swap_word} swaps.(i) *)
+    mutable count : int;
+  }
+
+  let scratch_key =
+    Domain.DLS.new_key (fun () ->
+        {
+          config = [||];
+          active = [||];
+          mark = [||];
+          stamp = 0;
+          side = [||];
+          verts = [||];
+          key = [||];
+          swaps = Array.make 64 0;
+          count = 0;
+        })
+
+  let prepare s n =
+    if Array.length s.config < n then begin
+      s.config <- Array.make n 0;
+      s.active <- Array.make n true;
+      s.mark <- Array.make n 0;
+      s.side <- Array.make n false;
+      s.verts <- Array.make n 0
+    end;
+    let words = (n + bits_per_word - 1) / bits_per_word in
+    if Array.length s.key <> words then s.key <- Array.make words 0;
+    for v = 0 to n - 1 do
+      s.config.(v) <- v
+    done;
+    Array.fill s.active 0 n true;
+    s.count <- 0
+
+  let grow a = Array.append a (Array.make (Array.length a) 0)
+
+  let push s u v level =
+    if s.count = Array.length s.swaps then s.swaps <- grow s.swaps;
+    s.swaps.(s.count) <- Swap_word.make u v ~level;
+    s.count <- s.count + 1
+
+  let take s stamp u v level =
+    s.mark.(u) <- stamp;
+    s.mark.(v) <- stamp;
+    push s u v level
+
+  (* A level's swaps are vertex-disjoint, so applying them in any order gives
+     the same configuration; the level list of the network holds them in
+     reverse discovery order, which [close_level] restores. *)
+  let close_level s start =
+    let config = s.config and swaps = s.swaps in
+    let i = ref start and j = ref (s.count - 1) in
+    while !i < !j do
+      let w = swaps.(!i) in
+      swaps.(!i) <- swaps.(!j);
+      swaps.(!j) <- w;
+      incr i;
+      decr j
+    done;
+    for k = start to s.count - 1 do
+      let u = Swap_word.u swaps.(k) and v = Swap_word.v swaps.(k) in
+      let t = config.(u) in
+      config.(u) <- config.(v);
+      config.(v) <- t
+    done
+
+  let dest s perm v = perm.(s.config.(v))
+
+  let active_degree s g v =
+    let neighbors = Graph.neighbors g v in
+    let d = ref 0 in
+    for i = 0 to Array.length neighbors - 1 do
+      if s.active.(neighbors.(i)) then incr d
+    done;
+    !d
+
+  let last_active_neighbor s g v =
+    let neighbors = Graph.neighbors g v in
+    let u = ref (-1) in
+    for i = 0 to Array.length neighbors - 1 do
+      if s.active.(neighbors.(i)) then u := neighbors.(i)
+    done;
+    !u
+
+  (* Leaf-target value override pre-pass: freeze leaves that hold (or can
+     directly receive) their final value, shrinking the routing instance.
+     Freezes of one round apply after its scan.  Returns the number of
+     pre-pass levels. *)
+  let prepass s g perm n =
+    let levels = ref 0 in
+    let active_count = ref n in
+    let progress = ref true in
+    while !progress && !active_count > 2 do
+      progress := false;
+      s.stamp <- s.stamp + 1;
+      let stamp = s.stamp in
+      let start = s.count in
+      let frozen = ref 0 in
+      for v = 0 to n - 1 do
+        if s.active.(v) && s.mark.(v) <> stamp && active_degree s g v = 1 then begin
+          if dest s perm v = v then begin
+            s.verts.(!frozen) <- v;
+            incr frozen
+          end
+          else begin
+            let u = last_active_neighbor s g v in
+            if u >= 0 && s.mark.(u) <> stamp && dest s perm u = v then begin
+              take s stamp u v !levels;
+              s.verts.(!frozen) <- v;
+              incr frozen
+            end
+          end
+        end
+      done;
+      if s.count > start then begin
+        close_level s start;
+        incr levels
+      end;
+      for i = 0 to !frozen - 1 do
+        s.active.(s.verts.(i)) <- false;
+        decr active_count;
+        progress := true
+      done
+    done;
+    !levels
+
+  (* Within a half, misplaced tokens bubble toward the channel along BFS-tree
+     parents, swapping only with correctly-sided tokens, closest-to-channel
+     first.  [want] is the side a misplaced token of this half belongs to. *)
+  let sweep s perm order up want root stamp level =
+    for i = 0 to Array.length order - 1 do
+      let v = order.(i) in
+      if v <> root && s.mark.(v) <> stamp && s.side.(dest s perm v) = want then begin
+        let p = up.(i) in
+        if p >= 0 && s.mark.(p) <> stamp && s.side.(dest s perm p) <> want then
+          take s stamp v p level
+      end
+    done
+
+  let rec misplaced_in_a s perm sa i =
+    i >= 0 && (s.side.(dest s perm sa.(i)) || misplaced_in_a s perm sa (i - 1))
+
+  (* Move misplaced tokens of [sa] and [sb] to their own half through the
+     channel edge; returns the number of levels, placed from [base] on.
+     Every token in a routed subset is bound for a vertex of that subset,
+     so [side] is only read at vertices this phase has just marked. *)
+  let phase s perm sp base =
+    for i = 0 to Array.length sp.sa - 1 do
+      s.side.(sp.sa.(i)) <- false
+    done;
+    for i = 0 to Array.length sp.sb - 1 do
+      s.side.(sp.sb.(i)) <- true
+    done;
+    let iters = ref 0 in
+    while misplaced_in_a s perm sp.sa (Array.length sp.sa - 1) do
+      if !iters > sp.guard_cap then raise (Routing_failure "phase did not converge");
+      let level = base + !iters in
+      incr iters;
+      s.stamp <- s.stamp + 1;
+      let stamp = s.stamp in
+      let start = s.count in
+      (* Channel swap first. *)
+      if s.side.(dest s perm sp.u1) && not s.side.(dest s perm sp.u2) then
+        take s stamp sp.u1 sp.u2 level;
+      sweep s perm sp.order_a sp.up_a true sp.u1 stamp level;
+      sweep s perm sp.order_b sp.up_b false sp.u2 stamp level;
+      if s.count = start then raise (Routing_failure "phase produced an empty level");
+      close_level s start
+    done;
+    !iters
+
+  (* The node of the subset [vertices.(0 .. len-1)] (ascending), compiled
+     under the memo's lock on first sight. *)
+  let find_node s memo g edge_cost vertices len =
+    let key = s.key in
+    Array.fill key 0 (Array.length key) 0;
+    for i = 0 to len - 1 do
+      let v = vertices.(i) in
+      let w = v / bits_per_word in
+      key.(w) <- key.(w) lor (1 lsl (v mod bits_per_word))
+    done;
+    Mutex.lock memo.lock;
+    match Key_tbl.find memo.table key with
+    | node ->
+      Mutex.unlock memo.lock;
+      node
+    | exception Not_found ->
+      Mutex.unlock memo.lock;
+      Mutex.protect memo.lock (fun () ->
+          match Key_tbl.find_opt memo.table key with
+          | Some node -> node
+          | None ->
+            let node =
+              compile g edge_cost (Array.to_list (Array.sub vertices 0 len))
+            in
+            Key_tbl.add memo.table (Array.copy key) node;
+            node)
+
+  let pair s perm a b level =
+    if dest s perm a <> a then begin
+      push s a b level;
+      close_level s (s.count - 1)
+    end
+
+  (* The halves are vertex-disjoint after the phase, so each recursion swaps
+     only within its own half; both start at the level after the phase, the
+     small half's swaps generated first. *)
+  let rec solve s memo g edge_cost perm node base =
+    match node with
+    | Unsplittable -> raise (Routing_failure "could not bisect a connected subgraph")
+    | No_channel -> raise (Routing_failure "no channel edge between bisection halves")
+    | Split sp ->
+      let base = base + phase s perm sp base in
+      solve_half s memo g edge_cost perm sp 0 sp.sa base;
+      solve_half s memo g edge_cost perm sp 1 sp.sb base
+
+  and solve_half s memo g edge_cost perm sp side half base =
+    match half with
+    | [| a; b |] -> pair s perm a b base
+    | [||] | [| _ |] -> ()
+    | _ ->
+      let child =
+        match sp.children.(side) with
+        | Some child -> child
+        | None ->
+          let child = find_node s memo g edge_cost half (Array.length half) in
+          sp.children.(side) <- Some child;
+          child
+      in
+      solve s memo g edge_cost perm child base
+
+  (* A memo is bound to its graph on first use, once the graph is known to be
+     connected, so later routes skip the connectivity check.  Concurrent
+     first routes may both check; the lock makes the binding itself
+     atomic. *)
+  let bind memo g =
+    match memo.owner with
+    | Some owner when owner == g -> ()
+    | _ ->
+      if not (Paths.is_connected g) then
+        invalid_arg "Bisect_router.route: adjacency graph must be connected";
+      Mutex.protect memo.lock (fun () ->
+          match memo.owner with
+          | None -> memo.owner <- Some g
+          | Some owner when owner == g -> ()
+          | Some _ ->
+            invalid_arg "Bisect_router.route: memo built for a different graph")
+
+  (* [Perm.is_valid] without its allocation, over the mark stamps. *)
+  let is_permutation s perm n =
+    s.stamp <- s.stamp + 1;
+    let stamp = s.stamp in
+    let ok = ref true in
+    for v = 0 to n - 1 do
+      let dst = perm.(v) in
+      if dst < 0 || dst >= n || s.mark.(dst) = stamp then ok := false
+      else s.mark.(dst) <- stamp
+    done;
+    !ok
+
+  let route_impl ?(leaf_override = true) ?edge_cost ?memo g ~perm =
+    let n = Graph.n g in
+    if Array.length perm <> n then
+      invalid_arg "Bisect_router.route: permutation size mismatch";
+    let s = Domain.DLS.get scratch_key in
+    prepare s n;
+    if not (is_permutation s perm n) then
+      invalid_arg "Bisect_router.route: not a permutation";
+    let memo = match memo with Some memo -> memo | None -> make_memo () in
+    bind memo g;
+    let base = if leaf_override then prepass s g perm n else 0 in
+    let remaining = ref 0 in
+    for v = 0 to n - 1 do
+      if s.active.(v) then begin
+        s.verts.(!remaining) <- v;
+        incr remaining
+      end
+    done;
+    (match !remaining with
+    | 0 | 1 -> ()
+    | 2 -> pair s perm s.verts.(0) s.verts.(1) base
+    | len -> solve s memo g edge_cost perm (find_node s memo g edge_cost s.verts len) base);
+    for v = 0 to n - 1 do
+      assert (dest s perm v = v)
+    done;
+    Array.sub s.swaps 0 s.count
+end
+
+(* ------------------------------------------------------------------ *)
 (* Reference router: the list implementation, verbatim.                *)
 (* ------------------------------------------------------------------ *)
 
 module Reference = struct
   module Graph = Qcp_graph.Graph
   module Paths = Qcp_graph.Paths
-  module Separator = Qcp_graph.Separator
+  module Separator = List_separator
   module Perm = Qcp_route.Perm
   module Swap_network = Qcp_route.Swap_network
 
@@ -520,6 +1037,190 @@ let test_router_rejects_like_reference () =
               (Bisect_router.route_sequence ~memo other ~perm))))
 
 (* ------------------------------------------------------------------ *)
+(* Raw sequences against the array reference                          *)
+(* ------------------------------------------------------------------ *)
+
+let seq_outcome f =
+  match f () with
+  | (seq : Swap_network.sequence) -> Ok seq
+  | exception Bisect_router.Routing_failure m -> Error ("routing failure: " ^ m)
+  | exception Flat_reference.Routing_failure m -> Error ("routing failure: " ^ m)
+  | exception Invalid_argument m -> Error ("invalid_arg: " ^ m)
+
+let pp_seq_outcome = function
+  | Ok seq ->
+    String.concat " "
+      (Array.to_list
+         (Array.map
+            (fun w ->
+              Printf.sprintf "%d-%d@%d" (Qcp_circuit.Swap_word.u w)
+                (Qcp_circuit.Swap_word.v w) (Qcp_circuit.Swap_word.level w))
+            seq))
+  | Error m -> m
+
+(* [route_sequence] returns word for word what the array router it
+   replaced returned: every setting (both leaf-override values, with and
+   without edge costs) routes all [perms] through one memo per side, and
+   each route is repeated without a memo. *)
+let compare_sequences ~label ?edge_cost g perms =
+  let checked = ref 0 in
+  List.iter
+    (fun (leaf_override, edge_cost) ->
+      let memo = Bisect_router.make_memo () in
+      let ref_memo = Flat_reference.make_memo () in
+      List.iter
+        (fun perm ->
+          let expected =
+            seq_outcome (fun () ->
+                Flat_reference.route_impl ~leaf_override ?edge_cost ~memo:ref_memo g
+                  ~perm)
+          in
+          List.iter
+            (fun got ->
+              if got <> expected then
+                Alcotest.failf "%s (leaf_override %b, cost %b):@.expected %s@.got %s"
+                  label leaf_override (edge_cost <> None) (pp_seq_outcome expected)
+                  (pp_seq_outcome got);
+              incr checked)
+            [
+              seq_outcome (fun () ->
+                  Bisect_router.route_sequence ~leaf_override ?edge_cost ~memo g ~perm);
+              seq_outcome (fun () ->
+                  Bisect_router.route_sequence ~leaf_override ?edge_cost g ~perm);
+            ])
+        perms)
+    [ (true, None); (false, None); (true, edge_cost); (false, edge_cost) ];
+  !checked
+
+let test_sequence_matches_array_reference () =
+  let rng = Rng.create 35 in
+  let checked = ref 0 in
+  let run ~label ?edge_cost g count =
+    checked :=
+      !checked
+      + compare_sequences ~label ?edge_cost g (random_perms rng (Graph.n g) count)
+  in
+  List.iter
+    (fun env ->
+      List.iter
+        (fun threshold ->
+          match Environment.connected_adjacency env ~threshold with
+          | Some g ->
+            run
+              ~label:(Printf.sprintf "%s@%g" (Environment.name env) threshold)
+              ~edge_cost:(Environment.coupling_delay env) g 40
+          | None -> ())
+        [ 50.0; 100.0; 200.0; 500.0; 1000.0; 10000.0 ])
+    Qcp_env.Molecules.all;
+  List.iter
+    (fun n ->
+      run ~label:(Printf.sprintf "chain %d" n) ~edge_cost:synthetic_cost
+        (Gen.path_graph n) (if n > 32 then 6 else 16))
+    [ 8; 16; 32; 64; 128 ];
+  run ~label:"grid 6x6" ~edge_cost:synthetic_cost (Gen.grid 6 6) 12;
+  run ~label:"grid 16x16" ~edge_cost:synthetic_cost (Gen.grid 16 16) 3;
+  run ~label:"heavy-hex" ~edge_cost:synthetic_cost (Gen.heavy_hex ~rows:2 ~cols:3) 12;
+  for i = 0 to 11 do
+    let n = 2 + Rng.int rng 40 in
+    run ~label:(Printf.sprintf "tree %d" i) ~edge_cost:synthetic_cost
+      (Gen.random_tree rng n) 10
+  done;
+  (* Argument failures, in the reference's order of checks. *)
+  List.iter
+    (fun (label, g, perm) ->
+      let expected = seq_outcome (fun () -> Flat_reference.route_impl g ~perm) in
+      let got = seq_outcome (fun () -> Bisect_router.route_sequence g ~perm) in
+      Alcotest.(check bool) (label ^ " fails") true (Result.is_error expected);
+      Alcotest.(check string) label (pp_seq_outcome expected) (pp_seq_outcome got))
+    [
+      ("size mismatch", Gen.grid 3 3, Perm.identity 4);
+      ("duplicate entry", Gen.grid 3 3, [| 0; 1; 2; 3; 4; 5; 6; 7; 7 |]);
+      ("out of range", Gen.grid 3 3, [| 0; 1; 2; 3; 4; 5; 6; 7; 9 |]);
+      ("negative", Gen.grid 3 3, [| 0; 1; 2; 3; 4; 5; 6; 7; -1 |]);
+      ("disconnected", Graph.of_edges 4 [ (0, 1); (2, 3) ], [| 1; 0; 3; 2 |]);
+    ];
+  Alcotest.(check bool) "sequences compared" true (!checked > 5000)
+
+(* ------------------------------------------------------------------ *)
+(* Array bisection                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* A connected vertex subset grown from a random vertex, ascending. *)
+let connected_subset rng g size =
+  let n = Graph.n g in
+  let inside = Array.make n false in
+  let start = Rng.int rng n in
+  inside.(start) <- true;
+  let members = ref [ start ] and count = ref 1 in
+  let stuck = ref false in
+  while !count < size && not !stuck do
+    let frontier =
+      List.concat_map
+        (fun v ->
+          List.filter (fun u -> not inside.(u)) (Array.to_list (Graph.neighbors g v)))
+        !members
+    in
+    match frontier with
+    | [] -> stuck := true
+    | _ ->
+      let u = List.nth frontier (Rng.int rng (List.length frontier)) in
+      inside.(u) <- true;
+      members := u :: !members;
+      incr count
+  done;
+  List.sort compare !members
+
+(* [Separator.bisect] returns the halves, in order, that the list
+   bisection returns on the induced subgraph, mapped back: on whole
+   graphs, on connected subsets and on disconnected ones (both refuse). *)
+let test_array_bisect_matches_list () =
+  let rng = Rng.create 36 in
+  let compared = ref 0 in
+  let check ~label g subset =
+    let sub, back = Graph.induced g subset in
+    let expected =
+      Option.map
+        (fun (a, b) ->
+          let lift side = Array.of_list (List.map (fun i -> back.(i)) side) in
+          (lift a, lift b))
+        (List_separator.bisect sub)
+    in
+    let got = Qcp_graph.Separator.bisect g (Array.of_list subset) in
+    if got <> expected then Alcotest.failf "%s: bisections differ" label;
+    incr compared
+  in
+  let graph ~label g =
+    let n = Graph.n g in
+    check ~label g (List.init n Fun.id);
+    for _ = 1 to 6 do
+      check ~label g (connected_subset rng g (2 + Rng.int rng (max 1 (n - 1))))
+    done;
+    (* Two far-apart vertices: usually disconnected. *)
+    if n > 3 then check ~label g [ 0; n - 1 ]
+  in
+  List.iter
+    (fun env ->
+      List.iter
+        (fun threshold ->
+          match Environment.connected_adjacency env ~threshold with
+          | Some g ->
+            graph ~label:(Printf.sprintf "%s@%g" (Environment.name env) threshold) g
+          | None -> ())
+        [ 50.0; 100.0; 200.0; 500.0; 1000.0; 10000.0 ])
+    Qcp_env.Molecules.all;
+  List.iter (fun n -> graph ~label:(Printf.sprintf "chain %d" n) (Gen.path_graph n))
+    [ 2; 3; 8; 65; 128 ];
+  List.iter
+    (fun (r, c) -> graph ~label:(Printf.sprintf "grid %dx%d" r c) (Gen.grid r c))
+    [ (3, 3); (6, 6); (9, 9); (16, 16) ];
+  for i = 0 to 39 do
+    let n = 2 + Rng.int rng 90 in
+    graph ~label:(Printf.sprintf "random %d" i)
+      (Gen.random_connected rng ~n ~extra_edges:(Rng.int rng (2 * n)))
+  done;
+  Alcotest.(check bool) "bisections compared" true (!compared > 500)
+
+(* ------------------------------------------------------------------ *)
 (* Flat SWAP timing                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -858,6 +1559,10 @@ let suite =
     Alcotest.test_case "router = list reference" `Quick test_router_matches_reference;
     Alcotest.test_case "router rejects like reference" `Quick
       test_router_rejects_like_reference;
+    Alcotest.test_case "sequence = array reference" `Quick
+      test_sequence_matches_array_reference;
+    Alcotest.test_case "array bisect = list bisect" `Quick
+      test_array_bisect_matches_list;
     Alcotest.test_case "flat timing = circuit timing" `Quick
       test_flat_timing_matches_circuit;
     Alcotest.test_case "sequence timing = compressed network timing" `Quick
