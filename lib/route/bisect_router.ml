@@ -48,7 +48,6 @@ type entry = Empty | Entry of { key : int array; node : node }
 type memo = {
   mutable slots : entry array; (* a power of two, at most half full *)
   mutable entries : int;
-  mutable whole : node; (* the node of every vertex, met without a key *)
   lock : Mutex.t;
   mutable owner : Graph.t option;
       (* the graph this memo was built against, checked connected once *)
@@ -58,7 +57,6 @@ let make_memo () =
   {
     slots = Array.make 16 Empty;
     entries = 0;
-    whole = Pending;
     lock = Mutex.create ();
     owner = None;
   }
@@ -73,16 +71,17 @@ let hash key words =
 let rec same_key (a : int array) (b : int array) i =
   i < 0 || (a.(i) = b.(i) && same_key a b (i - 1))
 
-(* The node stored under the first [words] words of [key], or [Pending]. *)
+let rec probe slots key words i =
+  match slots.(i) with
+  | Empty -> Pending
+  | Entry e ->
+    if same_key e.key key (words - 1) then e.node
+    else probe slots key words ((i + 1) land (Array.length slots - 1))
+
+(* The node stored under the first [words] words of [key], or [Pending];
+   allocates nothing. *)
 let lookup slots key words =
-  let mask = Array.length slots - 1 in
-  let rec probe i =
-    match slots.(i) with
-    | Empty -> Pending
-    | Entry e ->
-      if same_key e.key key (words - 1) then e.node else probe ((i + 1) land mask)
-  in
-  probe (hash key words land mask)
+  probe slots key words (hash key words land (Array.length slots - 1))
 
 let insert slots key node =
   let mask = Array.length slots - 1 in
@@ -430,30 +429,21 @@ let live_vertices s n =
   done;
   !len
 
-(* The root: every vertex when nothing froze (no key needed), else the
-   bitset of every vertex with the frozen ones cleared. *)
+(* The root: the bitset of every vertex with the frozen ones cleared. *)
 let root_node s memo g edge_cost n frozen =
-  if frozen = 0 then begin
-    if memo.whole == Pending then
-      memo.whole <-
-        Mutex.protect memo.lock (fun () -> compile g edge_cost (Array.init n Fun.id));
-    memo.whole
-  end
-  else begin
-    let key = s.key and words = words_of n in
-    for w = 0 to words - 1 do
-      key.(w) <- (1 lsl min bits_per_word (n - (w * bits_per_word))) - 1
-    done;
-    for i = 0 to frozen - 1 do
-      let v = s.verts.(i) in
-      let w = v / bits_per_word in
-      key.(w) <- key.(w) land lnot (1 lsl (v mod bits_per_word))
-    done;
-    match lookup memo.slots key words with
-    | Pending ->
-      compile_node memo g edge_cost key words (Array.sub s.verts 0 (live_vertices s n))
-    | node -> node
-  end
+  let key = s.key and words = words_of n in
+  for w = 0 to words - 1 do
+    key.(w) <- (1 lsl min bits_per_word (n - (w * bits_per_word))) - 1
+  done;
+  for i = 0 to frozen - 1 do
+    let v = s.verts.(i) in
+    let w = v / bits_per_word in
+    key.(w) <- key.(w) land lnot (1 lsl (v mod bits_per_word))
+  done;
+  match lookup memo.slots key words with
+  | Pending ->
+    compile_node memo g edge_cost key words (Array.sub s.verts 0 (live_vertices s n))
+  | node -> node
 
 (* A memo is bound to its graph on first use, once the graph is known to be
    connected, so later routes skip the connectivity check.  Concurrent

@@ -1528,31 +1528,37 @@ let words_allocated f =
    array is a preallocated atom). *)
 let block_words len = if len = 0 then 0 else len + 1
 
-(* A warm-memo route on histidine at threshold 1000 allocates its result
-   and nothing else: the swap sequence, one word per swap plus a header.
-   (The list router plus its SWAP circuit took 1,794 words a route; the
-   flat schedule before the sequence, 74.) *)
+(* A warm-memo route allocates its result and nothing else: the swap
+   sequence, one word per swap plus a header.  Histidine at threshold 1000
+   has no leaf, so its roots are whole graphs; a 12-vertex chain's leaves
+   freeze under sparse permutations, so its roots are keyed subsets.  (The
+   list router plus its SWAP circuit took 1,794 words a route; the flat
+   schedule before the sequence, 74.) *)
 let test_route_miss_allocation () =
+  let check label g =
+    let rng = Rng.create 9 in
+    let perms = Array.init 64 (fun i ->
+        if i mod 2 = 0 then Perm.random rng (Graph.n g) else sparse_perm rng (Graph.n g))
+    in
+    let memo = Some (Bisect_router.make_memo ()) in
+    let results = Array.make (Array.length perms) [||] in
+    let route () =
+      for i = 0 to Array.length perms - 1 do
+        results.(i) <- Bisect_router.route_sequence ?memo g ~perm:perms.(i)
+      done
+    in
+    route ();
+    let words = words_allocated route -. words_allocated ignore in
+    let expected =
+      Array.fold_left (fun acc r -> acc + block_words (Array.length r)) 0 results
+    in
+    Alcotest.(check int) (label ^ ": a warm route allocates only its sequence")
+      expected (int_of_float words)
+  in
   let env = Qcp_env.Molecules.histidine in
-  let g = Option.get (Environment.connected_adjacency env ~threshold:1000.0) in
-  let rng = Rng.create 9 in
-  let perms = Array.init 64 (fun i ->
-      if i mod 2 = 0 then Perm.random rng (Graph.n g) else sparse_perm rng (Graph.n g))
-  in
-  let memo = Some (Bisect_router.make_memo ()) in
-  let results = Array.make (Array.length perms) [||] in
-  let route () =
-    for i = 0 to Array.length perms - 1 do
-      results.(i) <- Bisect_router.route_sequence ?memo g ~perm:perms.(i)
-    done
-  in
-  route ();
-  let words = words_allocated route -. words_allocated ignore in
-  let expected =
-    Array.fold_left (fun acc r -> acc + block_words (Array.length r)) 0 results
-  in
-  Alcotest.(check int) "a warm route allocates only its sequence" expected
-    (int_of_float words)
+  check "histidine@1000"
+    (Option.get (Environment.connected_adjacency env ~threshold:1000.0));
+  check "chain 12" (Gen.path_graph 12)
 
 let suite =
   [
