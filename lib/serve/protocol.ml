@@ -12,6 +12,7 @@ type place = {
   deadline : float option;
   telemetry : bool;
   key : string;
+  digest : string;
 }
 
 type stats_format = Stats_json | Stats_prometheus
@@ -310,7 +311,67 @@ let options_of_json env json =
   in
   Ok options
 
-let parse_place ~resolve_env ~resolve_circuit json =
+(* The fields a place's resolution reads, in the order the key below
+   encodes them.  [deadline] is not among them: it is per request and
+   never memoized. *)
+let spec_fields = [ "env"; "circuit"; "options"; "telemetry" ]
+
+(* The place memo's key: the exact values of [spec_fields], each one
+   self-delimiting (a tag byte; strings and containers length-prefixed;
+   numbers as their IEEE-754 bits), so distinct specs never share a key.
+   In particular thresholds [100] and [100.00000000000001] differ, and so
+   do [0.0] and [-0.0], exactly as their canonical content keys do. *)
+let spec_key json =
+  let b = Buffer.create 128 in
+  let add_len n =
+    for i = 0 to 7 do
+      Buffer.add_char b (Char.unsafe_chr ((n lsr (8 * i)) land 0xff))
+    done
+  in
+  let add_str s =
+    add_len (String.length s);
+    Buffer.add_string b s
+  in
+  let rec add = function
+    | Json.Null -> Buffer.add_char b 'z'
+    | Json.Bool v -> Buffer.add_char b (if v then 't' else 'f')
+    | Json.Num x ->
+      Buffer.add_char b 'n';
+      Buffer.add_int64_le b (Int64.bits_of_float x)
+    | Json.Str s ->
+      Buffer.add_char b 's';
+      add_str s
+    | Json.Arr items ->
+      Buffer.add_char b 'a';
+      add_len (List.length items);
+      List.iter add items
+    | Json.Obj fields ->
+      Buffer.add_char b 'o';
+      add_len (List.length fields);
+      List.iter
+        (fun (name, v) ->
+          add_str name;
+          add v)
+        fields
+  in
+  List.iter
+    (fun name ->
+      match Json.member name json with
+      | None -> Buffer.add_char b '-'
+      | Some v -> add v)
+    spec_fields;
+  Buffer.contents b
+
+let deadline_of json =
+  opt_member "deadline" json
+    (fun v -> Option.map Option.some (Json.to_float v))
+    ~default:None
+
+(* Everything a place is but its deadline, read from [spec_fields] only.
+   The request's [deadline] result is checked where it always was, so a
+   line with several bad fields reports the same first error; the place
+   itself is built with no deadline. *)
+let resolve_place ~resolve_env ~resolve_circuit ~deadline json =
   let* env_spec =
     match Option.bind (Json.member "env" json) Json.to_str with
     | Some s -> Ok s
@@ -327,25 +388,36 @@ let parse_place ~resolve_env ~resolve_circuit json =
     Option.value (Json.member "options" json) ~default:Json.Null
   in
   let* options = options_of_json env options_json in
-  let* deadline =
-    opt_member "deadline" json
-      (fun v -> Option.map Option.some (Json.to_float v))
-      ~default:None
-  in
+  let* _ = deadline in
   let* telemetry = opt_member "telemetry" json Json.to_bool ~default:false in
+  let key = key options env circuit in
   Ok
-    (Place
-       {
-         env;
-         circuit;
-         options;
-         deadline;
-         telemetry;
-         key = key options env circuit;
-       })
+    {
+      env;
+      circuit;
+      options;
+      deadline = None;
+      telemetry;
+      key;
+      digest = key_hash key;
+    }
+
+(* [memo] maps a spec key to its resolved place, calling the resolver on
+   a miss (the daemon's is a bounded intern table that stores only [Ok]
+   places).  A hit skips the options decode, the content key and its
+   digest; the deadline is always this line's own. *)
+let parse_place ~resolve_env ~resolve_circuit ~memo json =
+  let deadline = deadline_of json in
+  let* place =
+    memo
+      (fun _ -> resolve_place ~resolve_env ~resolve_circuit ~deadline json)
+      (spec_key json)
+  in
+  let* deadline = deadline in
+  Ok (Place { place with deadline })
 
 let parse_line ?(resolve_env = resolve_env) ?(resolve_circuit = resolve_circuit)
-    line =
+    ?(memo = fun resolve spec -> resolve spec) line =
   match Json.parse line with
   | Error msg -> { id = ""; request = Error ("bad JSON: " ^ msg) }
   | Ok json ->
@@ -356,7 +428,8 @@ let parse_line ?(resolve_env = resolve_env) ?(resolve_circuit = resolve_circuit)
     in
     let request =
       match Option.bind (Json.member "op" json) Json.to_str with
-      | None | Some "place" -> parse_place ~resolve_env ~resolve_circuit json
+      | None | Some "place" ->
+        parse_place ~resolve_env ~resolve_circuit ~memo json
       | Some "ping" -> Ok Ping
       | Some "stats" -> (
         match Option.bind (Json.member "format" json) Json.to_str with

@@ -44,6 +44,9 @@ type place = {
   telemetry : bool;
       (** Include the run's full metrics snapshot in the result. *)
   key : string;  (** Canonical content key (see above). *)
+  digest : string;
+      (** {!key_hash} of [key], computed once with the key: the response,
+          the flight record and the access log share it. *)
 }
 
 type stats_format = Stats_json | Stats_prometheus
@@ -68,13 +71,23 @@ type envelope = {
 val parse_line :
   ?resolve_env:(string -> (Qcp_env.Environment.t, string) result) ->
   ?resolve_circuit:(string -> (Qcp_circuit.Circuit.t, string) result) ->
+  ?memo:((string -> (place, string) result) -> string -> (place, string) result) ->
   string ->
   envelope
 (** Parse one request line.  [resolve_env] / [resolve_circuit] override
     the spec resolvers (the daemon passes interning resolvers so repeated
     specs share one physical environment — which is what keeps the
     adjacency and route registries hot across requests); the defaults are
-    {!resolve_env} and {!resolve_circuit} below. *)
+    {!resolve_env} and {!resolve_circuit} below.
+
+    [memo resolve spec] looks a place request's spec up, calling
+    [resolve spec] on a miss (the default memoizes nothing).  The spec is
+    an injective encoding of the exact ["env"], ["circuit"], ["options"]
+    and ["telemetry"] values — strings length-prefixed, numbers by their
+    bits — so a memo that stores [Ok] places answers a repeated spec
+    without decoding options, building the key or hashing it.  The
+    per-request ["id"] and ["deadline"] are never part of it: a memoized
+    place always gets the line's own deadline. *)
 
 val resolve_env : string -> (Qcp_env.Environment.t, string) result
 (** Molecule names, [chain:<n>], [grid:<r>:<c>], or an inline multi-line

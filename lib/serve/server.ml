@@ -100,6 +100,8 @@ module Engine = struct
     result_cache : Result_cache.t;
     envs : Qcp_env.Environment.t intern;
     circuits : Qcp_circuit.Circuit.t intern;
+    places : Protocol.place intern;
+        (* spec key -> resolved place (see {!Protocol.parse_line}) *)
     counters : counters;
     flight : Flight.t option;
     mutable seq : int;  (* next request sequence number *)
@@ -114,6 +116,7 @@ module Engine = struct
       result_cache = Result_cache.create config.cache_cap;
       envs = intern_create 128;
       circuits = intern_create 128;
+      places = intern_create 128;
       counters =
         {
           c_requests = 0;
@@ -149,26 +152,19 @@ module Engine = struct
     Protocol.parse_line
       ~resolve_env:(intern t.envs Protocol.resolve_env)
       ~resolve_circuit:(intern t.circuits Protocol.resolve_circuit)
-      line
+      ~memo:(intern t.places) line
 
   type job = {
     j_seq : int;
     j_id : string;
     j_arrival : float;
     j_place : Protocol.place;
-    j_digest : string;
   }
 
   let make_job t ~id ~arrival place =
     let seq = t.seq in
     t.seq <- t.seq + 1;
-    {
-      j_seq = seq;
-      j_id = id;
-      j_arrival = arrival;
-      j_place = place;
-      j_digest = Protocol.key_hash place.Protocol.key;
-    }
+    { j_seq = seq; j_id = id; j_arrival = arrival; j_place = place }
 
   let observe_wait c seconds =
     let i = Metrics.bucket_index qw_bounds seconds in
@@ -318,6 +314,7 @@ module Engine = struct
       Array.to_list
         (Array.mapi
            (fun i j ->
+             let digest = j.j_place.Protocol.digest in
              let queue_wait = Float.max 0.0 (now -. j.j_arrival) in
              let status, cached, shed, wall, result, error, phases =
                match assignments.(i) with
@@ -355,7 +352,7 @@ module Engine = struct
                    f_status = status;
                    f_cached = cached;
                    f_shed = shed;
-                   f_key = j.j_digest;
+                   f_key = digest;
                    f_arrival = j.j_arrival -. t.started;
                    f_queue_wait = queue_wait;
                    f_wall = wall;
@@ -367,7 +364,7 @@ module Engine = struct
                    [
                      ("req_seq", Log.Int j.j_seq);
                      ("id", Log.Str j.j_id);
-                     ("key", Log.Str j.j_digest);
+                     ("key", Log.Str digest);
                      ("queue_wait_s", Log.Num queue_wait);
                    ]);
              Log.info "request" (fun () ->
@@ -375,7 +372,7 @@ module Engine = struct
                    ("req_seq", Log.Int j.j_seq);
                    ("id", Log.Str j.j_id);
                    ("op", Log.Str "place");
-                   ("key", Log.Str j.j_digest);
+                   ("key", Log.Str digest);
                    ("status", Log.Str status);
                    ("cached", Log.Bool cached);
                    ("shed", Log.Bool shed);
@@ -393,8 +390,8 @@ module Engine = struct
                    ]);
              slowest := Float.max !slowest (queue_wait +. wall);
              if status <> "ok" then trouble := true;
-             Protocol.response ~id:j.j_id ~status ~cached ~digest:j.j_digest
-               ~queue_wait ~wall ?result ?error ())
+             Protocol.response ~id:j.j_id ~status ~cached ~digest ~queue_wait
+               ~wall ?result ?error ())
            jobs)
     in
     (match (t.flight, t.config.slow_dump) with
@@ -555,7 +552,7 @@ end
 
 type client = {
   fd : Unix.file_descr;
-  buf : Buffer.t;  (* bytes received, not yet split into lines *)
+  buf : Buffer.t;  (* the unterminated tail of the bytes received *)
   mutable alive : bool;
 }
 
@@ -569,16 +566,42 @@ let write_all client line =
     done
   with Unix.Unix_error ((EPIPE | ECONNRESET), _, _) -> client.alive <- false
 
-(* Split complete lines out of a client's receive buffer. *)
-let take_lines buf =
-  let data = Buffer.contents buf in
-  match String.rindex_opt data '\n' with
-  | None -> []
-  | Some last ->
-    Buffer.clear buf;
-    Buffer.add_substring buf data (last + 1) (String.length data - last - 1);
-    String.split_on_char '\n' (String.sub data 0 last)
-    |> List.filter (fun l -> String.trim l <> "")
+(* Whitespace as [String.trim] sees it. *)
+let is_space = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+
+let rec blank_bytes b i stop =
+  i >= stop || (is_space (Bytes.unsafe_get b i) && blank_bytes b (i + 1) stop)
+
+let blank_buffer buf =
+  let rec from i =
+    i >= Buffer.length buf || (is_space (Buffer.nth buf i) && from (i + 1))
+  in
+  from 0
+
+(* Split the complete lines out of [n] freshly read bytes of [chunk],
+   which continue the client's unterminated tail [buf]; the new tail is
+   left in [buf].  Only the new bytes are searched for newlines, a line
+   is copied once, when it completes, and blank lines are dropped without
+   being copied. *)
+let take_lines buf chunk n =
+  let lines = ref [] and start = ref 0 in
+  for i = 0 to n - 1 do
+    if Bytes.unsafe_get chunk i = '\n' then begin
+      if not (blank_buffer buf && blank_bytes chunk !start i) then
+        lines :=
+          (if Buffer.length buf = 0 then
+             Bytes.sub_string chunk !start (i - !start)
+           else begin
+             Buffer.add_subbytes buf chunk !start (i - !start);
+             Buffer.contents buf
+           end)
+          :: !lines;
+      Buffer.clear buf;
+      start := i + 1
+    end
+  done;
+  Buffer.add_subbytes buf chunk !start (n - !start);
+  List.rev !lines
 
 type queued = {
   q_client : client;
@@ -760,8 +783,7 @@ let serve config =
               with
               | 0 -> drop client
               | n ->
-                Buffer.add_subbytes client.buf chunk 0 n;
-                List.iter (handle_line client) (take_lines client.buf)))
+                List.iter (handle_line client) (take_lines client.buf chunk n)))
         readable;
       dispatch_some ();
       if budget_exhausted () then drain "max-requests"

@@ -93,22 +93,21 @@ module Engine : sig
   (** {!Protocol.parse_line} with this engine's interning resolvers:
       repeated env / circuit specs resolve to the same physical value
       (bounded FIFO intern tables), which keeps the adjacency memo and
-      the per-graph route registries hot across requests. *)
+      the per-graph route registries hot across requests.  A third intern
+      table of the same bound is the place memo: a repeated place spec
+      (env, circuit, options, telemetry) answers its resolved place, key
+      and digest without rebuilding them. *)
 
   type job = {
     j_seq : int;  (** Engine-assigned request sequence number. *)
     j_id : string;  (** Echoed client correlation id. *)
     j_arrival : float;  (** {!Qcp_util.Clock.now} at admission. *)
     j_place : Protocol.place;
-    j_digest : string;
-        (** {!Protocol.key_hash} of the place's key, computed once: the
-            response, the flight record and the access log share it. *)
   }
 
   val make_job :
     t -> id:string -> arrival:float -> Protocol.place -> job
-  (** Build a job with the engine's next sequence number and its key
-      digest. *)
+  (** Build a job with the engine's next sequence number. *)
 
   val dispatch : t -> now:float -> job list -> string list
   (** Solve one batch, returning response lines in job order.  Jobs whose

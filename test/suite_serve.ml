@@ -250,14 +250,28 @@ let paper_cell_lines =
           [ "phaseest"; "qft6"; "aqft9"; "steane-x/z1"; "steane-x/z2"; "aqft12" ] );
       ]
 
+let engine_place eng line =
+  match (Engine.parse_line eng line).Protocol.request with
+  | Ok (Protocol.Place p) -> p
+  | Ok _ -> Alcotest.failf "%s: not a place request" line
+  | Error msg -> Alcotest.failf "%s: %s" line msg
+
+(* The paper cells whose circuit fits its environment and whose threshold
+   leaves the environment connected. *)
+let placeable_cell_lines () =
+  List.filter
+    (fun line ->
+      let p = place_of_line line in
+      Qcp_circuit.Circuit.qubits p.Protocol.circuit
+      <= Qcp_env.Environment.size p.Protocol.env
+      && Qcp_env.Environment.connected_adjacency p.Protocol.env
+           ~threshold:p.Protocol.options.Qcp.Options.threshold
+         <> None)
+    paper_cell_lines
+
 let test_memo_keys_match_printing () =
   let eng = Engine.create Server.default_config in
-  let parsed line =
-    match (Engine.parse_line eng line).Protocol.request with
-    | Ok (Protocol.Place p) -> p
-    | Ok _ -> Alcotest.failf "%s: not a place request" line
-    | Error msg -> Alcotest.failf "%s: %s" line msg
-  in
+  let parsed = engine_place eng in
   (* Twice each: the first parse fills the memo, the second reads it. *)
   let check_line line =
     for pass = 1 to 2 do
@@ -268,17 +282,7 @@ let test_memo_keys_match_printing () =
         p.Protocol.key
     done
   in
-  let placeable =
-    List.filter
-      (fun line ->
-        let p = parsed line in
-        Qcp_circuit.Circuit.qubits p.Protocol.circuit
-        <= Qcp_env.Environment.size p.Protocol.env
-        && Qcp_env.Environment.connected_adjacency p.Protocol.env
-             ~threshold:p.Protocol.options.Qcp.Options.threshold
-           <> None)
-      paper_cell_lines
-  in
+  let placeable = placeable_cell_lines () in
   Alcotest.(check int) "placeable paper cells" 61 (List.length placeable);
   List.iter check_line placeable;
   for seed = 1 to 50 do
@@ -719,6 +723,187 @@ let test_window_validation () =
     (place_of_line (line "\"window\":1")).Protocol.key
 
 (* ------------------------------------------------------------------ *)
+(* Engine: the place memo                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* A response without its per-delivery fields ([queue_wait_s] and
+   [wall_s], which sit between the key and the result or error). *)
+let strip_timing response =
+  match Helpers.substring_index response ",\"queue_wait_s\":" with
+  | None -> response
+  | Some i ->
+    let rest = String.sub response i (String.length response - i) in
+    let j =
+      match Helpers.substring_index rest ",\"result\":" with
+      | Some j -> j
+      | None -> (
+        match Helpers.substring_index rest ",\"error\":" with
+        | Some j -> j
+        | None -> Alcotest.failf "no result or error in %s" response)
+    in
+    String.sub response 0 i ^ String.sub rest j (String.length rest - j)
+
+(* A request line with one more top-level member. *)
+let with_field line field =
+  String.sub line 0 (String.length line - 1) ^ "," ^ field ^ "}"
+
+let dispatch_one eng place =
+  match
+    Engine.dispatch eng ~now:(Qcp_util.Clock.now ())
+      [ Engine.make_job eng ~id:"m" ~arrival:(Qcp_util.Clock.now ()) place ]
+  with
+  | [ r ] -> r
+  | rs -> Alcotest.failf "expected 1 response, got %d" (List.length rs)
+
+let test_memo_hit_exact () =
+  (* Every placeable paper cell, three ways: twice through one engine
+     (the second parse is a memo hit) and once through a fresh engine.
+     The three places must carry one key and one digest, and the memo
+     hit's response must equal the fresh parse's byte for byte. *)
+  let eng = engine ~jobs:0 () in
+  let placeable = placeable_cell_lines () in
+  Alcotest.(check int) "placeable paper cells" 61 (List.length placeable);
+  List.iter
+    (fun line ->
+      let first = engine_place eng line in
+      let cold = dispatch_one eng first in
+      let again = engine_place eng line in
+      let fresh = engine_place (engine ~jobs:0 ()) line in
+      Alcotest.(check bool) (line ^ ": second parse is a memo hit") true
+        (again.Protocol.key == first.Protocol.key);
+      Alcotest.(check bool) (line ^ ": fresh engine builds its own key") true
+        (fresh.Protocol.key != first.Protocol.key);
+      List.iter
+        (fun (what, p) ->
+          Alcotest.(check string) (line ^ ": key, " ^ what)
+            (printed_key p.Protocol.options p.Protocol.env p.Protocol.circuit)
+            p.Protocol.key;
+          Alcotest.(check string) (line ^ ": digest, " ^ what)
+            (Protocol.key_hash p.Protocol.key) p.Protocol.digest)
+        [ ("first", first); ("memo hit", again); ("fresh", fresh) ];
+      Alcotest.(check string) (line ^ ": memo hit key = fresh key")
+        fresh.Protocol.key again.Protocol.key;
+      let hit = dispatch_one eng again and fresh_hit = dispatch_one eng fresh in
+      Alcotest.(check bool) (line ^ ": cold solve ok") true
+        (member_exn "status" cold = Json.Str "ok"
+        && member_exn "cached" cold = Json.Bool false
+        && member_exn "cached" hit = Json.Bool true);
+      Alcotest.(check bool) (line ^ ": key field") true
+        (member_exn "key" cold = member_exn "key" hit);
+      Alcotest.(check string) (line ^ ": hit result = cold result")
+        (result_part cold) (result_part hit);
+      Alcotest.(check string) (line ^ ": memo hit response = fresh parse's")
+        (strip_timing fresh_hit) (strip_timing hit))
+    placeable
+
+let threshold_line t =
+  Printf.sprintf
+    "{\"op\":\"place\",\"env\":\"trans-crotonic\",\"circuit\":\"qft6\",\"options\":{\"threshold\":%s}}"
+    t
+
+let test_memo_exact_numbers () =
+  (* Thresholds that print alike in [%.12g], or compare equal, are still
+     distinct doubles with distinct canonical keys.  The second line of
+     each pair comes after the first has been memoized. *)
+  List.iter
+    (fun (a, b) ->
+      let eng = engine ~jobs:0 () in
+      let pa = engine_place eng (threshold_line a) in
+      let pb = engine_place eng (threshold_line b) in
+      let fresh = place_of_line (threshold_line b) in
+      let what = Printf.sprintf "thresholds %s and %s" a b in
+      Alcotest.(check bool) (what ^ ": distinct doubles") false
+        (Int64.equal
+           (Int64.bits_of_float pa.Protocol.options.Qcp.Options.threshold)
+           (Int64.bits_of_float pb.Protocol.options.Qcp.Options.threshold));
+      Alcotest.(check bool) (what ^ ": distinct keys") true
+        (pa.Protocol.key <> pb.Protocol.key);
+      Alcotest.(check bool) (what ^ ": distinct digests") true
+        (pa.Protocol.digest <> pb.Protocol.digest);
+      Alcotest.(check string) (what ^ ": second key = fresh parse")
+        fresh.Protocol.key pb.Protocol.key)
+    [ ("100", "100.00000000000001"); ("0.0", "-0.0") ]
+
+let test_memo_per_request_fields () =
+  let with_deadline d = with_field line_qft6 ("\"deadline\":" ^ d) in
+  (* Deadlines are per request: each line keeps its own budget, in
+     either order, on the same spec. *)
+  let eng = engine ~jobs:0 () in
+  let deadline line = (engine_place eng line).Protocol.deadline in
+  Alcotest.(check (option (float 0.0))) "no deadline" None (deadline line_qft6);
+  Alcotest.(check (option (float 0.0))) "deadline 60" (Some 60.0)
+    (deadline (with_deadline "60"));
+  Alcotest.(check (option (float 0.0))) "deadline 5" (Some 5.0)
+    (deadline (with_deadline "5"));
+  Alcotest.(check (option (float 0.0))) "no deadline again" None
+    (deadline line_qft6);
+  let status eng line =
+    member_exn "status" (dispatch_one eng (engine_place eng line))
+  in
+  let eng = engine ~jobs:0 () in
+  Alcotest.(check bool) "expired budget first: timeout" true
+    (status eng (with_deadline "0") = Json.Str "timeout");
+  Alcotest.(check bool) "then no budget: solved" true
+    (status eng line_qft6 = Json.Str "ok");
+  Alcotest.(check bool) "then an expired budget again: timeout" true
+    (status eng (with_deadline "0") = Json.Str "timeout");
+  Alcotest.(check bool) "then a live budget: ok" true
+    (status eng (with_deadline "60") = Json.Str "ok");
+  (* Errors are derived afresh: an invalid line on a memoized spec is
+     still answered with its own error, every time. *)
+  let expect_error line needle =
+    for pass = 1 to 2 do
+      match (Engine.parse_line eng line).Protocol.request with
+      | Error msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s (pass %d) mentions %s" line pass needle)
+          true
+          (Helpers.contains ~needle msg)
+      | Ok _ -> Alcotest.failf "%s (pass %d): should be rejected" line pass
+    done
+  in
+  let with_options options =
+    Printf.sprintf
+      "{\"op\":\"place\",\"env\":\"trans-crotonic\",\"circuit\":\"qft6\",\"options\":{\"threshold\":100%s}}"
+      options
+  in
+  expect_error (with_options ",\"typo\":1") "unknown option";
+  expect_error (with_options ",\"window\":0") "window";
+  expect_error (with_deadline "\"soon\"") "deadline";
+  expect_error (with_field line_qft6 "\"telemetry\":\"yes\"") "telemetry";
+  Alcotest.(check bool) "valid line still answered" true
+    (status eng line_qft6 = Json.Str "ok")
+
+let test_memo_hit_allocation () =
+  (* A memo hit's parse and job cost the line's JSON tree and a few
+     records (~490 minor words): at most 580, about half of what the
+     full path (options decode, canonical text, the key and its digest)
+     took for this line, 1,036.  The key alone is over 250 words, so
+     rebuilding it cannot fit. *)
+  let eng = engine ~jobs:0 () in
+  let line =
+    "{\"id\":\"a\",\"op\":\"place\",\"env\":\"histidine\",\"circuit\":\"aqft9\",\"options\":{\"threshold\":1000}}"
+  in
+  let hit () =
+    let envelope = Engine.parse_line eng line in
+    match envelope.Protocol.request with
+    | Ok (Protocol.Place p) ->
+      Engine.make_job eng ~id:envelope.Protocol.id ~arrival:0.0 p
+    | Ok _ | Error _ -> Alcotest.fail "not a place request"
+  in
+  let warm = hit () in
+  ignore (Sys.opaque_identity (hit ()));
+  let key_words = String.length warm.Engine.j_place.Protocol.key / 8 in
+  Alcotest.(check bool) "key is over 250 words" true (key_words > 250);
+  let before = Gc.minor_words () in
+  let job = hit () in
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity job);
+  if words > 580.0 then
+    Alcotest.failf "a memo hit allocated %.0f minor words (key: %d words)"
+      words key_words
+
+(* ------------------------------------------------------------------ *)
 (* Socket daemon smoke                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -769,6 +954,68 @@ let test_socket_overload () =
     (member_exn "status" r = Json.Str "overloaded");
   ignore (Client.request client "{\"op\":\"shutdown\"}" : string)
 
+(* Request bytes split across reads in every way must be answered
+   exactly as whole lines are: the daemon's line splitter is a transport
+   detail.  Each test first asks over the client (a cold solve, then a
+   hit), then sends the same lines over a raw connection in pieces. *)
+let with_raw name f =
+  with_daemon name Server.default_config @@ fun client ->
+  let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
+  Unix.connect fd (ADDR_UNIX (temp_socket name));
+  let ic = Unix.in_channel_of_descr fd in
+  let send s =
+    let pos = ref 0 in
+    while !pos < String.length s do
+      pos := !pos + Unix.write_substring fd s !pos (String.length s - !pos)
+    done
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      close_in_noerr ic;
+      ignore (Client.request client "{\"op\":\"shutdown\"}" : string))
+    (fun () -> f client send (fun () -> input_line ic))
+
+let whole_hit client line =
+  ignore (Client.request client line : string);
+  Client.request client line
+
+let test_socket_byte_writes () =
+  with_raw "bytes" @@ fun client send recv ->
+  let line = with_field line_qft6 "\"id\":\"b\"" in
+  let expected = whole_hit client line in
+  (* Blank lines first: they are skipped, never answered. *)
+  String.iter
+    (fun c ->
+      send (String.make 1 c);
+      Unix.sleepf 0.0002)
+    ("\r\n \t\n" ^ line ^ "\n");
+  Alcotest.(check string) "one byte per write = the whole line"
+    (strip_timing expected) (strip_timing (recv ()))
+
+let test_socket_split_reads () =
+  with_raw "split" @@ fun client send recv ->
+  let line_a = with_field line_qft6 "\"id\":\"a\""
+  and line_b = with_field line_phaseest "\"id\":\"b\"" in
+  let expected_a = whole_hit client line_a in
+  let expected_b = whole_hit client line_b in
+  let check what =
+    let got_a = recv () in
+    let got_b = recv () in
+    Alcotest.(check string) (what ^ ": first") (strip_timing expected_a)
+      (strip_timing got_a);
+    Alcotest.(check string) (what ^ ": second") (strip_timing expected_b)
+      (strip_timing got_b)
+  in
+  (* The second request straddles two reads. *)
+  let cut = String.length line_b / 2 in
+  send (line_a ^ "\n" ^ String.sub line_b 0 cut);
+  Unix.sleepf 0.05;
+  send (String.sub line_b cut (String.length line_b - cut) ^ "\n");
+  check "split across reads";
+  (* Both in one write, with a blank line between. *)
+  send (line_a ^ "\n\n" ^ line_b ^ "\n");
+  check "one write"
+
 let suite =
   [
     Alcotest.test_case "json print/parse fixpoint" `Quick test_json_roundtrip;
@@ -802,4 +1049,15 @@ let suite =
       test_result_cache_lockstep;
     Alcotest.test_case "portfolio deadline expiry yields timeout" `Quick
       test_portfolio_timeout;
+    Alcotest.test_case "memo hit = fresh parse over the paper cells" `Quick
+      test_memo_hit_exact;
+    Alcotest.test_case "memo keys exact on numbers" `Quick
+      test_memo_exact_numbers;
+    Alcotest.test_case "memo keeps deadlines and errors per request" `Quick
+      test_memo_per_request_fields;
+    Alcotest.test_case "memo hit allocation" `Quick test_memo_hit_allocation;
+    Alcotest.test_case "socket request one byte per write" `Quick
+      test_socket_byte_writes;
+    Alcotest.test_case "socket requests split across reads" `Quick
+      test_socket_split_reads;
   ]
