@@ -11,8 +11,6 @@
    unchanged; only dead branches are cut earlier, by degree-sequence,
    neighborhood-degree and free-region packing refutations. *)
 
-(* [Metrics] unqualified is this library's placement-quality module
-   (lib/graph/metrics.ml); telemetry goes through the alias. *)
 module Telemetry = Qcp_obs.Metrics
 
 let m_nodes = Telemetry.counter Telemetry.global "monomorph.nodes"

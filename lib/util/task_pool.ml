@@ -33,20 +33,10 @@ let m_queue_wait = Obs.histogram Obs.global "pool.queue_wait.seconds"
 
 let m_region_seconds = Obs.histogram Obs.global "pool.region.seconds"
 
-type single = {
-  s_claim : int Atomic.t; (* 0 = unclaimed, 1 = claimed *)
-  s_run : unit -> unit; (* stores its own result/exception internally *)
-  s_mutex : Mutex.t;
-  s_cond : Condition.t;
-  mutable s_done : bool;
-}
-
-type item = Batch of batch | Single of single
-
 type t = {
   lock : Mutex.t;
   work_cond : Condition.t; (* signaled when [queue] grows or [closed] flips *)
-  mutable queue : item list; (* FIFO of regions still recruiting *)
+  mutable queue : batch list; (* FIFO of regions still recruiting *)
   mutable domains : unit Domain.t list;
   mutable helper_count : int;
   mutable closed : bool;
@@ -117,13 +107,8 @@ let run_batch b ~worker =
     end
   done
 
-let run_single s =
-  s.s_run ();
-  Mutex.protect s.s_mutex (fun () -> s.s_done <- true);
-  Condition.broadcast s.s_cond
-
-let remove_item pool item =
-  pool.queue <- List.filter (fun it -> it != item) pool.queue
+let remove_batch pool b =
+  pool.queue <- List.filter (fun it -> it != b) pool.queue
 
 (* Helper domains loop here: park until work or shutdown, join the head
    region, repeat.  A batch stays queued while it can still absorb
@@ -137,27 +122,20 @@ let rec helper_loop pool =
   match pool.queue with
   | [] ->
     Mutex.unlock pool.lock (* closed *)
-  | item :: _ ->
-    (match item with
-    | Batch b ->
-      let w = Atomic.fetch_and_add b.b_workers 1 in
-      if w >= b.b_max_workers || Atomic.get b.b_next >= b.b_total then begin
-        remove_item pool item;
-        Mutex.unlock pool.lock
-      end
-      else begin
-        Mutex.unlock pool.lock;
-        (* Dispatch latency: publish-to-first-helper-claim, recorded once
-           per region by whoever wins the CAS. *)
-        if b.b_published > 0.0 && Atomic.compare_and_set b.b_claimed 0 1 then
-          Obs.observe m_queue_wait (Unix.gettimeofday () -. b.b_published);
-        with_inside (fun () -> run_batch b ~worker:w)
-      end
-    | Single s ->
-      remove_item pool item;
+  | b :: _ ->
+    let w = Atomic.fetch_and_add b.b_workers 1 in
+    if w >= b.b_max_workers || Atomic.get b.b_next >= b.b_total then begin
+      remove_batch pool b;
+      Mutex.unlock pool.lock
+    end
+    else begin
       Mutex.unlock pool.lock;
-      if Atomic.compare_and_set s.s_claim 0 1 then
-        with_inside (fun () -> run_single s));
+      (* Dispatch latency: publish-to-first-helper-claim, recorded once
+         per region by whoever wins the CAS. *)
+      if b.b_published > 0.0 && Atomic.compare_and_set b.b_claimed 0 1 then
+        Obs.observe m_queue_wait (Unix.gettimeofday () -. b.b_published);
+      with_inside (fun () -> run_batch b ~worker:w)
+    end;
     helper_loop pool
 
 let shutdown pool =
@@ -190,11 +168,11 @@ let ensure_helpers pool wanted =
           done
         end)
 
-let enqueue pool item =
+let enqueue pool b =
   Mutex.protect pool.lock (fun () ->
       if pool.closed then false
       else begin
-        pool.queue <- pool.queue @ [ item ];
+        pool.queue <- pool.queue @ [ b ];
         Condition.broadcast pool.work_cond;
         true
       end)
@@ -238,7 +216,7 @@ let parallel_for pool ~jobs ~body total =
     (* The caller claims participant id 0 before publishing, so it always
        works the batch itself — helpers only add throughput. *)
     let w = Atomic.fetch_and_add b.b_workers 1 in
-    let published = enqueue pool (Batch b) in
+    let published = enqueue pool b in
     with_inside (fun () -> run_batch b ~worker:w);
     if published then begin
       Mutex.lock b.b_mutex;
@@ -246,77 +224,13 @@ let parallel_for pool ~jobs ~body total =
         Condition.wait b.b_cond b.b_mutex
       done;
       Mutex.unlock b.b_mutex;
-      Mutex.protect pool.lock (fun () -> remove_item pool (Batch b))
+      Mutex.protect pool.lock (fun () -> remove_batch pool b)
     end;
     if tele then begin
       Obs.incr m_regions;
       Obs.observe m_region_seconds (Unix.gettimeofday () -. published_at)
     end;
     match Atomic.get b.b_error with Some exn -> raise exn | None -> ()
-  end
-
-let map_reduce (type a) pool ~jobs ~map ~combine ~(init : a) total =
-  if total <= 0 then init
-  else begin
-    let slots : a option array = Array.make total None in
-    parallel_for pool ~jobs
-      ~body:(fun ~worker i -> slots.(i) <- Some (map ~worker i))
-      total;
-    (* Sequential fold in index order: the reduction is a pure function of
-       the input order, whatever the steal interleaving was. *)
-    let acc = ref init in
-    for i = 0 to total - 1 do
-      match slots.(i) with
-      | Some v -> acc := combine !acc v
-      | None -> assert false
-    done;
-    !acc
-  end
-
-(* Run [g] inline if no helper claimed it yet, else wait for the claimant. *)
-let settle_single s =
-  if Atomic.compare_and_set s.s_claim 0 1 then s.s_run ()
-  else begin
-    Mutex.lock s.s_mutex;
-    while not s.s_done do
-      Condition.wait s.s_cond s.s_mutex
-    done;
-    Mutex.unlock s.s_mutex
-  end
-
-let both pool ~jobs f g =
-  if jobs <= 1 || inside () || pool.closed then
-    let a = f () in
-    let b = g () in
-    (a, b)
-  else begin
-    ensure_helpers pool (jobs - 1);
-    let result = ref None in
-    let s =
-      {
-        s_claim = Atomic.make 0;
-        s_run = (fun () -> result := Some (try Ok (g ()) with exn -> Error exn));
-        s_mutex = Mutex.create ();
-        s_cond = Condition.create ();
-        s_done = false;
-      }
-    in
-    if not (enqueue pool (Single s)) then begin
-      (* Lost a shutdown race: fall back to plain sequential evaluation. *)
-      let a = f () in
-      let b = g () in
-      (a, b)
-    end
-    else begin
-      let fv = try Ok (f ()) with exn -> Error exn in
-      settle_single s;
-      Mutex.protect pool.lock (fun () -> remove_item pool (Single s));
-      match (fv, !result) with
-      | Ok a, Some (Ok b) -> (a, b)
-      | Error exn, _ -> raise exn (* [f]'s exception takes precedence *)
-      | Ok _, Some (Error exn) -> raise exn
-      | Ok _, None -> assert false
-    end
   end
 
 let shared = lazy (create ())

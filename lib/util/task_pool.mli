@@ -13,12 +13,10 @@
     the library's workloads (hundreds of candidate scores per sweep) the
     single shared counter is never contended enough to matter.
 
-    {b Deterministic reduction contract.}  [map_reduce] evaluates [map] into
-    a slot array indexed by input position and folds the slots sequentially
-    in index order on the caller, so its result is a pure function of the
-    input order — independent of how slots interleave across domains.
-    Exceptions raised by a slot are re-raised on the caller; when several
-    slots raise in one batch, which exception propagates is unspecified.
+    {b Exceptions.}  A slot's exception is re-raised on the caller once the
+    region has finished; slots claimed after it are skipped, and when
+    several slots raise in one region, which exception propagates is
+    unspecified.
 
     {b Nested-use guard.}  Entering a parallel region from inside a pool
     task would deadlock a fixed-size pool, so every entry point detects
@@ -58,30 +56,6 @@ val parallel_for : t -> jobs:int -> body:(worker:int -> int -> unit) -> int -> u
     concurrently.  With [jobs <= 1], inside a pool task, or after
     {!shutdown}, the slots run inline in index order with [worker = 0].
     Returns when every slot has finished; re-raises a slot's exception. *)
-
-val map_reduce :
-  t ->
-  jobs:int ->
-  map:(worker:int -> int -> 'a) ->
-  combine:('a -> 'a -> 'a) ->
-  init:'a ->
-  int ->
-  'a
-(** [map_reduce pool ~jobs ~map ~combine ~init total] computes
-    [combine (... (combine init (map 0)) ...) (map (total - 1))]: the maps
-    run in parallel as in {!parallel_for}, the fold runs sequentially on
-    the caller in index order.  The result is a pure function of the input
-    order regardless of steal interleaving (assuming [map] is pure). *)
-
-val both : t -> jobs:int -> (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
-(** [both pool ~jobs f g] evaluates [f ()] and [g ()], possibly in
-    parallel, and returns both results.  [g] is published for a helper to
-    steal while the caller runs [f]; if no helper claimed [g] by the time
-    [f] finishes, the caller reclaims and runs it inline.  Unlike the
-    sequential [(f (), g ())], [g] always runs even when [f] raises (its
-    effects still happen); [f]'s exception then takes precedence over
-    [g]'s.  With [jobs <= 1], inside a pool task, or after {!shutdown},
-    this is exactly [let a = f () in let b = g () in (a, b)]. *)
 
 val shutdown : t -> unit
 (** Wake and join every helper domain.  Subsequent parallel calls on the

@@ -1,3 +1,6 @@
+module Gate = Qcp_circuit.Gate
+module Circuit = Qcp_circuit.Circuit
+
 let hadamard q = [ Gate.rz q 180.0; Gate.ry q 90.0 ]
 
 let cphase a b angle =

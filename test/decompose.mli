@@ -14,6 +14,9 @@
 
     Custom gates have unknown semantics and are left untouched. *)
 
+module Gate = Qcp_circuit.Gate
+module Circuit = Qcp_circuit.Circuit
+
 val native_gate : Gate.t -> Gate.t list
 (** The replacement sequence (in application order); native gates map to a
     singleton of themselves. *)

@@ -2,11 +2,9 @@
    checked against the simulator, and the rewrite must not change the
    placement instance. *)
 
-module Decompose = Qcp_circuit.Decompose
 module Circuit = Qcp_circuit.Circuit
 module Gate = Qcp_circuit.Gate
 module Catalog = Qcp_circuit.Catalog
-module Unitary = Qcp_sim.Unitary
 
 let equivalent a b =
   Unitary.equal_up_to_phase ~tol:1e-8 (Unitary.of_circuit a) (Unitary.of_circuit b)

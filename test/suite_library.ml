@@ -5,7 +5,6 @@ module Library = Qcp_circuit.Library
 module Circuit = Qcp_circuit.Circuit
 module Gate = Qcp_circuit.Gate
 module Statevec = Qcp_sim.Statevec
-module Unitary = Qcp_sim.Unitary
 
 let test_ghz_state () =
   let c = Library.ghz 4 in

@@ -314,6 +314,46 @@ let qcheck_placed_random_circuits_route_correctly =
             | Placer.Compute _ -> true)
           p.Placer.stages)
 
+(* ------------------------------ stats ----------------------------- *)
+
+let test_stats_populated () =
+  let env = Molecules.trans_crotonic_acid in
+  match Placer.place (Options.default ~threshold:100.0) env (Catalog.qft 6) with
+  | Placer.Unplaceable msg -> Alcotest.failf "unplaceable: %s" msg
+  | Placer.Placed p ->
+    let s = p.Placer.stats in
+    Alcotest.(check bool) "oracle consulted" true (s.Placer.oracle_calls > 0);
+    Alcotest.(check bool) "candidates scored" true (s.Placer.candidates_scored > 0);
+    Alcotest.(check bool) "networks routed" true (s.Placer.networks_routed > 0)
+
+let test_stats_oracle_bound () =
+  (* The paper's bound: at most 2s monomorphism calls for s two-qubit gates;
+     our implementation only queries on new pairs, so even fewer. *)
+  let env = Molecules.trans_crotonic_acid in
+  let circuit = Catalog.qft 6 in
+  match Placer.place (Options.default ~threshold:200.0) env circuit with
+  | Placer.Unplaceable msg -> Alcotest.failf "unplaceable: %s" msg
+  | Placer.Placed p ->
+    let s = Circuit.two_qubit_count circuit in
+    Alcotest.(check bool)
+      (Printf.sprintf "%d oracle calls <= 2s = %d" p.Placer.stats.Placer.oracle_calls (2 * s))
+      true
+      (p.Placer.stats.Placer.oracle_calls <= 2 * s)
+
+let test_stats_lookahead_costs_more () =
+  let env = Molecules.trans_crotonic_acid in
+  let circuit = Catalog.qft 6 in
+  let base = Options.default ~threshold:100.0 in
+  match
+    ( Placer.place base env circuit,
+      Placer.place { base with Options.lookahead = false } env circuit )
+  with
+  | Placer.Placed la, Placer.Placed greedy ->
+    Alcotest.(check bool) "lookahead scores more candidates" true
+      (la.Placer.stats.Placer.candidates_scored
+      > greedy.Placer.stats.Placer.candidates_scored)
+  | _ -> Alcotest.fail "both must place"
+
 let suite =
   [
     Alcotest.test_case "qec3->acetyl optimum (Table 2)" `Quick test_qec3_acetyl_optimum;
@@ -336,5 +376,8 @@ let suite =
     Alcotest.test_case "balancing conserves gates" `Quick test_balance_gate_conservation;
     Alcotest.test_case "option combinations" `Slow test_option_combinations;
     Alcotest.test_case "t2 override" `Quick test_with_t2_override;
+    Alcotest.test_case "stats populated" `Quick test_stats_populated;
+    Alcotest.test_case "stats oracle bound (2s)" `Quick test_stats_oracle_bound;
+    Alcotest.test_case "stats lookahead costs more" `Quick test_stats_lookahead_costs_more;
     QCheck_alcotest.to_alcotest qcheck_placed_random_circuits_route_correctly;
   ]

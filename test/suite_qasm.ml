@@ -4,7 +4,6 @@
 module Qasm = Qcp_circuit.Qasm
 module Circuit = Qcp_circuit.Circuit
 module Gate = Qcp_circuit.Gate
-module Unitary = Qcp_sim.Unitary
 
 let equivalent a b =
   Unitary.equal_up_to_phase ~tol:1e-6 (Unitary.of_circuit a) (Unitary.of_circuit b)

@@ -656,11 +656,7 @@ module Reference = struct
             si_order_b = by_dist dist_b sb;
           })
 
-  (* Offloading a subtree pays one pool round-trip plus a fresh scratch
-     array; only worth it when the small half is big enough to hide that. *)
-  let parallel_min_half = 8
-
-  let route_impl ?(leaf_override = true) ?edge_cost ?memo ?(jobs = 0) g ~perm =
+  let route_impl ?(leaf_override = true) ?edge_cost ?memo g ~perm =
     let n = Graph.n g in
     if Array.length perm <> n then
       invalid_arg "Bisect_router.route: permutation size mismatch";
@@ -828,23 +824,10 @@ module Reference = struct
           let phase_levels = phase ~used info in
           (* After the phase, the halves are vertex-disjoint routing
              instances: their [config] entries never alias and each recursion
-             swaps only within its own half, so they run as concurrent pool
-             tasks.  Levels are pure values and [merge] interleaves them
-             deterministically — the network is bit-identical to the
-             sequential recursion. *)
-          let la, lb =
-            if jobs > 1 && List.length info.si_sa >= parallel_min_half then
-              Qcp_util.Task_pool.both
-                (Qcp_util.Task_pool.get ())
-                ~jobs
-                (fun () -> solve ~used info.si_sa)
-                (fun () -> solve ~used:(Array.make n false) info.si_sb)
-            else begin
-              let la = solve ~used info.si_sa in
-              let lb = solve ~used info.si_sb in
-              (la, lb)
-            end
-          in
+             swaps only within its own half.  Levels are pure values and
+             [merge] interleaves them deterministically. *)
+          let la = solve ~used info.si_sa in
+          let lb = solve ~used info.si_sb in
           phase_levels @ merge la lb)
     in
     let remaining = List.filter (fun v -> active.(v)) (Graph.vertices g) in
@@ -926,7 +909,7 @@ let sparse_perm rng n =
 
 (* Routes [perms] over [g] through both routers under every setting: both
    leaf-override values, with and without edge costs, one memo per
-   setting reused across all calls, the reference at jobs 0 and 2.  The
+   setting reused across all calls.  The
    compressed swap sequence must equal the reference network too. *)
 let compare_on ~label ?edge_cost g perms =
   let checked = ref 0 in
@@ -944,21 +927,17 @@ let compare_on ~label ?edge_cost g perms =
           let fresh =
             outcome (fun () -> Bisect_router.route ~leaf_override ?edge_cost g ~perm)
           in
-          List.iter
-            (fun jobs ->
-              let expected =
-                outcome (fun () ->
-                    Reference.route_impl ~leaf_override ?edge_cost ~memo:ref_memo
-                      ~jobs g ~perm)
-              in
-              let kept = Result.map Swap_network.compressed got in
-              if expected <> kept || expected <> fresh then
-                Alcotest.failf
-                  "%s (leaf_override %b, cost %b, jobs %d):@.expected %s@.got %s"
-                  label leaf_override (edge_cost <> None) jobs
-                  (pp_outcome expected) (pp_outcome kept);
-              incr checked)
-            [ 0; 2 ])
+          let expected =
+            outcome (fun () ->
+                Reference.route_impl ~leaf_override ?edge_cost ~memo:ref_memo g
+                  ~perm)
+          in
+          let kept = Result.map Swap_network.compressed got in
+          if expected <> kept || expected <> fresh then
+            Alcotest.failf "%s (leaf_override %b, cost %b):@.expected %s@.got %s"
+              label leaf_override (edge_cost <> None) (pp_outcome expected)
+              (pp_outcome kept);
+          incr checked)
         perms)
     [ (true, None); (false, None); (true, edge_cost); (false, edge_cost) ];
   !checked

@@ -1,13 +1,10 @@
-(* Tests for the pulse-schedule compiler, graph metrics and random
-   environments. *)
+(* Tests for the pulse-schedule compiler and random environments. *)
 
 module Schedule = Qcp.Schedule
 module Placer = Qcp.Placer
 module Options = Qcp.Options
 module Molecules = Qcp_env.Molecules
 module Catalog = Qcp_circuit.Catalog
-module Metrics = Qcp_graph.Metrics
-module Gen = Qcp_graph.Generators
 
 let place_exn options env circuit =
   match Placer.place options env circuit with
@@ -104,40 +101,6 @@ let qcheck_schedule_always_consistent =
         Schedule.is_consistent s
         && Float.abs (Schedule.makespan s -. Placer.runtime p) < 1e-6)
 
-(* ----------------------------- metrics ---------------------------- *)
-
-let test_metrics_diameter () =
-  Alcotest.(check int) "path" 5 (Metrics.diameter (Gen.path_graph 6));
-  Alcotest.(check int) "cycle" 3 (Metrics.diameter (Gen.cycle_graph 6));
-  Alcotest.(check int) "complete" 1 (Metrics.diameter (Gen.complete 5));
-  Alcotest.(check int) "petersen" 2 (Metrics.diameter (Gen.petersen ()))
-
-let test_metrics_radius_center () =
-  Alcotest.(check int) "path radius" 3 (Metrics.radius (Gen.path_graph 7));
-  Alcotest.(check (list int)) "path center" [ 3 ] (Metrics.center (Gen.path_graph 7));
-  Alcotest.(check (list int)) "star center" [ 0 ] (Metrics.center (Gen.star 6))
-
-let test_metrics_average_distance () =
-  (* K4: every pair at distance 1. *)
-  Helpers.check_close "complete" 1.0 (Metrics.average_distance (Gen.complete 4));
-  (* P3: distances 1,1,2 in both directions -> 8/6. *)
-  Helpers.check_close "path3" (8.0 /. 6.0) (Metrics.average_distance (Gen.path_graph 3))
-
-let test_metrics_tree_path () =
-  Alcotest.(check bool) "path is path" true (Metrics.is_path (Gen.path_graph 5));
-  Alcotest.(check bool) "star is tree" true (Metrics.is_tree (Gen.star 5));
-  Alcotest.(check bool) "star not path" false (Metrics.is_path (Gen.star 5));
-  Alcotest.(check bool) "cycle not tree" false (Metrics.is_tree (Gen.cycle_graph 5))
-
-let test_metrics_degree_histogram () =
-  Alcotest.(check (list (pair int int))) "path" [ (1, 2); (2, 3) ]
-    (Metrics.degree_histogram (Gen.path_graph 5))
-
-let test_metrics_summary () =
-  let text = Metrics.summary (Gen.grid 3 3) in
-  Alcotest.(check bool) "mentions diameter" true
-    (Helpers.contains ~needle:"diameter=4" text)
-
 (* --------------------------- random env --------------------------- *)
 
 let test_random_env_structure () =
@@ -183,12 +146,6 @@ let suite =
     Alcotest.test_case "sequential model" `Quick test_schedule_sequential_model;
     Alcotest.test_case "render" `Quick test_schedule_render;
     QCheck_alcotest.to_alcotest qcheck_schedule_always_consistent;
-    Alcotest.test_case "metrics diameter" `Quick test_metrics_diameter;
-    Alcotest.test_case "metrics radius/center" `Quick test_metrics_radius_center;
-    Alcotest.test_case "metrics average distance" `Quick test_metrics_average_distance;
-    Alcotest.test_case "metrics tree/path" `Quick test_metrics_tree_path;
-    Alcotest.test_case "metrics degree histogram" `Quick test_metrics_degree_histogram;
-    Alcotest.test_case "metrics summary" `Quick test_metrics_summary;
     Alcotest.test_case "random env structure" `Quick test_random_env_structure;
     QCheck_alcotest.to_alcotest qcheck_pipeline_on_random_molecules;
   ]

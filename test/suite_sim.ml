@@ -5,7 +5,6 @@ module Gate = Qcp_circuit.Gate
 module Circuit = Qcp_circuit.Circuit
 module Catalog = Qcp_circuit.Catalog
 module Statevec = Qcp_sim.Statevec
-module Unitary = Qcp_sim.Unitary
 
 let amp_close a b = Complex.norm (Complex.sub a b) < 1e-9
 

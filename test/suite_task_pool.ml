@@ -1,7 +1,7 @@
-(* The pool's contract: results are a pure function of the input order
-   (never of the steal interleaving), exceptions propagate to the caller,
-   nested parallel regions serialize instead of deadlocking, and helper
-   domains are spawned once and reused. *)
+(* The pool's contract: every slot runs exactly once on a dense, exclusive
+   worker id, exceptions propagate to the caller, nested parallel regions
+   serialize instead of deadlocking, and helper domains are spawned once
+   and reused. *)
 
 module Task_pool = Qcp_util.Task_pool
 
@@ -15,33 +15,12 @@ let burn i =
   done;
   !acc
 
-let test_map_reduce_deterministic () =
-  let pool = Task_pool.get () in
-  let total = 200 in
-  let map ~worker:_ i =
-    ignore (burn i);
-    i
-  in
-  (* Order-sensitive, non-commutative reduction: any deviation from the
-     sequential fold order changes the result. *)
-  let combine acc v = (acc * 31) + v in
-  let expected =
-    Task_pool.map_reduce pool ~jobs:0 ~map ~combine ~init:7 total
-  in
-  let seq = ref 7 in
-  for i = 0 to total - 1 do
-    seq := combine !seq i
-  done;
-  Alcotest.(check int) "jobs=0 equals plain fold" !seq expected;
-  List.iter
-    (fun jobs ->
-      for round = 1 to 5 do
-        let got = Task_pool.map_reduce pool ~jobs ~map ~combine ~init:7 total in
-        Alcotest.(check int)
-          (Printf.sprintf "jobs=%d round %d" jobs round)
-          expected got
-      done)
-    [ 2; 3; 4; 8 ]
+(* [f 0 + ... + f (total - 1)], the slots computed by one parallel
+   region and summed on the caller. *)
+let sum pool ~jobs f total =
+  let slots = Array.make total 0 in
+  Task_pool.parallel_for pool ~jobs ~body:(fun ~worker:_ i -> slots.(i) <- f i) total;
+  Array.fold_left ( + ) 0 slots
 
 let test_parallel_for_covers_all_slots () =
   let pool = Task_pool.get () in
@@ -107,44 +86,11 @@ let test_exception_propagation () =
         (Printf.sprintf "jobs=%d: some slots ran" jobs)
         true
         (Atomic.get ran > 0);
-      let sum =
-        Task_pool.map_reduce pool ~jobs
-          ~map:(fun ~worker:_ i -> i)
-          ~combine:( + ) ~init:0 10
-      in
       Alcotest.(check int)
         (Printf.sprintf "jobs=%d: pool usable after exception" jobs)
-        45 sum)
+        45
+        (sum pool ~jobs Fun.id 10))
     [ 0; 2; 4 ]
-
-let test_both_results_and_exceptions () =
-  let pool = Task_pool.get () in
-  List.iter
-    (fun jobs ->
-      let a, b =
-        Task_pool.both pool ~jobs (fun () -> burn 11) (fun () -> burn 23)
-      in
-      Alcotest.(check int)
-        (Printf.sprintf "jobs=%d: f result" jobs)
-        (burn 11) a;
-      Alcotest.(check int)
-        (Printf.sprintf "jobs=%d: g result" jobs)
-        (burn 23) b;
-      (match Task_pool.both pool ~jobs (fun () -> raise (Boom 1)) (fun () -> 2) with
-      | _ -> Alcotest.fail "expected Boom from f"
-      | exception Boom 1 -> ());
-      (match Task_pool.both pool ~jobs (fun () -> 1) (fun () -> raise (Boom 2)) with
-      | _ -> Alcotest.fail "expected Boom from g"
-      | exception Boom 2 -> ());
-      (* When both raise, f's exception takes precedence. *)
-      match
-        Task_pool.both pool ~jobs
-          (fun () -> raise (Boom 1))
-          (fun () -> raise (Boom 2))
-      with
-      | _ -> Alcotest.fail "expected Boom from f"
-      | exception Boom 1 -> ())
-    [ 0; 2 ]
 
 let test_nested_use_serializes () =
   let pool = Task_pool.get () in
@@ -162,33 +108,26 @@ let test_nested_use_serializes () =
   in
   (* Alcotest's checks are not domain-safe, so slots only compute and the
      checks run on the calling domain afterwards. *)
-  let rows, both_ok =
-    Task_pool.map_reduce pool ~jobs:4
-      ~map:(fun ~worker:_ _ ->
-        let nested_in_task =
-          Task_pool.map_reduce pool ~jobs:4
-            ~map:(fun ~worker:_ i -> burn i)
-            ~combine:( + ) ~init:0 inner
-        in
-        let nested_both =
-          Task_pool.both pool ~jobs:2 (fun () -> burn 3) (fun () -> burn 5)
-        in
-        (nested_in_task, nested_both = (burn 3, burn 5)))
-      ~combine:(fun (r, ok) (r', ok') -> (r + r', ok && ok'))
-      ~init:(0, true) outer
-  in
-  Alcotest.(check bool) "nested both computes both sides" true both_ok;
+  let rows = Array.make outer 0 and pairs_ok = Array.make outer false in
+  Task_pool.parallel_for pool ~jobs:4
+    ~body:(fun ~worker:_ k ->
+      rows.(k) <- sum pool ~jobs:4 burn inner;
+      let pair = Array.make 2 0 in
+      Task_pool.parallel_for pool ~jobs:2
+        ~body:(fun ~worker:_ i -> pair.(i) <- burn (3 + (2 * i)))
+        2;
+      pairs_ok.(k) <- pair = [| burn 3; burn 5 |])
+    outer;
+  let rows = Array.fold_left ( + ) 0 rows
+  and both_ok = Array.for_all Fun.id pairs_ok in
+  Alcotest.(check bool) "nested two-slot region computes both sides" true both_ok;
   Alcotest.(check int) "nested regions compute correctly"
     (outer * expected_row) rows
 
 let test_pool_persistent_helpers () =
   let pool = Task_pool.create () in
   Alcotest.(check int) "no helpers before first use" 0 (Task_pool.helpers pool);
-  let run () =
-    Task_pool.map_reduce pool ~jobs:3
-      ~map:(fun ~worker:_ i -> burn i)
-      ~combine:( + ) ~init:0 64
-  in
+  let run () = sum pool ~jobs:3 burn 64 in
   let first = run () in
   Alcotest.(check int) "helpers spawned on demand" 2 (Task_pool.helpers pool);
   for _ = 1 to 10 do
@@ -218,16 +157,12 @@ let test_env_jobs_parse () =
 
 let suite =
   [
-    Alcotest.test_case "map_reduce deterministic under stealing" `Quick
-      test_map_reduce_deterministic;
     Alcotest.test_case "parallel_for covers every slot once" `Quick
       test_parallel_for_covers_all_slots;
     Alcotest.test_case "worker ids dense and exclusive" `Quick
       test_worker_ids_dense_and_exclusive;
     Alcotest.test_case "exceptions propagate, pool survives" `Quick
       test_exception_propagation;
-    Alcotest.test_case "both: results and exception precedence" `Quick
-      test_both_results_and_exceptions;
     Alcotest.test_case "nested use serializes without deadlock" `Quick
       test_nested_use_serializes;
     Alcotest.test_case "helpers spawn once and are reused" `Quick

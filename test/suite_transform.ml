@@ -5,7 +5,6 @@ module Gate = Qcp_circuit.Gate
 module Circuit = Qcp_circuit.Circuit
 module Transform = Qcp_circuit.Transform
 module Dag = Qcp_circuit.Dag
-module Unitary = Qcp_sim.Unitary
 
 let circuit gates = Circuit.make ~qubits:4 gates
 

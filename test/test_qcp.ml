@@ -26,7 +26,6 @@ let () =
       ("baselines", Suite_baselines.suite);
       ("fidelity", Suite_fidelity.suite);
       ("schedule-metrics", Suite_schedule.suite);
-      ("refocus-stats", Suite_refocus.suite);
       ("tuner-compress", Suite_tuner.suite);
       ("np-completeness", Suite_npc.suite);
       ("verify", Suite_verify.suite);

@@ -1,5 +1,6 @@
 module Gate = Qcp_circuit.Gate
 module Circuit = Qcp_circuit.Circuit
+module Statevec = Qcp_sim.Statevec
 
 type t = { n : int; m : Complex.t array array (* m.(row).(col) *) }
 
