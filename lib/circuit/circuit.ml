@@ -47,23 +47,6 @@ let coupled_pairs t =
 
 let interaction_graph t = Qcp_graph.Graph.of_edges t.qubit_count (coupled_pairs t)
 
-let interaction_multiplicity t =
-  let tally = Hashtbl.create 16 in
-  List.iter
-    (fun pair ->
-      let current = try Hashtbl.find tally pair with Not_found -> 0 in
-      Hashtbl.replace tally pair (current + 1))
-    (coupled_pairs t);
-  Hashtbl.fold (fun pair count acc -> (pair, count) :: acc) tally []
-  |> List.sort compare
-
-let active_qubits t =
-  let touched = Array.make t.qubit_count false in
-  List.iter
-    (fun gate -> List.iter (fun q -> touched.(q) <- true) (Gate.qubits gate))
-    t.gate_list;
-  List.filter (fun q -> touched.(q)) (Qcp_util.Listx.range t.qubit_count)
-
 let total_duration t =
   List.fold_left (fun acc gate -> acc +. Gate.duration gate) 0.0 t.gate_list
 

@@ -29,12 +29,6 @@ val interaction_graph : t -> Qcp_graph.Graph.t
 (** Graph over the circuit's qubits with an edge for every pair coupled by at
     least one two-qubit gate. *)
 
-val interaction_multiplicity : t -> ((int * int) * int) list
-(** Each coupled pair (u < v) with the number of two-qubit gates on it. *)
-
-val active_qubits : t -> int list
-(** Qubits touched by at least one gate. *)
-
 val total_duration : t -> float
 (** Sum of [Gate.duration] over all gates (a placement-independent lower
     bound ingredient). *)

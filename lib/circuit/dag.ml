@@ -70,13 +70,9 @@ let build ?commute source =
 
 let size t = Array.length t.gates
 
-let circuit t = t.source
-
 let preds t i = t.preds.(i)
 
 let succs t i = t.succs.(i)
-
-let topological_order t = Qcp_util.Listx.range (size t)
 
 let is_valid_order t order =
   let count = size t in
@@ -96,15 +92,6 @@ let reorder t order =
     invalid_arg "Dag.reorder: not a valid linearization";
   Circuit.make ~qubits:(Circuit.qubits t.source)
     (List.map (fun i -> t.gates.(i)) order)
-
-let critical_path t =
-  let count = size t in
-  let finish = Array.make count 0.0 in
-  for j = 0 to count - 1 do
-    let ready = List.fold_left (fun acc i -> Float.max acc finish.(i)) 0.0 t.preds.(j) in
-    finish.(j) <- ready +. Gate.duration t.gates.(j)
-  done;
-  Array.fold_left Float.max 0.0 finish
 
 (* ------------------------------------------------------------------ *)
 (* Streaming dependency frontier                                       *)
@@ -149,7 +136,6 @@ module Stream = struct
       s_emitted = 0;
     }
 
-  let total t = Array.length t.s_gates
   let emitted_count t = t.s_emitted
   let live t = Hashtbl.length t.s_nodes
   let gate t i = t.s_gates.(i)

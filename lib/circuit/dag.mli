@@ -20,15 +20,10 @@ val build : ?commute:(Gate.t -> Gate.t -> bool) -> Circuit.t -> t
 
 val size : t -> int
 
-val circuit : t -> Circuit.t
-
 val preds : t -> int -> int list
 (** Direct (transitively reduced within shared qubits) predecessors. *)
 
 val succs : t -> int -> int list
-
-val topological_order : t -> int list
-(** One valid order (the original order is always valid). *)
 
 val is_valid_order : t -> int list -> bool
 (** Whether a gate-index permutation respects every dependency. *)
@@ -36,12 +31,6 @@ val is_valid_order : t -> int list -> bool
 val reorder : t -> int list -> Circuit.t
 (** The circuit with gates emitted in the given order.
     Raises [Invalid_argument] if the order is not a valid linearization. *)
-
-val critical_path : t -> float
-(** Longest path weighted by {!Gate.duration} — a placement-independent
-    depth measure of the computation.  Invariant under the default
-    frontier pruning of {!build}: removing a transitively implied edge
-    never changes longest-path finish times. *)
 
 (** Streaming dependency frontier for bounded-memory stage formation.
 
@@ -79,7 +68,6 @@ module Stream : sig
   (** Return a popped, unemitted gate to the ready pool (stage close:
       deferred gates become eligible against the fresh pattern). *)
 
-  val total : t -> int
   val emitted_count : t -> int
 
   val live : t -> int

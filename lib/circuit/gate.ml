@@ -59,8 +59,6 @@ let name = function
 
 let equal a b = a = b
 
-let pp ppf gate = Format.pp_print_string ppf (name gate)
-
 let rx q angle = G1 (Rotation (X, angle), q)
 let ry q angle = G1 (Rotation (Y, angle), q)
 let rz q angle = G1 (Rotation (Z, angle), q)

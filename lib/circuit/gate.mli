@@ -49,8 +49,6 @@ val name : t -> string
 
 val equal : t -> t -> bool
 
-val pp : Format.formatter -> t -> unit
-
 (** {1 Constructors} *)
 
 val rx : int -> float -> t

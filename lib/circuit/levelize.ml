@@ -19,8 +19,6 @@ let levels circuit =
       | Some bucket -> Some (List.rev bucket))
     (Qcp_util.Listx.range (!max_level + 1))
 
-let depth circuit = List.length (levels circuit)
-
 let check level_list =
   List.for_all
     (fun level ->

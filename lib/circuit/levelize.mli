@@ -6,8 +6,5 @@ val levels : Circuit.t -> Gate.t list list
 (** Partition of the circuit's gates into levels, in execution order.  Within
     a level all gates act on pairwise disjoint qubit sets. *)
 
-val depth : Circuit.t -> int
-(** Number of levels. *)
-
 val check : Gate.t list list -> bool
 (** Whether every level's gates act on pairwise disjoint qubits. *)

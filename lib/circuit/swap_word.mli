@@ -4,13 +4,8 @@
     ({!Timing.stage_advance_swaps}, [Qcp_route.Swap_network.sequence]),
     one word per swap.
 
-    Each field takes {!bits} bits: vertex [u] the low ones, then [v], then
-    the level, so every field must lie in [0 .. limit - 1]. *)
-
-val bits : int
-
-val limit : int
-(** [1 lsl bits]: the first vertex id or level a word cannot hold. *)
+    Each field takes 21 bits: vertex [u] the low ones, then [v], then the
+    level, so every field must lie in [0 .. 2^21 - 1]. *)
 
 val make : int -> int -> level:int -> int
 (** [make u v ~level].  Raises [Invalid_argument] when a field is out of

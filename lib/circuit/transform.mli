@@ -23,9 +23,6 @@
 val commutes : Gate.t -> Gate.t -> bool
 (** Conservative commutation test (never claims commutation falsely). *)
 
-val is_diagonal : Gate.t -> bool
-(** Diagonal in the computational basis (Rz, ZZ, controlled phase). *)
-
 val merge_rotations : Circuit.t -> Circuit.t
 (** Fuse and clean.  Angles are summed; gates with angle 0 (mod 360) are
     removed.  Gate count never increases. *)

@@ -68,14 +68,6 @@ let size t = Array.length t.nuclei
 
 let nucleus t i = t.nuclei.(i)
 
-let nucleus_index t label =
-  let rec find i =
-    if i >= Array.length t.nuclei then None
-    else if t.nuclei.(i) = label then Some i
-    else find (i + 1)
-  in
-  find 0
-
 let single_delay t i = t.delay.(i).(i)
 
 let t2 t i = t.decoherence.(i)

@@ -40,8 +40,6 @@ val size : t -> int
 
 val nucleus : t -> int -> string
 
-val nucleus_index : t -> string -> int option
-
 val single_delay : t -> int -> float
 
 val t2 : t -> int -> float

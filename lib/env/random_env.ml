@@ -28,24 +28,6 @@ let molecule ?(extra_bonds = 0) ?(fast = (25.0, 160.0)) ?(medium = (150.0, 500.0
     ~name:(Printf.sprintf "random-molecule-%d" n)
     ~nuclei ~single ~couplings:!couplings ()
 
-let sparse_device ?(extra_couplings = 0) ?(fast = (25.0, 160.0)) rng ~n =
-  if n < 2 then invalid_arg "Random_env.sparse_device: need at least 2 nuclei";
-  let bonds =
-    Qcp_graph.Generators.random_connected rng ~n ~extra_edges:extra_couplings
-  in
-  (* Unlike [molecule], non-bonded pairs stay at infinity: large devices
-     only talk along fabricated couplers, so the delay matrix is sparse and
-     the threshold graph is exactly the bond graph. *)
-  let couplings =
-    List.map (fun (i, j) -> (i, j, draw rng fast)) (Qcp_graph.Graph.edges bonds)
-  in
-  let nuclei = Array.init n (fun i -> Printf.sprintf "q%d" (i + 1)) in
-  let single = Array.init n (fun _ -> 1.0 +. Rng.float rng 9.0) in
-  let t2 = Array.init n (fun _ -> 4000.0 +. Rng.float rng 12000.0) in
-  Environment.of_couplings ~t2
-    ~name:(Printf.sprintf "sparse-device-%d" n)
-    ~nuclei ~single ~couplings ()
-
 let interesting_threshold rng env =
   let m = Environment.size env in
   let fastest = ref Float.infinity in

@@ -21,19 +21,6 @@ val molecule :
     environment is connectable at a large enough threshold.  Also draws T2
     times in 4000-16000. *)
 
-val sparse_device :
-  ?extra_couplings:int ->
-  ?fast:float * float ->
-  Qcp_util.Rng.t ->
-  n:int ->
-  Environment.t
-(** [sparse_device rng ~n] draws a large-device-style environment: a random
-    connected coupler graph ([n - 1] tree edges plus [extra_couplings]
-    extras) with coupling delays from the [fast] band (default 25-160) and
-    every non-coupled pair at infinity — so, unlike {!molecule}, the delay
-    matrix is sparse and realistic for 100+-qubit hardware.  Single-qubit
-    delays are drawn in 1-10 and T2 in 4000-16000. *)
-
 val interesting_threshold : Qcp_util.Rng.t -> Environment.t -> float
 (** A threshold drawn to sit between the environment's fastest and slowest
     couplings — useful for exercising multi-stage placements. *)

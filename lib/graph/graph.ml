@@ -69,35 +69,6 @@ let iter_mask f mask =
     done
   done
 
-let fold_mask f mask init =
-  let acc = ref init in
-  iter_mask (fun v -> acc := f v !acc) mask;
-  !acc
-
-let mask_inter_popcount a b =
-  let total = ref 0 in
-  for w = 0 to Array.length a - 1 do
-    let m = ref (a.(w) land b.(w)) in
-    while !m <> 0 do
-      m := !m land (!m - 1);
-      incr total
-    done
-  done;
-  !total
-
-let mask_popcount mask =
-  let total = ref 0 in
-  for w = 0 to Array.length mask - 1 do
-    let m = ref mask.(w) in
-    while !m <> 0 do
-      m := !m land (!m - 1);
-      incr total
-    done
-  done;
-  !total
-
-let mask_is_empty mask = Array.for_all (fun w -> w = 0) mask
-
 let check_vertex size v =
   if v < 0 || v >= size then invalid_arg (Printf.sprintf "Graph: vertex %d out of range [0,%d)" v size)
 
@@ -228,8 +199,3 @@ let leaves t =
   List.filter (fun v -> Array.length t.adj.(v) = 1) (vertices t)
 
 let equal a b = a.size = b.size && a.edge_list = b.edge_list
-
-let pp ppf t =
-  Format.fprintf ppf "graph(n=%d, m=%d:" t.size (edge_count t);
-  List.iter (fun (u, v) -> Format.fprintf ppf " %d-%d" u v) t.edge_list;
-  Format.fprintf ppf ")"

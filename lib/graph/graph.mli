@@ -72,16 +72,11 @@ val leaves : t -> int list
 
 val equal : t -> t -> bool
 
-val pp : Format.formatter -> t -> unit
-
 (** {1 Bitset scratch operations}
 
     Free functions over plain [int array] bitsets, compatible with
     {!neighbor_mask}.  All masks over the same vertex count have the same
     length, so the binary operations assume equal lengths. *)
-
-val mask_words : int -> int
-(** Words needed for a bitset over [n] vertices. *)
 
 val mask_make : int -> int array
 (** A fresh all-zero bitset sized for [n] vertices (at least one word). *)
@@ -98,14 +93,6 @@ val mask_inter_into : into:int array -> int array -> unit
 val mask_diff_into : into:int array -> int array -> unit
 (** [mask_diff_into ~into src] is [into := into AND NOT src]. *)
 
-val mask_popcount : int array -> int
-
-val mask_inter_popcount : int array -> int array -> int
-(** [mask_inter_popcount a b] is [mask_popcount (a AND b)], without
-    materializing the intersection. *)
-
-val mask_is_empty : int array -> bool
-
 val bit_index : int -> int
 (** Index of the only set bit of a one-bit word (e.g. [w land (-w)]), for
     manual bit-popping loops over single-word masks. *)
@@ -114,6 +101,3 @@ val iter_mask : (int -> unit) -> int array -> unit
 (** Iterate the set bits in increasing vertex order — the same order as the
     sorted {!neighbors} rows, which is what keeps bitset-driven searches
     enumeration-order-identical to array-driven ones. *)
-
-val fold_mask : (int -> 'a -> 'a) -> int array -> 'a -> 'a
-(** Fold over set bits in increasing vertex order. *)

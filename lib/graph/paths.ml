@@ -86,14 +86,6 @@ let components g =
   done;
   (comp, !count)
 
-let component_members g =
-  let comp, count = components g in
-  let buckets = Array.make count [] in
-  for v = Graph.n g - 1 downto 0 do
-    buckets.(comp.(v)) <- v :: buckets.(comp.(v))
-  done;
-  Array.to_list buckets
-
 let is_connected g = Graph.n g <= 1 || snd (components g) = 1
 
 let is_bipartite g =
@@ -112,11 +104,3 @@ let is_connected_subset g vs =
     List.iter (fun v -> inside.(v) <- true) vs;
     let dist = bfs_dist ~restrict:(fun v -> inside.(v)) g first in
     List.for_all (fun v -> dist.(v) >= 0) vs
-
-let spanning_tree g ~root =
-  let parent = bfs_parents g root in
-  let acc = ref [] in
-  Array.iteri
-    (fun v p -> if p >= 0 && p <> v then acc := (min v p, max v p) :: !acc)
-    parent;
-  List.sort compare !acc

@@ -22,9 +22,6 @@ val all_pairs_weighted : cost:(int -> int -> float) -> Graph.t -> float array ar
 val components : Graph.t -> int array * int
 (** [(comp, count)] where [comp.(v)] is the component id of [v]. *)
 
-val component_members : Graph.t -> int list list
-(** Vertex lists of each connected component, ids ascending. *)
-
 val is_connected : Graph.t -> bool
 (** True for the empty and one-vertex graph as well. *)
 
@@ -34,6 +31,3 @@ val is_bipartite : Graph.t -> bool
 
 val is_connected_subset : Graph.t -> int list -> bool
 (** Whether the induced subgraph on the given vertices is connected. *)
-
-val spanning_tree : Graph.t -> root:int -> (int * int) list
-(** Edges of a BFS spanning tree of the root's component. *)

@@ -50,15 +50,12 @@ val length : t -> int
 val recorded : t -> int
 (** Total records ever pushed (overwritten ones included). *)
 
-val to_events : t -> Trace.event list
-(** One complete ("X") Chrome event per record — named
-    [request#<seq>], spanning queue wait plus dispatch wall, with id /
-    key / status / cached / shed and the phase breakdown as args — plus
-    every record's captured solve spans verbatim. *)
-
 val dump : Buffer.t -> t -> unit
-(** {!Export.trace_json} over {!to_events}: a complete, valid Chrome
-    trace-event JSON document. *)
+(** A complete, valid Chrome trace-event JSON document
+    ({!Export.trace_json}): one complete ("X") event per record — named
+    [request#<seq>], spanning queue wait plus dispatch wall, with id / key /
+    status / cached / shed and the phase breakdown as args — plus every
+    record's captured solve spans verbatim. *)
 
 val dump_file : string -> t -> unit
 (** {!dump} to a file (truncating). *)

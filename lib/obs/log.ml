@@ -8,14 +8,6 @@ let level_name = function
   | Warn -> "warn"
   | Error -> "error"
 
-let level_of_string s =
-  match String.lowercase_ascii s with
-  | "debug" -> Some Debug
-  | "info" -> Some Info
-  | "warn" | "warning" -> Some Warn
-  | "error" -> Some Error
-  | _ -> None
-
 type field =
   | Str of string
   | Num of float
@@ -43,8 +35,6 @@ let level () =
   | 2 -> Some Warn
   | 3 -> Some Error
   | _ -> None
-
-let enabled l = severity l >= Atomic.get threshold
 
 let seq = Atomic.make 0
 

@@ -13,7 +13,7 @@
     event number — the deterministic ordering key when multiple domains
     log concurrently.
 
-    {b Disabled cost.}  When no level is armed (the default), {!log} is
+    {b Disabled cost.}  When no level is armed (the default), an event is
     one atomic load and an integer compare before returning — the
     quiet-daemon hot path stays a load-and-branch, the same discipline as
     {!Metrics.enabled} and {!Trace.enabled}.  Field lists are built lazily
@@ -32,15 +32,6 @@
     observability suite). *)
 
 type level = Debug | Info | Warn | Error
-
-val severity : level -> int
-(** [Debug] = 0 up to [Error] = 3 — comparison key for thresholds. *)
-
-val level_name : level -> string
-(** ["debug"], ["info"], ["warn"], ["error"] — the [level] field value. *)
-
-val level_of_string : string -> level option
-(** Case-insensitive; accepts ["warning"] for [Warn]. *)
 
 (** A structured field value.  [Num] renders like [Qcp_util.Json] numbers
     (integral floats without a fraction, non-finite clamped); [Obj] nests
@@ -62,16 +53,10 @@ val set_level : level option -> unit
 val level : unit -> level option
 (** The currently armed level. *)
 
-val enabled : level -> bool
-(** Whether an event at [level] would be emitted (one atomic load). *)
-
 val set_sink : sink -> unit
 
 val stderr_sink : sink
 (** The default: each line to stderr, flushed. *)
-
-val channel_sink : out_channel -> sink
-(** Each line to the channel, flushed per line. *)
 
 val buffer_sink : Buffer.t -> sink
 (** Append lines (newline-terminated) to a buffer — for tests. *)
@@ -79,10 +64,6 @@ val buffer_sink : Buffer.t -> sink
 val file_sink : string -> sink
 (** Open [path] in append mode (creating it at 0644) and return its
     channel sink.  The channel stays open for the process lifetime. *)
-
-val log : level -> string -> (unit -> (string * field) list) -> unit
-(** [log level event fields] emits one line when [level] is armed.
-    [fields] is evaluated only when armed. *)
 
 val debug : string -> (unit -> (string * field) list) -> unit
 val info : string -> (unit -> (string * field) list) -> unit

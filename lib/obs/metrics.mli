@@ -56,8 +56,6 @@ val gauge : t -> string -> gauge
 
 val set : gauge -> float -> unit
 
-val gauge_value : gauge -> float
-
 val default_time_bounds : float array
 (** Exponential bucket upper bounds for durations in seconds:
     [1us, 10us, 100us, 1ms, 10ms, 100ms, 1s, 10s] (values above the last

@@ -120,23 +120,6 @@ let with_span ?(cat = "") ?args name f =
       raise exn
   end
 
-let instant ?(cat = "") ?args name =
-  if Atomic.get on then begin
-    let tls = Domain.DLS.get tls_key in
-    let ts = now () -. !t0 in
-    record tls
-      {
-        name;
-        cat;
-        tid = (Domain.self () :> int);
-        seq = Atomic.fetch_and_add seq 1;
-        ts;
-        dur = 0.0;
-        self = 0.0;
-        args = eval_args args;
-      }
-  end
-
 let ring_events r =
   let cap = Array.length r.r_buf in
   let first = max 0 (r.r_pushed - cap) in

@@ -61,9 +61,6 @@ val with_span :
     (and its event recorded) even if [f] raises.  [args] is evaluated
     only when recording, at close time. *)
 
-val instant : ?cat:string -> ?args:(unit -> (string * string) list) -> string -> unit
-(** A zero-duration marker event. *)
-
 val events : unit -> event list
 (** All surviving events of the current epoch, merged across domains in
     sequence order. *)

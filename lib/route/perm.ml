@@ -30,29 +30,6 @@ let compose p q = Array.init (Array.length p) (fun i -> p.(q.(i)))
 
 let random rng n = Qcp_util.Rng.permutation rng n
 
-let cycles p =
-  let n = Array.length p in
-  let seen = Array.make n false in
-  let out = ref [] in
-  for start = 0 to n - 1 do
-    if (not seen.(start)) && p.(start) <> start then begin
-      let rec walk v acc =
-        if seen.(v) then List.rev acc
-        else begin
-          seen.(v) <- true;
-          walk p.(v) (v :: acc)
-        end
-      in
-      out := walk start [] :: !out
-    end
-  done;
-  List.rev !out
-
-let displaced p =
-  let out = ref [] in
-  Array.iteri (fun i dst -> if i <> dst then out := i :: !out) p;
-  List.rev !out
-
 type builder = { mutable perm : int array; mutable taken : bool array }
 
 let builder () = { perm = [||]; taken = [||] }
@@ -105,10 +82,3 @@ let of_placements_into b ~size ~before ~after =
 
 let of_placements ~size ~before ~after =
   of_placements_into (builder ()) ~size ~before ~after
-
-let pp ppf p =
-  Format.fprintf ppf "(";
-  Array.iteri
-    (fun src dst -> if src <> dst then Format.fprintf ppf " %d->%d" src dst)
-    p;
-  Format.fprintf ppf " )"

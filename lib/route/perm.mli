@@ -19,12 +19,6 @@ val compose : t -> t -> t
 
 val random : Qcp_util.Rng.t -> int -> t
 
-val cycles : t -> int list list
-(** Non-trivial cycles (length >= 2). *)
-
-val displaced : t -> int list
-(** Indices moved by the permutation. *)
-
 val of_placements : size:int -> before:int array -> after:int array -> t
 (** The vertex permutation turning placement [before] into placement [after]
     (both map qubit -> vertex, injectively, into a register of [size]
@@ -45,5 +39,3 @@ val of_placements_into :
     and the same [Invalid_argument] messages, allocating nothing once the
     builder has seen [size].  The result is owned by the builder and
     overwritten by its next call: copy it to keep it. *)
-
-val pp : Format.formatter -> t -> unit

@@ -14,13 +14,6 @@ val connect : ?retries:int -> address -> t
     callers usually race the daemon's startup.  Raises the last
     [Unix.Unix_error] when every attempt fails. *)
 
-val send_line : t -> string -> unit
-(** Write one request line (the newline is appended). *)
-
-val recv_line : t -> string
-(** Read the next response line (blocking).  Raises [End_of_file] when
-    the server closes the connection. *)
-
 val request : t -> string -> string
 (** [send_line] then [recv_line] — one synchronous round trip. *)
 

@@ -140,14 +140,12 @@ module Engine : sig
       hit/miss/eviction counts, and the queue-wait histogram
       ({!Qcp_obs.Metrics.default_time_bounds} buckets). *)
 
-  val metrics_snapshot : t -> Qcp_obs.Metrics.snapshot
-  (** The counters as registry-style series under the [serve.*]
-      namespace (e.g. [serve.requests], [serve.responses.ok],
-      [serve.queue_wait_seconds]), merged with the process-global
-      {!Qcp_obs.Metrics.global} snapshot, sorted by name. *)
-
   val stats_prometheus : t -> string
-  (** {!metrics_snapshot} rendered by {!Qcp_obs.Export.prometheus}. *)
+  (** The counters as registry-style series under the [serve.*] namespace
+      (e.g. [serve.requests], [serve.responses.ok],
+      [serve.queue_wait_seconds]), merged with the process-global
+      {!Qcp_obs.Metrics.global} snapshot, sorted by name, rendered by
+      {!Qcp_obs.Export.prometheus}. *)
 
   val cache : t -> Result_cache.t
 

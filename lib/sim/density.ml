@@ -13,8 +13,6 @@ let of_statevec state =
   in
   { n; rho }
 
-let qubits t = t.n
-
 let trace t =
   let acc = ref 0.0 in
   Array.iteri (fun i row -> acc := !acc +. row.(i).Complex.re) t.rho;

@@ -12,8 +12,6 @@ type t
 val of_statevec : Statevec.t -> t
 (** The pure state [|psi><psi|]. *)
 
-val qubits : t -> int
-
 val trace : t -> float
 (** Real part of the trace (1 for normalized states). *)
 

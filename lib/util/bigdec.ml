@@ -66,5 +66,3 @@ let falling_factorial m n =
   assert (m >= n && n >= 0);
   let rec loop acc i = if i >= n then acc else loop (mul_int acc (m - i)) (i + 1) in
   loop one 0
-
-let equal = equal_arrays

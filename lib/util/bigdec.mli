@@ -9,8 +9,6 @@ type t
 val of_int : int -> t
 (** Represent a non-negative integer. *)
 
-val one : t
-
 val mul_int : t -> int -> t
 (** Multiply by a non-negative machine integer. *)
 
@@ -26,5 +24,3 @@ val to_int_opt : t -> int option
 val falling_factorial : int -> int -> t
 (** [falling_factorial m n] is [m * (m-1) * ... * (m-n+1)] — the number of
     injective placements of [n] qubits into [m] nuclei. *)
-
-val equal : t -> t -> bool

@@ -1,6 +1,3 @@
 let now () = Unix.gettimeofday ()
 
-let deadline_after budget =
-  if budget = infinity then infinity else now () +. budget
-
 let expired deadline = deadline < infinity && now () > deadline

@@ -12,11 +12,6 @@ val now : unit -> float
 (** Current time in seconds.  Comparable only against other {!now} values
     (and offsets of them); the absolute epoch is unspecified. *)
 
-val deadline_after : float -> float
-(** [deadline_after budget] is the absolute deadline [budget] seconds from
-    now; [infinity] when [budget] is [infinity].  A non-positive [budget]
-    yields an already-expired deadline. *)
-
 val expired : float -> bool
 (** [expired deadline] — whether [deadline] (an absolute {!now}-scale
     instant) has passed.  [infinity] never expires; checking it performs no

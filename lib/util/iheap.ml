@@ -4,8 +4,6 @@ let create hint = { data = Array.make (max 1 hint) 0; len = 0 }
 
 let is_empty h = h.len = 0
 
-let size h = h.len
-
 let grow h =
   let data = Array.make (2 * Array.length h.data) 0 in
   Array.blit h.data 0 data 0 h.len;
@@ -28,10 +26,6 @@ let push h x =
     end
     else continue := false
   done
-
-let peek h =
-  if h.len = 0 then invalid_arg "Iheap.peek: empty heap";
-  h.data.(0)
 
 let pop h =
   if h.len = 0 then invalid_arg "Iheap.pop: empty heap";

@@ -14,14 +14,8 @@ val create : int -> t
 
 val is_empty : t -> bool
 
-val size : t -> int
-
 val push : t -> int -> unit
 
 val pop : t -> int
 (** Remove and return the smallest element.
-    Raises [Invalid_argument] on an empty heap. *)
-
-val peek : t -> int
-(** The smallest element without removing it.
     Raises [Invalid_argument] on an empty heap. *)

@@ -22,30 +22,11 @@ let min_by_key key = function
 
 let min_by key list = Option.map fst (min_by_key key list)
 
-let max_by key list = min_by (fun x -> -.key x) list
-
-let sum_floats = List.fold_left ( +. ) 0.0
-
 let pairs list =
   let rec loop acc = function
     | [] -> List.rev acc
     | x :: rest ->
       let acc = List.fold_left (fun acc y -> (x, y) :: acc) acc rest in
       loop acc rest
-  in
-  loop [] list
-
-let index_of pred list =
-  let rec loop i = function
-    | [] -> None
-    | x :: rest -> if pred x then Some i else loop (i + 1) rest
-  in
-  loop 0 list
-
-let chunks n list =
-  assert (n > 0);
-  let rec loop acc = function
-    | [] -> List.rev acc
-    | rest -> loop (take n rest :: acc) (drop n rest)
   in
   loop [] list

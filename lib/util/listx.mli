@@ -20,16 +20,5 @@ val min_by_key : ('a -> float) -> 'a list -> ('a * float) option
     score do not have to evaluate the (possibly expensive) key again.  Ties
     keep the earliest element, exactly as {!min_by}. *)
 
-val max_by : ('a -> float) -> 'a list -> 'a option
-(** Element maximizing the key; [None] on an empty list. *)
-
-val sum_floats : float list -> float
-
 val pairs : 'a list -> ('a * 'a) list
 (** All unordered pairs of distinct positions. *)
-
-val index_of : ('a -> bool) -> 'a list -> int option
-(** Position of the first element satisfying the predicate. *)
-
-val chunks : int -> 'a list -> 'a list list
-(** Split into consecutive chunks of size [n] (last chunk may be short). *)

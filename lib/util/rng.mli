@@ -10,9 +10,6 @@ type t
 val create : int -> t
 (** [create seed] builds a fresh generator from an integer seed. *)
 
-val copy : t -> t
-(** Independent copy of the current state. *)
-
 val split : t -> t
 (** [split t] advances [t] and returns a new generator whose stream is
     statistically independent from the remainder of [t]'s stream. *)

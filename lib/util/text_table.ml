@@ -1,22 +1,12 @@
-type align = Left | Right | Center
-
-type row = Cells of string list | Rule
-
 type t = {
   title : string option;
   headers : string list;
-  mutable aligns : align list;
-  mutable rows : row list; (* reversed *)
+  mutable rows : string list list; (* reversed *)
 }
 
-let create ?title headers =
-  { title; headers; aligns = List.map (fun _ -> Left) headers; rows = [] }
+let create ?title headers = { title; headers; rows = [] }
 
-let set_align t aligns = t.aligns <- aligns
-
-let add_row t cells = t.rows <- Cells cells :: t.rows
-
-let add_separator t = t.rows <- Rule :: t.rows
+let add_row t cells = t.rows <- cells :: t.rows
 
 let ncols t = List.length t.headers
 
@@ -27,36 +17,27 @@ let pad_cells t cells =
 
 let column_widths t =
   let widths = Array.of_list (List.map String.length t.headers) in
-  let account = function
-    | Rule -> ()
-    | Cells cells ->
-      List.iteri
-        (fun i cell -> if i < Array.length widths then widths.(i) <- max widths.(i) (String.length cell))
-        (pad_cells t cells)
+  let account cells =
+    List.iteri
+      (fun i cell -> if i < Array.length widths then widths.(i) <- max widths.(i) (String.length cell))
+      (pad_cells t cells)
   in
   List.iter account (List.rev t.rows);
   widths
 
-let fit width align cell =
+(* Headers are centred, data cells left-aligned. *)
+let fit width ~center cell =
   let len = String.length cell in
   if len >= width then cell
   else
     let pad = width - len in
-    match align with
-    | Left -> cell ^ String.make pad ' '
-    | Right -> String.make pad ' ' ^ cell
-    | Center ->
+    if not center then cell ^ String.make pad ' '
+    else
       let left = pad / 2 in
       String.make left ' ' ^ cell ^ String.make (pad - left) ' '
 
-let pad_aligns t =
-  let n = ncols t in
-  let len = List.length t.aligns in
-  if len >= n then Listx.take n t.aligns else t.aligns @ List.init (n - len) (fun _ -> Left)
-
 let render t =
   let widths = column_widths t in
-  let aligns = Array.of_list (pad_aligns t) in
   let buf = Buffer.create 1024 in
   let rule () =
     Buffer.add_char buf '+';
@@ -67,12 +48,12 @@ let render t =
       widths;
     Buffer.add_char buf '\n'
   in
-  let line cells align_for =
+  let line cells ~center =
     Buffer.add_char buf '|';
     List.iteri
       (fun i cell ->
         Buffer.add_char buf ' ';
-        Buffer.add_string buf (fit widths.(i) (align_for i) cell);
+        Buffer.add_string buf (fit widths.(i) ~center cell);
         Buffer.add_string buf " |")
       cells;
     Buffer.add_char buf '\n'
@@ -83,42 +64,8 @@ let render t =
     Buffer.add_string buf title;
     Buffer.add_char buf '\n');
   rule ();
-  line t.headers (fun _ -> Center);
+  line t.headers ~center:true;
   rule ();
-  List.iter
-    (function
-      | Rule -> rule ()
-      | Cells cells -> line (pad_cells t cells) (fun i -> aligns.(i)))
-    (List.rev t.rows);
+  List.iter (fun cells -> line (pad_cells t cells) ~center:false) (List.rev t.rows);
   rule ();
   Buffer.contents buf
-
-let csv_escape cell =
-  let needs =
-    String.exists (fun c -> c = ',' || c = '"' || c = '\n') cell
-  in
-  if not needs then cell
-  else begin
-    let buf = Buffer.create (String.length cell + 2) in
-    Buffer.add_char buf '"';
-    String.iter
-      (fun c ->
-        if c = '"' then Buffer.add_string buf "\"\"" else Buffer.add_char buf c)
-      cell;
-    Buffer.add_char buf '"';
-    Buffer.contents buf
-  end
-
-let to_csv t =
-  let buf = Buffer.create 1024 in
-  let line cells =
-    Buffer.add_string buf (String.concat "," (List.map csv_escape cells));
-    Buffer.add_char buf '\n'
-  in
-  line t.headers;
-  List.iter
-    (function Rule -> () | Cells cells -> line (pad_cells t cells))
-    (List.rev t.rows);
-  Buffer.contents buf
-
-let print t = print_string (render t)

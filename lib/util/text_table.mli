@@ -1,30 +1,15 @@
 (** Plain-text table rendering for experiment reports.
 
-    Produces aligned, boxed ASCII tables similar to the layout of the paper's
-    Tables 1-4, plus a CSV emitter for downstream plotting. *)
-
-type align = Left | Right | Center
+    Produces boxed ASCII tables similar to the layout of the paper's
+    Tables 1-4: headers centred, data cells left-aligned. *)
 
 type t
 
 val create : ?title:string -> string list -> t
 (** [create ~title headers] starts a table with one header row. *)
 
-val set_align : t -> align list -> unit
-(** Per-column alignment; defaults to [Left] for text, callers may override. *)
-
 val add_row : t -> string list -> unit
 (** Append a data row.  Rows shorter than the header are padded with [""]. *)
 
-val add_separator : t -> unit
-(** Append a horizontal rule between data rows. *)
-
 val render : t -> string
 (** The boxed ASCII rendering, newline-terminated. *)
-
-val to_csv : t -> string
-(** Comma-separated rendering (header row first); commas and quotes in cells
-    are escaped per RFC 4180. *)
-
-val print : t -> unit
-(** [render] to stdout. *)

@@ -78,32 +78,6 @@ let test_monomorph_matches_brute_force_fixed () =
 
 (* --------------------- odds and ends ------------------------------ *)
 
-let test_interaction_multiplicity () =
-  let c =
-    Circuit.make ~qubits:3
-      [ Gate.zz 0 1 90.0; Gate.zz 1 0 90.0; Gate.cnot 1 2; Gate.ry 0 90.0 ]
-  in
-  Alcotest.(check (list (pair (pair int int) int)))
-    "tally" [ ((0, 1), 2); ((1, 2), 1) ]
-    (Circuit.interaction_multiplicity c)
-
-let test_table_alignment () =
-  let t = Qcp_util.Text_table.create [ "name"; "value" ] in
-  Qcp_util.Text_table.set_align t [ Qcp_util.Text_table.Left; Qcp_util.Text_table.Right ];
-  Qcp_util.Text_table.add_row t [ "x"; "1" ];
-  Qcp_util.Text_table.add_row t [ "long"; "100" ];
-  Qcp_util.Text_table.add_separator t;
-  Qcp_util.Text_table.add_row t [ "y"; "2" ];
-  let text = Qcp_util.Text_table.render t in
-  (* Right-aligned numbers: "  1" padded to the column. *)
-  Alcotest.(check bool) "right aligned" true (Helpers.contains ~needle:"|     1 |" text);
-  Alcotest.(check bool) "separator present" true
-    (List.length
-       (List.filter
-          (fun l -> String.length l > 0 && l.[0] = '+')
-          (String.split_on_char '\n' text))
-    > 3)
-
 let test_environment_pp () =
   let text = Format.asprintf "%a" Qcp_env.Environment.pp Qcp_env.Molecules.acetyl_chloride in
   Alcotest.(check bool) "names" true (Helpers.contains ~needle:"C1" text);
@@ -154,8 +128,6 @@ let suite =
       test_monomorph_matches_brute_force;
     Alcotest.test_case "monomorphism = brute force (fixed)" `Quick
       test_monomorph_matches_brute_force_fixed;
-    Alcotest.test_case "interaction multiplicity" `Quick test_interaction_multiplicity;
-    Alcotest.test_case "table alignment" `Quick test_table_alignment;
     Alcotest.test_case "environment pp" `Quick test_environment_pp;
     Alcotest.test_case "placer pp" `Quick test_placer_pp;
     Alcotest.test_case "steane circuits verify" `Slow test_steane_verify;

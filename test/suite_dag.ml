@@ -149,21 +149,7 @@ let test_pruned_build_matches_unpruned () =
     done;
     Alcotest.(check (list int))
       (Printf.sprintf "seed %d: pruned ready order = unpruned" seed)
-      (List.rev !order) (reference_order dag);
-    (* Critical path over the unpruned closure. *)
-    let gates = Array.of_list (Circuit.gates circuit) in
-    let finish = Array.make count 0.0 in
-    for j = 0 to count - 1 do
-      let ready =
-        List.fold_left (fun acc i -> Float.max acc finish.(i)) 0.0 full.(j)
-      in
-      finish.(j) <- ready +. Gate.duration gates.(j)
-    done;
-    let reference_cp = Array.fold_left Float.max 0.0 finish in
-    Alcotest.(check bool)
-      (Printf.sprintf "seed %d: critical path invariant" seed)
-      true
-      (Float.equal reference_cp (Dag.critical_path dag))
+      (List.rev !order) (reference_order dag)
   done
 
 (* Requeue: a popped-but-refused gate re-enters the pool and is popped

@@ -29,8 +29,6 @@ let test_of_couplings () =
 
 let test_nucleus_lookup () =
   let env = Molecules.acetyl_chloride in
-  Alcotest.(check (option int)) "find C2" (Some 2) (Environment.nucleus_index env "C2");
-  Alcotest.(check (option int)) "missing" None (Environment.nucleus_index env "Xx");
   Alcotest.(check string) "name" "M" (Environment.nucleus env 0)
 
 let test_acetyl_paper_numbers () =

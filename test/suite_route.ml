@@ -20,11 +20,6 @@ let test_perm_inverse_compose () =
   Alcotest.(check bool) "p . p^-1 = id" true
     (Perm.is_identity (Perm.compose p (Perm.inverse p)))
 
-let test_perm_cycles () =
-  let p = [| 1; 0; 3; 4; 2; 5 |] in
-  Alcotest.(check int) "two cycles" 2 (List.length (Perm.cycles p));
-  Alcotest.(check (list int)) "displaced" [ 0; 1; 2; 3; 4 ] (Perm.displaced p)
-
 let test_perm_of_placements () =
   (* Two qubits over four vertices: q0 1->2, q1 3->1. *)
   let perm = Perm.of_placements ~size:4 ~before:[| 1; 3 |] ~after:[| 2; 1 |] in
@@ -284,7 +279,6 @@ let suite =
   [
     Alcotest.test_case "perm basics" `Quick test_perm_basics;
     Alcotest.test_case "perm inverse/compose" `Quick test_perm_inverse_compose;
-    Alcotest.test_case "perm cycles" `Quick test_perm_cycles;
     Alcotest.test_case "perm of placements" `Quick test_perm_of_placements;
     Alcotest.test_case "perm of placements rejects" `Quick test_perm_of_placements_rejects;
     Alcotest.test_case "network validity" `Quick test_network_validity;

@@ -117,12 +117,7 @@ let test_log_leveling () =
   let quiet =
     with_log_capture None (fun () -> Log.error "even-errors" (fun () -> []))
   in
-  Alcotest.(check string) "disarmed emits nothing" "" quiet;
-  (* level_of_string accepts the CLI spellings. *)
-  Alcotest.(check bool) "warning alias" true
-    (Log.level_of_string "WARNING" = Some Log.Warn);
-  Alcotest.(check bool) "unknown rejected" true
-    (Log.level_of_string "loud" = None)
+  Alcotest.(check string) "disarmed emits nothing" "" quiet
 
 (* ------------------------------------------------------------------ *)
 (* Engine fixtures                                                     *)

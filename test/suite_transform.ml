@@ -157,13 +157,6 @@ let test_dag_reorder () =
   let reordered = Dag.reorder dag [ 1; 0; 2 ] in
   Alcotest.(check bool) "unitary preserved" true (unitary_equal c reordered)
 
-let test_dag_critical_path () =
-  (* Parallel H's: depth 1; serialized on one qubit: depth = count. *)
-  let parallel = circuit [ Gate.h 0; Gate.h 1; Gate.h 2 ] in
-  Helpers.check_close "parallel" 1.0 (Dag.critical_path (Dag.build parallel));
-  let serial = circuit [ Gate.h 0; Gate.h 0; Gate.h 0 ] in
-  Helpers.check_close "serial" 3.0 (Dag.critical_path (Dag.build serial))
-
 let test_commute_prepass_placement () =
   (* The full pipeline with the pre-pass stays semantically correct and does
      not blow up the runtime. *)
@@ -234,7 +227,6 @@ let suite =
     Alcotest.test_case "dag chain" `Quick test_dag_chain;
     Alcotest.test_case "dag commute-aware" `Quick test_dag_commute_aware;
     Alcotest.test_case "dag reorder" `Quick test_dag_reorder;
-    Alcotest.test_case "dag critical path" `Quick test_dag_critical_path;
     Alcotest.test_case "commute pre-pass placement" `Quick test_commute_prepass_placement;
     QCheck_alcotest.to_alcotest qcheck_merge_preserves_unitary;
     QCheck_alcotest.to_alcotest qcheck_pack_preserves_unitary;

@@ -47,12 +47,6 @@ let test_rng_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "is a permutation" (Array.init 50 (fun i -> i)) sorted
 
-let test_rng_copy () =
-  let a = Rng.create 9 in
-  let _ = Rng.bits64 a in
-  let b = Rng.copy a in
-  Alcotest.(check int64) "copies share future" (Rng.bits64 a) (Rng.bits64 b)
-
 let test_range () =
   Alcotest.(check (list int)) "range 4" [ 0; 1; 2; 3 ] (Listx.range 4);
   Alcotest.(check (list int)) "range 0" [] (Listx.range 0);
@@ -68,7 +62,6 @@ let test_take_drop () =
 let test_min_max_by () =
   let key x = float_of_int (x mod 10) in
   Alcotest.(check (option int)) "min_by" (Some 30) (Listx.min_by key [ 42; 30; 17 ]);
-  Alcotest.(check (option int)) "max_by" (Some 17) (Listx.max_by key [ 42; 30; 17 ]);
   Alcotest.(check (option int)) "min_by empty" None (Listx.min_by key []);
   (* min_by_key returns the winner *and* its score, evaluating the key
      exactly once per element; ties keep the earliest element. *)
@@ -89,14 +82,6 @@ let test_pairs () =
   Alcotest.(check int) "pairs count" 6 (List.length (Listx.pairs [ 1; 2; 3; 4 ]));
   Alcotest.(check (list (pair int int))) "pairs 3" [ (1, 2); (1, 3); (2, 3) ]
     (Listx.pairs [ 1; 2; 3 ])
-
-let test_index_of () =
-  Alcotest.(check (option int)) "found" (Some 1) (Listx.index_of (fun x -> x > 1) [ 1; 2; 3 ]);
-  Alcotest.(check (option int)) "missing" None (Listx.index_of (fun x -> x > 9) [ 1; 2; 3 ])
-
-let test_chunks () =
-  Alcotest.(check (list (list int))) "chunks" [ [ 1; 2 ]; [ 3; 4 ]; [ 5 ] ]
-    (Listx.chunks 2 [ 1; 2; 3; 4; 5 ])
 
 let test_bigdec_small () =
   Alcotest.(check string) "zero" "0" (Bigdec.to_string (Bigdec.of_int 0));
@@ -132,12 +117,6 @@ let test_table_render () =
   Alcotest.(check bool) "row padding works" true
     (String.length rendered > 20)
 
-let test_table_csv () =
-  let t = Text_table.create [ "x"; "y" ] in
-  Text_table.add_row t [ "a,b"; "c\"d" ];
-  Alcotest.(check string) "csv escaping" "x,y\n\"a,b\",\"c\"\"d\"\n"
-    (Text_table.to_csv t)
-
 let qcheck_bigdec_matches_int =
   QCheck.Test.make ~name:"bigdec falling factorial matches int arithmetic"
     ~count:200
@@ -167,19 +146,15 @@ let suite =
     Alcotest.test_case "rng int coverage" `Quick test_rng_int_coverage;
     Alcotest.test_case "rng float range" `Quick test_rng_float_range;
     Alcotest.test_case "rng permutation" `Quick test_rng_permutation;
-    Alcotest.test_case "rng copy" `Quick test_rng_copy;
     Alcotest.test_case "listx range" `Quick test_range;
     Alcotest.test_case "listx take/drop" `Quick test_take_drop;
     Alcotest.test_case "listx min/max_by" `Quick test_min_max_by;
     Alcotest.test_case "listx pairs" `Quick test_pairs;
-    Alcotest.test_case "listx index_of" `Quick test_index_of;
-    Alcotest.test_case "listx chunks" `Quick test_chunks;
     Alcotest.test_case "bigdec small" `Quick test_bigdec_small;
     Alcotest.test_case "bigdec mul" `Quick test_bigdec_mul;
     Alcotest.test_case "bigdec 512! digits (footnote 4)" `Quick test_bigdec_factorial_digits;
     Alcotest.test_case "bigdec table-2 search spaces" `Quick test_bigdec_table2;
     Alcotest.test_case "table render" `Quick test_table_render;
-    Alcotest.test_case "table csv" `Quick test_table_csv;
     QCheck_alcotest.to_alcotest qcheck_bigdec_matches_int;
     QCheck_alcotest.to_alcotest qcheck_shuffle_preserves_elements;
   ]
