@@ -18,55 +18,34 @@ module Circuit = Qcp_circuit.Circuit
 (* Shared argument converters                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* Names and generator forms resolve as in the serve protocol; only the
+   CLI falls back to reading a file. *)
 let load_circuit spec =
-  match Catalog.by_name spec with
+  match Qcp_serve.Protocol.named_circuit spec with
   | Some c -> Ok c
-  | None -> (
-    match Qcp_circuit.Library.by_name spec with
-    | Some c -> Ok c
-    | None ->
-      if Sys.file_exists spec then
-        if Filename.check_suffix spec ".qasm" then
-          try Ok (Qcp_circuit.Qasm.parse_file spec) with
-          | Qcp_circuit.Qasm.Parse_error (line, msg) ->
-            Error (Printf.sprintf "%s:%d: %s" spec line msg)
-        else
-          try Ok (Qcp_circuit.Qc_format.parse_file spec) with
-          | Qcp_circuit.Qc_format.Parse_error (line, msg) ->
-            Error (Printf.sprintf "%s:%d: %s" spec line msg)
+  | None ->
+    if Sys.file_exists spec then
+      if Filename.check_suffix spec ".qasm" then
+        try Ok (Qcp_circuit.Qasm.parse_file spec) with
+        | Qcp_circuit.Qasm.Parse_error (line, msg) ->
+          Error (Printf.sprintf "%s:%d: %s" spec line msg)
       else
-        Error
-          (Printf.sprintf
-             "unknown circuit %S (catalog: %s; library: %s; or a .qc/.qasm file)"
-             spec
-             (String.concat ", " Catalog.names)
-             (String.concat ", " Qcp_circuit.Library.names)))
+        try Ok (Qcp_circuit.Qc_format.parse_file spec) with
+        | Qcp_circuit.Qc_format.Parse_error (line, msg) ->
+          Error (Printf.sprintf "%s:%d: %s" spec line msg)
+    else
+      Error (Qcp_serve.Protocol.unknown_circuit spec ~or_else:"or a .qc/.qasm file")
 
 let load_env spec =
-  match Molecules.by_name spec with
-  | Some env -> Ok env
+  match Qcp_serve.Protocol.named_env spec with
+  | Some resolved -> resolved
   | None ->
     if Sys.file_exists spec then
       try Ok (Qcp_env.Env_format.parse_file spec) with
       | Qcp_env.Env_format.Parse_error (line, msg) ->
         Error (Printf.sprintf "%s:%d: %s" spec line msg)
-    else (
-      match String.split_on_char ':' spec with
-      | [ "chain"; n ] -> (
-        match int_of_string_opt n with
-        | Some n when n > 0 -> Ok (Environment.chain n)
-        | Some _ | None -> Error "chain:<n> needs a positive integer")
-      | [ "grid"; r; c ] -> (
-        match (int_of_string_opt r, int_of_string_opt c) with
-        | Some r, Some c when r > 0 && c > 0 -> Ok (Environment.grid r c)
-        | _ -> Error "grid:<rows>:<cols> needs positive integers")
-      | _ ->
-        Error
-          (Printf.sprintf
-             "unknown environment %S (molecules: %s; generators: chain:<n>, \
-              grid:<r>:<c>; or give a .env file path)"
-             spec
-             (String.concat ", " Molecules.names)))
+    else
+      Error (Qcp_serve.Protocol.unknown_env spec ~or_else:"or give a .env file path")
 
 let circuit_conv =
   let parse spec = Result.map_error (fun m -> `Msg m) (load_circuit spec) in

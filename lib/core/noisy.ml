@@ -3,20 +3,13 @@ module Density = Qcp_sim.Density
 module Environment = Qcp_env.Environment
 module Circuit = Qcp_circuit.Circuit
 
-let embed_input ~m ~placement ~input =
-  let physical = ref 0 in
-  Array.iteri
-    (fun q v -> if input land (1 lsl q) <> 0 then physical := !physical lor (1 lsl v))
-    placement;
-  Statevec.basis ~n:m !physical
-
 let simulate ?(input = 0) program =
   let env = program.Placer.env in
   let m = Environment.size env in
   if m > 8 then invalid_arg "Noisy.simulate: environment too large to simulate";
   let initial =
     match Placer.initial_placement program with
-    | Some placement -> embed_input ~m ~placement ~input
+    | Some placement -> Verify.embed_input ~m ~placement ~input
     | None -> Statevec.basis ~n:m 0
   in
   let rho = ref (Density.of_statevec initial) in
@@ -52,19 +45,8 @@ let ideal_output ~program ~input =
     let logical_out =
       Statevec.run source (Statevec.basis ~n:(Circuit.qubits source) input)
     in
-    let amps = Statevec.amplitudes logical_out in
-    let dim_m = 1 lsl m in
-    let expected = Array.make dim_m Complex.zero in
-    Array.iteri
-      (fun logical_index amp ->
-        let physical_index = ref 0 in
-        for q = 0 to Circuit.qubits source - 1 do
-          if logical_index land (1 lsl q) <> 0 then
-            physical_index := !physical_index lor (1 lsl final.(q))
-        done;
-        expected.(!physical_index) <- amp)
-      amps;
-    Statevec.of_amplitudes expected
+    Statevec.of_amplitudes
+      (Verify.expected_physical ~m ~final ~logical_state:logical_out)
 
 let empirical_fidelity ?(input = 0) program =
   let rho = simulate ~input program in

@@ -11,11 +11,9 @@
     State size is [4^m] complex numbers for an [m]-nucleus environment, so
     this is limited to small molecules (m <= ~8). *)
 
-val simulate : ?input:int -> Placer.program -> Qcp_sim.Density.t
-(** Final physical density matrix after running the program on the given
-    logical basis input (default 0) with dephasing.  Raises
-    [Invalid_argument] beyond 8 nuclei or on programs with custom gates. *)
-
 val empirical_fidelity : ?input:int -> Placer.program -> float
-(** [<ideal| rho |ideal>] where [ideal] is the noiseless physical output
-    (source circuit's result read through the final placement). *)
+(** [<ideal| rho |ideal>], where [rho] is the final physical density matrix
+    after running the program on the given logical basis input (default 0)
+    with dephasing, and [ideal] is the noiseless physical output (source
+    circuit's result read through the final placement).  Raises
+    [Invalid_argument] beyond 8 nuclei or on programs with custom gates. *)

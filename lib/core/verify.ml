@@ -9,8 +9,6 @@ let embed_input ~m ~placement ~input =
     placement;
   Statevec.basis ~n:m !physical
 
-(* Expected physical state: source output amplitudes re-indexed through the
-   final placement, blanks at |0>. *)
 let expected_physical ~m ~final ~logical_state =
   let n = Statevec.qubits logical_state in
   let amps = Statevec.amplitudes logical_state in

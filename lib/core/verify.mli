@@ -6,16 +6,25 @@
     result at the final placement must reproduce the source circuit's
     output state.  Blank vertices must stay in |0>. *)
 
-val equivalent_on_input :
-  program:Placer.program -> input:int -> bool
-(** Check one computational basis input of the source circuit (an [n]-bit
-    index).  Raises {!Qcp_sim.Statevec.Unsupported} if the circuit contains
-    custom gates without simulation semantics. *)
+val embed_input :
+  m:int -> placement:int array -> input:int -> Qcp_sim.Statevec.t
+(** The [m]-vertex basis state holding logical basis input [input] at
+    [placement] (logical qubit [q] on vertex [placement.(q)]), blanks at
+    |0>. *)
+
+val expected_physical :
+  m:int -> final:int array -> logical_state:Qcp_sim.Statevec.t -> Complex.t array
+(** The amplitudes of [logical_state] re-indexed onto [m] vertices through
+    the final placement, blanks at |0>. *)
 
 val equivalent : ?inputs:int list -> Placer.program -> bool
 (** Check the given basis inputs (default: all [2^n] when [n <= 6], else
-    inputs [0], [1] and [2^n - 1]).  Environments beyond ~14 vertices are
-    rejected with [Invalid_argument] (state too large). *)
+    inputs [0], [1] and [2^n - 1]): each is fed through the initial
+    placement, and the physical output must equal {!expected_physical}
+    exactly.  Environments beyond ~14 vertices are rejected with
+    [Invalid_argument] (state too large); raises
+    {!Qcp_sim.Statevec.Unsupported} if the circuit contains custom gates
+    without simulation semantics. *)
 
 val equivalent_sampled :
   Qcp_util.Rng.t -> samples:int -> Placer.program -> bool

@@ -13,6 +13,7 @@ type place = {
   telemetry : bool;
   key : string;
   digest : string;
+  cache_key : string;
 }
 
 type stats_format = Stats_json | Stats_prometheus
@@ -33,31 +34,51 @@ type envelope = {
 (* Spec resolution (no file paths: remote clients must not name files) *)
 (* ------------------------------------------------------------------ *)
 
+let named_env spec =
+  match Qcp_env.Molecules.by_name spec with
+  | Some env -> Some (Ok env)
+  | None -> (
+    match String.split_on_char ':' spec with
+    | [ "chain"; n ] ->
+      Some
+        (match int_of_string_opt n with
+        | Some n when n > 0 -> Ok (Environment.chain n)
+        | Some _ | None -> Error "chain:<n> needs a positive integer")
+    | [ "grid"; r; c ] ->
+      Some
+        (match (int_of_string_opt r, int_of_string_opt c) with
+        | Some r, Some c when r > 0 && c > 0 -> Ok (Environment.grid r c)
+        | _ -> Error "grid:<rows>:<cols> needs positive integers")
+    | _ -> None)
+
+let named_circuit spec =
+  match Qcp_circuit.Catalog.by_name spec with
+  | Some c -> Some c
+  | None -> Qcp_circuit.Library.by_name spec
+
+let unknown_env spec ~or_else =
+  Printf.sprintf
+    "unknown environment %S (molecules: %s; generators: chain:<n>, \
+     grid:<r>:<c>; %s)"
+    spec
+    (String.concat ", " Qcp_env.Molecules.names)
+    or_else
+
+let unknown_circuit spec ~or_else =
+  Printf.sprintf "unknown circuit %S (catalog: %s; library: %s; %s)" spec
+    (String.concat ", " Qcp_circuit.Catalog.names)
+    (String.concat ", " Qcp_circuit.Library.names)
+    or_else
+
 let resolve_env spec =
   if String.contains spec '\n' then
     try Ok (Env_format.parse spec) with
     | Env_format.Parse_error (line, msg) ->
       Error (Printf.sprintf "inline env, line %d: %s" line msg)
   else
-    match Qcp_env.Molecules.by_name spec with
-    | Some env -> Ok env
-    | None -> (
-      match String.split_on_char ':' spec with
-      | [ "chain"; n ] -> (
-        match int_of_string_opt n with
-        | Some n when n > 0 -> Ok (Environment.chain n)
-        | Some _ | None -> Error "chain:<n> needs a positive integer")
-      | [ "grid"; r; c ] -> (
-        match (int_of_string_opt r, int_of_string_opt c) with
-        | Some r, Some c when r > 0 && c > 0 -> Ok (Environment.grid r c)
-        | _ -> Error "grid:<rows>:<cols> needs positive integers")
-      | _ ->
-        Error
-          (Printf.sprintf
-             "unknown environment %S (molecules: %s; generators: chain:<n>, \
-              grid:<r>:<c>; or inline .env text)"
-             spec
-             (String.concat ", " Qcp_env.Molecules.names)))
+    match named_env spec with
+    | Some resolved -> resolved
+    | None -> Error (unknown_env spec ~or_else:"or inline .env text")
 
 let resolve_circuit spec =
   if String.contains spec '\n' then
@@ -65,18 +86,9 @@ let resolve_circuit spec =
     | Qc_format.Parse_error (line, msg) ->
       Error (Printf.sprintf "inline circuit, line %d: %s" line msg)
   else
-    match Qcp_circuit.Catalog.by_name spec with
+    match named_circuit spec with
     | Some c -> Ok c
-    | None -> (
-      match Qcp_circuit.Library.by_name spec with
-      | Some c -> Ok c
-      | None ->
-        Error
-          (Printf.sprintf
-             "unknown circuit %S (catalog: %s; library: %s; or inline .qc text)"
-             spec
-             (String.concat ", " Qcp_circuit.Catalog.names)
-             (String.concat ", " Qcp_circuit.Library.names)))
+    | None -> Error (unknown_circuit spec ~or_else:"or inline .qc text")
 
 (* ------------------------------------------------------------------ *)
 (* Content-hash keys                                                   *)
@@ -400,6 +412,7 @@ let resolve_place ~resolve_env ~resolve_circuit ~deadline json =
       telemetry;
       key;
       digest = key_hash key;
+      cache_key = (if telemetry then key ^ "\n+telemetry" else key);
     }
 
 (* [memo] maps a spec key to its resolved place, calling the resolver on

@@ -47,6 +47,13 @@ type place = {
   digest : string;
       (** {!key_hash} of [key], computed once with the key: the response,
           the flight record and the access log share it. *)
+  cache_key : string;
+      (** The result cache's key: [key] itself, or [key] plus a telemetry
+          marker when [telemetry] is set — the flag changes the rendered
+          result (metrics present or not) without changing the instance,
+          and cached bytes must match what the request would have produced
+          cold.  Built once with [key], so a memoized place's hit copies
+          no multi-kilobyte string. *)
 }
 
 type stats_format = Stats_json | Stats_prometheus
@@ -88,6 +95,24 @@ val parse_line :
     without decoding options, building the key or hashing it.  The
     per-request ["id"] and ["deadline"] are never part of it: a memoized
     place always gets the line's own deadline. *)
+
+val named_env : string -> (Qcp_env.Environment.t, string) result option
+(** The named environments every front end accepts: molecule names,
+    [chain:<n>] and [grid:<r>:<c>].  [None] when [spec] is none of these
+    forms; [Some (Error _)] for a generator form with bad sizes.  Never
+    touches the file system. *)
+
+val named_circuit : string -> Qcp_circuit.Circuit.t option
+(** Catalog and library circuits by name.  Never touches the file
+    system. *)
+
+val unknown_env : string -> or_else:string -> string
+(** The "unknown environment" message for [spec]: every molecule name and
+    generator form, then the front end's own alternative [or_else]. *)
+
+val unknown_circuit : string -> or_else:string -> string
+(** The "unknown circuit" message: catalog and library names, then
+    [or_else]. *)
 
 val resolve_env : string -> (Qcp_env.Environment.t, string) result
 (** Molecule names, [chain:<n>], [grid:<r>:<c>], or an inline multi-line

@@ -172,15 +172,6 @@ module Engine = struct
     c.qw_sum <- c.qw_sum +. seconds;
     c.qw_count <- c.qw_count + 1
 
-  (* The cache key adds the telemetry flag on top of the content key: the
-     flag changes the rendered result (metrics present or not) without
-     changing the instance, and cached bytes must match what the hit's
-     request would have produced cold.  Without the flag the content key
-     is the cache key itself, so a hit copies no multi-kilobyte string. *)
-  let cache_key p =
-    if p.Protocol.telemetry then p.Protocol.key ^ "\n+telemetry"
-    else p.Protocol.key
-
   (* A request's absolute timeout budget: its own deadline, or the server
      default, counted from arrival. *)
   let budget config j =
@@ -214,9 +205,7 @@ module Engine = struct
         (fun j ->
           if budget t.config j <= now then Shed
           else
-            (* The key is built once per job: lookup, dedup and the
-               insert after solving all use it. *)
-            let key = cache_key j.j_place in
+            let key = j.j_place.Protocol.cache_key in
             match Result_cache.find t.result_cache key with
             | Some text -> Hit text
             | None -> (

@@ -901,7 +901,47 @@ let test_memo_hit_allocation () =
   ignore (Sys.opaque_identity job);
   if words > 580.0 then
     Alcotest.failf "a memo hit allocated %.0f minor words (key: %d words)"
-      words key_words
+      words key_words;
+  (* A telemetry hit's dispatch looks the result up under a key with a
+     telemetry marker.  That key is built once with the place, so the hit
+     allocates what a plain hit does, plus rendering its longer response:
+     a per-dispatch copy of the 2,173-byte key (over 256 words, straight
+     to the major heap) fails. *)
+  let allocated f =
+    let minor0, promoted0, major0 = Gc.counters () in
+    let r = f () in
+    let minor1, promoted1, major1 = Gc.counters () in
+    ignore (Sys.opaque_identity r);
+    minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+  in
+  let dispatch_words line =
+    let dispatch () =
+      Engine.dispatch eng ~now:0.0 [ job_of_line eng ~id:"a" line ]
+    in
+    ignore (dispatch ());
+    ignore (dispatch ());
+    let words = allocated dispatch in
+    let text =
+      let r = result_part (List.hd (dispatch ())) in
+      String.sub r 9 (String.length r - 10)
+    in
+    let render =
+      allocated (fun () ->
+          Protocol.response ~id:"a" ~status:"ok" ~cached:true
+            ~digest:"523314a175ba8dc6" ~queue_wait:1e-6 ~wall:1e-6 ~result:text ())
+    in
+    words -. render
+  in
+  let plain = dispatch_words line in
+  let telemetry =
+    dispatch_words
+      "{\"id\":\"a\",\"op\":\"place\",\"env\":\"histidine\",\"circuit\":\"aqft9\",\"options\":{\"threshold\":1000},\"telemetry\":true}"
+  in
+  if telemetry > plain +. 64.0 then
+    Alcotest.failf
+      "a telemetry hit allocated %.0f words besides its response, a plain hit %.0f \
+       (key: %d words)"
+      telemetry plain key_words
 
 (* ------------------------------------------------------------------ *)
 (* Socket daemon smoke                                                 *)
@@ -1016,6 +1056,72 @@ let test_socket_split_reads () =
   send (line_a ^ "\n\n" ^ line_b ^ "\n");
   check "one write"
 
+(* ------------------------------------------------------------------ *)
+(* Named specs: one resolver for the CLI and the serve protocol         *)
+(* ------------------------------------------------------------------ *)
+
+(* The CLI binary: beside the test under [dune runtest], under _build when
+   the suite runs from the repository root. *)
+let qcp_exe =
+  if Sys.file_exists "../bin/qcp_cli.exe" then "../bin/qcp_cli.exe"
+  else "_build/default/bin/qcp_cli.exe"
+
+(* [qcp gen KIND SPEC]: exit code, stdout, stderr. *)
+let qcp_gen kind spec =
+  let out = Filename.temp_file "qcp-gen" ".out"
+  and err = Filename.temp_file "qcp-gen" ".err" in
+  Fun.protect ~finally:(fun () -> Sys.remove out; Sys.remove err) @@ fun () ->
+  let code =
+    Sys.command
+      (Filename.quote_command qcp_exe [ "gen"; kind; spec ] ~stdout:out
+         ~stderr:err)
+  in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  (code, read out, read err)
+
+(* Every molecule, catalog and library name and the generator forms, bad
+   sizes included, resolve to the same text (or the same error) through
+   the CLI, which may also read files, and the serve protocol, which may
+   also parse inline text. *)
+let test_named_specs_resolve_alike () =
+  let check kind spec served print =
+    let code, out, err = qcp_gen kind spec in
+    match served with
+    | Ok v ->
+      Alcotest.(check int) (spec ^ ": cli exit") 0 code;
+      Alcotest.(check string) (spec ^ ": cli text = served text") (print v) out
+    | Error msg ->
+      Alcotest.(check int) (spec ^ ": cli exit") 1 code;
+      Alcotest.(check string) (spec ^ ": cli error = served error") (msg ^ "\n") err
+  in
+  let env spec =
+    check "env" spec (Protocol.resolve_env spec) Qcp_env.Env_format.print
+  and circuit spec =
+    check "circuit" spec (Protocol.resolve_circuit spec) Qcp_circuit.Qc_format.print
+  in
+  List.iter env Qcp_env.Molecules.names;
+  List.iter env [ "chain:1"; "chain:6"; "grid:2:3"; "chain:0"; "chain:x"; "grid:0:2" ];
+  List.iter circuit (Qcp_circuit.Catalog.names @ Qcp_circuit.Library.names);
+  (* Anything else is each front end's own business: a file for the CLI,
+     inline text for the daemon, each named in its own hint. *)
+  let unknown kind spec served ~cli_hint ~serve_hint =
+    let code, _, err = qcp_gen kind spec in
+    Alcotest.(check int) (spec ^ ": cli exit") 1 code;
+    Alcotest.(check bool) (spec ^ ": cli hint") true (Helpers.contains ~needle:cli_hint err);
+    match served with
+    | Ok _ -> Alcotest.failf "%s: served" spec
+    | Error msg ->
+      Alcotest.(check bool) (spec ^ ": serve hint") true
+        (Helpers.contains ~needle:serve_hint msg)
+  in
+  List.iter
+    (fun spec ->
+      unknown "env" spec (Protocol.resolve_env spec) ~cli_hint:"or give a .env file path"
+        ~serve_hint:"or inline .env text")
+    [ "nosuch"; "grid:2" ];
+  unknown "circuit" "nosuch" (Protocol.resolve_circuit "nosuch")
+    ~cli_hint:"or a .qc/.qasm file" ~serve_hint:"or inline .qc text"
+
 let suite =
   [
     Alcotest.test_case "json print/parse fixpoint" `Quick test_json_roundtrip;
@@ -1023,6 +1129,8 @@ let suite =
     Alcotest.test_case "keys collide iff equal over 50 seeds" `Quick
       test_keys_collide_iff_equal;
     Alcotest.test_case "key digest format" `Quick test_key_hash_format;
+    Alcotest.test_case "named specs resolve alike in cli and serve" `Quick
+      test_named_specs_resolve_alike;
     Alcotest.test_case "result cache LRU deterministic" `Quick
       test_result_cache_lru;
     Alcotest.test_case "hit bit-identical to cold solve (jobs 0/2)" `Quick
