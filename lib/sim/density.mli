@@ -19,7 +19,7 @@ val purity : t -> float
 (** [tr (rho^2)]: 1 for pure states, down to [1/2^n] for maximally mixed. *)
 
 val apply_gate : Qcp_circuit.Gate.t -> t -> t
-(** Unitary conjugation [U rho U+]. *)
+(** Conjugation by the gate's matrix: [U rho U+]. *)
 
 val run_circuit : Qcp_circuit.Circuit.t -> t -> t
 
