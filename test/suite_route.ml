@@ -288,8 +288,8 @@ let suite =
     Alcotest.test_case "route adjacent swap" `Quick test_route_adjacent_swap;
     Alcotest.test_case "route chain reversal depth" `Quick test_route_chain_reversal_linear_depth;
     Alcotest.test_case "route rotation" `Quick test_route_rotation;
-    Alcotest.test_case "route Figure 3 (crotonic)" `Quick test_route_figure3_crotonic;
     Alcotest.test_case "route rejects disconnected" `Quick test_route_disconnected_rejected;
+    Alcotest.test_case "route Figure 3 (crotonic)" `Quick test_route_figure3_crotonic;
     Alcotest.test_case "route rejects bad perm" `Quick test_route_bad_perm_rejected;
     Alcotest.test_case "token router correct" `Quick test_token_router_correct;
     Alcotest.test_case "bisect beats token on chains" `Quick test_bisect_beats_token_on_chain;

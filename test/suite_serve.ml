@@ -1134,8 +1134,6 @@ let suite =
     Alcotest.test_case "keys collide iff equal over 50 seeds" `Quick
       test_keys_collide_iff_equal;
     Alcotest.test_case "key digest format" `Quick test_key_hash_format;
-    Alcotest.test_case "named specs resolve alike in cli and serve" `Quick
-      test_named_specs_resolve_alike;
     Alcotest.test_case "result cache LRU deterministic" `Quick
       test_result_cache_lru;
     Alcotest.test_case "hit bit-identical to cold solve (jobs 0/2)" `Quick
@@ -1173,4 +1171,6 @@ let suite =
       test_socket_byte_writes;
     Alcotest.test_case "socket requests split across reads" `Quick
       test_socket_split_reads;
+    Alcotest.test_case "named specs resolve alike in cli and serve" `Quick
+      test_named_specs_resolve_alike;
   ]
